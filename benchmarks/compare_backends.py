@@ -47,7 +47,9 @@ def main():
     try:
         compiled = get_backend("compiled")
     except ImportError:
-        raise SystemExit("compiled backend unavailable; build the extension first")
+        raise SystemExit(
+            "compiled backend unavailable; build it with `python setup.py build_ext --inplace`"
+        )
 
     cases = CASES + (HEAVY_CASES if opts.heavy else [])
     header = f"{'case':24} {'value':>6} {'nodes':>10} {'pure[s]':>9} {'compiled[s]':>12} {'speedup':>8}"

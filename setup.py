@@ -1,30 +1,19 @@
-"""Build script: compiles the optional search-kernel extension.
+"""Build script: compiles the optional C search kernels (`seqext._ckernels`).
 
-The package works without the extension (a pure-Python twin is selected at
-import time), so a failed compile only costs speed. Set SEQEXT_NO_EXT=1 to
-skip the extension entirely.
+The package works without the extension (`backends` falls back to the
+pure-Python twin at import time), so the extension is optional: when no C
+compiler is available the build still succeeds and only speed is lost.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("SEQEXT_NO_EXT") != "1" and os.path.exists("src/seqext/_ckernels.pyx"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "seqext._ckernels",
-                    ["src/seqext/_ckernels.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+setup(
+    ext_modules=[
+        Extension(
+            "seqext._ckernels",
+            ["src/seqext/_ckernels.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,10 +1,11 @@
 """Command-line front door: build constructions, verify properties, run
 oracles, evaluate bounds, and convert between sequence and matrix forms.
 
-Exit status contract: 0 = all checks pass, 1 = a mathematical check failed,
-2 = usage/parse/infeasible-parameter/cap errors. Reports are line-oriented
-text by default and stable JSON with --json (byte-identical for identical
-inputs modulo the wall_time_ms field).
+Exit status contract: 0 = all checks pass, 1 = a mathematical check failed
+(including an oracle witness that fails its independent re-check), 2 =
+usage/parse/infeasible-parameter/cap errors or an interrupt. Reports are
+line-oriented text by default and stable JSON with --json (byte-identical for
+identical inputs modulo the wall_time_ms field).
 """
 
 from __future__ import annotations
@@ -434,6 +435,12 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except (ValueError, InfeasibleError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # after CapExceededError, which subclasses it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,7 @@ override_caps=True to lift them.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -102,6 +103,17 @@ def estimate_nodes(kind: str, **params) -> float:
     return total
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def _pool_size(threads: int, tasks: list) -> int:
+    """Workers for a split search: no more than the tasks or the CPUs (the
+    split and the values do not depend on it)."""
+    return max(1, min(threads, len(tasks), os.cpu_count() or 1))
+
+
 def _run_seq(task: dict):
     return backends.seq_search(**task)
 
@@ -157,7 +169,7 @@ def _parallel_seq_search(kw: dict, ceiling: int, threads: int, node_budget: int)
         for p in prefixes
     ]
     truncated = False
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
         for b, w, nd, tr in pool.map(_run_seq, tasks):
             nodes += nd
             truncated = truncated or tr
@@ -168,6 +180,7 @@ def _parallel_seq_search(kw: dict, ceiling: int, threads: int, node_budget: int)
 
 
 def _seq_oracle(kw: dict, ceiling: int, threads: int, node_budget: int):
+    _check_threads(threads)
     if threads > 1:
         return _parallel_seq_search(kw, ceiling, threads, node_budget)
     return backends.seq_search(ceiling=ceiling, node_budget=node_budget, **kw)
@@ -465,6 +478,7 @@ def oracle_ex_matrix(
             f"n*m={n * m} exceeds exhaustive cap {EX_MATRIX_CELL_CAP}; "
             "pass override_caps=True to force the search"
         )
+    _check_threads(threads)
     if threads > 1:
         depth = min(_MATRIX_SPLIT_DEPTH, n * m)
         prefixes, best, wit_rows, nodes = _matrix_frontier(
@@ -478,7 +492,7 @@ def oracle_ex_matrix(
             for p in prefixes
         ]
         truncated = False
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
             for b, w, nd, tr in pool.map(_run_matrix, tasks):
                 nodes += nd
                 truncated = truncated or tr

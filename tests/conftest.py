@@ -1,9 +1,18 @@
-"""Shared fixtures: the construction grid and random-instance generators."""
+"""Shared fixtures: the construction grid, random-instance generators, and the
+compiled kernel twin built from this checkout."""
 
+import importlib.util
+import os
 import random
+import shlex
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+from seqext import backends
 from seqext.coloring import Hypergraph
 from seqext.construct import build_formation_witness
 from seqext.sequences import Sequence
@@ -45,3 +54,50 @@ def random_hypergraph(rng: random.Random, max_k: int = 5, max_n: int = 12):
         if all(len(e & f) <= y for f in edges):
             edges.append(e)
     return Hypergraph(n, k, tuple(edges)), y
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _compiler_works(workdir: Path) -> bool:
+    """Can the C compiler that setuptools would use compile a trivial file?"""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    probe = workdir / "probe.c"
+    probe.write_text("int probe(void) { return 0; }\n")
+    try:
+        proc = subprocess.run(
+            [*shlex.split(cc), "-c", str(probe), "-o", str(workdir / "probe.o")],
+            capture_output=True,
+        )
+    except OSError:
+        return False
+    return proc.returncode == 0
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel module, built once per session by setup.py into a
+    temporary directory (nothing is written to src/). Skips without a C
+    compiler; a kernel that fails to build fails the tests."""
+    out = tmp_path_factory.mktemp("ckernels")
+    if not _compiler_works(out):
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted((out / "lib" / "seqext").glob("_ckernels*"))
+    if proc.returncode or not built:
+        pytest.fail("building seqext._ckernels failed:\n" + proc.stdout + proc.stderr)
+    spec = importlib.util.spec_from_file_location("seqext._ckernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compiled_backend(compiled, monkeypatch):
+    """Route the oracles through the compiled kernels for one test."""
+    monkeypatch.setattr(backends, "seq_search", compiled.seq_search)
+    monkeypatch.setattr(backends, "matrix_search", compiled.matrix_search)

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from seqext import oracles
 from seqext.cli import main
+from seqext.errors import CapExceededError
 
 
 def run(capsys, *argv):
@@ -186,6 +188,29 @@ class TestOracle:
         )
         assert serial["results"]["value"] == par["results"]["value"]
         assert serial["results"]["witness"] == par["results"]["witness"]
+
+    def test_threads_below_one_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "oracle", "lambda", "--n", "3", "--s", "2", "--threads", "0"
+        )
+        assert code == 2 and "threads must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "exc, code, message",
+        [
+            (RuntimeError("internal error: witness failed independent re-check"), 1,
+             "error: internal error"),
+            (CapExceededError("n=9 exceeds default cap 5"), 2, "error: n=9"),
+            (KeyboardInterrupt(), 2, "interrupted"),
+        ],
+    )
+    def test_oracle_failures_keep_exit_contract(self, capsys, monkeypatch, exc, code, message):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(oracles, "oracle_lambda", fail)
+        got, out, err = run(capsys, "oracle", "lambda", "--n", "3", "--s", "2")
+        assert (got, out) == (code, "") and err.startswith(message)
 
 
 class TestBound:

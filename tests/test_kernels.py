@@ -8,16 +8,9 @@ import pytest
 from conftest import random_sequence
 from seqext import _kernels_py as pure
 from seqext import checks, matrices
-from seqext.backends import backend_name, get_backend
+from seqext.backends import backend_name
 from seqext.oracles import _greedy_blocks
 from seqext.sequences import PatternSequence, Sequence
-
-try:
-    compiled = get_backend("compiled")
-except ImportError:  # pragma: no cover
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel unavailable")
 
 SEQ_CASES = [
     dict(mode=pure.MODE_DS, n=2, j=2, ceiling=4, s=1),
@@ -48,20 +41,19 @@ MATRIX_CASES = [
 ]
 
 
-@needs_compiled
 class TestBackendEquality:
     @pytest.mark.parametrize("kw", SEQ_CASES)
-    def test_seq_search_identical(self, kw):
+    def test_seq_search_identical(self, compiled, kw):
         assert pure.seq_search(**kw) == tuple(compiled.seq_search(**kw))
 
     @pytest.mark.parametrize("case", MATRIX_CASES)
-    def test_matrix_search_identical(self, case):
+    def test_matrix_search_identical(self, compiled, case):
         n, m, p_rows, pn, pm = case
         assert pure.matrix_search(n, m, p_rows, pn, pm) == tuple(
             compiled.matrix_search(n, m, p_rows, pn, pm)
         )
 
-    def test_prefix_and_budget_identical(self):
+    def test_prefix_and_budget_identical(self, compiled):
         kw = dict(mode=pure.MODE_DS, n=4, j=2, ceiling=19, s=3)
         for extra in (
             dict(prefix=(1, 2, 1)),
@@ -72,20 +64,87 @@ class TestBackendEquality:
                 compiled.seq_search(**kw, **extra)
             )
 
-    def test_infeasible_prefix_raises_everywhere(self):
+    def test_infeasible_prefix_raises_everywhere(self, compiled):
         kw = dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=2, prefix=(1, 1))
         with pytest.raises(ValueError):
             pure.seq_search(**kw)
         with pytest.raises(ValueError):
             compiled.seq_search(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(mode=pure.MODE_DS, n=0, j=2, ceiling=5, s=1),
+            dict(mode=pure.MODE_DS, n=pure.MAX_LETTERS + 1, j=2, ceiling=5, s=1),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=-1, s=1),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=pure.MAX_CEILING + 1, s=1),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=10**12, s=1),
+            dict(mode=pure.MODE_FORMATION, n=3, j=2, ceiling=5, s=1, r=2, max_blocks=2),
+            dict(mode=pure.MODE_PATTERN, n=60, j=2, ceiling=5, pattern=tuple(range(1, 12))),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=2, s=1, prefix=(1, 2, 3)),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=1, prefix=(4,)),
+            dict(mode=7, n=3, j=2, ceiling=5),
+        ],
+    )
+    def test_seq_limits_raise_everywhere(self, compiled, kw):
+        with pytest.raises(ValueError):
+            pure.seq_search(**kw)
+        with pytest.raises(ValueError):
+            compiled.seq_search(**kw)
+
+    @pytest.mark.parametrize(
+        "args, extra",
+        [
+            ((0, 3, (1,), 1, 1), {}),
+            ((3, 0, (1,), 1, 1), {}),
+            ((3, 63, (1,), 1, 1), {}),
+            ((50_001, 1, (1,), 1, 1), {}),
+            ((807, 62, (1,), 1, 1), {}),
+            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 1, 1, 1, 0))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 2))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 1, 1, 1))),
+        ],
+    )
+    def test_matrix_limits_raise_everywhere(self, compiled, args, extra):
+        with pytest.raises(ValueError):
+            pure.matrix_search(*args, **extra)
+        with pytest.raises(ValueError):
+            compiled.matrix_search(*args, **extra)
+
+    def test_limits_are_accepted(self, compiled):
+        for kw in (
+            dict(mode=pure.MODE_DS, n=pure.MAX_LETTERS, j=2, ceiling=3, s=1),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=0, s=1),
+        ):
+            assert pure.seq_search(**kw) == tuple(compiled.seq_search(**kw))
+        assert pure.matrix_search(1, 62, (1,), 1, 1) == tuple(
+            compiled.matrix_search(1, 62, (1,), 1, 1)
+        )
+
+
+def test_compiled_seq_search_at_ceiling_limit(compiled):
+    """No r-subset exists on 2 letters for r=3, so every 2-sparse sequence is
+    admissible: the search walks straight down to depth 50,000."""
+    best, witness, nodes, truncated = compiled.seq_search(
+        pure.MODE_FORMATION, 2, 2, pure.MAX_CEILING, s=2, r=3
+    )
+    assert (best, nodes, truncated) == (50_000, 50_000, False)
+    assert witness == [1, 2] * 25_000
+
+
+def test_compiled_matrix_search_at_cell_limit(compiled):
+    """A pattern wider than the matrix is never contained, so the all-ones
+    fill of 1000 x 50 = 50,000 cells is found on the first path."""
+    best, rows, nodes, truncated = compiled.matrix_search(1000, 50, (1 << 50,), 1, 51)
+    assert (best, nodes, truncated) == (50_000, 50_000, False)
+    assert rows == [(1 << 50) - 1] * 1000
+
 
 def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
 
 
-@needs_compiled
-def test_backend_differential_fuzz():
+def test_backend_differential_fuzz(compiled):
     rng = random.Random(987654)
     for _ in range(60):
         mode = rng.choice([pure.MODE_DS, pure.MODE_DS, pure.MODE_FORMATION, pure.MODE_PATTERN])

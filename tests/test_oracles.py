@@ -6,8 +6,7 @@ from math import comb
 
 import pytest
 
-from seqext import checks, matrices
-from seqext.backends import backend_name
+from seqext import backends, checks, matrices, oracles
 from seqext.construct import build_block_witness
 from seqext.errors import CapExceededError
 from seqext.matrices import all_ones, matrix_contains_brute
@@ -316,8 +315,7 @@ class TestExMatrix:
         with pytest.raises(CapExceededError):
             oracle_ex_matrix(6, 6, all_ones(2, 2))
 
-    @pytest.mark.skipif(backend_name() != "compiled", reason="slow on the pure backend")
-    def test_5x5_values(self):
+    def test_5x5_values(self, compiled_backend):  # ~20 s per search on the pure kernels
         assert oracle_ex_matrix(5, 5, all_ones(2, 2)).value == 12
         res = oracle_ex_matrix(5, 5, all_ones(2, 3)).value
         assert res == 16 <= matrices.kst_bound(5, 5, 2, 3)
@@ -347,3 +345,67 @@ class TestThreads:
         serial = oracle_lambda_blocks(4, 3, 4)
         par = oracle_lambda_blocks(4, 3, 4, threads=2)
         assert (par.value, par.witness) == (serial.value, serial.witness)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        for call in (
+            lambda: oracle_lambda(3, 2, threads=threads),
+            lambda: oracle_formation(3, 2, 2, 2, threads=threads),
+            lambda: oracle_pattern(Sequence((1, 2, 1)), 2, 3, threads=threads),
+            lambda: oracle_lambda_blocks(3, 2, 3, threads=threads),
+            lambda: oracle_ex_matrix(3, 3, all_ones(2, 2), threads=threads),
+        ):
+            with pytest.raises(ValueError, match="threads"):
+                call()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with a serial stand-in that records max_workers."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(oracles, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+class TestPoolSize:
+    """The pool never exceeds the task count or the CPU count; the split, and
+    so the value, witness and node count, do not depend on its size."""
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
+    def test_lambda(self, pool_sizes, monkeypatch, cpus):
+        kw = dict(mode=backends.MODE_DS, n=4, j=2, s=2, r=0, pattern=(), max_blocks=0)
+        tasks = len(oracles._seq_frontier(kw, oracles._SEQ_SPLIT_DEPTH)[0])
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
+        reference = oracle_lambda(4, 2, threads=2)
+        res = oracle_lambda(4, 2, threads=10**6)
+        assert pool_sizes == [min(2, tasks, cpus or 1), min(tasks, cpus or 1)]
+        assert res == reference
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_ex_matrix(self, pool_sizes, monkeypatch, cpus):
+        P = all_ones(2, 2)
+        tasks = len(oracles._matrix_frontier(4, 4, P.rows, 2, 2, oracles._MATRIX_SPLIT_DEPTH)[0])
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
+        reference = oracle_ex_matrix(4, 4, P, threads=2)
+        res = oracle_ex_matrix(4, 4, P, threads=10**6)
+        assert pool_sizes == [min(2, cpus), min(tasks, cpus)]
+        assert res == reference
+
+    def test_empty_frontier(self, pool_sizes):
+        # every 1-letter prefix completes a (1, 1)-formation: no tasks at all
+        assert oracle_formation(1, 1, 1, 1, threads=4) == oracle_formation(1, 1, 1, 1)
+        assert pool_sizes == [1]
