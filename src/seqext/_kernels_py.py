@@ -66,7 +66,11 @@ class SeqState:
                     self.letter_subs[v].append(idx)
         elif mode == MODE_PATTERN:
             self.pattern = tuple(pattern)
-            self.ru = max(self.pattern) if self.pattern else 0
+            if not self.pattern:
+                raise ValueError("pattern must be nonempty")
+            if min(self.pattern) < 1:
+                raise ValueError("pattern letters must be positive")
+            self.ru = max(self.pattern)
             # embedding states are packed into 64-bit codes in the compiled twin
             if (n + 1) ** self.ru * (len(self.pattern) + 1) >= 2**63:
                 raise ValueError("pattern alphabet too large for the state encoding")

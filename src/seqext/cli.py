@@ -244,18 +244,10 @@ def _cmd_oracle(args) -> int:
         n, s = _require(args, ["n", "s"])
         j = args.j if args.j is not None else 2
         report.params = {"n": n, "s": s, "j": j}
-        if over:
-            report.results["estimated_nodes"] = oracles.estimate_nodes(
-                "seq", n=n, ceiling=oracles.lambda_ceiling(n, s)
-            )
         res = oracles.oracle_lambda(n, s, j, override_caps=over, threads=threads)
     elif fn == "formation":
         n, r, s, j = _require(args, ["n", "r", "s", "j"])
         report.params = {"n": n, "r": r, "s": s, "j": j}
-        if over:
-            report.results["estimated_nodes"] = oracles.estimate_nodes(
-                "seq", n=n, ceiling=oracles.formation_ceiling(n, r, s) if j >= r else 24
-            )
         res = oracles.oracle_formation(n, r, s, j, override_caps=over, threads=threads)
     elif fn == "pattern":
         if not args.pattern:
@@ -263,27 +255,14 @@ def _cmd_oracle(args) -> int:
         n, j = _require(args, ["n", "j"])
         u = _resolve_seq_pattern(args.pattern)
         report.params = {"pattern": render(u), "j": j, "n": n}
-        if over:
-            ru = len(u.alphabet)
-            report.results["estimated_nodes"] = oracles.estimate_nodes(
-                "seq", n=n, ceiling=oracles.formation_ceiling(n, ru, len(u)) if j >= ru else 24
-            )
         res = oracles.oracle_pattern(u, j, n, override_caps=over, threads=threads)
     elif fn == "lambda-blocks":
         n, s, m = _require(args, ["n", "s", "m"])
         report.params = {"n": n, "s": s, "m": m}
-        if over:
-            report.results["estimated_nodes"] = oracles.estimate_nodes(
-                "seq", n=n, ceiling=min(n * m, oracles.lambda_ceiling(n, s))
-            )
         res = oracles.oracle_lambda_blocks(n, s, m, override_caps=over, threads=threads)
     elif fn == "lambda-prime":
         n, s, m = _require(args, ["n", "s", "m"])
         report.params = {"n": n, "s": s, "m": m}
-        if over:
-            report.results["estimated_nodes"] = oracles.estimate_nodes(
-                "seq", n=n, ceiling=n * m
-            )
         res = oracles.oracle_lambda_prime(n, s, m, override_caps=over)
     else:  # ex-matrix
         if not args.pattern:
@@ -291,9 +270,10 @@ def _cmd_oracle(args) -> int:
         n, m = _require(args, ["n", "m"])
         P = _resolve_matrix_pattern(args.pattern)
         report.params = {"n": n, "m": m, "pattern": render_matrix(P).replace("\n", "/")}
-        if over:
-            report.results["estimated_nodes"] = oracles.estimate_nodes("matrix", n=n, m=m)
         res = oracles.oracle_ex_matrix(n, m, P, override_caps=over, threads=threads)
+    if over:
+        kind = "matrix" if fn == "ex-matrix" else "seq"
+        report.results["estimated_nodes"] = oracles.estimate_nodes(kind, n, res.ceiling)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
@@ -432,6 +412,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        oracles._check_threads(getattr(args, "threads", 1))
         return _DISPATCH[args.command](args)
     except (ValueError, InfeasibleError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,15 @@ groups supplies one token of u. When j < r no such ceiling exists (a cycle
 of j letters is admissible and arbitrarily long), so the search runs to a
 configurable length cap and reports exhausted=False if the cap was hit.
 
+These ceilings are worked out here only: each result carries the one its
+search ran under as `ExtremalResult.ceiling`, and the CLI's `estimated_nodes`
+is computed from it.
+
+Every search runs through `_search`: serially on one kernel call, or, with
+threads > 1, split at a shallow frontier into prefix tasks for a process
+pool, whose results merge to the same value and witness. A node budget is a
+total: a budgeted search always runs in one process.
+
 Default size caps keep casual calls off exponential cliffs; pass
 override_caps=True to lift them.
 """
@@ -58,12 +67,14 @@ _MATRIX_SPLIT_DEPTH = 6
 @dataclass(frozen=True)
 class ExtremalResult:
     """Outcome of an extremal search: the value, a witness achieving it, the
-    number of explored nodes, and whether the search space was exhausted."""
+    number of explored nodes, whether the search space was exhausted, and the
+    ceiling (longest sequence or most ones) the search ran under."""
 
     value: int
     witness: Union[Sequence, BlockedSequence, ZeroOneMatrix]
     nodes_explored: int
     exhausted: bool
+    ceiling: int
 
 
 def lambda_ceiling(n: int, s: int) -> int:
@@ -77,6 +88,17 @@ def formation_ceiling(n: int, r: int, s: int) -> int:
     return s * n**r
 
 
+def _sparse_ceiling(n: int, j: int, r: int, s: int, length_cap: int) -> tuple[int, bool]:
+    """Search ceiling for j-sparse sequences on n letters avoiding all
+    (r, s)-formations, and whether it is proven: n when n < j, s n^r when
+    j >= r, else `length_cap` (no ceiling exists)."""
+    if n < j:
+        return n, True
+    if j >= r:
+        return formation_ceiling(n, r, s), True
+    return length_cap, False
+
+
 def _check_caps(caps: dict[str, int], values: dict[str, int], override: bool) -> None:
     if override:
         return
@@ -88,11 +110,12 @@ def _check_caps(caps: dict[str, int], values: dict[str, int], override: bool) ->
             )
 
 
-def estimate_nodes(kind: str, **params) -> float:
-    """Crude upper estimate of search-tree size, for cap-override warnings."""
+def estimate_nodes(kind: str, n: int, ceiling: int) -> float:
+    """Crude upper estimate of search-tree size, for cap-override warnings:
+    a "matrix" search has `ceiling` binary cells, a "seq" search draws up to
+    `ceiling` tokens from n letters."""
     if kind == "matrix":
-        return 2.0 ** min(params["n"] * params["m"] + 1, 1000)
-    n, ceiling = params["n"], params["ceiling"]
+        return 2.0 ** min(ceiling + 1, 1000)
     total = 0.0
     width = 1.0
     for _ in range(ceiling):
@@ -114,22 +137,46 @@ def _pool_size(threads: int, tasks: list) -> int:
     return max(1, min(threads, len(tasks), os.cpu_count() or 1))
 
 
-def _run_seq(task: dict):
-    return backends.seq_search(**task)
+def _run_task(task: tuple[str, dict]):
+    """Pool worker: one kernel call, looked up on `backends` in the worker."""
+    kernel, kw = task
+    return getattr(backends, kernel)(**kw)
 
 
-def _run_matrix(task: dict):
-    return backends.matrix_search(**task)
+def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
+    """Run `backends.<kernel>(**kw)` and return (best, witness, nodes, truncated).
+
+    With threads > 1, `frontier(kw, depth)` enumerates the admissible prefixes
+    of the given depth, each as the kernel keyword it feeds, and the searches
+    below them run as pool tasks seeded with the frontier's best value; the
+    merge keeps the first task that beats it, so the value and witness do not
+    depend on the schedule. A search with a node budget runs serially, so the
+    budget bounds the total node count. Kernels, frontiers and the pool class
+    are looked up at call time, so they can be patched on their modules."""
+    _check_threads(threads)
+    if threads == 1 or kw["node_budget"] or depth < 1:
+        return getattr(backends, kernel)(**kw)
+    prefixes, best, witness, nodes = frontier(kw, depth)
+    tasks = [(kernel, dict(kw, initial_best=best, **p)) for p in prefixes]
+    truncated = False
+    with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
+        for b, w, nd, tr in pool.map(_run_task, tasks):
+            nodes += nd
+            truncated = truncated or tr
+            if b > best:
+                best = b
+                witness = w
+    return best, witness, nodes, truncated
 
 
 def _seq_frontier(kw: dict, depth: int):
     """Enumerate admissible canonical prefixes of the given depth (pure state
-    machinery), tracking the best shallow value on the way."""
+    machinery) as `prefix` keywords, tracking the best shallow value on the way."""
     st = _kernels_py.SeqState(
         kw["mode"], kw["n"], kw["j"], s=kw["s"], r=kw["r"],
         pattern=kw["pattern"], max_blocks=kw["max_blocks"],
     )
-    prefixes: list[tuple[int, ...]] = []
+    prefixes: list[dict] = []
     nodes = 0
     best = 0
     witness: list[int] = []
@@ -146,44 +193,16 @@ def _seq_frontier(kw: dict, depth: int):
                 if len(st.tokens) < depth:
                     walk()
                 else:
-                    prefixes.append(tuple(st.tokens))
+                    prefixes.append({"prefix": tuple(st.tokens)})
                 st.pop()
 
     walk()
     return prefixes, best, witness, nodes
 
 
-def _parallel_seq_search(kw: dict, ceiling: int, threads: int, node_budget: int):
-    depth = min(_SEQ_SPLIT_DEPTH, ceiling)
-    if depth < 1:
-        return backends.seq_search(ceiling=ceiling, node_budget=node_budget, **kw)
-    prefixes, best, witness, nodes = _seq_frontier(kw, depth)
-    tasks = [
-        dict(
-            kw,
-            ceiling=ceiling,
-            node_budget=node_budget,
-            prefix=p,
-            initial_best=best,
-        )
-        for p in prefixes
-    ]
-    truncated = False
-    with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
-        for b, w, nd, tr in pool.map(_run_seq, tasks):
-            nodes += nd
-            truncated = truncated or tr
-            if b > best:
-                best = b
-                witness = w
-    return best, witness, nodes, truncated
-
-
 def _seq_oracle(kw: dict, ceiling: int, threads: int, node_budget: int):
-    _check_threads(threads)
-    if threads > 1:
-        return _parallel_seq_search(kw, ceiling, threads, node_budget)
-    return backends.seq_search(ceiling=ceiling, node_budget=node_budget, **kw)
+    kw = dict(kw, ceiling=ceiling, node_budget=node_budget)
+    return _search("seq_search", kw, threads, _seq_frontier, min(_SEQ_SPLIT_DEPTH, ceiling))
 
 
 def oracle_lambda(
@@ -205,7 +224,7 @@ def oracle_lambda(
     witness = Sequence(tuple(toks))
     if not (len(witness) == best and checks.is_ds(witness, s) and checks.is_sparse(witness, j)):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated)
+    return ExtremalResult(best, witness, nodes, not truncated, ceiling)
 
 
 def oracle_formation(
@@ -225,12 +244,7 @@ def oracle_formation(
     if n < 1 or r < 1 or s < 1 or j < 1:
         raise ValueError("need n, r, s, j >= 1")
     _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s, "j": j}, override_caps)
-    if n < j:
-        ceiling, proven = n, True
-    elif j >= r:
-        ceiling, proven = formation_ceiling(n, r, s), True
-    else:
-        ceiling, proven = length_cap, False
+    ceiling, proven = _sparse_ceiling(n, j, r, s, length_cap)
     kw = dict(mode=backends.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
     best, toks, nodes, truncated = _seq_oracle(kw, ceiling, threads, node_budget)
     witness = Sequence(tuple(toks))
@@ -241,7 +255,7 @@ def oracle_formation(
     ):
         raise RuntimeError("internal error: witness failed independent re-check")
     exhausted = not truncated and (proven or best < ceiling)
-    return ExtremalResult(best, witness, nodes, exhausted)
+    return ExtremalResult(best, witness, nodes, exhausted, ceiling)
 
 
 def oracle_pattern(
@@ -268,12 +282,7 @@ def oracle_pattern(
     ru = len(u.alphabet)
     su = len(u)
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su, "j": j}, override_caps)
-    if n < j:
-        ceiling, proven = n, True
-    elif j >= ru:
-        ceiling, proven = formation_ceiling(n, ru, su), True
-    else:
-        ceiling, proven = length_cap, False
+    ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
     kw = dict(mode=backends.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
     best, toks, nodes, truncated = _seq_oracle(kw, ceiling, threads, node_budget)
     witness = Sequence(tuple(toks))
@@ -284,7 +293,7 @@ def oracle_pattern(
     ):
         raise RuntimeError("internal error: witness failed independent re-check")
     exhausted = not truncated and (proven or best < ceiling)
-    return ExtremalResult(best, witness, nodes, exhausted)
+    return ExtremalResult(best, witness, nodes, exhausted, ceiling)
 
 
 def _greedy_blocks(tokens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -333,7 +342,7 @@ def oracle_lambda_blocks(
         and checks.is_ds(flat, s)
     ):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated)
+    return ExtremalResult(best, witness, nodes, not truncated, ceiling)
 
 
 def oracle_lambda_prime(
@@ -419,13 +428,15 @@ def oracle_lambda_prime(
         and matrices.max_pair_cooccurrence(bw) <= s
     ):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, bw, nodes, not truncated)
+    return ExtremalResult(best, bw, nodes, not truncated, total)
 
 
-def _matrix_frontier(n, m, p_rows, pn, pm, depth):
-    """Enumerate admissible fillings of the first `depth` cells (1 before 0)."""
+def _matrix_frontier(kw: dict, depth: int):
+    """Enumerate admissible fillings of the first `depth` cells (1 before 0)
+    as `prefix_bits` keywords."""
+    n, m, p_rows, pn, pm = kw["n"], kw["m"], kw["p_rows"], kw["pn"], kw["pm"]
     rows = [0] * n
-    prefixes: list[tuple[int, ...]] = []
+    prefixes: list[dict] = []
     bits: list[int] = []
     nodes = 0
     best = 0
@@ -434,7 +445,7 @@ def _matrix_frontier(n, m, p_rows, pn, pm, depth):
     def walk(idx, ones):
         nonlocal nodes, best, witness
         if idx == depth:
-            prefixes.append(tuple(bits))
+            prefixes.append({"prefix_bits": tuple(bits)})
             return
         i, jc = divmod(idx, m)
         bit = 1 << jc
@@ -478,32 +489,11 @@ def oracle_ex_matrix(
             f"n*m={n * m} exceeds exhaustive cap {EX_MATRIX_CELL_CAP}; "
             "pass override_caps=True to force the search"
         )
-    _check_threads(threads)
-    if threads > 1:
-        depth = min(_MATRIX_SPLIT_DEPTH, n * m)
-        prefixes, best, wit_rows, nodes = _matrix_frontier(
-            n, m, P.rows, P.n, P.m, depth
-        )
-        tasks = [
-            dict(
-                n=n, m=m, p_rows=P.rows, pn=P.n, pm=P.m,
-                node_budget=node_budget, prefix_bits=p, initial_best=best,
-            )
-            for p in prefixes
-        ]
-        truncated = False
-        with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
-            for b, w, nd, tr in pool.map(_run_matrix, tasks):
-                nodes += nd
-                truncated = truncated or tr
-                if b > best:
-                    best = b
-                    wit_rows = w
-    else:
-        best, wit_rows, nodes, truncated = backends.matrix_search(
-            n, m, P.rows, P.n, P.m, node_budget=node_budget
-        )
+    kw = dict(n=n, m=m, p_rows=P.rows, pn=P.n, pm=P.m, node_budget=node_budget)
+    best, wit_rows, nodes, truncated = _search(
+        "matrix_search", kw, threads, _matrix_frontier, min(_MATRIX_SPLIT_DEPTH, n * m)
+    )
     witness = ZeroOneMatrix(n, m, tuple(wit_rows))
     if not (witness.ones_count == best and not matrices.matrix_contains(witness, P)):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated)
+    return ExtremalResult(best, witness, nodes, not truncated, n * m)

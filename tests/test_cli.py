@@ -189,11 +189,26 @@ class TestOracle:
         assert serial["results"]["value"] == par["results"]["value"]
         assert serial["results"]["witness"] == par["results"]["witness"]
 
-    def test_threads_below_one_exits_2(self, capsys):
-        code, _, err = run(
-            capsys, "oracle", "lambda", "--n", "3", "--s", "2", "--threads", "0"
+    def test_estimate_uses_the_search_ceiling(self, capsys):
+        # n < j: no 3-sparse sequence on 2 letters is longer than 2
+        code, payload, _ = run_json(
+            capsys, "oracle", "formation",
+            "--n", "2", "--r", "2", "--s", "2", "--j", "3", "--override-caps",
         )
-        assert code == 2 and "threads must be >= 1" in err
+        assert code == 0 and payload["results"]["estimated_nodes"] == 6.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "lambda", "--n", "3", "--s", "2", "--threads", "0"),
+            ("oracle", "lambda-prime", "--n", "3", "--s", "1", "--m", "3", "--threads", "0"),
+            ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--threads", "-5"),
+        ],
+        ids=["oracle-lambda", "oracle-lambda-prime", "bound-kst"],
+    )
+    def test_threads_below_one_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "threads must be >= 1" in err
 
     @pytest.mark.parametrize(
         "exc, code, message",

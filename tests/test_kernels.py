@@ -84,6 +84,8 @@ class TestBackendEquality:
             dict(mode=pure.MODE_DS, n=3, j=2, ceiling=2, s=1, prefix=(1, 2, 3)),
             dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=1, prefix=(4,)),
             dict(mode=7, n=3, j=2, ceiling=5),
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=5, pattern=()),
+            dict(mode=pure.MODE_PATTERN, n=2, j=3, ceiling=5, pattern=(0, 1)),
         ],
     )
     def test_seq_limits_raise_everywhere(self, compiled, kw):

@@ -346,6 +346,13 @@ class TestThreads:
         par = oracle_lambda_blocks(4, 3, 4, threads=2)
         assert (par.value, par.witness) == (serial.value, serial.witness)
 
+    def test_node_budget_is_a_total(self):
+        # a budgeted search runs in one process, so threads change nothing
+        serial = oracle_lambda(5, 4, node_budget=1000)
+        par = oracle_lambda(5, 4, threads=2, node_budget=1000)
+        assert par == serial
+        assert par.nodes_explored == 1000 and not par.exhausted
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
         for call in (
@@ -398,7 +405,8 @@ class TestPoolSize:
     @pytest.mark.parametrize("cpus", [1, 64])
     def test_ex_matrix(self, pool_sizes, monkeypatch, cpus):
         P = all_ones(2, 2)
-        tasks = len(oracles._matrix_frontier(4, 4, P.rows, 2, 2, oracles._MATRIX_SPLIT_DEPTH)[0])
+        kw = dict(n=4, m=4, p_rows=P.rows, pn=2, pm=2)
+        tasks = len(oracles._matrix_frontier(kw, oracles._MATRIX_SPLIT_DEPTH)[0])
         monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
         reference = oracle_ex_matrix(4, 4, P, threads=2)
         res = oracle_ex_matrix(4, 4, P, threads=10**6)
@@ -409,3 +417,54 @@ class TestPoolSize:
         # every 1-letter prefix completes a (1, 1)-formation: no tasks at all
         assert oracle_formation(1, 1, 1, 1, threads=4) == oracle_formation(1, 1, 1, 1)
         assert pool_sizes == [1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_search_calls_through_module_attributes(self, pool_sizes, monkeypatch, threads):
+        """Frontiers and kernels are looked up on their modules at call time,
+        so wrappers patched onto them (as by an external tracer) see every call."""
+        calls = []
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((oracles, "_seq_frontier"), (oracles, "_matrix_frontier"),
+                            (backends, "seq_search"), (backends, "matrix_search")):
+            counting(owner, name)
+        oracle_lambda(4, 2, threads=threads)
+        oracle_ex_matrix(3, 3, all_ones(2, 2), threads=threads)
+        if threads == 1:
+            assert calls == ["seq_search", "matrix_search"] and pool_sizes == []
+        else:
+            k = calls.index("_matrix_frontier")
+            assert calls[0] == "_seq_frontier" and set(calls[1:k]) == {"seq_search"}
+            assert set(calls[k + 1:]) == {"matrix_search"} and len(pool_sizes) == 2
+
+
+class TestCeiling:
+    """Each result carries the ceiling its search ran under."""
+
+    def test_sequence_oracles(self):
+        assert oracle_lambda(4, 2).ceiling == lambda_ceiling(4, 2)
+        assert oracle_lambda_blocks(3, 3, 2).ceiling == min(3 * 2, lambda_ceiling(3, 3))
+        assert oracle_lambda_blocks(3, 1, 4).ceiling == lambda_ceiling(3, 1)
+        assert oracle_lambda_prime(3, 2, 3).ceiling == 3 * 3
+
+    def test_sparse_oracles(self):
+        assert oracle_formation(3, 2, 2, 2).ceiling == formation_ceiling(3, 2, 2)
+        assert oracle_formation(2, 2, 2, 3).ceiling == 2  # n < j
+        res = oracle_formation(2, 3, 2, 2, length_cap=7)  # j < r: no ceiling
+        assert (res.ceiling, res.exhausted) == (7, False)
+        u = Sequence((1, 2, 1))
+        assert oracle_pattern(u, 2, 3).ceiling == formation_ceiling(3, 2, 3)
+        assert oracle_pattern(u, 3, 2).ceiling == 2  # n < j
+        assert oracle_pattern(u, 1, 3, length_cap=5).ceiling == 5  # j < r_u
+
+    def test_ex_matrix(self):
+        assert oracle_ex_matrix(3, 4, all_ones(2, 2)).ceiling == 12
+
