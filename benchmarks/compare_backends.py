@@ -19,6 +19,9 @@ CASES = [
     ("pattern abab n=5", "seq_search", (2, 5, 2, 54), dict(pattern=(1, 2, 1, 2))),
     ("ex(4,4,R22)", "matrix_search", (4, 4, (3, 3), 2, 2), {}),
     ("ex(4,4,R23)", "matrix_search", (4, 4, (7, 7), 2, 3), {}),
+    # node budgets that run out: the truncation path must match too
+    ("lambda  n=5 s=3 b=5000", "seq_search", (0, 5, 2, 31), dict(s=3, node_budget=5000)),
+    ("ex(4,4,R22) b=1000", "matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=1000)),
 ]
 
 HEAVY_CASES = [

@@ -3,9 +3,10 @@
  *
  * Same candidate order, same pruning, same node accounting, so both twins
  * return identical (best, witness, nodes, truncated) tuples; `_kernels_py`
- * documents the algorithm. The depth-first searches run on explicit stacks,
- * so their depth (up to the 50,000 ceiling or cell limit) never touches the
- * C stack. Build in place with `python setup.py build_ext --inplace`.
+ * documents the algorithm. Both searches, `seq_run` and `matrix_run`, are
+ * the explicit-stack loop of `_kernels_py._dfs` specialised to one state, so
+ * their depth (up to the 50,000 ceiling or cell limit) never touches the C
+ * stack. Build in place with `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -428,8 +429,8 @@ static void seq_pop(SeqKernel *k)
     k->log_top = u->mark;
 }
 
-/* Depth-first search below the current prefix; the loop replays the
-   recursion of `_kernels_py.seq_search` step for step. */
+/* Depth-first search below the current prefix; mirrors `_kernels_py._dfs`
+   on a `SeqState`. */
 static int seq_run(SeqKernel *k)
 {
     int root = k->length;
@@ -649,8 +650,9 @@ static int contains(const MatrixKernel *k)
     }
 }
 
-/* Row-major fill from cell `idx`, 1 before 0; the loop replays the recursion
-   of `_kernels_py.matrix_search` step for step. */
+/* Row-major fill from cell `idx`, 1 before 0; mirrors `_kernels_py._dfs`
+   on a `MatrixState` (a refused 1 leaves nodes as they were, so one budget
+   check per chosen branch is the check `_dfs` makes per candidate). */
 static int matrix_run(MatrixKernel *k, int idx, int ones)
 {
     const int root = idx, total = k->total, m = k->m;
@@ -662,27 +664,12 @@ static int matrix_run(MatrixKernel *k, int idx, int ones)
         u64 bit = (u64)1 << col;
         int state = k->branch[idx];
         if (state == 0 && idx < total && ones + (total - idx) > k->best) {
-            if (k->node_budget && k->nodes >= k->node_budget) {
-                k->truncated = 1;
-                return 0;
-            }
             k->rows[row] |= bit;
-            if (contains(k)) { /* no 1-branch: take the 0-branch */
+            state = contains(k) ? 2 : 1; /* 2: no 1-branch, take the 0-branch */
+            if (state == 2)
                 k->rows[row] ^= bit;
-                state = 2;
-            } else {
-                state = 1;
-                if (count_node(&k->nodes) < 0)
-                    return -1;
-                if (++ones > k->best) {
-                    k->best = ones;
-                    memcpy(k->best_rows, k->rows, (size_t)k->n * sizeof(u64));
-                    if (ones >= total) {
-                        k->done = 1;
-                        return 0;
-                    }
-                }
-            }
+            else
+                ones++;
         } else if (state == 1) { /* back from the 1-branch: take the 0-branch */
             k->rows[row] ^= bit;
             ones--;
@@ -697,8 +684,20 @@ static int matrix_run(MatrixKernel *k, int idx, int ones)
             }
             continue;
         }
-        if (state == 2 && count_node(&k->nodes) < 0)
+        if (k->node_budget && k->nodes >= k->node_budget) {
+            k->truncated = 1;
+            return 0;
+        }
+        if (count_node(&k->nodes) < 0)
             return -1;
+        if (state == 1 && ones > k->best) {
+            k->best = ones;
+            memcpy(k->best_rows, k->rows, (size_t)k->n * sizeof(u64));
+            if (ones >= total) {
+                k->done = 1;
+                return 0;
+            }
+        }
         k->branch[idx++] = (unsigned char)state;
         k->branch[idx] = 0;
         if (++col == m) {

@@ -1,20 +1,26 @@
 """Pure-Python search kernels: exhaustive branch-and-bound engines behind the oracles.
 
-The compiled extension `_ckernels` mirrors this module exactly: same
-candidate order, same pruning, same node accounting, so both backends
-return identical (value, witness, nodes, truncated) tuples. `backends`
-picks one at import time.
+The compiled extension `_ckernels` mirrors `seq_search` and `matrix_search`
+exactly: same candidate order, same pruning, same node accounting, so both
+backends return identical (value, witness, nodes, truncated) tuples;
+`backends` picks one at import time. `prime_search` has no compiled twin.
+
+Each search state offers `depth`, `value`, `candidates()`, `try_push(c)`
+(True if move c was admissible and made), `pop()` and `snapshot()` (a copy
+of the witness); the split ones also `prefix()` (the kernel keyword that
+forces the state). A move adds at least as much depth as value, so
+value + (limit - depth) bounds every extension. `_dfs` searches any state on an explicit stack, `frontier`
+splits it for the parallel search. A node is one accepted move: a letter, a
+block close, or a cell.
 
 Sequence searches walk canonical sequences only (letter k+1 may appear only
 after letters 1..k), which collapses letter-relabeling symmetry without
 changing the extremal value. All admissibility predicates are hereditary
-under prefix extension, so infeasible prefixes are cut immediately. A node
-is one accepted token (or cell) placement.
+under prefix extension, so infeasible prefixes are cut immediately.
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations
 
 MODE_DS = 0
@@ -43,6 +49,7 @@ class SeqState:
         self.jeff = max(j, 2) if mode == MODE_DS else j
         self.s = s
         self.tokens = []
+        self.depth = self.value = 0
         self.last_pos = [0] * (n + 1)
         self.used_max = 0
         self.undo = []
@@ -77,6 +84,10 @@ class SeqState:
             self.state_stack = [frozenset({(0, (0,) * self.ru)})]
         else:
             raise ValueError(f"unknown mode {mode}")
+
+    def candidates(self):
+        u = self.used_max  # canonical letters 1..min(u + 1, n); min() is slow here
+        return range(1, u + 2 if u < self.n else u + 1)
 
     def try_push(self, c):
         """Append letter c if the extension stays admissible; True on success."""
@@ -155,11 +166,13 @@ class SeqState:
         if c > self.used_max:
             self.used_max = c
         self.tokens.append(c)
+        self.depth = self.value = pos
         return True
 
     def pop(self):
         c, lp, prev_umax, prev_mask, prev_used, extra = self.undo.pop()
         self.tokens.pop()
+        self.depth = self.value = len(self.tokens)
         self.last_pos[c] = lp
         self.used_max = prev_umax
         self.block_mask = prev_mask
@@ -176,6 +189,185 @@ class SeqState:
                 self.sub_partial[si] = pm
         else:
             self.state_stack.pop()
+
+    def snapshot(self):
+        return list(self.tokens)
+
+    def prefix(self):
+        return {"prefix": tuple(self.tokens)}
+
+
+class MatrixState:
+    """Row-major 0-1 fill of an n x m matrix avoiding the pattern P (rows
+    `p_rows`, pn x pm): each move sets the next cell, 1 before 0, and a 1
+    that makes the matrix contain P is refused."""
+
+    def __init__(self, n, m, p_rows, pn, pm):
+        self.n, self.m, self.p_rows, self.pn, self.pm = n, m, p_rows, pn, pm
+        self.rows = [0] * n
+        self.bits = []
+        self.depth = self.value = 0
+
+    def candidates(self):
+        return (1, 0)
+
+    def try_push(self, bit):
+        if bit:
+            i, jc = divmod(self.depth, self.m)
+            self.rows[i] |= 1 << jc
+            if masks_contain(self.rows, self.n, self.m, self.p_rows, self.pn, self.pm):
+                self.rows[i] ^= 1 << jc
+                return False
+            self.value += 1
+        self.bits.append(bit)
+        self.depth += 1
+        return True
+
+    def pop(self):
+        self.depth -= 1
+        if self.bits.pop():
+            i, jc = divmod(self.depth, self.m)
+            self.rows[i] ^= 1 << jc
+            self.value -= 1
+
+    def snapshot(self):
+        return list(self.rows)
+
+    def prefix(self):
+        return {"prefix_bits": tuple(self.bits)}
+
+
+class PrimeState:
+    """Lambda-prime: at most m blocks on n letters, every letter pair together
+    in at most s blocks. Blocks are ascending letter sets: a move appends a
+    letter to the open block or (move 0) closes it while nonempty and fewer
+    than m - 1 blocks are closed; empty blocks trail. A closed block counts
+    n of depth, so n m - depth is the room left for letters."""
+
+    def __init__(self, n, s, m):
+        self.n, self.s, self.m = n, s, m
+        self.cooc = [[0] * (n + 1) for _ in range(n + 1)]  # cooc[a][c], a < c
+        self.blocks = []
+        self.cur = []
+        self.used_max = 0
+        self.undo = []
+        self.depth = self.value = 0
+
+    def candidates(self):
+        cur = self.cur
+        letters = range(cur[-1] + 1 if cur else 1, min(self.used_max + 1, self.n) + 1)
+        if cur and len(self.blocks) + 1 < self.m:
+            return [*letters, 0]
+        return letters
+
+    def try_push(self, c):
+        cur = self.cur
+        if c == 0:
+            self.blocks.append(cur)
+            self.cur = []
+            self.depth += self.n - len(cur)
+        else:
+            cooc = self.cooc
+            if any(cooc[a][c] >= self.s for a in cur):
+                return False
+            for a in cur:
+                cooc[a][c] += 1
+            cur.append(c)
+            self.depth += 1
+            self.value += 1
+        self.undo.append(self.used_max)
+        if c > self.used_max:
+            self.used_max = c
+        return True
+
+    def pop(self):
+        self.used_max = self.undo.pop()
+        cur = self.cur
+        if cur:
+            c = cur.pop()
+            for a in cur:
+                self.cooc[a][c] -= 1
+            self.depth -= 1
+            self.value -= 1
+        else:
+            self.cur = cur = self.blocks.pop()
+            self.depth -= self.n - len(cur)
+
+    def snapshot(self):
+        out = [tuple(b) for b in self.blocks]
+        if self.cur:
+            out.append(tuple(self.cur))
+        return tuple(out)
+
+
+def _dfs(st, limit, best, witness, node_budget):
+    """Depth-first branch-and-bound below state `st`, up to `limit`, on an
+    explicit stack. Returns (best, witness, nodes, truncated).
+
+    Subtrees where value + (limit - depth) <= best are skipped; the search
+    stops once best reaches `limit` and sets `truncated` only when
+    `node_budget` (0: none) runs out, checked before every candidate.
+
+    A new best is copied only when the search first backs out of it or stops
+    on it: until then every move raises the value again or leaves the
+    witness as it is (a 0 cell, a block close), so the current state is the
+    witness, and a straight path of any depth costs one copy.
+    """
+    nodes = 0
+    push, pop, candidates = st.try_push, st.pop, st.candidates
+    stack = [iter(candidates())] if st.value + (limit - st.depth) > best else []
+    while stack:  # witness None: the current state is a best not yet copied
+        for c in stack[-1]:
+            if node_budget and nodes >= node_budget:
+                return best, st.snapshot() if witness is None else witness, nodes, True
+            if not push(c):
+                continue
+            nodes += 1
+            value = st.value
+            if value > best:
+                best = value
+                if best >= limit:
+                    return best, st.snapshot(), nodes, False
+                witness = None
+            if value + (limit - st.depth) > best:
+                stack.append(iter(candidates()))
+                break
+            if witness is None:
+                witness = st.snapshot()
+            pop()
+        else:
+            stack.pop()
+            if stack:
+                if witness is None:
+                    witness = st.snapshot()
+                pop()
+    return best, witness, nodes, False
+
+
+def frontier(st, depth):
+    """The admissible states `depth` >= 1 moves below `st`, as `prefix()`
+    keywords, with the best value met on the way, its witness and the nodes:
+    (prefixes, best, witness, nodes)."""
+    prefixes = []
+    best, witness, nodes = st.value, st.snapshot(), 0
+    stack = [iter(st.candidates())]
+    while stack:
+        for c in stack[-1]:
+            if not st.try_push(c):
+                continue
+            nodes += 1
+            if st.value > best:
+                best, witness = st.value, st.snapshot()
+            if st.depth < depth:
+                stack.append(iter(st.candidates()))
+                break
+            prefixes.append(st.prefix())
+            st.pop()
+        else:
+            stack.pop()
+            if stack:
+                st.pop()
+    return prefixes, best, witness, nodes
 
 
 def seq_search(
@@ -205,42 +397,7 @@ def seq_search(
     for tok in prefix:
         if not st.try_push(tok):
             raise ValueError(f"forced prefix {prefix!r} is not admissible")
-    best = max(initial_best, len(prefix))
-    witness = list(prefix)
-    nodes = 0
-    truncated = False
-    done = best >= ceiling
-    if ceiling + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(ceiling + 200)
-
-    def rec():
-        nonlocal best, witness, nodes, truncated, done
-        if len(st.tokens) >= ceiling:
-            return
-        cmax = st.used_max + 1
-        if cmax > n:
-            cmax = n
-        for c in range(1, cmax + 1):
-            if node_budget and nodes >= node_budget:
-                truncated = True
-                return
-            if st.try_push(c):
-                nodes += 1
-                ln = len(st.tokens)
-                if ln > best:
-                    best = ln
-                    witness = list(st.tokens)
-                    if best >= ceiling:
-                        done = True
-                if not done:
-                    rec()
-                st.pop()
-                if done or truncated:
-                    return
-
-    if not done:
-        rec()
-    return best, witness, nodes, truncated
+    return _dfs(st, ceiling, max(initial_best, len(prefix)), list(prefix), node_budget)
 
 
 def cols_embed(row_masks, p_rows, pm, m):
@@ -266,18 +423,9 @@ def masks_contain(rows, n, m, p_rows, pn, pm):
     """Pattern containment on raw row bitmasks (rows below the fill line are 0)."""
     if pn > n or pm > m:
         return False
-    sel = [0] * pn
-
-    def choose(u, start):
-        if u == pn:
-            return cols_embed([rows[i] for i in sel], p_rows, pm, m)
-        for i in range(start, n - (pn - u) + 1):
-            sel[u] = i
-            if choose(u + 1, i + 1):
-                return True
-        return False
-
-    return choose(0, 0)
+    return any(
+        cols_embed([rows[i] for i in sel], p_rows, pm, m) for sel in combinations(range(n), pn)
+    )
 
 
 def matrix_search(
@@ -298,51 +446,15 @@ def matrix_search(
         raise ValueError("cell count exceeds the 50000 search limit")
     if len(prefix_bits) > n * m or any(bit not in (0, 1) for bit in prefix_bits):
         raise ValueError("forced prefix must be 0/1 bits within the cell count")
-    rows = [0] * n
-    total = n * m
-    ones0 = 0
-    for idx, bit in enumerate(prefix_bits):
-        if bit:
-            i, jc = divmod(idx, m)
-            rows[i] |= 1 << jc
-            ones0 += 1
-            if masks_contain(rows, n, m, p_rows, pn, pm):
-                raise ValueError("forced prefix already contains the pattern")
-    best = max(initial_best, ones0)
-    witness = list(rows)
-    nodes = 0
-    truncated = False
-    done = best >= total
-    if total + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(total + 200)
+    st = MatrixState(n, m, p_rows, pn, pm)
+    for bit in prefix_bits:
+        if not st.try_push(bit):
+            raise ValueError("forced prefix already contains the pattern")
+    return _dfs(st, n * m, max(initial_best, st.value), st.snapshot(), node_budget)
 
-    def rec(idx, ones):
-        nonlocal best, witness, nodes, truncated, done
-        if idx == total:
-            return
-        if ones + (total - idx) <= best:
-            return
-        if node_budget and nodes >= node_budget:
-            truncated = True
-            return
-        i, jc = divmod(idx, m)
-        bit = 1 << jc
-        rows[i] |= bit
-        if not masks_contain(rows, n, m, p_rows, pn, pm):
-            nodes += 1
-            if ones + 1 > best:
-                best = ones + 1
-                witness = list(rows)
-                if best >= total:
-                    done = True
-            if not done:
-                rec(idx + 1, ones + 1)
-        rows[i] ^= bit
-        if done or truncated:
-            return
-        nodes += 1
-        rec(idx + 1, ones)
 
-    if not done:
-        rec(len(prefix_bits), ones0)
-    return best, witness, nodes, truncated
+def prime_search(n, s, m, node_budget=0):
+    """Longest blocked sequence on n letters in at most m blocks with every
+    letter pair together in at most s blocks (see `PrimeState`). Returns
+    (best, blocks, nodes, truncated), the witness as a tuple of blocks."""
+    return _dfs(PrimeState(n, s, m), n * m, 0, (), node_budget)

@@ -18,10 +18,12 @@ These ceilings are worked out here only: each result carries the one its
 search ran under as `ExtremalResult.ceiling`, and the CLI's `estimated_nodes`
 is computed from it.
 
-Every search runs through `_search`: serially on one kernel call, or, with
-threads > 1, split at a shallow frontier into prefix tasks for a process
-pool, whose results merge to the same value and witness. A node budget is a
-total: a budgeted search always runs in one process.
+Every kernel search runs through `_search`: serially on one kernel call,
+or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
+over the kernel's own search state) into prefix tasks for a process pool,
+whose results merge to the same value and witness. A node budget is a
+total: a budgeted search always runs in one process. The lambda-prime
+search, `_kernels_py.prime_search`, is pure Python and single-process.
 
 Default size caps keep casual calls off exponential cliffs; pass
 override_caps=True to lift them.
@@ -170,34 +172,12 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
 
 
 def _seq_frontier(kw: dict, depth: int):
-    """Enumerate admissible canonical prefixes of the given depth (pure state
-    machinery) as `prefix` keywords, tracking the best shallow value on the way."""
+    """Admissible canonical prefixes of the given depth, as `prefix` keywords."""
     st = _kernels_py.SeqState(
         kw["mode"], kw["n"], kw["j"], s=kw["s"], r=kw["r"],
         pattern=kw["pattern"], max_blocks=kw["max_blocks"],
     )
-    prefixes: list[dict] = []
-    nodes = 0
-    best = 0
-    witness: list[int] = []
-
-    def walk():
-        nonlocal nodes, best, witness
-        cmax = min(st.used_max + 1, kw["n"])
-        for c in range(1, cmax + 1):
-            if st.try_push(c):
-                nodes += 1
-                if len(st.tokens) > best:
-                    best = len(st.tokens)
-                    witness = list(st.tokens)
-                if len(st.tokens) < depth:
-                    walk()
-                else:
-                    prefixes.append({"prefix": tuple(st.tokens)})
-                st.pop()
-
-    walk()
-    return prefixes, best, witness, nodes
+    return _kernels_py.frontier(st, depth)
 
 
 def _seq_oracle(kw: dict, ceiling: int, threads: int, node_budget: int):
@@ -360,67 +340,7 @@ def oracle_lambda_prime(
     if n < 1 or s < 1 or m < 1:
         raise ValueError("need n, s, m >= 1")
     _check_caps(LAMBDA_PRIME_CAPS, {"n": n, "s": s, "m": m}, override_caps)
-    cooc = [[0] * (n + 1) for _ in range(n + 1)]
-    blocks: list[list[int]] = []
-    cur: list[int] = []
-    best = 0
-    witness: tuple[tuple[int, ...], ...] = ()
-    nodes = 0
-    truncated = False
-    length = 0
-    used_max = 0
-    total = n * m
-
-    def snapshot() -> tuple[tuple[int, ...], ...]:
-        out = [tuple(b) for b in blocks]
-        if cur:
-            out.append(tuple(cur))
-        return tuple(out)
-
-    def rec():
-        nonlocal best, witness, nodes, truncated, length, used_max
-        if best >= total or truncated:
-            return
-        remaining = (n - len(cur)) + (m - len(blocks) - 1) * n
-        if length + remaining <= best:
-            return
-        start = cur[-1] + 1 if cur else 1
-        cmax = min(used_max + 1, n)
-        for c in range(start, cmax + 1):
-            if node_budget and nodes >= node_budget:
-                truncated = True
-                return
-            if any(cooc[a][c] + 1 > s for a in cur):
-                continue
-            for a in cur:
-                cooc[a][c] += 1
-                cooc[c][a] += 1
-            cur.append(c)
-            prev_umax = used_max
-            if c > used_max:
-                used_max = c
-            length += 1
-            nodes += 1
-            if length > best:
-                best = length
-                witness = snapshot()
-            rec()
-            length -= 1
-            used_max = prev_umax
-            cur.pop()
-            for a in cur:
-                cooc[a][c] -= 1
-                cooc[c][a] -= 1
-            if best >= total or truncated:
-                return
-        if cur and len(blocks) + 1 < m:
-            blocks.append(list(cur))
-            cur.clear()
-            rec()
-            restored = blocks.pop()
-            cur.extend(restored)
-
-    rec()
+    best, witness, nodes, truncated = _kernels_py.prime_search(n, s, m, node_budget)
     bw = BlockedSequence(witness)
     if not (
         len(bw) == best
@@ -428,44 +348,13 @@ def oracle_lambda_prime(
         and matrices.max_pair_cooccurrence(bw) <= s
     ):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, bw, nodes, not truncated, total)
+    return ExtremalResult(best, bw, nodes, not truncated, n * m)
 
 
 def _matrix_frontier(kw: dict, depth: int):
-    """Enumerate admissible fillings of the first `depth` cells (1 before 0)
-    as `prefix_bits` keywords."""
-    n, m, p_rows, pn, pm = kw["n"], kw["m"], kw["p_rows"], kw["pn"], kw["pm"]
-    rows = [0] * n
-    prefixes: list[dict] = []
-    bits: list[int] = []
-    nodes = 0
-    best = 0
-    witness = [0] * n
-
-    def walk(idx, ones):
-        nonlocal nodes, best, witness
-        if idx == depth:
-            prefixes.append({"prefix_bits": tuple(bits)})
-            return
-        i, jc = divmod(idx, m)
-        bit = 1 << jc
-        rows[i] |= bit
-        if not _kernels_py.masks_contain(rows, n, m, p_rows, pn, pm):
-            nodes += 1
-            bits.append(1)
-            if ones + 1 > best:
-                best = ones + 1
-                witness = list(rows)
-            walk(idx + 1, ones + 1)
-            bits.pop()
-        rows[i] ^= bit
-        nodes += 1
-        bits.append(0)
-        walk(idx + 1, ones)
-        bits.pop()
-
-    walk(0, 0)
-    return prefixes, best, witness, nodes
+    """Admissible fillings of the first `depth` cells, as `prefix_bits` keywords."""
+    st = _kernels_py.MatrixState(kw["n"], kw["m"], kw["p_rows"], kw["pn"], kw["pm"])
+    return _kernels_py.frontier(st, depth)
 
 
 def oracle_ex_matrix(

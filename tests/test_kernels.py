@@ -2,6 +2,7 @@
 and the incremental admissibility state must agree with the plain checkers."""
 
 import random
+import sys
 
 import pytest
 
@@ -63,6 +64,10 @@ class TestBackendEquality:
             assert pure.seq_search(**kw, **extra) == tuple(
                 compiled.seq_search(**kw, **extra)
             )
+        for budget in range(1, 301):
+            res = pure.matrix_search(3, 3, (3, 3), 2, 2, node_budget=budget)
+            assert res == tuple(compiled.matrix_search(3, 3, (3, 3), 2, 2, node_budget=budget))
+            assert res[2] <= budget
 
     def test_infeasible_prefix_raises_everywhere(self, compiled):
         kw = dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=2, prefix=(1, 1))
@@ -140,6 +145,24 @@ def test_compiled_matrix_search_at_cell_limit(compiled):
     best, rows, nodes, truncated = compiled.matrix_search(1000, 50, (1 << 50,), 1, 51)
     assert (best, nodes, truncated) == (50_000, 50_000, False)
     assert rows == [(1 << 50) - 1] * 1000
+
+
+def test_pure_kernels_at_documented_limits(monkeypatch):
+    """The pure twin searches on an explicit stack: at depth 50,000 it neither
+    recurses nor raises the interpreter's recursion limit."""
+
+    def refuse(limit):
+        raise AssertionError(f"recursion limit raised to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    best, witness, nodes, truncated = pure.seq_search(
+        pure.MODE_FORMATION, 2, 2, pure.MAX_CEILING, s=2, r=3
+    )
+    assert (best, nodes, truncated) == (50_000, 50_000, False)
+    assert witness == [1, 2] * 25_000
+    best, rows, nodes, truncated = pure.matrix_search(40, 50, (1,) * 41, 41, 1)
+    assert (best, nodes, truncated) == (2000, 2000, False)
+    assert rows == [(1 << 50) - 1] * 40
 
 
 def test_backend_name_known():

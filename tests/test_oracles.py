@@ -255,6 +255,16 @@ class TestLambdaPrime:
         assert res.witness.length == res.value
         assert res.exhausted
 
+    def test_node_count_pinned(self):
+        """No compiled twin checks this traversal: a node is one letter or
+        one block close."""
+        res = oracle_lambda_prime(4, 3, 4)
+        assert (res.value, res.nodes_explored, res.exhausted) == (13, 1050, True)
+
+    def test_node_budget_is_exact(self):
+        res = oracle_lambda_prime(5, 1, 5, override_caps=True, node_budget=1000)
+        assert (res.nodes_explored, res.exhausted) == (1000, False)
+
     def test_dominates_lambda_blocks(self):
         for n in (2, 3, 4):
             for s in (1, 2):
