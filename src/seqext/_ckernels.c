@@ -6,7 +6,9 @@
  * documents the algorithm. Both searches, `seq_run` and `matrix_run`, are
  * the explicit-stack loop of `_kernels_py._dfs` specialised to one state, so
  * their depth (up to the 50,000 ceiling or cell limit) never touches the C
- * stack. Build in place with `python setup.py build_ext --inplace`.
+ * stack. Both also copy a new best the way `_dfs` does: only when the search
+ * first backs out of it or stops on it, so a straight path of any depth
+ * costs one copy. Build in place with `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -429,11 +431,19 @@ static void seq_pop(SeqKernel *k)
     k->log_top = u->mark;
 }
 
+/* Copy the current prefix, a best not yet copied, into the witness. */
+static void seq_keep(SeqKernel *k)
+{
+    memcpy(k->best_tokens, k->tokens, (size_t)k->length * sizeof(int));
+    k->best_len = k->length;
+}
+
 /* Depth-first search below the current prefix; mirrors `_kernels_py._dfs`
-   on a `SeqState`. */
+   on a `SeqState`. Every push after a new best makes another new best, so
+   a pending best is the current prefix until the next pop. */
 static int seq_run(SeqKernel *k)
 {
-    int root = k->length;
+    int root = k->length, pending = 0;
     if (k->done || root >= k->ceiling)
         return 0;
     k->next[root] = 1;
@@ -442,13 +452,15 @@ static int seq_run(SeqKernel *k)
         int cmax = k->used_max + 1 < k->n ? k->used_max + 1 : k->n;
         if (c > cmax) {
             if (d == root)
-                return 0;
+                break;
+            if (pending)
+                seq_keep(k), pending = 0;
             seq_pop(k);
             continue;
         }
         if (k->node_budget && k->nodes >= k->node_budget) {
             k->truncated = 1;
-            return 0;
+            break;
         }
         k->next[d] = c + 1;
         pushed = seq_push(k, c);
@@ -460,11 +472,11 @@ static int seq_run(SeqKernel *k)
         if (count_node(&k->nodes) < 0)
             return -1;
         if (d + 1 > k->best) {
-            k->best = k->best_len = d + 1;
-            memcpy(k->best_tokens, k->tokens, (size_t)(d + 1) * sizeof(int));
+            k->best = d + 1;
+            pending = 1;
             if (k->best >= k->ceiling) {
                 k->done = 1;
-                return 0;
+                break;
             }
         }
         if (d + 1 < k->ceiling)
@@ -472,6 +484,9 @@ static int seq_run(SeqKernel *k)
         else
             seq_pop(k);
     }
+    if (pending)
+        seq_keep(k);
+    return 0;
 }
 
 static PyObject *int_list(const int *items, int count)
@@ -652,11 +667,15 @@ static int contains(const MatrixKernel *k)
 
 /* Row-major fill from cell `idx`, 1 before 0; mirrors `_kernels_py._dfs`
    on a `MatrixState` (a refused 1 leaves nodes as they were, so one budget
-   check per chosen branch is the check `_dfs` makes per candidate). */
+   check per chosen branch is the check `_dfs` makes per candidate). A new
+   best is copied only before a 1 below it is cleared or when the search
+   stops on it: 0-cells and the walk back over them leave the rows as they
+   are. */
 static int matrix_run(MatrixKernel *k, int idx, int ones)
 {
     const int root = idx, total = k->total, m = k->m;
-    int row = idx / m, col = idx % m;
+    int row = idx / m, col = idx % m, pending = 0;
+    const size_t rows_size = (size_t)k->n * sizeof(u64);
     if (k->done)
         return 0;
     k->branch[idx] = 0;
@@ -671,12 +690,14 @@ static int matrix_run(MatrixKernel *k, int idx, int ones)
             else
                 ones++;
         } else if (state == 1) { /* back from the 1-branch: take the 0-branch */
+            if (pending)
+                memcpy(k->best_rows, k->rows, rows_size), pending = 0;
             k->rows[row] ^= bit;
             ones--;
             state = 2;
         } else { /* pruned, or back from the 0-branch */
             if (idx == root)
-                return 0;
+                break;
             idx--;
             if (col-- == 0) {
                 col = m - 1;
@@ -685,17 +706,19 @@ static int matrix_run(MatrixKernel *k, int idx, int ones)
             continue;
         }
         if (k->node_budget && k->nodes >= k->node_budget) {
+            if (state == 1) /* the 1 just set is not a node yet: take it back */
+                k->rows[row] ^= bit;
             k->truncated = 1;
-            return 0;
+            break;
         }
         if (count_node(&k->nodes) < 0)
             return -1;
         if (state == 1 && ones > k->best) {
             k->best = ones;
-            memcpy(k->best_rows, k->rows, (size_t)k->n * sizeof(u64));
+            pending = 1;
             if (ones >= total) {
                 k->done = 1;
-                return 0;
+                break;
             }
         }
         k->branch[idx++] = (unsigned char)state;
@@ -705,6 +728,9 @@ static int matrix_run(MatrixKernel *k, int idx, int ones)
             row++;
         }
     }
+    if (pending)
+        memcpy(k->best_rows, k->rows, rows_size);
+    return 0;
 }
 
 PyDoc_STRVAR(matrix_search_doc,

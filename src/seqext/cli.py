@@ -18,7 +18,7 @@ import sys
 import time
 from math import comb, factorial
 
-from . import checks, construct, matrices, oracles
+from . import checks, coloring, construct, matrices, oracles
 from .errors import CapExceededError, InfeasibleError
 from .matrices import MatrixPattern, all_ones, parse_matrix, render_matrix
 from .sequences import (
@@ -143,7 +143,7 @@ def _cmd_construct(args) -> int:
         seq = construct.build_ds_sparse_witness(n, s, j, args.c)
         report.check("letters", len(seq.alphabet) == n, len(seq.alphabet), n)
         report.check(f"sparse:{j}", checks.is_sparse(seq, j))
-        report.check(f"ds:{s}", checks.is_ds(seq, s), checks.max_alternation(seq), s + 1)
+        _check_ds(report, seq, s)
         report.results["witness"] = render(seq)
         if args.out:
             _write(args.out + ".seq", render(seq))
@@ -163,12 +163,20 @@ def _cmd_construct(args) -> int:
         )
         if s <= n:
             report.check("length", flat.length >= n * s - n, flat.length, n * s - n)
-        report.check(f"ds:{s}", checks.is_ds(flat, s), checks.max_alternation(flat), s + 1)
+        _check_ds(report, flat, s)
         report.results["witness"] = render(bseq)
         if args.out:
             _write(args.out + ".blocks", render(bseq))
             report.results["files"] = f"{args.out}.blocks"
     return report.emit(args.json)
+
+
+def _check_ds(report: Report, seq: Sequence, s: int) -> None:
+    """The ds:S check, passing iff `checks.is_ds(seq, s)`, from one alternation scan."""
+    if s < 1:
+        raise ValueError("order must be >= 1")
+    alt = checks.max_alternation(seq)
+    report.check(f"ds:{s}", checks.is_sparse(seq, 2) and alt <= s + 1, alt, s + 1)
 
 
 def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
@@ -190,11 +198,9 @@ def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
         if H.max_pairwise_intersection() > r - 1:
             ok_inter = False
         if level < q:
-            from .coloring import validate_coloring, within_color_budget
-
-            coloring = construct.level_coloring(trace, level)
-            if not validate_coloring(H, coloring) or not within_color_budget(
-                coloring.color_count, H.uniformity, r - 1, H.vertex_count
+            col = construct.level_coloring(trace, level)
+            if not coloring.validate_coloring(H, col) or not coloring.within_color_budget(
+                col.color_count, H.uniformity, r - 1, H.vertex_count
             ):
                 ok_color = False
     report.check("troop-intersections", ok_inter, bound=r - 1)
@@ -215,8 +221,7 @@ def _cmd_verify(args) -> int:
             j = int(rest)
             report.check(f"sparse:{j}", checks.is_sparse(flat, j))
         elif name == "ds":
-            s = int(rest)
-            report.check(f"ds:{s}", checks.is_ds(flat, s), checks.max_alternation(flat), s + 1)
+            _check_ds(report, flat, int(rest))
         elif name == "formation":
             rtxt, _, stxt = rest.partition(":")
             r, s = int(rtxt), int(stxt)

@@ -16,7 +16,6 @@ __all__ = [
     "EdgeColoring",
     "greedy_edge_coloring",
     "validate_coloring",
-    "color_budget",
     "within_color_budget",
 ]
 
@@ -60,11 +59,6 @@ class EdgeColoring:
     y: int
     colors: tuple[int, ...]
     color_count: int
-
-
-def color_budget(k: int, y: int, n: int) -> float:
-    """The k^y n / y! color budget."""
-    return k**y * n / factorial(y)
 
 
 def within_color_budget(count: int, k: int, y: int, n: int) -> bool:

@@ -9,7 +9,9 @@ The lift turns each troop's support into a hyperedge, colors the troop
 hypergraph greedily so that supports meeting in exactly r-1 letters get
 different colors, and appends one fresh letter per color to each troop
 repetition. Each lift raises the sparsity guarantee by one while the
-formation ceiling and troop count stay put.
+formation ceiling and troop count stay put. The troops record every lift's
+coloring in their appended letters, so `level_coloring` reads it back
+instead of coloring again, and a verifier checks what was applied.
 
 The reversed-block construction gives long blocked sequences of small
 alternation: min(s, n) full blocks that alternate ascending/descending
@@ -20,6 +22,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial, floor
 
 from .coloring import EdgeColoring, Hypergraph, greedy_edge_coloring
@@ -98,22 +101,9 @@ def build_base(r: int, x: int, t: int) -> tuple[Sequence, ConstructionTrace]:
         raise InfeasibleError(f"need x >= r, got x={x} r={r}")
     if t < 1:
         raise InfeasibleError("need t >= 1")
-    troops = []
-    # lexicographic enumeration of r-subsets as ascending tuples
-    support = list(range(1, r + 1))
-    while True:
-        troops.append(Troop(tuple(support), t))
-        i = r - 1
-        while i >= 0 and support[i] == x - (r - 1 - i):
-            i -= 1
-        if i < 0:
-            break
-        support[i] += 1
-        for k in range(i + 1, r):
-            support[k] = support[k - 1] + 1
     trace = ConstructionTrace(
         r=r, q=r, x=x, t=t,
-        troops=tuple(troops),
+        troops=tuple(Troop(support, t) for support in combinations(range(1, x + 1), r)),
         letter_count=x,
         color_letters_per_level={},
     )
@@ -134,12 +124,7 @@ def lift(trace: ConstructionTrace) -> tuple[Sequence, ConstructionTrace]:
     Raises ValueError if two troop supports intersect in r or more letters,
     which would break the induction.
     """
-    H = Hypergraph(
-        vertex_count=trace.letter_count,
-        uniformity=trace.q,
-        edges=tuple(frozenset(tr.support) for tr in trace.troops),
-    )
-    coloring = greedy_edge_coloring(H, y=trace.r - 1)
+    coloring = greedy_edge_coloring(level_hypergraph(trace, trace.q), y=trace.r - 1)
     base_id = trace.letter_count
     q_new = trace.q + 1
     new_troops = tuple(
@@ -201,8 +186,14 @@ def level_hypergraph(trace: ConstructionTrace, level: int) -> Hypergraph:
 
 
 def level_coloring(trace: ConstructionTrace, level: int) -> EdgeColoring:
-    """Reconstruct the coloring used when lifting from `level` (deterministic greedy)."""
-    return greedy_edge_coloring(level_hypergraph(trace, level), y=trace.r - 1)
+    """The coloring the lift from `level` applied (r <= level < q), read off
+    the troops: troop i got color c when that lift appended letter
+    `_letters_at_level(trace, level) + c` to its support."""
+    if not trace.r <= level < trace.q:
+        raise ValueError(f"no lift left level {level}: need {trace.r} <= level < {trace.q}")
+    base = _letters_at_level(trace, level)
+    colors = tuple(tr.support[level] - base for tr in trace.troops)
+    return EdgeColoring(trace.r - 1, colors, len(set(colors)))
 
 
 def troop_rows(trace: ConstructionTrace) -> tuple[TroopRow, ...]:

@@ -1,13 +1,16 @@
 """CLI surface: subcommands, exit-status contract, file IO, JSON stability."""
 
 import json
+import random
 import re
 
 import pytest
 
-from seqext import oracles
+from conftest import random_sequence
+from seqext import checks, oracles
 from seqext.cli import main
 from seqext.errors import CapExceededError
+from seqext.sequences import render
 
 
 def run(capsys, *argv):
@@ -87,6 +90,31 @@ class TestVerify:
         f2.write_text("1 2 1 2\n")  # is (ab)^2: avoidance check fails
         code2, _, _ = run(capsys, "verify", str(f2), "pattern:(ab)^2")
         assert code2 == 1
+
+    def test_ds_order_zero_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "s.seq"
+        f.write_text("1 2 1\n")
+        code, _, err = run(capsys, "verify", str(f), "ds:0")
+        assert code == 2 and "order must be >= 1" in err
+
+    def test_ds_check_is_is_ds_from_one_scan(self, capsys, tmp_path, monkeypatch):
+        real = checks.max_alternation
+        calls = []
+        monkeypatch.setattr(checks, "max_alternation", lambda seq: calls.append(1) or real(seq))
+        rng = random.Random(31)
+        f = tmp_path / "s.seq"
+        for _ in range(30):
+            seq = random_sequence(rng, max_alpha=4, max_len=12)
+            if not seq.tokens:
+                continue
+            f.write_text(render(seq) + "\n")
+            for order in (1, 2, 3):
+                before = len(calls)
+                code, payload, _ = run_json(capsys, "verify", str(f), f"ds:{order}")
+                assert len(calls) - before == 1
+                (check,) = payload["checks"]
+                assert check["pass"] == checks.is_ds(seq, order) == (code == 0)
+                assert (check["measured"], check["bound"]) == (real(seq), order + 1)
 
     def test_unknown_check_exits_2(self, capsys, tmp_path):
         f = tmp_path / "s.seq"

@@ -3,7 +3,7 @@ import pytest
 from math import comb, factorial
 
 from seqext.checks import is_ds, is_sparse, max_alternation, max_formation_length
-from seqext.coloring import validate_coloring, within_color_budget
+from seqext.coloring import greedy_edge_coloring, validate_coloring, within_color_budget
 from seqext.construct import (
     build_base,
     build_block_witness,
@@ -91,9 +91,9 @@ class TestLift:
         bad = ConstructionTrace(
             r=2, q=3, x=3, t=1,
             troops=(Troop((1, 2, 3), 1), Troop((1, 2, 4), 1)),
-            letter_count=4, color_letters_per_level={},
+            letter_count=4, color_letters_per_level={3: (4,)},
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="intersect"):
             lift(bad)
 
 
@@ -130,6 +130,34 @@ class TestFormationWitness:
     def test_invalid_q(self):
         with pytest.raises(InfeasibleError):
             build_formation_witness(3, 2, 4, 1)
+
+
+class TestLevelColoring:
+    def test_read_coloring_is_the_greedy_one(self, grid_builds):
+        for (r, q, _x, _t), _seq, trace in grid_builds:
+            for level in range(r, q):
+                assert level_coloring(trace, level) == greedy_edge_coloring(
+                    level_hypergraph(trace, level), r - 1
+                )
+
+    def test_catches_a_lift_that_applied_a_bad_coloring(self):
+        from seqext.construct import ConstructionTrace, Troop
+
+        # troops (1,2) and (1,3) meet in r-1 = 1 letter yet both got color letter 5
+        bad = ConstructionTrace(
+            r=2, q=3, x=3, t=1,
+            troops=(Troop((1, 2, 5), 1), Troop((1, 3, 5), 1), Troop((2, 3, 4), 1)),
+            letter_count=5, color_letters_per_level={3: (4, 5)},
+        )
+        col = level_coloring(bad, 2)
+        assert col.colors == (2, 2, 1) and col.color_count == 2
+        assert not validate_coloring(level_hypergraph(bad, 2), col)
+
+    def test_only_lifted_levels(self):
+        _, trace = build_formation_witness(2, 4, 3, 2)
+        for level in (1, trace.q, trace.q + 1):
+            with pytest.raises(ValueError):
+                level_coloring(trace, level)
 
 
 class TestGridInvariants:

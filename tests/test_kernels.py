@@ -171,7 +171,7 @@ def test_backend_name_known():
 
 def test_backend_differential_fuzz(compiled):
     rng = random.Random(987654)
-    for _ in range(60):
+    for _ in range(150):
         mode = rng.choice([pure.MODE_DS, pure.MODE_DS, pure.MODE_FORMATION, pure.MODE_PATTERN])
         n = rng.randint(1, 5)
         kw = dict(mode=mode, n=n, j=rng.randint(1, 4))
@@ -191,9 +191,13 @@ def test_backend_differential_fuzz(compiled):
             kw["pattern"] = tuple(seen.setdefault(t, len(seen) + 1) for t in raw)
             kw["ceiling"] = rng.randint(0, 20)
         if rng.random() < 0.3:
-            kw["node_budget"] = rng.randint(1, 400)
-        assert pure.seq_search(**kw) == tuple(compiled.seq_search(**kw)), kw
-    for _ in range(60):
+            kw["node_budget"] = rng.randint(1, rng.choice((20, 400)))
+        if rng.random() < 0.4:
+            kw["prefix"] = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.2:
+            kw["initial_best"] = rng.randint(-1, 12)
+        assert _outcome(pure.seq_search, kw) == _outcome(compiled.seq_search, kw), kw
+    for _ in range(150):
         n, m = rng.randint(1, 4), rng.randint(1, 5)
         pn, pm = rng.randint(1, 3), rng.randint(1, 3)
         p_rows = tuple(
@@ -202,8 +206,20 @@ def test_backend_differential_fuzz(compiled):
         )
         kw = dict(n=n, m=m, p_rows=p_rows, pn=pn, pm=pm)
         if rng.random() < 0.3:
-            kw["node_budget"] = rng.randint(1, 1500)
-        assert pure.matrix_search(**kw) == tuple(compiled.matrix_search(**kw)), kw
+            kw["node_budget"] = rng.randint(1, rng.choice((20, 1500)))
+        if rng.random() < 0.4:
+            kw["prefix_bits"] = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+        if rng.random() < 0.2:
+            kw["initial_best"] = rng.randint(-1, 12)
+        assert _outcome(pure.matrix_search, kw) == _outcome(compiled.matrix_search, kw), kw
+
+
+def _outcome(search, kw):
+    """The result tuple, or "ValueError" for a rejected draw (an inadmissible prefix)."""
+    try:
+        return tuple(search(**kw))
+    except ValueError:
+        return "ValueError"
 
 
 def _admissible_by_checkers(kw, tokens):
