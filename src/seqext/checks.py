@@ -1,15 +1,31 @@
 """Predicates on sequences: sparsity, alternations, formations, pattern containment.
 
-Every predicate here favors an obviously-correct implementation; the fast
-incremental twins used inside the oracle search kernels are validated
-against these (and `formation_length` against `brute_formation_length`).
+The single-query functions favor an obviously-correct implementation and are
+the references for the maxima built on them: `formation_length` scans the
+whole sequence for one letter set (and is itself checked against
+`brute_formation_length`), and `alternation_length` scans it for one pair.
+The fast incremental twins inside the oracle search kernels are validated
+against these too.
+
+The maxima cost about the size of their answer, not one whole scan per
+subset or pair, and miss nothing:
+
+* `max_formation_length` lists each letter's positions once. The greedy scan
+  for one r-subset only ever looks at that subset's own letters, so walking
+  their merged positions visits exactly the tokens a whole-sequence scan
+  would act on, in the same order.
+* `max_alternation` counts runs in one recency scan. A token a opens a new
+  run of the pair {a, b} exactly when b occurred since the previous a, so
+  crediting one run to each such pair counts every run once; a pair whose
+  second letter has just appeared has two runs and needs no entry until it
+  switches again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, defaultdict
-from itertools import combinations
+from collections import defaultdict
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Optional
 
@@ -61,23 +77,28 @@ def alternation_length(seq: Sequence, a: int, b: int) -> int:
 
 
 def max_alternation(seq: Sequence) -> int:
-    """Max of alternation_length over all pairs of distinct letters occurring in seq."""
-    letters = sorted(seq.alphabet)
-    if len(letters) < 2:
-        return 0
-    runs: dict[tuple[int, int], int] = defaultdict(int)
-    last: dict[tuple[int, int], int] = {}
+    """Max of alternation_length over all pairs of distinct letters occurring in seq.
+
+    `recent` holds the letters by last occurrence, oldest first; the letters
+    after tok in it are those seen since tok's previous occurrence.
+    """
+    recent: dict[int, None] = {}
+    runs: dict[tuple[int, int], int] = {}  # pairs with 3 or more runs
     best = 0
     for tok in seq.tokens:
-        for b in letters:
-            if b == tok:
-                continue
-            pair = (tok, b) if tok < b else (b, tok)
-            if last.get(pair) != tok:
-                runs[pair] += 1
-                last[pair] = tok
-                if runs[pair] > best:
-                    best = runs[pair]
+        if tok in recent:
+            for b in reversed(recent):
+                if b == tok:
+                    break
+                pair = (tok, b) if tok < b else (b, tok)
+                count = runs.get(pair, 2) + 1
+                runs[pair] = count
+                if count > best:
+                    best = count
+            del recent[tok]
+        elif recent and best < 2:
+            best = 2
+        recent[tok] = None
     return best
 
 
@@ -171,13 +192,17 @@ def max_formation_length(
 
     Subsets whose least-frequent letter occurs no more often than the best
     value found so far cannot improve it (each permutation uses every letter
-    once), so they are skipped without scanning. `record` collects the
+    once), so they are skipped without scanning. Each scanned subset walks
+    only the merged positions of its own letters. `record` collects the
     (letters, value) pairs actually scanned.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    occ = Counter(seq.tokens)
-    letters = sorted(occ, key=lambda tok: (-occ[tok], tok))
+    toks = seq.tokens
+    positions: dict[int, list[int]] = defaultdict(list)
+    for i, tok in enumerate(toks):
+        positions[tok].append(i)
+    letters = sorted(positions, key=lambda tok: (-len(positions[tok]), tok))
     if len(letters) < r:
         return 0
     if comb(len(letters), r) > subset_cap:
@@ -186,9 +211,17 @@ def max_formation_length(
         )
     best = 0
     for combo in combinations(letters, r):
-        if occ[combo[-1]] <= best:  # letters ordered by occurrence count
+        if len(positions[combo[-1]]) <= best:  # letters ordered by occurrence count
             continue
-        val = formation_length(seq, combo)
+        seen: set[int] = set()  # formation_length's greedy scan, on combo's tokens only
+        val = 0
+        for i in sorted(chain.from_iterable(positions[tok] for tok in combo)):
+            tok = toks[i]
+            if tok not in seen:
+                seen.add(tok)
+                if len(seen) == r:
+                    val += 1
+                    seen.clear()
         if record is not None:
             record.append((combo, val))
         if val > best:
@@ -206,9 +239,11 @@ def avoids_all_formations(seq: Sequence, r: int, s: int) -> bool:
 def contains_pattern(seq: Sequence, u: Sequence) -> bool:
     """True iff some injective relabeling of u's letters embeds u as a subsequence of seq.
 
-    Backtracks over partial letter assignments with a left-to-right scan;
-    candidate letters are tried in increasing id order, and each chosen
-    occurrence is the earliest available one.
+    Backtracks over partial letter assignments with a left-to-right scan on
+    an explicit stack (one frame per matched pattern token, so pattern length
+    is not bounded by the recursion limit); candidate letters are tried in
+    increasing id order, and each chosen occurrence is the earliest available
+    one.
     """
     utoks = normalize(u).tokens
     if not utoks:
@@ -228,25 +263,33 @@ def contains_pattern(seq: Sequence, u: Sequence) -> bool:
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def match(k: int, i: int) -> bool:
-        if k == len(utoks):
-            return True
+    def options(k: int, i: int):
+        """Positions for pattern token k at or after i; while one is out, the
+        letter it took stays assigned."""
         a = utoks[k]
         if a in mapping:
             p = first_at_or_after(mapping[a], i)
-            return p is not None and match(k + 1, p + 1)
+            if p is not None:
+                yield p
+            return
         for cand in letters:
             if cand in used:
                 continue
             p = first_at_or_after(cand, i)
-            if p is None:
-                continue
-            mapping[a] = cand
-            used.add(cand)
-            if match(k + 1, p + 1):
-                return True
-            del mapping[a]
-            used.discard(cand)
-        return False
+            if p is not None:
+                mapping[a] = cand
+                used.add(cand)
+                yield p
+                del mapping[a]
+                used.discard(cand)
 
-    return match(0, 0)
+    stack = [options(0, 0)]
+    while stack:
+        for p in stack[-1]:
+            if len(stack) == len(utoks):
+                return True
+            stack.append(options(len(stack), p + 1))
+            break
+        else:
+            stack.pop()
+    return False

@@ -225,6 +225,8 @@ def _cmd_verify(args) -> int:
         elif name == "formation":
             rtxt, _, stxt = rest.partition(":")
             r, s = int(rtxt), int(stxt)
+            if s < 1:
+                raise ValueError("s must be >= 1")
             fmax = checks.max_formation_length(flat, r)
             report.check(f"formation:{r}:{s}", fmax < s, fmax, s)
         elif name == "pattern":

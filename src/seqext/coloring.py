@@ -4,12 +4,22 @@ greedy edge coloring that separates edges meeting in exactly y vertices.
 With n vertices the greedy coloring needs at most k^y n / y! colors: each
 edge meets at most floor((n-k)/(k-y)) earlier edges at each of its C(k, y)
 y-subsets, and C(k, y) (n-k)/(k-y) < k^y n / y! for all 1 <= y < k.
+
+Two edges that meet in y or more vertices share a y-subset. So one index
+that lists every edge under each of its y-subsets finds, for each edge, every
+earlier edge it could conflict with or over-intersect, and the coloring, its
+validation and the pairwise-intersection maximum look only at those pairs
+(with y = 1 that is every pair that meets at all). The tests check all three
+against all-pairs references.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import factorial
+from typing import Iterator
 
 __all__ = [
     "Hypergraph",
@@ -43,13 +53,27 @@ class Hypergraph:
         object.__setattr__(self, "edges", edges)
 
     def max_pairwise_intersection(self) -> int:
+        """Largest intersection of two edges; 0 if no two edges meet."""
         best = 0
-        for i in range(len(self.edges)):
-            for k in range(i + 1, len(self.edges)):
-                size = len(self.edges[i] & self.edges[k])
-                if size > best:
-                    best = size
+        for _i, shared in _earlier_neighbours(self.edges, 1):
+            if shared:
+                best = max(best, max(shared.values()))
         return best
+
+
+def _earlier_neighbours(
+    edges: tuple[frozenset[int], ...], y: int
+) -> Iterator[tuple[int, Counter]]:
+    """Each edge index i, in order, with a Counter of the earlier edges that
+    share a y-subset with edge i: every earlier edge f meeting edge i in y or
+    more vertices, mapped to the C(|e_i & f|, y) y-subsets they share. With
+    y >= 1 that count is 1 exactly when they meet in y vertices."""
+    index: dict[tuple[int, ...], list[int]] = {}
+    for i, edge in enumerate(edges):
+        keys = list(combinations(sorted(edge), y))
+        yield i, Counter(chain.from_iterable(index.get(key, ()) for key in keys))
+        for key in keys:
+            index.setdefault(key, []).append(i)
 
 
 @dataclass(frozen=True)
@@ -76,17 +100,15 @@ def greedy_edge_coloring(H: Hypergraph, y: int) -> EdgeColoring:
     if not 1 <= y < H.uniformity:
         raise ValueError("need 1 <= y < uniformity")
     colors: list[int] = []
-    for i, edge in enumerate(H.edges):
-        forbidden = set()
-        for k in range(i):
-            inter = len(edge & H.edges[k])
-            if inter > y:
-                raise ValueError(
-                    f"edges {sorted(H.edges[k])} and {sorted(edge)} intersect "
-                    f"in {inter} > {y} vertices"
-                )
-            if inter == y:
-                forbidden.add(colors[k])
+    for i, shared in _earlier_neighbours(H.edges, y):
+        if shared and max(shared.values()) > 1:
+            edge = H.edges[i]
+            first = H.edges[min(k for k, count in shared.items() if count > 1)]
+            raise ValueError(
+                f"edges {sorted(first)} and {sorted(edge)} intersect "
+                f"in {len(edge & first)} > {y} vertices"
+            )
+        forbidden = {colors[k] for k in shared}
         c = 1
         while c in forbidden:
             c += 1
@@ -100,12 +122,10 @@ def greedy_edge_coloring(H: Hypergraph, y: int) -> EdgeColoring:
 
 def validate_coloring(H: Hypergraph, coloring: EdgeColoring) -> bool:
     """True iff no two edges with intersection exactly y share a color."""
-    y = coloring.y
-    for i in range(len(H.edges)):
-        for k in range(i + 1, len(H.edges)):
-            if (
-                len(H.edges[i] & H.edges[k]) == y
-                and coloring.colors[i] == coloring.colors[k]
-            ):
+    y, colors = coloring.y, coloring.colors
+    for i, shared in _earlier_neighbours(H.edges, y):
+        color = colors[i]
+        for k in shared:
+            if colors[k] == color and len(H.edges[i] & H.edges[k]) == y:
                 return False
     return True

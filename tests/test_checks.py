@@ -4,6 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from conftest import random_sequence
+from seqext.construct import pad_to_alphabet
 from seqext.checks import (
     alternation_length,
     avoids_all_formations,
@@ -23,6 +24,40 @@ T232 = parse_sequence("1 2 1 2 1 3 1 3 2 3 2 3")  # the r=2, x=3, t=2 base witne
 
 def seq(text):
     return parse_sequence(text)
+
+
+def reference_max_alternation(s):
+    """alternation_length over every pair of letters: the pairwise reference."""
+    return max(
+        (alternation_length(s, a, b) for a, b in combinations(sorted(s.alphabet), 2)),
+        default=0,
+    )
+
+
+def reference_max_formation(s, r):
+    """formation_length over every r-subset, each a whole-sequence scan."""
+    return max(
+        (formation_length(s, combo) for combo in combinations(sorted(s.alphabet), r)),
+        default=0,
+    )
+
+
+def padded_sequences(rng, count):
+    """Random sequences padded with letters that occur once, as ds-sparse pads."""
+    for _ in range(count):
+        s = random_sequence(rng, max_alpha=5, max_len=20)
+        yield pad_to_alphabet(s, len(s.alphabet) + rng.randint(1, 12))
+
+
+def differential_inputs(grid_builds, rng):
+    """(sequence, r) pairs: every grid witness, random and padded sequences."""
+    for (r, _q, _x, _t), s, _trace in grid_builds:
+        yield s, r
+    for _ in range(200):
+        s = random_sequence(rng, max_alpha=5, max_len=14)
+        yield s, rng.randint(1, 3)
+    for s in padded_sequences(rng, 100):
+        yield s, rng.randint(1, 3)
 
 
 class TestSparse:
@@ -63,15 +98,16 @@ class TestAlternation:
         assert max_alternation(seq("1")) == 0
         assert max_alternation(seq("1 2 1 3 1")) == 3
 
-    def test_max_matches_pairwise_scan(self):
+    def test_max_matches_pairwise_scan(self, grid_builds):
         rng = random.Random(13)
-        for _ in range(200):
-            s = random_sequence(rng)
-            letters = sorted(s.alphabet)
-            expect = 0
-            for a, b in combinations(letters, 2):
-                expect = max(expect, alternation_length(s, a, b))
-            assert max_alternation(s) == expect
+        for s, _r in differential_inputs(grid_builds, rng):
+            assert max_alternation(s) == reference_max_alternation(s)
+
+    def test_padding_adds_no_runs(self):
+        base = seq("1 2 1 3 1 2")
+        padded = pad_to_alphabet(base, 600)
+        assert max_alternation(padded) == max_alternation(base) == 4
+        assert max_alternation(pad_to_alphabet(seq("1"), 600)) == 2
 
 
 class TestDs:
@@ -161,18 +197,18 @@ class TestMaxFormation:
         assert avoids_all_formations(T232, 2, 7)
         assert not avoids_all_formations(T232, 2, 3)
 
-    def test_prune_matches_full_scan(self):
+    def test_prune_matches_full_scan(self, grid_builds):
         rng = random.Random(29)
-        for _ in range(100):
-            s = random_sequence(rng, max_alpha=5, max_len=14)
-            if len(s.alphabet) < 2:
-                continue
-            r = rng.randint(1, min(3, len(s.alphabet)))
-            full = max(
-                formation_length(s, combo)
-                for combo in combinations(sorted(s.alphabet), r)
-            )
-            assert max_formation_length(s, r) == full
+        for s, r in differential_inputs(grid_builds, rng):
+            assert max_formation_length(s, r) == reference_max_formation(s, r)
+
+    def test_recorded_values_match_whole_sequence_scans(self, grid_builds):
+        rng = random.Random(41)
+        for s, r in differential_inputs(grid_builds, rng):
+            scanned = []
+            best = max_formation_length(s, r, record=scanned)
+            assert all(formation_length(s, combo) == val for combo, val in scanned)
+            assert best == max((val for _combo, val in scanned), default=0)
 
 
 class TestContainsPattern:
@@ -183,6 +219,13 @@ class TestContainsPattern:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
             contains_pattern(seq("1"), Sequence())
+
+    @pytest.mark.parametrize("length,contains", [(1400, True), (1398, False)])
+    def test_long_alternation_pattern(self, length, contains):
+        # one stack frame per pattern token, far beyond the recursion limit
+        s = Sequence(tuple(i % 2 + 1 for i in range(length)))
+        pattern = PatternSequence(tuple(i % 2 + 1 for i in range(1400)))
+        assert contains_pattern(s, pattern) is contains
 
     def test_every_24_formation_contains_abab(self):
         abab = parse_pattern("a b a b")

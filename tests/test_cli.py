@@ -97,6 +97,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(f), "ds:0")
         assert code == 2 and "order must be >= 1" in err
 
+    @pytest.mark.parametrize("spec,message", [
+        ("formation:2:0", "s must be >= 1"),
+        ("formation:0:2", "r must be >= 1"),
+        ("sparse:0", "sparsity parameter must be >= 1"),
+    ])
+    def test_zero_parameter_exits_2(self, capsys, tmp_path, spec, message):
+        f = tmp_path / "s.seq"
+        f.write_text("1 2 1\n")
+        code, _, err = run(capsys, "verify", str(f), spec)
+        assert code == 2 and message in err
+
+    def test_long_pattern_avoided(self, capsys, tmp_path):
+        f = tmp_path / "alt.seq"
+        f.write_text(" ".join(["1 2"] * 699) + "\n")  # 1,398 tokens
+        code, out, err = run(capsys, "verify", str(f), "pattern:(ab)^700")
+        assert (code, err) == (0, "") and "pass" in out
+
     def test_ds_check_is_is_ds_from_one_scan(self, capsys, tmp_path, monkeypatch):
         real = checks.max_alternation
         calls = []
