@@ -19,9 +19,12 @@ CASES = [
     ("pattern abab n=5", "seq_search", (2, 5, 2, 54), dict(pattern=(1, 2, 1, 2))),
     ("ex(4,4,R22)", "matrix_search", (4, 4, (3, 3), 2, 2), {}),
     ("ex(4,4,R23)", "matrix_search", (4, 4, (7, 7), 2, 3), {}),
+    # equal rows, not all ones: the row-order rule applies; unequal rows: it does not
+    ("ex(4,5,101/101)", "matrix_search", (4, 5, (5, 5), 2, 3), {}),
+    ("ex(4,4,I2)", "matrix_search", (4, 4, (1, 2), 2, 2), {}),
     # node budgets that run out: the truncation path must match too
     ("lambda  n=5 s=3 b=5000", "seq_search", (0, 5, 2, 31), dict(s=3, node_budget=5000)),
-    ("ex(4,4,R22) b=1000", "matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=1000)),
+    ("ex(4,4,R22) b=500", "matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=500)),
 ]
 
 HEAVY_CASES = [

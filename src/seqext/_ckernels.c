@@ -573,6 +573,7 @@ done:
 
 typedef struct {
     int n, m, pn, pm, total, best, truncated, done;
+    int equal_rows; /* every pattern row is equal: the row-order rule applies */
     long long node_budget, nodes;
     u64 *rows, *best_rows, *p_rows;
     int *sel;
@@ -615,15 +616,29 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
         Py_DECREF(seq);
         return value_error("p_rows must hold pn row masks");
     }
+    k->equal_rows = 1;
     for (int u = 0; u < pn; u++) {
         k->p_rows[u] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, u));
         if (k->p_rows[u] == (u64)-1 && PyErr_Occurred()) {
             Py_DECREF(seq);
             return -1;
         }
+        k->equal_rows &= k->p_rows[u] == k->p_rows[0];
     }
     Py_DECREF(seq);
     return 0;
+}
+
+/* The row-order rule of `MatrixState`: with equal pattern rows, a 1 at
+   (row, col) is refused if the row above has a 0 there and equals this row
+   on the columns before col (the cells from col on are still 0). */
+static int breaks_row_order(const MatrixKernel *k, int row, int col)
+{
+    u64 above;
+    if (!k->equal_rows || row == 0)
+        return 0;
+    above = k->rows[row - 1];
+    return !((above >> col) & 1) && k->rows[row] == (above & (((u64)1 << col) - 1));
 }
 
 /* Greedy left-to-right column matching for the row selection in sel. */
@@ -683,12 +698,16 @@ static int matrix_run(MatrixKernel *k, int idx, int ones)
         u64 bit = (u64)1 << col;
         int state = k->branch[idx];
         if (state == 0 && idx < total && ones + (total - idx) > k->best) {
-            k->rows[row] |= bit;
-            state = contains(k) ? 2 : 1; /* 2: no 1-branch, take the 0-branch */
-            if (state == 2)
-                k->rows[row] ^= bit;
-            else
-                ones++;
+            state = 2; /* no 1-branch: take the 0-branch */
+            if (!breaks_row_order(k, row, col)) {
+                k->rows[row] |= bit;
+                if (contains(k)) {
+                    k->rows[row] ^= bit;
+                } else {
+                    state = 1;
+                    ones++;
+                }
+            }
         } else if (state == 1) { /* back from the 1-branch: take the 0-branch */
             if (pending)
                 memcpy(k->best_rows, k->rows, rows_size), pending = 0;
@@ -771,12 +790,17 @@ static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwar
             goto done;
         }
         for (Py_ssize_t i = 0; i < plen; i++) {
+            int row = (int)(i / m), col = (int)(i % m);
             if (PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i)) == 0)
                 continue;
-            k.rows[i / m] |= (u64)1 << (i % m);
-            ones++;
-            if (contains(&k)) {
-                value_error("forced prefix already contains the pattern");
+            bad = breaks_row_order(&k, row, col);
+            if (!bad) {
+                k.rows[row] |= (u64)1 << col;
+                ones++;
+                bad = contains(&k);
+            }
+            if (bad) {
+                value_error("forced prefix contains the pattern or breaks the row order");
                 goto done;
             }
         }

@@ -3,15 +3,15 @@
 The compiled extension `_ckernels` mirrors `seq_search` and `matrix_search`
 exactly: same candidate order, same pruning, same node accounting, so both
 backends return identical (value, witness, nodes, truncated) tuples;
-`backends` picks one at import time. `prime_search` has no compiled twin.
+`backends` picks one at import time.
 
 Each search state offers `depth`, `value`, `candidates()`, `try_push(c)`
-(True if move c was admissible and made), `pop()` and `snapshot()` (a copy
-of the witness); the split ones also `prefix()` (the kernel keyword that
-forces the state). A move adds at least as much depth as value, so
-value + (limit - depth) bounds every extension. `_dfs` searches any state on an explicit stack, `frontier`
-splits it for the parallel search. A node is one accepted move: a letter, a
-block close, or a cell.
+(True if move c was admissible and made), `pop()`, `snapshot()` (a copy
+of the witness) and `prefix()` (the kernel keyword that forces the state).
+A move adds at least as much depth as value, so value + (limit - depth)
+bounds every extension. `_dfs` searches any state on an explicit stack,
+`frontier` splits it for the parallel search. A node is one accepted move:
+a letter or a cell.
 
 Sequence searches walk canonical sequences only (letter k+1 may appear only
 after letters 1..k), which collapses letter-relabeling symmetry without
@@ -200,10 +200,25 @@ class SeqState:
 class MatrixState:
     """Row-major 0-1 fill of an n x m matrix avoiding the pattern P (rows
     `p_rows`, pn x pm): each move sets the next cell, 1 before 0, and a 1
-    that makes the matrix contain P is refused."""
+    that makes the matrix contain P is refused.
+
+    Row-order rule: when every row of P is equal, a 1 at cell (i, j) is also
+    refused if row i-1 has a 0 at column j and row i equals row i-1 on the
+    columns before j, so the rows stay non-increasing in the row-major,
+    1-before-0 order. This changes no value or witness:
+    - P's rows being equal, whether some pn host rows contain P does not
+      depend on their order, so permuting host rows keeps the host P-free;
+    - sorting a matrix's rows into that order makes it lexicographically no
+      smaller (row-major, 1 before 0);
+    - `_dfs` tries 1 before 0 and keeps only strict improvements, so it
+      returns the lexicographically largest optimal matrix, which is
+      therefore already sorted and never refused.
+    Only node counts fall; the split frontier uses this state, so its
+    prefixes obey the rule too."""
 
     def __init__(self, n, m, p_rows, pn, pm):
         self.n, self.m, self.p_rows, self.pn, self.pm = n, m, p_rows, pn, pm
+        self.equal_rows = all(r == p_rows[0] for r in p_rows)
         self.rows = [0] * n
         self.bits = []
         self.depth = self.value = 0
@@ -214,9 +229,14 @@ class MatrixState:
     def try_push(self, bit):
         if bit:
             i, jc = divmod(self.depth, self.m)
-            self.rows[i] |= 1 << jc
-            if masks_contain(self.rows, self.n, self.m, self.p_rows, self.pn, self.pm):
-                self.rows[i] ^= 1 << jc
+            rows = self.rows
+            if self.equal_rows and i:
+                above = rows[i - 1]
+                if not (above >> jc) & 1 and rows[i] == above & ((1 << jc) - 1):
+                    return False
+            rows[i] |= 1 << jc
+            if masks_contain(rows, self.n, self.m, self.p_rows, self.pn, self.pm):
+                rows[i] ^= 1 << jc
                 return False
             self.value += 1
         self.bits.append(bit)
@@ -237,69 +257,6 @@ class MatrixState:
         return {"prefix_bits": tuple(self.bits)}
 
 
-class PrimeState:
-    """Lambda-prime: at most m blocks on n letters, every letter pair together
-    in at most s blocks. Blocks are ascending letter sets: a move appends a
-    letter to the open block or (move 0) closes it while nonempty and fewer
-    than m - 1 blocks are closed; empty blocks trail. A closed block counts
-    n of depth, so n m - depth is the room left for letters."""
-
-    def __init__(self, n, s, m):
-        self.n, self.s, self.m = n, s, m
-        self.cooc = [[0] * (n + 1) for _ in range(n + 1)]  # cooc[a][c], a < c
-        self.blocks = []
-        self.cur = []
-        self.used_max = 0
-        self.undo = []
-        self.depth = self.value = 0
-
-    def candidates(self):
-        cur = self.cur
-        letters = range(cur[-1] + 1 if cur else 1, min(self.used_max + 1, self.n) + 1)
-        if cur and len(self.blocks) + 1 < self.m:
-            return [*letters, 0]
-        return letters
-
-    def try_push(self, c):
-        cur = self.cur
-        if c == 0:
-            self.blocks.append(cur)
-            self.cur = []
-            self.depth += self.n - len(cur)
-        else:
-            cooc = self.cooc
-            if any(cooc[a][c] >= self.s for a in cur):
-                return False
-            for a in cur:
-                cooc[a][c] += 1
-            cur.append(c)
-            self.depth += 1
-            self.value += 1
-        self.undo.append(self.used_max)
-        if c > self.used_max:
-            self.used_max = c
-        return True
-
-    def pop(self):
-        self.used_max = self.undo.pop()
-        cur = self.cur
-        if cur:
-            c = cur.pop()
-            for a in cur:
-                self.cooc[a][c] -= 1
-            self.depth -= 1
-            self.value -= 1
-        else:
-            self.cur = cur = self.blocks.pop()
-            self.depth -= self.n - len(cur)
-
-    def snapshot(self):
-        out = [tuple(b) for b in self.blocks]
-        if self.cur:
-            out.append(tuple(self.cur))
-        return tuple(out)
-
-
 def _dfs(st, limit, best, witness, node_budget):
     """Depth-first branch-and-bound below state `st`, up to `limit`, on an
     explicit stack. Returns (best, witness, nodes, truncated).
@@ -310,8 +267,8 @@ def _dfs(st, limit, best, witness, node_budget):
 
     A new best is copied only when the search first backs out of it or stops
     on it: until then every move raises the value again or leaves the
-    witness as it is (a 0 cell, a block close), so the current state is the
-    witness, and a straight path of any depth costs one copy.
+    witness as it is (a 0 cell), so the current state is the witness, and a
+    straight path of any depth costs one copy.
     """
     nodes = 0
     push, pop, candidates = st.try_push, st.pop, st.candidates
@@ -449,12 +406,6 @@ def matrix_search(
     st = MatrixState(n, m, p_rows, pn, pm)
     for bit in prefix_bits:
         if not st.try_push(bit):
-            raise ValueError("forced prefix already contains the pattern")
+            raise ValueError("forced prefix contains the pattern or breaks the row order")
     return _dfs(st, n * m, max(initial_best, st.value), st.snapshot(), node_budget)
 
-
-def prime_search(n, s, m, node_budget=0):
-    """Longest blocked sequence on n letters in at most m blocks with every
-    letter pair together in at most s blocks (see `PrimeState`). Returns
-    (best, blocks, nodes, truncated), the witness as a tuple of blocks."""
-    return _dfs(PrimeState(n, s, m), n * m, 0, (), node_budget)

@@ -270,7 +270,7 @@ def _cmd_oracle(args) -> int:
     elif fn == "lambda-prime":
         n, s, m = _require(args, ["n", "s", "m"])
         report.params = {"n": n, "s": s, "m": m}
-        res = oracles.oracle_lambda_prime(n, s, m, override_caps=over)
+        res = oracles.oracle_lambda_prime(n, s, m, override_caps=over, threads=threads)
     else:  # ex-matrix
         if not args.pattern:
             raise ValueError("missing required option --pattern")
@@ -279,7 +279,7 @@ def _cmd_oracle(args) -> int:
         report.params = {"n": n, "m": m, "pattern": render_matrix(P).replace("\n", "/")}
         res = oracles.oracle_ex_matrix(n, m, P, override_caps=over, threads=threads)
     if over:
-        kind = "matrix" if fn == "ex-matrix" else "seq"
+        kind = "matrix" if fn in ("ex-matrix", "lambda-prime") else "seq"
         report.results["estimated_nodes"] = oracles.estimate_nodes(kind, n, res.ceiling)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):

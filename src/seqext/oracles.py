@@ -22,8 +22,9 @@ Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
 over the kernel's own search state) into prefix tasks for a process pool,
 whose results merge to the same value and witness. A node budget is a
-total: a budgeted search always runs in one process. The lambda-prime
-search, `_kernels_py.prime_search`, is pure Python and single-process.
+total: a budgeted search always runs in one process. A node is one
+accepted move of the kernel: a letter or a matrix cell. Lambda-prime is
+ex(n, m, R_{2,s+1}) and runs as that matrix search.
 
 Default size caps keep casual calls off exponential cliffs; pass
 override_caps=True to lift them.
@@ -59,7 +60,6 @@ LAMBDA_CAPS = {"n": 5, "s": 4, "j": 3}
 FORMATION_CAPS = {"n": 4, "r": 3, "s": 3, "j": 3}
 PATTERN_CAPS = {"n": 4, "pattern length": 6, "j": 3}
 LAMBDA_BLOCKS_CAPS = {"n": 4, "s": 4, "m": 4}
-LAMBDA_PRIME_CAPS = {"n": 4, "s": 3, "m": 4}
 EX_MATRIX_CELL_CAP = 30
 
 _SEQ_SPLIT_DEPTH = 4
@@ -325,32 +325,6 @@ def oracle_lambda_blocks(
     return ExtremalResult(best, witness, nodes, not truncated, ceiling)
 
 
-def oracle_lambda_prime(
-    n: int,
-    s: int,
-    m: int,
-    *,
-    override_caps: bool = False,
-    node_budget: int = 0,
-) -> ExtremalResult:
-    """Maximum length of a sequence on at most n letters in at most m blocks
-    with every letter pair together in at most s blocks. No adjacency or
-    alternation constraint applies; block content alone matters, so blocks
-    are searched as ascending letter sets (empty blocks canonically trail)."""
-    if n < 1 or s < 1 or m < 1:
-        raise ValueError("need n, s, m >= 1")
-    _check_caps(LAMBDA_PRIME_CAPS, {"n": n, "s": s, "m": m}, override_caps)
-    best, witness, nodes, truncated = _kernels_py.prime_search(n, s, m, node_budget)
-    bw = BlockedSequence(witness)
-    if not (
-        len(bw) == best
-        and bw.block_count <= m
-        and matrices.max_pair_cooccurrence(bw) <= s
-    ):
-        raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, bw, nodes, not truncated, n * m)
-
-
 def _matrix_frontier(kw: dict, depth: int):
     """Admissible fillings of the first `depth` cells, as `prefix_bits` keywords."""
     st = _kernels_py.MatrixState(kw["n"], kw["m"], kw["p_rows"], kw["pn"], kw["pm"])
@@ -386,3 +360,32 @@ def oracle_ex_matrix(
     if not (witness.ones_count == best and not matrices.matrix_contains(witness, P)):
         raise RuntimeError("internal error: witness failed independent re-check")
     return ExtremalResult(best, witness, nodes, not truncated, n * m)
+
+
+def oracle_lambda_prime(
+    n: int,
+    s: int,
+    m: int,
+    *,
+    override_caps: bool = False,
+    threads: int = 1,
+    node_budget: int = 0,
+) -> ExtremalResult:
+    """Maximum length of a sequence on at most n letters in at most m blocks
+    with every letter pair together in at most s blocks. No adjacency or
+    alternation constraint applies; block content alone matters, so this is
+    ex(n, m, R_{2,s+1}) with letters as rows and blocks as columns: a pair
+    sharing s+1 blocks is a 2 x (s+1) all-ones submatrix. A pattern wider
+    than the host never occurs, so its width is clamped to m + 1. Capped,
+    searched and split like `oracle_ex_matrix`; empty blocks are dropped
+    from the witness."""
+    if n < 1 or s < 1 or m < 1:
+        raise ValueError("need n, s, m >= 1")
+    res = oracle_ex_matrix(
+        n, m, matrices.all_ones(2, min(s + 1, m + 1)),
+        override_caps=override_caps, threads=threads, node_budget=node_budget,
+    )
+    bw = BlockedSequence(tuple(b for b in matrices.matrix_to_blocked(res.witness).blocks if b))
+    if not (len(bw) == res.value and matrices.max_pair_cooccurrence(bw) <= s):
+        raise RuntimeError("internal error: witness failed independent re-check")
+    return ExtremalResult(res.value, bw, res.nodes_explored, res.exhausted, res.ceiling)

@@ -1,5 +1,6 @@
-"""Shared fixtures: the construction grid, random-instance generators, and the
-compiled kernel twin built from this checkout."""
+"""Shared fixtures: the construction grid, random-instance generators, the
+brute-force matrix oracle, and the compiled kernel twin built from this
+checkout."""
 
 import importlib.util
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from seqext import backends
 from seqext.coloring import Hypergraph
 from seqext.construct import build_formation_witness
+from seqext.matrices import ZeroOneMatrix, matrix_contains_brute
 from seqext.sequences import Sequence
 
 # r in {2,3}, q in {r..r+2}, x in {r+1..7}, t in {2,3,4}
@@ -54,6 +57,19 @@ def random_hypergraph(rng: random.Random, max_k: int = 5, max_n: int = 12):
         if all(len(e & f) <= y for f in edges):
             edges.append(e)
     return Hypergraph(n, k, tuple(edges)), y
+
+
+def brute_ex_matrix(n, m, P):
+    """ex(n, m, P) by enumerating every n x m 0-1 matrix."""
+    best = 0
+    for bits in product((0, 1), repeat=n * m):
+        rows = tuple(
+            sum(bits[i * m + j] << j for j in range(m)) for i in range(n)
+        )
+        M = ZeroOneMatrix(n, m, rows)
+        if not matrix_contains_brute(M, P):
+            best = max(best, M.ones_count)
+    return best
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -167,6 +167,20 @@ class TestOracle:
         )
         assert code == 0 and payload["results"]["value"] == 6
 
+    def test_lambda_prime_threads_match_serial(self, capsys):
+        argv = ("oracle", "lambda-prime", "--n", "4", "--s", "2", "--m", "4")
+        _, serial, _ = run_json(capsys, *argv)
+        _, par, _ = run_json(capsys, *argv, "--threads", "2")
+        assert par["results"]["value"] == serial["results"]["value"] == 12
+        assert par["results"]["witness"] == serial["results"]["witness"]
+
+    def test_lambda_prime_column_limit_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "oracle", "lambda-prime", "--n", "1", "--s", "1", "--m", "63",
+            "--override-caps",
+        )
+        assert code == 2 and "m <= 62" in err
+
     def test_lambda_blocks(self, capsys):
         code, payload, _ = run_json(
             capsys, "oracle", "lambda-blocks", "--n", "2", "--s", "2", "--m", "2"
@@ -241,6 +255,12 @@ class TestOracle:
             "--n", "2", "--r", "2", "--s", "2", "--j", "3", "--override-caps",
         )
         assert code == 0 and payload["results"]["estimated_nodes"] == 6.0
+        # lambda-prime searches the n x m matrix: 2^(n m + 1)
+        code, payload, _ = run_json(
+            capsys, "oracle", "lambda-prime",
+            "--n", "3", "--s", "1", "--m", "3", "--override-caps",
+        )
+        assert code == 0 and payload["results"]["estimated_nodes"] == 2.0**10
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,10 +3,11 @@ and the incremental admissibility state must agree with the plain checkers."""
 
 import random
 import sys
+from itertools import product
 
 import pytest
 
-from conftest import random_sequence
+from conftest import brute_ex_matrix, random_sequence
 from seqext import _kernels_py as pure
 from seqext import checks, matrices
 from seqext.backends import backend_name
@@ -39,6 +40,7 @@ MATRIX_CASES = [
     (2, 4, (1, 1), 2, 1),
     (3, 4, (1, 2, 2), 3, 2),
     (4, 3, (2, 5), 2, 3),
+    (4, 5, (5, 5), 2, 3),
 ]
 
 
@@ -110,6 +112,7 @@ class TestBackendEquality:
             ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 1, 1, 1, 0))),
             ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 2))),
             ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 1, 1, 1))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(0, 0, 1))),
         ],
     )
     def test_matrix_limits_raise_everywhere(self, compiled, args, extra):
@@ -197,13 +200,17 @@ def test_backend_differential_fuzz(compiled):
         if rng.random() < 0.2:
             kw["initial_best"] = rng.randint(-1, 12)
         assert _outcome(pure.seq_search, kw) == _outcome(compiled.seq_search, kw), kw
-    for _ in range(150):
+    for draw in range(150):
         n, m = rng.randint(1, 4), rng.randint(1, 5)
         pn, pm = rng.randint(1, 3), rng.randint(1, 3)
-        p_rows = tuple(
-            rng.randrange(1, 1 << pm) if i == 0 else rng.randrange(1 << pm)
-            for i in range(pn)
-        )
+        if draw % 2:  # equal rows: the row-order rule applies
+            pn = rng.randint(2, 3)
+            p_rows = (rng.randrange(1, 1 << pm),) * pn
+        else:
+            p_rows = tuple(
+                rng.randrange(1, 1 << pm) if i == 0 else rng.randrange(1 << pm)
+                for i in range(pn)
+            )
         kw = dict(n=n, m=m, p_rows=p_rows, pn=pn, pm=pm)
         if rng.random() < 0.3:
             kw["node_budget"] = rng.randint(1, rng.choice((20, 1500)))
@@ -212,6 +219,56 @@ def test_backend_differential_fuzz(compiled):
         if rng.random() < 0.2:
             kw["initial_best"] = rng.randint(-1, 12)
         assert _outcome(pure.matrix_search, kw) == _outcome(compiled.matrix_search, kw), kw
+
+
+def _lex_largest_optimum(n, m, P):
+    """The most ones in an n x m matrix avoiding P and the lexicographically
+    largest matrix (row-major, 1 before 0) that has them, by enumerating
+    every matrix in decreasing lexicographic order."""
+    best, best_rows = -1, None
+    for bits in product((1, 0), repeat=n * m):
+        rows = [sum(bits[i * m + j] << j for j in range(m)) for i in range(n)]
+        M = matrices.ZeroOneMatrix(n, m, tuple(rows))
+        if M.ones_count > best and not matrices.matrix_contains_brute(M, P):
+            best, best_rows = M.ones_count, rows
+    return best, best_rows
+
+
+class TestRowOrderRule:
+    """With equal pattern rows both twins refuse a 1 that would make a row
+    larger than the row above it; values and witnesses stay those of the
+    unrestricted search."""
+
+    def test_equal_rows_against_enumeration(self, compiled):
+        hosts = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
+        for pn, pm in product((1, 2), repeat=2):
+            for mask in range(1, 1 << pm):
+                P = matrices.MatrixPattern(pn, pm, (mask,) * pn)
+                for n, m in hosts:
+                    value, rows = _lex_largest_optimum(n, m, P)
+                    assert value == brute_ex_matrix(n, m, P)
+                    res = pure.matrix_search(n, m, P.rows, pn, pm)
+                    assert res[:2] == (value, rows), (n, m, P)
+                    assert tuple(compiled.matrix_search(n, m, P.rows, pn, pm)) == res
+
+    def test_unequal_rows_node_count_unchanged(self, compiled):
+        # the 2x2 identity has unequal rows, so the rule never fires
+        res = pure.matrix_search(4, 4, (1, 2), 2, 2)
+        assert res == (7, [15, 1, 1, 1], 1796, False)
+        assert tuple(compiled.matrix_search(4, 4, (1, 2), 2, 2)) == res
+
+    def test_r22_5x5_node_count_pinned(self, compiled):
+        res = pure.matrix_search(5, 5, (3, 3), 2, 2)
+        assert res == (12, [15, 17, 18, 20, 24], 25_222, False)
+        assert tuple(compiled.matrix_search(5, 5, (3, 3), 2, 2)) == res
+
+    def test_prefix_refusal_message(self, compiled):
+        # (1, 1, 1, 1) contains R22; (0, 0, 1) puts a 1 under a 0 in equal rows
+        for bits in ((1, 1, 1, 1), (0, 0, 1)):
+            for search in (pure.matrix_search, compiled.matrix_search):
+                with pytest.raises(ValueError, match="^forced prefix contains the pattern "
+                                   "or breaks the row order$"):
+                    search(2, 2, (3, 3), 2, 2, prefix_bits=bits)
 
 
 def _outcome(search, kw):

@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
+from conftest import brute_ex_matrix
 from seqext import backends, checks, matrices, oracles
 from seqext.construct import build_block_witness
 from seqext.errors import CapExceededError
-from seqext.matrices import all_ones, matrix_contains_brute
+from seqext.matrices import all_ones
 from seqext.oracles import (
     formation_ceiling,
     lambda_ceiling,
@@ -256,10 +257,32 @@ class TestLambdaPrime:
         assert res.exhausted
 
     def test_node_count_pinned(self):
-        """No compiled twin checks this traversal: a node is one letter or
-        one block close."""
+        """Lambda-prime is the matrix search for R_{2,s+1}: a node is one cell."""
         res = oracle_lambda_prime(4, 3, 4)
-        assert (res.value, res.nodes_explored, res.exhausted) == (13, 1050, True)
+        assert (res.value, res.nodes_explored, res.exhausted) == (13, 255, True)
+
+    def test_compiled_matches_pure(self, compiled_backend):
+        res = oracle_lambda_prime(4, 3, 4)
+        assert (res.value, res.nodes_explored, res.exhausted) == (13, 255, True)
+        assert str(res.witness) == "1 2 3 4 | 1 2 3 4 | 1 2 3 4 | 1"
+
+    def test_parallel_matches_serial(self):
+        serial = oracle_lambda_prime(4, 2, 4)
+        par = oracle_lambda_prime(4, 2, 4, threads=2)
+        assert (par.value, par.witness, par.exhausted) == (serial.value, serial.witness, True)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_wide_pattern_is_clamped(self, request, backend):
+        # s + 1 = 101 columns would overflow a 64-bit row mask; clamped to m + 1
+        if backend == "compiled":
+            request.getfixturevalue("compiled_backend")
+        res = oracle_lambda_prime(3, 100, 3)
+        assert (res.value, res.exhausted) == (9, True)
+
+    def test_cell_cap(self):
+        assert oracle_lambda_prime(5, 1, 5).value == 12  # n*m = 25: no override needed
+        with pytest.raises(CapExceededError):
+            oracle_lambda_prime(5, 1, 7)
 
     def test_node_budget_is_exact(self):
         res = oracle_lambda_prime(5, 1, 5, override_caps=True, node_budget=1000)
@@ -272,18 +295,6 @@ class TestLambdaPrime:
                     oracle_lambda_blocks(n, s, n).value
                     <= oracle_lambda_prime(n, s, n).value
                 )
-
-
-def brute_ex_matrix(n, m, P):
-    best = 0
-    for bits in product((0, 1), repeat=n * m):
-        rows = tuple(
-            sum(bits[i * m + j] << j for j in range(m)) for i in range(n)
-        )
-        M = matrices.ZeroOneMatrix(n, m, rows)
-        if not matrix_contains_brute(M, P):
-            best = max(best, M.ones_count)
-    return best
 
 
 class TestExMatrix:
@@ -325,7 +336,7 @@ class TestExMatrix:
         with pytest.raises(CapExceededError):
             oracle_ex_matrix(6, 6, all_ones(2, 2))
 
-    def test_5x5_values(self, compiled_backend):  # ~20 s per search on the pure kernels
+    def test_5x5_values(self, compiled_backend):  # ~0.3 s per search on the pure kernels
         assert oracle_ex_matrix(5, 5, all_ones(2, 2)).value == 12
         res = oracle_ex_matrix(5, 5, all_ones(2, 3)).value
         assert res == 16 <= matrices.kst_bound(5, 5, 2, 3)
