@@ -75,20 +75,30 @@ static PyObject *parse_failed(void)
 /* Sequence search                                                          */
 
 typedef struct {
-    int idx;       /* letter-pair slot (DS) or r-subset (formation) */
-    int completed; /* formation: this push completed the subset */
-    u64 old;       /* previous alt_last (DS) or partial mask (formation) */
+    int idx;       /* letter-pair slot (DS), r-subset (formation) or embedding (pattern) */
+    int completed; /* formation: this push completed the subset;
+                      pattern: this push appended the embedding */
+    u64 old;       /* previous alt_last (DS), partial mask (formation) or k (pattern) */
 } Change;
 
 typedef struct {
     int last_pos, used_max, blocks_used;
     u64 block_mask;
-    size_t mark; /* height of the change log (or state set) before the push */
+    size_t mark; /* height of the change log before the push */
 } Undo;
+
+/* Pattern mode: one partial embedding per mapping, as in `SeqState.reach`. */
+typedef struct {
+    u64 code; /* sum_a image(a) * (n+1)^(a-1), 0 for an unmapped letter */
+    u64 used; /* bit x set iff letter x is the image of a pattern letter */
+    int k;    /* greatest pattern prefix embedded under this mapping */
+    int want; /* image of pattern[k], 0 if that letter is unmapped */
+} Embedding;
 
 typedef struct {
     int mode, n, jeff, s, max_blocks, ceiling;
     long long node_budget, nodes;
+    long long slack; /* DS: runs the letter pairs can still take; see `SeqState` */
     int length, used_max, blocks_used, best, best_len, truncated, done;
     u64 block_mask;
     int *tokens, *best_tokens, *last_pos;
@@ -103,14 +113,19 @@ typedef struct {
     u64 *sub_full, *sub_partial;
     int *sub_count, *letter_sub_data;
     size_t *letter_sub_start;
-    /* pattern: set of partial embeddings, each packed as
-       k * ppow + sum_a mapped(a) * (n+1)^(a-1) */
+    /* pattern: the embeddings in the order they were added, an
+       open-addressing index on their mapping codes (slot: embedding + 1,
+       0 empty; linear probing) and a scratch list of one push's moves.
+       Embeddings leave only from the end, so an index slot can simply be
+       cleared: every code that probed past it was added later and has
+       already left. */
     int plen;
     int *pattern;
-    u64 *digit_pow, ppow;
+    u64 *digit_pow;
     int ru;
-    u64 *states;
-    size_t states_top, states_cap;
+    Embedding *emb, *fresh;
+    size_t emb_top, emb_cap, fresh_cap;
+    size_t *slots, slot_mask;
 } SeqKernel;
 
 static void seq_free(SeqKernel *k)
@@ -118,7 +133,7 @@ static void seq_free(SeqKernel *k)
     void *bufs[] = {k->tokens, k->best_tokens, k->last_pos, k->next, k->undo,
                     k->log, k->alt, k->alt_last, k->sub_full, k->sub_partial,
                     k->sub_count, k->letter_sub_data, k->letter_sub_start,
-                    k->pattern, k->digit_pow, k->states};
+                    k->pattern, k->digit_pow, k->emb, k->fresh, k->slots};
     for (size_t i = 0; i < sizeof bufs / sizeof bufs[0]; i++)
         PyMem_Free(bufs[i]);
 }
@@ -168,9 +183,50 @@ static int formation_init(SeqKernel *k, int r)
     return 0;
 }
 
+/* The image of pattern[kk] under the mapping `code`, 0 if unmapped. */
+static int image_of(const SeqKernel *k, u64 code, int kk)
+{
+    return (int)(code / k->digit_pow[kk] % ((u64)k->n + 1));
+}
+
+/* The index slot holding `code`, or the empty slot where it would go. */
+static size_t slot_of(const SeqKernel *k, u64 code)
+{
+    size_t i = (size_t)((code * 0x9E3779B97F4A7C15ULL) >> 32) & k->slot_mask;
+    while (k->slots[i] && k->emb[k->slots[i] - 1].code != code)
+        i = (i + 1) & k->slot_mask;
+    return i;
+}
+
+/* Append an embedding; the index stays at most half full, and a larger one
+   is refilled in embedding order, which keeps clearing slots safe. */
+static int emb_append(SeqKernel *k, Embedding e)
+{
+    size_t top = k->emb_top;
+    if (top == k->emb_cap) {
+        Embedding *emb = grow(k->emb, &k->emb_cap, top + 1, sizeof *emb);
+        size_t *slots;
+        if (emb == NULL)
+            return -1;
+        k->emb = emb;
+        if (!(slots = zalloc(2 * k->emb_cap, sizeof *slots)))
+            return -1;
+        PyMem_Free(k->slots);
+        k->slots = slots;
+        k->slot_mask = 2 * k->emb_cap - 1;
+        for (size_t i = 0; i < top; i++)
+            slots[slot_of(k, emb[i].code)] = i + 1;
+    }
+    k->emb[top] = e;
+    k->slots[slot_of(k, e.code)] = top + 1;
+    k->emb_top = top + 1;
+    return 0;
+}
+
 static int pattern_init(SeqKernel *k, PyObject *pattern)
 {
     const u64 limit = (u64)1 << 63, base = (u64)k->n + 1;
+    u64 ppow = 1;
     PyObject *seq = PySequence_Fast(pattern, "pattern must be a sequence");
     Py_ssize_t plen;
     if (seq == NULL)
@@ -203,24 +259,28 @@ static int pattern_init(SeqKernel *k, PyObject *pattern)
             k->ru = (int)a;
     }
     Py_DECREF(seq);
-    /* (n+1)^ru * (plen+1) < 2^63 keeps every state code in range */
-    k->ppow = 1;
+    /* the documented limit (n+1)^ru * (plen+1) < 2^63 keeps every mapping
+       code in range */
     for (int i = 0; i < k->ru; i++) {
-        if (k->ppow > (limit - 1) / base)
+        if (ppow > (limit - 1) / base)
             return value_error("pattern alphabet too large for the state encoding");
-        k->ppow *= base;
+        ppow *= base;
     }
-    if (k->ppow > (limit - 1) / ((u64)plen + 1))
+    if (ppow > (limit - 1) / ((u64)plen + 1))
         return value_error("pattern alphabet too large for the state encoding");
     for (int i = 0; i < k->plen; i++) {
         k->digit_pow[i] = 1;
         for (int b = 1; b < k->pattern[i]; b++)
             k->digit_pow[i] *= base;
     }
-    if (!(k->states = grow(NULL, &k->states_cap, 1, sizeof(u64))))
+    if (!(k->emb = grow(NULL, &k->emb_cap, 1, sizeof *k->emb))
+        || !(k->fresh = grow(NULL, &k->fresh_cap, 1, sizeof *k->fresh))
+        || !(k->slots = zalloc(2 * k->emb_cap, sizeof *k->slots)))
         return -1;
-    k->states[0] = 0; /* nothing embedded yet, empty mapping */
-    k->states_top = 1;
+    k->slot_mask = 2 * k->emb_cap - 1;
+    k->emb[0] = (Embedding){0, 0, 0, 0}; /* nothing embedded yet, empty mapping */
+    k->emb_top = 1;
+    k->slots[slot_of(k, 0)] = 1;
     return 0;
 }
 
@@ -248,8 +308,10 @@ static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
         || !(k->undo = zalloc(depth, sizeof(Undo)))
         || !(k->last_pos = zalloc(n + 1, sizeof(int))))
         return -1;
+    k->slack = MAX_CEILING;
     switch (mode) {
     case MODE_DS:
+        k->slack = ((long long)s + 1) * (n * (n - 1) / 2);
         if (!(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
             || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
             return -1;
@@ -299,6 +361,7 @@ static int ds_push(SeqKernel *k, int c)
         alt[log[i].idx]++;
         alt_last[log[i].idx] = c;
     }
+    k->slack -= (long long)(top - k->log_top);
     k->log_top = top;
     return 1;
 }
@@ -332,45 +395,50 @@ static int formation_push(SeqKernel *k, int c)
     return 1;
 }
 
+/* Raises the embedding of each mapping that c extends, and adds the
+   mappings that first send a pattern letter to c; 0 if an embedding would
+   complete the pattern. */
 static int pattern_push(SeqKernel *k, int c)
 {
-    const u64 base = (u64)k->n + 1, ppow = k->ppow;
-    const size_t mark = k->states_top;
-    size_t top = mark;
-    u64 *states = k->states;
-    for (size_t i = 0; i < mark; i++) {
-        u64 code = states[i], mcode = code % ppow, ncode, rest, q;
-        int kk = (int)(code / ppow), b;
-        /* 64-bit divisions dominate this loop: skip one for pattern letter 1 */
-        u64 npw = k->digit_pow[kk], tgt = (npw > 1 ? mcode / npw : mcode) % base;
-        size_t t;
-        if (tgt == (u64)c) {
-            ncode = code + ppow;
-        } else if (tgt == 0) {
-            /* one division per digit: q is the quotient, rest - q * base the digit */
-            for (b = 0, rest = mcode; b < k->ru; b++, rest = q)
-                if (rest - (q = rest / base) * base == (u64)c)
-                    break;
-            if (b < k->ru) /* c is already the image of another letter */
-                continue;
-            ncode = code + ppow + (u64)c * npw;
-        } else {
-            continue;
-        }
-        if (kk + 1 == k->plen) /* the whole pattern embeds */
-            return 0;
-        for (t = 0; t < top && states[t] != ncode; t++)
-            ;
-        if (t < top)
-            continue;
-        if (top == k->states_cap) {
-            if (!(states = grow(states, &k->states_cap, top + 1, sizeof *states)))
-                return -1;
-            k->states = states;
-        }
-        states[top++] = ncode;
+    const u64 bit = (u64)1 << c;
+    const size_t count = k->emb_top;
+    size_t moves = 0, top = k->log_top;
+    Embedding *fresh = k->fresh;
+    Change *log;
+    if (count > k->fresh_cap) {
+        if (!(fresh = grow(fresh, &k->fresh_cap, count, sizeof *fresh)))
+            return -1;
+        k->fresh = fresh;
     }
-    k->states_top = top;
+    for (size_t i = 0; i < count; i++) {
+        Embedding e = k->emb[i];
+        if (e.want == 0 && !(e.used & bit)) {
+            e.code += (u64)c * k->digit_pow[e.k];
+            e.used |= bit;
+        } else if (e.want != c) {
+            continue;
+        }
+        if (++e.k == k->plen) /* the whole pattern embeds */
+            return 0;
+        e.want = image_of(k, e.code, e.k);
+        fresh[moves++] = e;
+    }
+    if (!(log = log_reserve(k, top + moves)))
+        return -1;
+    for (size_t i = 0; i < moves; i++) {
+        size_t at = k->slots[slot_of(k, fresh[i].code)];
+        if (at == 0) {
+            log[top++] = (Change){(int)k->emb_top, 1, 0};
+            if (emb_append(k, fresh[i]) < 0)
+                return -1;
+        } else if (k->emb[at - 1].k < fresh[i].k) {
+            Embedding *e = &k->emb[at - 1];
+            log[top++] = (Change){(int)(at - 1), 0, (u64)e->k};
+            e->k = fresh[i].k;
+            e->want = fresh[i].want;
+        }
+    }
+    k->log_top = top;
     return 1;
 }
 
@@ -379,7 +447,7 @@ static int seq_push(SeqKernel *k, int c)
 {
     int d = k->length, lp = k->last_pos[c], pushed;
     int new_block = k->max_blocks && (k->block_mask == 0 || (k->block_mask >> c) & 1);
-    size_t mark = k->mode == MODE_PATTERN ? k->states_top : k->log_top;
+    size_t mark = k->log_top;
     if (lp && d + 1 - lp < k->jeff)
         return 0;
     if (k->mode == MODE_DS)
@@ -413,19 +481,24 @@ static void seq_pop(SeqKernel *k)
     k->used_max = u->used_max;
     k->blocks_used = u->blocks_used;
     k->block_mask = u->block_mask;
-    if (k->mode == MODE_PATTERN) {
-        k->states_top = u->mark;
-        return;
-    }
-    for (size_t i = u->mark; i < k->log_top; i++) {
+    if (k->mode == MODE_DS)
+        k->slack += (long long)(k->log_top - u->mark);
+    /* newest first: a pattern push may raise one embedding twice */
+    for (size_t i = k->log_top; i-- > u->mark;) {
         const Change *ch = &k->log[i];
         if (k->mode == MODE_DS) {
             k->alt[ch->idx]--;
             k->alt_last[ch->idx] = (int)ch->old;
-        } else {
+        } else if (k->mode == MODE_FORMATION) {
             if (ch->completed)
                 k->sub_count[ch->idx]--;
             k->sub_partial[ch->idx] = ch->old;
+        } else if (ch->completed) { /* the newest embedding leaves */
+            k->slots[slot_of(k, k->emb[--k->emb_top].code)] = 0;
+        } else {
+            Embedding *e = &k->emb[ch->idx];
+            e->k = (int)ch->old;
+            e->want = image_of(k, e->code, e->k);
         }
     }
     k->log_top = u->mark;
@@ -439,8 +512,10 @@ static void seq_keep(SeqKernel *k)
 }
 
 /* Depth-first search below the current prefix; mirrors `_kernels_py._dfs`
-   on a `SeqState`. Every push after a new best makes another new best, so
-   a pending best is the current prefix until the next pop. */
+   on a `SeqState`, with its alternation budget: below a pushed token it
+   descends only while length + slack > best. Every push after a new best
+   makes another new best, so a pending best is the current prefix until the
+   next pop. */
 static int seq_run(SeqKernel *k)
 {
     int root = k->length, pending = 0;
@@ -479,10 +554,13 @@ static int seq_run(SeqKernel *k)
                 break;
             }
         }
-        if (d + 1 < k->ceiling)
+        if (d + 1 < k->ceiling && d + 1 + k->slack > k->best) {
             k->next[d + 1] = 1;
-        else
+        } else {
+            if (pending)
+                seq_keep(k), pending = 0;
             seq_pop(k);
+        }
     }
     if (pending)
         seq_keep(k);

@@ -5,11 +5,12 @@ exactly: same candidate order, same pruning, same node accounting, so both
 backends return identical (value, witness, nodes, truncated) tuples;
 `backends` picks one at import time.
 
-Each search state offers `depth`, `value`, `candidates()`, `try_push(c)`
-(True if move c was admissible and made), `pop()`, `snapshot()` (a copy
-of the witness) and `prefix()` (the kernel keyword that forces the state).
-A move adds at least as much depth as value, so value + (limit - depth)
-bounds every extension. `_dfs` searches any state on an explicit stack,
+Each search state offers `depth`, `value`, `slack`, `candidates()`,
+`try_push(c)` (True if move c was admissible and made), `pop()`,
+`snapshot()` (a copy of the witness) and `prefix()` (the kernel keyword that
+forces the state). A move adds at least as much depth as value, so
+value + (limit - depth) bounds every extension; after the first move,
+value + slack bounds it too. `_dfs` searches any state on an explicit stack,
 `frontier` splits it for the parallel search. A node is one accepted move:
 a letter or a cell.
 
@@ -36,9 +37,33 @@ class SeqState:
 
     Tracks, per appended token: last occurrence positions (sparsity), run
     counts per letter pair (alternations, DS mode), greedy formation
-    progress per r-subset (formation mode), and the antichain of partial
-    pattern embeddings (pattern mode). DS mode optionally tracks the greedy
-    minimal block partition for block-budgeted searches.
+    progress per r-subset (formation mode), and the partial pattern
+    embeddings (pattern mode). DS mode optionally tracks the greedy minimal
+    block partition for block-budgeted searches.
+
+    Alternation budget (DS mode): `slack` is (s+1) C(n,2) minus the sum of
+    `alt` over all letter pairs, so it is what the pairs can still take
+    before each reaches its cap of s+1 runs. It bounds the tokens still to
+    come once the sequence is nonempty: since jeff >= 2, every token after
+    the first differs from its predecessor p, and the pair {p, c} last saw
+    p, so the token starts a new run of {p, c} and raises its `alt` by one.
+    Block budgets only refuse more tokens, so the bound holds with them too.
+    Other modes have no such budget; their slack is MAX_CEILING, which no
+    search can exceed.
+
+    Pattern embeddings (pattern mode): `reach` maps each partial mapping mp
+    (mp[a-1] the image of pattern letter a, 0 if unmapped) to the greatest
+    k such that the sequence embeds pattern[:k] under mp. One k per mapping
+    is exact: if pattern[:k] and pattern[:k'] with k < k' both embed under
+    mp, every letter of pattern[:k'] is already mapped, so the state at k
+    can only advance along the letters mp fixes, which the state at k' can
+    match no later; whatever the smaller state embeds in a continuation,
+    the larger one embeds on the same push or earlier. The sequence
+    contains the pattern exactly when some state reaches len(pattern).
+    `waiting[x]` holds the mappings whose next pattern letter,
+    pattern[reach[mp]], has image x (0: unmapped), so a push of c visits
+    only waiting[c], which advance, and waiting[0], which may map a letter
+    to c.
     """
 
     def __init__(self, mode, n, j, s=0, r=0, pattern=(), max_blocks=0):
@@ -58,10 +83,17 @@ class SeqState:
         self.blocks_used = 0
         if max_blocks and mode != MODE_DS:
             raise ValueError("block budgets only apply to DS searches")
+        self.slack = MAX_CEILING
         if mode == MODE_DS:
             size = (n + 1) * (n + 1)
             self.alt = [0] * size
             self.alt_last = [0] * size
+            # pair_slots[c]: the slot min(b, c) * (n+1) + max(b, c) of each pair {b, c}
+            self.pair_slots = [
+                [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
+                for c in range(n + 1)
+            ]
+            self.slack = (s + 1) * (n * (n - 1) // 2)
         elif mode == MODE_FORMATION:
             subs = list(combinations(range(1, n + 1), r)) if r <= n else []
             self.sub_full = [sum(1 << v for v in sub) for sub in subs]
@@ -78,10 +110,14 @@ class SeqState:
             if min(self.pattern) < 1:
                 raise ValueError("pattern letters must be positive")
             self.ru = max(self.pattern)
-            # embedding states are packed into 64-bit codes in the compiled twin
+            # mappings are packed into 64-bit codes in the compiled twin
             if (n + 1) ** self.ru * (len(self.pattern) + 1) >= 2**63:
                 raise ValueError("pattern alphabet too large for the state encoding")
-            self.state_stack = [frozenset({(0, (0,) * self.ru)})]
+            self.slot = tuple(a - 1 for a in self.pattern)  # mapping index per position
+            empty = (0,) * self.ru
+            self.reach = {empty: 0}
+            self.waiting = [set() for _ in range(n + 1)]
+            self.waiting[0].add(empty)
         else:
             raise ValueError(f"unknown mode {mode}")
 
@@ -96,7 +132,6 @@ class SeqState:
         if lp and pos - lp < self.jeff:
             return False
         mode = self.mode
-        n = self.n
         extra = None
         prev_mask = self.block_mask
         prev_used = self.blocks_used
@@ -105,19 +140,18 @@ class SeqState:
                 if prev_mask == 0 or (prev_mask >> c) & 1:
                     if prev_used + 1 > self.max_blocks:
                         return False
-            limit = self.s + 1
+            alt, alt_last, s = self.alt, self.alt_last, self.s
             bumps = []
-            for b in range(1, n + 1):
-                if b == c:
-                    continue
-                idx = c * (n + 1) + b if c < b else b * (n + 1) + c
-                if self.alt_last[idx] != c:
-                    if self.alt[idx] + 1 > limit:
+            for idx in self.pair_slots[c]:
+                last = alt_last[idx]
+                if last != c:
+                    if alt[idx] > s:  # the run would be pair idx's (s+2)-th
                         return False
-                    bumps.append((idx, self.alt_last[idx]))
+                    bumps.append((idx, last))
             for idx, _old in bumps:
-                self.alt[idx] += 1
-                self.alt_last[idx] = c
+                alt[idx] += 1
+                alt_last[idx] = c
+            self.slack -= len(bumps)
             extra = bumps
             if self.max_blocks:
                 if prev_mask == 0 or (prev_mask >> c) & 1:
@@ -146,21 +180,30 @@ class SeqState:
                     self.sub_partial[si] = pm | bit
             extra = changes
         else:  # MODE_PATTERN
-            cur = self.state_stack[-1]
-            plen = len(self.pattern)
+            reach, slot, waiting = self.reach, self.slot, self.waiting
+            last = len(slot) - 1
             fresh = []
-            for k, mp in cur:
-                a = self.pattern[k]
-                tgt = mp[a - 1]
-                if tgt == c:
-                    if k + 1 == plen:
+            for mp in waiting[c]:
+                k = reach[mp]
+                if k == last:
+                    return False
+                fresh.append((mp, k + 1))
+            for mp in waiting[0]:
+                if c not in mp:
+                    k = reach[mp]
+                    if k == last:
                         return False
-                    fresh.append((k + 1, mp))
-                elif tgt == 0 and c not in mp:
-                    if k + 1 == plen:
-                        return False
-                    fresh.append((k + 1, mp[: a - 1] + (c,) + mp[a:]))
-            self.state_stack.append(cur | frozenset(fresh))
+                    a = slot[k]
+                    fresh.append((mp[:a] + (c,) + mp[a + 1:], k + 1))
+            extra = []  # (mapping, its k before the push or -1 if new)
+            for mp, k in fresh:
+                old = reach.get(mp, -1)
+                if old < k:
+                    extra.append((mp, old))
+                    if old >= 0:
+                        waiting[mp[slot[old]]].remove(mp)
+                    reach[mp] = k
+                    waiting[mp[slot[k]]].add(mp)
         self.undo.append((c, lp, self.used_max, prev_mask, prev_used, extra))
         self.last_pos[c] = pos
         if c > self.used_max:
@@ -182,13 +225,21 @@ class SeqState:
             for idx, old in extra:
                 self.alt[idx] -= 1
                 self.alt_last[idx] = old
+            self.slack += len(extra)
         elif mode == MODE_FORMATION:
             for si, pm, completed in extra:
                 if completed:
                     self.sub_count[si] -= 1
                 self.sub_partial[si] = pm
         else:
-            self.state_stack.pop()
+            reach, slot, waiting = self.reach, self.slot, self.waiting
+            for mp, old in reversed(extra):  # a mapping may be raised twice
+                waiting[mp[slot[reach[mp]]]].remove(mp)
+                if old < 0:
+                    del reach[mp]
+                else:
+                    reach[mp] = old
+                    waiting[mp[slot[old]]].add(mp)
 
     def snapshot(self):
         return list(self.tokens)
@@ -222,6 +273,7 @@ class MatrixState:
         self.rows = [0] * n
         self.bits = []
         self.depth = self.value = 0
+        self.slack = n * m  # no bound beyond the cells
 
     def candidates(self):
         return (1, 0)
@@ -261,9 +313,11 @@ def _dfs(st, limit, best, witness, node_budget):
     """Depth-first branch-and-bound below state `st`, up to `limit`, on an
     explicit stack. Returns (best, witness, nodes, truncated).
 
-    Subtrees where value + (limit - depth) <= best are skipped; the search
-    stops once best reaches `limit` and sets `truncated` only when
-    `node_budget` (0: none) runs out, checked before every candidate.
+    Subtrees where value + (limit - depth) <= best are skipped, and so are
+    those below a move where value + slack <= best (the state's own bound,
+    which holds once a move is made); the search stops once best reaches
+    `limit` and sets `truncated` only when `node_budget` (0: none) runs out,
+    checked before every candidate.
 
     A new best is copied only when the search first backs out of it or stops
     on it: until then every move raises the value again or leaves the
@@ -286,7 +340,7 @@ def _dfs(st, limit, best, witness, node_budget):
                 if best >= limit:
                     return best, st.snapshot(), nodes, False
                 witness = None
-            if value + (limit - st.depth) > best:
+            if value + (limit - st.depth) > best and value + st.slack > best:
                 stack.append(iter(candidates()))
                 break
             if witness is None:

@@ -16,7 +16,9 @@ configurable length cap and reports exhausted=False if the cap was hit.
 
 These ceilings are worked out here only: each result carries the one its
 search ran under as `ExtremalResult.ceiling`, and the CLI's `estimated_nodes`
-is computed from it.
+is computed from it. Below the ceiling, the DS searches (lambda,
+lambda-blocks) also prune on the alternation budget that the kernels track
+(`_kernels_py.SeqState`).
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`

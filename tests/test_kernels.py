@@ -4,6 +4,7 @@ and the incremental admissibility state must agree with the plain checkers."""
 import random
 import sys
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -308,6 +309,11 @@ class TestStateMatchesCheckers:
             dict(mode=pure.MODE_FORMATION, n=4, j=2, s=2, r=3),
             dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 1)),
             dict(mode=pure.MODE_PATTERN, n=3, j=2, pattern=(1, 2, 2, 1)),
+            # long walks with pops: mappings whose embedding is raised, and
+            # the undo of the raise, on patterns that take many tokens to embed
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 3, 1, 2, 3), steps=30),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 1, 2, 1, 2, 1), steps=30),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 3, 2, 1), steps=30),
         ],
     )
     def test_random_walks(self, kw):
@@ -318,7 +324,7 @@ class TestStateMatchesCheckers:
                 pattern=kw.get("pattern", ()), max_blocks=kw.get("max_blocks", 0),
             )
             tokens = []
-            for _step in range(14):
+            for _step in range(kw.get("steps", 14)):
                 c = rng.randint(1, min(st.used_max + 1, kw["n"]))
                 accepted = st.try_push(c)
                 expected = _admissible_by_checkers(kw, tokens + [c])
@@ -328,6 +334,40 @@ class TestStateMatchesCheckers:
                     if rng.random() < 0.2:
                         st.pop()
                         tokens.pop()
+
+
+class _NoBudget(pure.SeqState):
+    """A sequence state whose alternation budget never binds."""
+
+    slack = property(lambda self: pure.MAX_CEILING, lambda self, value: None)
+
+
+def test_alternation_budget_against_unbudgeted_search(monkeypatch):
+    """The budget changes no value, witness or truncation flag of a DS
+    search, with or without a block budget, and never adds a node."""
+
+    def search(n, s, j, blocks):
+        ceiling = s * comb(n, 2) + 1
+        if blocks:
+            ceiling = min(ceiling, n * blocks)
+        return pure.seq_search(pure.MODE_DS, n, j, ceiling, s=s, max_blocks=blocks)
+
+    # DS searches are at least 2-sparse, so j = 1 is the j = 2 search
+    assert pure.SeqState(pure.MODE_DS, 3, 1).jeff == pure.SeqState(pure.MODE_DS, 3, 2).jeff
+    grid = list(product(range(1, 6), range(1, 5), (2, 3), range(4)))
+    budgeted = [search(*case) for case in grid]
+    monkeypatch.setattr(pure, "SeqState", _NoBudget)
+    for case, res in zip(grid, budgeted):
+        if case == (5, 4, 2, 0):
+            # lambda_4(5) without the budget: 1,633,625 nodes, about 10 s on
+            # the pure twin, so that search's result is pinned, not rerun
+            ref = (22, [1, 2, 1, 2, 3, 2, 4, 2, 4, 3, 4, 1, 4, 5, 4, 5, 1, 5, 3, 5, 3, 1],
+                   1_633_625, False)
+        else:
+            ref = search(*case)
+        assert (res[0], res[1], res[3]) == (ref[0], ref[1], ref[3]), case
+        assert res[2] <= ref[2], case
+    assert budgeted[grid.index((5, 4, 2, 0))][2] == 1_443_083
 
 
 def test_masks_contain_matches_public_checker():

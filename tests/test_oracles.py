@@ -164,6 +164,24 @@ class TestPattern:
         assert res.value == 12 and not res.exhausted
 
 
+class TestNodeCounts:
+    """Exact node counts: the alternation budget prunes the DS searches
+    (lambda, lambda-blocks); pattern searches have no budget."""
+
+    def test_ds_searches(self):
+        for res, value, nodes in (
+            (oracle_lambda(4, 5, override_caps=True), 23, 35_119),
+            (oracle_lambda(5, 3), 17, 14_346),
+            (oracle_lambda_blocks(4, 4, 4), 14, 4_960),
+        ):
+            assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
+
+    def test_alternation_pattern(self, compiled_backend):  # ~2 s on the pure kernels
+        # the same tree as lambda_5(4) without the alternation budget
+        res = oracle_pattern(parse_pattern("a b a b a b a"), 2, 4, override_caps=True)
+        assert (res.value, res.nodes_explored, res.exhausted) == (23, 243_326, True)
+
+
 def test_greedy_partition_is_minimal():
     """The greedy cut must match the brute-force minimum over all partitions
     into distinct-letter blocks (this is what lets the block oracle search
