@@ -694,14 +694,19 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
         Py_DECREF(seq);
         return value_error("p_rows must hold pn row masks");
     }
+    /* Only the low 64 bits of a pattern row are read: m <= 62, and `contains`
+       returns early when pm > m. Equal rows are decided on the whole ints,
+       so the row-order rule fires exactly when the pure twin's does. */
     k->equal_rows = 1;
     for (int u = 0; u < pn; u++) {
-        k->p_rows[u] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, u));
-        if (k->p_rows[u] == (u64)-1 && PyErr_Occurred()) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, u);
+        int same = u ? PyObject_RichCompareBool(item, PySequence_Fast_GET_ITEM(seq, 0), Py_EQ) : 1;
+        if (same < 0 || ((k->p_rows[u] = PyLong_AsUnsignedLongLongMask(item)) == (u64)-1
+                         && PyErr_Occurred())) {
             Py_DECREF(seq);
             return -1;
         }
-        k->equal_rows &= k->p_rows[u] == k->p_rows[0];
+        k->equal_rows &= same;
     }
     Py_DECREF(seq);
     return 0;

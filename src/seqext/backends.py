@@ -18,10 +18,10 @@ if _choice in ("auto", ""):
     except ImportError:
         _impl = _kernels_py
         BACKEND = "pure"
-elif _choice in ("pure", "py", "python"):
+elif _choice == "pure":
     _impl = _kernels_py
     BACKEND = "pure"
-elif _choice in ("compiled", "c"):
+elif _choice == "compiled":
     from . import _ckernels as _impl
 
     BACKEND = "compiled"

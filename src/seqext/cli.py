@@ -234,6 +234,8 @@ def _cmd_verify(args) -> int:
             report.check(f"pattern:{rest}", not checks.contains_pattern(flat, u))
         elif name == "lambda-prime":
             s = int(rest)
+            if s < 1:
+                raise ValueError("s must be >= 1")
             target = blocked if blocked is not None else BlockedSequence((flat.tokens,))
             cooc = matrices.max_pair_cooccurrence(target)
             report.check(f"lambda-prime:{s}", cooc <= s, cooc, s)
@@ -294,41 +296,29 @@ def _cmd_oracle(args) -> int:
 def _cmd_bound(args) -> int:
     kind = args.kind
     report = Report(f"bound {kind}", {})
+    limits = dict(override_caps=args.override_caps, threads=args.threads)
     if kind == "kst":
         n, m, a, b = _require(args, ["n", "m", "a", "b"])
         report.params = {"n": n, "m": m, "a": a, "b": b}
         bound = matrices.kst_bound(n, m, a, b)
-        report.results["bound"] = bound
-        if args.compare_oracle:
-            res = oracles.oracle_ex_matrix(
-                n, m, all_ones(a, b), override_caps=args.override_caps, threads=args.threads
-            )
-            report.results["oracle_value"] = res.value
-            report.check("oracle<=bound", res.value <= bound, res.value, bound)
+        oracle = lambda: oracles.oracle_ex_matrix(n, m, all_ones(a, b), **limits)
     elif kind == "ds-ceiling":
         n, s = _require(args, ["n", "s"])
         j = args.j if args.j is not None else 2
         report.params = {"n": n, "s": s}
         bound = oracles.lambda_ceiling(n, s)
-        report.results["bound"] = bound
-        if args.compare_oracle:
-            res = oracles.oracle_lambda(
-                n, s, j, override_caps=args.override_caps, threads=args.threads
-            )
-            report.results["oracle_value"] = res.value
-            report.check("oracle<=bound", res.value <= bound, res.value, bound)
+        oracle = lambda: oracles.oracle_lambda(n, s, j, **limits)
     else:  # formation-ceiling
         n, r, s = _require(args, ["n", "r", "s"])
         j = args.j if args.j is not None else r
         report.params = {"n": n, "r": r, "s": s}
         bound = oracles.formation_ceiling(n, r, s)
-        report.results["bound"] = bound
-        if args.compare_oracle:
-            res = oracles.oracle_formation(
-                n, r, s, j, override_caps=args.override_caps, threads=args.threads
-            )
-            report.results["oracle_value"] = res.value
-            report.check("oracle<=bound", res.value <= bound, res.value, bound)
+        oracle = lambda: oracles.oracle_formation(n, r, s, j, **limits)
+    report.results["bound"] = bound
+    if args.compare_oracle:
+        value = oracle().value
+        report.results["oracle_value"] = value
+        report.check("oracle<=bound", value <= bound, value, bound)
     return report.emit(args.json)
 
 
@@ -359,11 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, threads=True):
+    def common(sp, *, search=False):
         sp.add_argument("--json", action="store_true", help="emit a stable JSON report")
-        sp.add_argument("--override-caps", action="store_true",
-                        help="lift the default search-size caps")
-        if threads:
+        if search:
+            sp.add_argument("--override-caps", action="store_true",
+                            help="lift the default search-size caps")
             sp.add_argument("--threads", type=int, default=1,
                             help="worker processes for oracle search (results are schedule-independent)")
 
@@ -373,13 +363,13 @@ def _build_parser() -> argparse.ArgumentParser:
         pc.add_argument(f"--{flag}", type=int)
     pc.add_argument("--c", type=float, default=1.0)
     pc.add_argument("--out", help="file prefix for the witness (and trace)")
-    common(pc, threads=False)
+    common(pc)
 
     pv = sub.add_parser("verify", help="run predicates against a sequence file")
     pv.add_argument("file")
     pv.add_argument("checks", nargs="+", metavar="CHECK",
                     help="sparse:J ds:S formation:R:S pattern:SPEC lambda-prime:S")
-    common(pv, threads=False)
+    common(pv)
 
     po = sub.add_parser("oracle", help="exact extremal value by exhaustive search")
     po.add_argument("function", choices=[
@@ -388,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("n", "m", "s", "r", "j"):
         po.add_argument(f"--{flag}", type=int)
     po.add_argument("--pattern", help="pattern: Ra,b | (ab)^s | file | inline text")
-    common(po)
+    common(po, search=True)
 
     pb = sub.add_parser("bound", help="evaluate an upper-bound formula")
     pb.add_argument("kind", choices=["kst", "ds-ceiling", "formation-ceiling"])
@@ -396,14 +386,14 @@ def _build_parser() -> argparse.ArgumentParser:
         pb.add_argument(f"--{flag}", type=int)
     pb.add_argument("--compare-oracle", action="store_true",
                     help="also run the oracle and check value <= bound")
-    common(pb)
+    common(pb, search=True)
 
     pcv = sub.add_parser("convert", help="blocked sequence <-> incidence matrix")
     pcv.add_argument("direction", choices=["blocks-to-matrix", "matrix-to-blocks"])
     pcv.add_argument("file")
     pcv.add_argument("--n", type=int, help="row count override for blocks-to-matrix")
     pcv.add_argument("--out", help="output file")
-    common(pcv, threads=False)
+    common(pcv)
     return p
 
 

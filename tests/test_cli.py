@@ -101,6 +101,7 @@ class TestVerify:
         ("formation:2:0", "s must be >= 1"),
         ("formation:0:2", "r must be >= 1"),
         ("sparse:0", "sparsity parameter must be >= 1"),
+        ("lambda-prime:0", "s must be >= 1"),
     ])
     def test_zero_parameter_exits_2(self, capsys, tmp_path, spec, message):
         f = tmp_path / "s.seq"
@@ -215,6 +216,16 @@ class TestOracle:
         )
         assert code == 0 and payload["results"]["value"] == 6
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_pattern_wider_than_a_row_mask(self, capsys, request, backend):
+        # 65 columns do not fit a 64-bit mask; wider than the host, P never occurs
+        if backend == "compiled":
+            request.getfixturevalue("compiled_backend")
+        code, payload, err = run_json(
+            capsys, "oracle", "ex-matrix", "--n", "2", "--m", "2", "--pattern", "R2,65"
+        )
+        assert (code, payload["results"]["value"], err) == (0, 4, "")
+
     def test_formation(self, capsys):
         code, payload, _ = run_json(
             capsys, "oracle", "formation",
@@ -314,6 +325,16 @@ class TestBound:
         )
         assert code == 0 and payload["results"]["bound"] == 18
 
+    def test_formation_ceiling_compare(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "bound", "formation-ceiling", "--n", "3", "--r", "2", "--s", "2",
+            "--compare-oracle",
+        )
+        assert code == 0 and payload["results"]["oracle_value"] == 5
+        assert payload["checks"] == [
+            {"name": "oracle<=bound", "pass": True, "measured": 5, "bound": 18}
+        ]
+
     def test_kst_compare(self, capsys):
         code, payload, _ = run_json(
             capsys, "bound", "kst", "--n", "4", "--m", "4", "--a", "2", "--b", "2",
@@ -376,3 +397,16 @@ class TestJsonStability:
             assert code == 0
             outs.append(scrub(capsys.readouterr().out))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "block", "--n", "2", "--s", "2"),
+    ("verify", "w.seq", "sparse:2"),
+    ("convert", "matrix-to-blocks", "m.txt"),
+])
+def test_search_options_only_on_searches(capsys, argv):
+    for option in ("--override-caps", "--threads=2"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err

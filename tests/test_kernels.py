@@ -1,6 +1,7 @@
 """Backend fidelity: the pure and compiled kernels must traverse identically,
 and the incremental admissibility state must agree with the plain checkers."""
 
+import importlib.util
 import random
 import sys
 from itertools import product
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import brute_ex_matrix, random_sequence
 from seqext import _kernels_py as pure
-from seqext import checks, matrices
+from seqext import backends, checks, matrices
 from seqext.backends import backend_name
 from seqext.oracles import _greedy_blocks
 from seqext.sequences import PatternSequence, Sequence
@@ -31,6 +32,12 @@ SEQ_CASES = [
     dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=96, pattern=(1, 2, 2, 1)),
     dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=9, pattern=(1, 1, 1)),
     dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=40, pattern=(1, 2, 3, 1, 2)),
+    dict(mode=pure.MODE_DS, n=5, j=2, ceiling=31, s=3),
+    dict(mode=pure.MODE_DS, n=4, j=2, ceiling=31, s=5),
+    dict(mode=pure.MODE_DS, n=4, j=1, ceiling=16, s=4, max_blocks=4),
+    dict(mode=pure.MODE_FORMATION, n=4, j=2, ceiling=48, s=3, r=2),
+    dict(mode=pure.MODE_PATTERN, n=5, j=2, ceiling=54, pattern=(1, 2, 1, 2)),
+    dict(mode=pure.MODE_PATTERN, n=6, j=3, ceiling=1296, pattern=(1, 2, 3, 1, 2, 3)),
 ]
 
 MATRIX_CASES = [
@@ -42,6 +49,9 @@ MATRIX_CASES = [
     (3, 4, (1, 2, 2), 3, 2),
     (4, 3, (2, 5), 2, 3),
     (4, 5, (5, 5), 2, 3),
+    (5, 5, (7, 7), 2, 3),
+    # rows wider than 64 bits: P is wider than the host, so it never occurs
+    (2, 2, ((1 << 65) - 1,) * 2, 2, 65),
 ]
 
 
@@ -67,6 +77,13 @@ class TestBackendEquality:
             assert pure.seq_search(**kw, **extra) == tuple(
                 compiled.seq_search(**kw, **extra)
             )
+        for search, args, budget in (
+            ("seq_search", (pure.MODE_DS, 5, 2, 31), dict(s=3, node_budget=5000)),
+            ("matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=500)),
+        ):
+            res = getattr(pure, search)(*args, **budget)
+            assert res == tuple(getattr(compiled, search)(*args, **budget))
+            assert res[3], f"the node budget of {search}{args} did not run out"
         for budget in range(1, 301):
             res = pure.matrix_search(3, 3, (3, 3), 2, 2, node_budget=budget)
             assert res == tuple(compiled.matrix_search(3, 3, (3, 3), 2, 2, node_budget=budget))
@@ -171,6 +188,14 @@ def test_pure_kernels_at_documented_limits(monkeypatch):
 
 def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
+
+
+@pytest.mark.parametrize("value", ["py", "python", "c", "cython"])
+def test_unknown_kernels_value_raises(monkeypatch, value):
+    monkeypatch.setenv("SEQEXT_KERNELS", value)
+    spec = importlib.util.spec_from_file_location("seqext.backends", backends.__file__)
+    with pytest.raises(RuntimeError, match="unknown SEQEXT_KERNELS value"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def test_backend_differential_fuzz(compiled):
