@@ -3,12 +3,14 @@
  *
  * Same candidate order, same pruning, same node accounting, so both twins
  * return identical (best, witness, nodes, truncated) tuples; `_kernels_py`
- * documents the algorithm. Both searches, `seq_run` and `matrix_run`, are
- * the explicit-stack loop of `_kernels_py._dfs` specialised to one state, so
- * their depth (up to the 50,000 ceiling or cell limit) never touches the C
- * stack. Both also copy a new best the way `_dfs` does: only when the search
- * first backs out of it or stops on it, so a straight path of any depth
- * costs one copy. Build in place with `python setup.py build_ext --inplace`.
+ * documents the algorithm. The shape is the pure twin's as well: each
+ * kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of `SeqState`
+ * and `MatrixState`) embeds a `Search` and supplies its moves, push, pop and
+ * keep; one loop, `dfs`, searches either of them on an explicit stack, as
+ * `_kernels_py._dfs` does, so the depth (up to the 50,000 ceiling or cell
+ * limit) never touches the C stack; and one entry, `run`, forces a prefix
+ * and starts `dfs` below it. Build in place with
+ * `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -72,6 +74,130 @@ static PyObject *parse_failed(void)
 }
 
 /* ------------------------------------------------------------------------ */
+/* The search                                                               */
+
+/* A search state, embedded as the first member of each kernel. The moves
+   at the current state are 1..last; push(s, c) makes move c if it is
+   admissible (1 made, 0 refused with the state untouched, -1 on error) and
+   pop(s) undoes the newest move, both keeping `last` up to date; keep(s)
+   copies the current state into the witness. These are the counterparts of
+   `candidates()`, `try_push`, `pop` and `snapshot()`; `last` is a field
+   because `dfs` reads it before every candidate. A move adds at least as
+   much depth as value, so value + (limit - depth) bounds every extension;
+   after the first move, value + slack bounds it too. */
+typedef struct Search Search;
+struct Search {
+    int depth, value, limit, last, best, truncated;
+    long long slack, node_budget, nodes;
+    int *next; /* next[d]: the next move to try at depth d */
+    int (*push)(Search *, int);
+    void (*pop)(Search *);
+    void (*keep)(Search *);
+};
+
+/* Depth-first branch-and-bound below the current state; `_kernels_py._dfs`
+   line for line. The node budget (0: none) is checked before every
+   candidate, a node is one accepted move, and the search stops once best
+   reaches `limit`. A new best is kept only when the search first backs out
+   of it or stops on it: until then every move raises the value again or
+   leaves the witness as it is (a 0-cell), so a straight path of any depth
+   costs one copy. */
+static int dfs(Search *s)
+{
+    const int root = s->depth;
+    int pending = 0; /* the current state is a best not yet kept */
+    if (s->value + (s->limit - root) <= s->best)
+        return 0;
+    s->next[root] = 1;
+    for (;;) {
+        int c = s->next[s->depth], pushed;
+        if (c > s->last) {
+            if (s->depth == root)
+                break;
+            if (pending)
+                s->keep(s), pending = 0;
+            s->pop(s);
+            continue;
+        }
+        if (s->node_budget && s->nodes >= s->node_budget) {
+            s->truncated = 1;
+            break;
+        }
+        s->next[s->depth] = c + 1;
+        pushed = s->push(s, c);
+        if (pushed <= 0) {
+            if (pushed < 0)
+                return -1;
+            continue;
+        }
+        if (count_node(&s->nodes) < 0)
+            return -1;
+        if (s->value > s->best) {
+            s->best = s->value;
+            pending = 1;
+            if (s->best >= s->limit)
+                break;
+        }
+        if (s->value + (s->limit - s->depth) > s->best && s->value + s->slack > s->best) {
+            s->next[s->depth] = 1;
+        } else {
+            if (pending)
+                s->keep(s), pending = 0;
+            s->pop(s);
+        }
+    }
+    if (pending)
+        s->keep(s);
+    return 0;
+}
+
+/* Force `prefix` (NULL: none), then search below it from a best of at least
+   `initial_best`. The prefix may hold at most `limit` items, each in lo..hi;
+   item v is move v, and a matrix's item 0 (a 0-cell) is its move 2. The
+   three texts are the kernel's errors for a non-sequence, an item out of
+   range and a refused move (a format that may show the prefix as %R). */
+static int run(Search *s, PyObject *prefix, int lo, int hi, int initial_best,
+               const char *not_sequence, const char *out_of_range, const char *refused)
+{
+    PyObject *seq = NULL;
+    Py_ssize_t plen = 0;
+    int status = -1, bad;
+    if (prefix) {
+        if (!(seq = PySequence_Fast(prefix, not_sequence)))
+            return -1;
+        plen = PySequence_Fast_GET_SIZE(seq);
+        bad = plen > s->limit;
+        for (Py_ssize_t i = 0; i < plen && !bad; i++) {
+            int overflow;
+            long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
+            if (v == -1 && PyErr_Occurred())
+                goto done;
+            bad = overflow || v < lo || v > hi;
+        }
+        if (bad) {
+            value_error(out_of_range);
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < plen; i++) {
+            int v = (int)PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
+            int pushed = s->push(s, v ? v : 2);
+            if (pushed < 0)
+                goto done;
+            if (pushed == 0) {
+                PyErr_Format(PyExc_ValueError, refused, prefix);
+                goto done;
+            }
+        }
+    }
+    s->best = initial_best > s->value ? initial_best : s->value;
+    s->keep(s);
+    status = dfs(s);
+done:
+    Py_XDECREF(seq);
+    return status;
+}
+
+/* ------------------------------------------------------------------------ */
 /* Sequence search                                                          */
 
 typedef struct {
@@ -95,14 +221,15 @@ typedef struct {
     int want; /* image of pattern[k], 0 if that letter is unmapped */
 } Embedding;
 
+/* The counterpart of `SeqState`: depth and value are the length, limit is
+   the ceiling and last is min(used_max + 1, n); slack is, in DS mode, the
+   runs the letter pairs can still take (see `SeqState`), else MAX_CEILING. */
 typedef struct {
-    int mode, n, jeff, s, max_blocks, ceiling;
-    long long node_budget, nodes;
-    long long slack; /* DS: runs the letter pairs can still take; see `SeqState` */
-    int length, used_max, blocks_used, best, best_len, truncated, done;
+    Search search;
+    int mode, n, jeff, s, max_blocks;
+    int used_max, blocks_used, best_len;
     u64 block_mask;
     int *tokens, *best_tokens, *last_pos;
-    int *next; /* next[d]: next letter to try after a prefix of length d */
     Undo *undo;
     Change *log;
     size_t log_top, log_cap;
@@ -130,7 +257,7 @@ typedef struct {
 
 static void seq_free(SeqKernel *k)
 {
-    void *bufs[] = {k->tokens, k->best_tokens, k->last_pos, k->next, k->undo,
+    void *bufs[] = {k->tokens, k->best_tokens, k->last_pos, k->search.next, k->undo,
                     k->log, k->alt, k->alt_last, k->sub_full, k->sub_partial,
                     k->sub_count, k->letter_sub_data, k->letter_sub_start,
                     k->pattern, k->digit_pow, k->emb, k->fresh, k->slots};
@@ -284,48 +411,6 @@ static int pattern_init(SeqKernel *k, PyObject *pattern)
     return 0;
 }
 
-static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
-                    int r, PyObject *pattern, int max_blocks, long long node_budget)
-{
-    size_t depth = (size_t)ceiling + 1;
-    memset(k, 0, sizeof *k);
-    if (n < 1 || n > MAX_LETTERS)
-        return value_error("letter count must be in 1..60");
-    if (ceiling < 0 || ceiling > MAX_CEILING)
-        return value_error("ceiling must be in 0..50000");
-    if (max_blocks && mode != MODE_DS)
-        return value_error("block budgets only apply to DS searches");
-    k->mode = mode;
-    k->n = n;
-    k->jeff = mode == MODE_DS && j < 2 ? 2 : j;
-    k->s = s;
-    k->max_blocks = max_blocks;
-    k->ceiling = ceiling;
-    k->node_budget = node_budget;
-    if (!(k->tokens = zalloc(depth, sizeof(int)))
-        || !(k->best_tokens = zalloc(depth, sizeof(int)))
-        || !(k->next = zalloc(depth, sizeof(int)))
-        || !(k->undo = zalloc(depth, sizeof(Undo)))
-        || !(k->last_pos = zalloc(n + 1, sizeof(int))))
-        return -1;
-    k->slack = MAX_CEILING;
-    switch (mode) {
-    case MODE_DS:
-        k->slack = ((long long)s + 1) * (n * (n - 1) / 2);
-        if (!(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
-            || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
-            return -1;
-        return 0;
-    case MODE_FORMATION:
-        return formation_init(k, r);
-    case MODE_PATTERN:
-        return pattern_init(k, pattern);
-    default:
-        PyErr_Format(PyExc_ValueError, "unknown mode %d", mode);
-        return -1;
-    }
-}
-
 /* The change log with room for `need` entries; NULL (MemoryError) on failure. */
 static Change *log_reserve(SeqKernel *k, size_t need)
 {
@@ -361,7 +446,7 @@ static int ds_push(SeqKernel *k, int c)
         alt[log[i].idx]++;
         alt_last[log[i].idx] = c;
     }
-    k->slack -= (long long)(top - k->log_top);
+    k->search.slack -= (long long)(top - k->log_top);
     k->log_top = top;
     return 1;
 }
@@ -442,10 +527,17 @@ static int pattern_push(SeqKernel *k, int c)
     return 1;
 }
 
-/* Append letter c if the sequence stays admissible; mirrors `SeqState.try_push`. */
-static int seq_push(SeqKernel *k, int c)
+/* The letters 1..min(used_max + 1, n); mirrors `SeqState.candidates`. */
+static int seq_last(const SeqKernel *k)
 {
-    int d = k->length, lp = k->last_pos[c], pushed;
+    return k->used_max < k->n ? k->used_max + 1 : k->n;
+}
+
+/* Append letter c if the sequence stays admissible; mirrors `SeqState.try_push`. */
+static int seq_push(Search *s, int c)
+{
+    SeqKernel *k = (SeqKernel *)s;
+    int d = s->depth, lp = k->last_pos[c], pushed;
     int new_block = k->max_blocks && (k->block_mask == 0 || (k->block_mask >> c) & 1);
     size_t mark = k->log_top;
     if (lp && d + 1 - lp < k->jeff)
@@ -469,20 +561,23 @@ static int seq_push(SeqKernel *k, int c)
     if (c > k->used_max)
         k->used_max = c;
     k->tokens[d] = c;
-    k->length = d + 1;
+    s->depth = s->value = d + 1;
+    s->last = seq_last(k);
     return 1;
 }
 
-static void seq_pop(SeqKernel *k)
+static void seq_pop(Search *s)
 {
-    int d = --k->length, c = k->tokens[d];
+    SeqKernel *k = (SeqKernel *)s;
+    int d = s->value = --s->depth, c = k->tokens[d];
     const Undo *u = &k->undo[d];
     k->last_pos[c] = u->last_pos;
     k->used_max = u->used_max;
     k->blocks_used = u->blocks_used;
     k->block_mask = u->block_mask;
+    s->last = seq_last(k);
     if (k->mode == MODE_DS)
-        k->slack += (long long)(k->log_top - u->mark);
+        s->slack += (long long)(k->log_top - u->mark);
     /* newest first: a pattern push may raise one embedding twice */
     for (size_t i = k->log_top; i-- > u->mark;) {
         const Change *ch = &k->log[i];
@@ -504,67 +599,54 @@ static void seq_pop(SeqKernel *k)
     k->log_top = u->mark;
 }
 
-/* Copy the current prefix, a best not yet copied, into the witness. */
-static void seq_keep(SeqKernel *k)
+/* Copy the current prefix into the witness. */
+static void seq_keep(Search *s)
 {
-    memcpy(k->best_tokens, k->tokens, (size_t)k->length * sizeof(int));
-    k->best_len = k->length;
+    SeqKernel *k = (SeqKernel *)s;
+    memcpy(k->best_tokens, k->tokens, (size_t)s->depth * sizeof(int));
+    k->best_len = s->depth;
 }
 
-/* Depth-first search below the current prefix; mirrors `_kernels_py._dfs`
-   on a `SeqState`, with its alternation budget: below a pushed token it
-   descends only while length + slack > best. Every push after a new best
-   makes another new best, so a pending best is the current prefix until the
-   next pop. */
-static int seq_run(SeqKernel *k)
+static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
+                    int r, PyObject *pattern, int max_blocks, long long node_budget)
 {
-    int root = k->length, pending = 0;
-    if (k->done || root >= k->ceiling)
-        return 0;
-    k->next[root] = 1;
-    for (;;) {
-        int d = k->length, c = k->next[d], pushed;
-        int cmax = k->used_max + 1 < k->n ? k->used_max + 1 : k->n;
-        if (c > cmax) {
-            if (d == root)
-                break;
-            if (pending)
-                seq_keep(k), pending = 0;
-            seq_pop(k);
-            continue;
-        }
-        if (k->node_budget && k->nodes >= k->node_budget) {
-            k->truncated = 1;
-            break;
-        }
-        k->next[d] = c + 1;
-        pushed = seq_push(k, c);
-        if (pushed <= 0) {
-            if (pushed < 0)
-                return -1;
-            continue;
-        }
-        if (count_node(&k->nodes) < 0)
+    size_t depth = (size_t)ceiling + 1;
+    memset(k, 0, sizeof *k);
+    if (n < 1 || n > MAX_LETTERS)
+        return value_error("letter count must be in 1..60");
+    if (ceiling < 0 || ceiling > MAX_CEILING)
+        return value_error("ceiling must be in 0..50000");
+    if (max_blocks && mode != MODE_DS)
+        return value_error("block budgets only apply to DS searches");
+    k->mode = mode;
+    k->n = n;
+    k->jeff = mode == MODE_DS && j < 2 ? 2 : j;
+    k->s = s;
+    k->max_blocks = max_blocks;
+    k->search = (Search){.limit = ceiling, .last = 1, .slack = MAX_CEILING,
+                         .node_budget = node_budget, .push = seq_push, .pop = seq_pop,
+                         .keep = seq_keep};
+    if (!(k->tokens = zalloc(depth, sizeof(int)))
+        || !(k->best_tokens = zalloc(depth, sizeof(int)))
+        || !(k->search.next = zalloc(depth, sizeof(int)))
+        || !(k->undo = zalloc(depth, sizeof(Undo)))
+        || !(k->last_pos = zalloc(n + 1, sizeof(int))))
+        return -1;
+    switch (mode) {
+    case MODE_DS:
+        k->search.slack = ((long long)s + 1) * (n * (n - 1) / 2);
+        if (!(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
+            || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
             return -1;
-        if (d + 1 > k->best) {
-            k->best = d + 1;
-            pending = 1;
-            if (k->best >= k->ceiling) {
-                k->done = 1;
-                break;
-            }
-        }
-        if (d + 1 < k->ceiling && d + 1 + k->slack > k->best) {
-            k->next[d + 1] = 1;
-        } else {
-            if (pending)
-                seq_keep(k), pending = 0;
-            seq_pop(k);
-        }
+        return 0;
+    case MODE_FORMATION:
+        return formation_init(k, r);
+    case MODE_PATTERN:
+        return pattern_init(k, pattern);
+    default:
+        PyErr_Format(PyExc_ValueError, "unknown mode %d", mode);
+        return -1;
     }
-    if (pending)
-        seq_keep(k);
-    return 0;
 }
 
 static PyObject *int_list(const int *items, int count)
@@ -593,10 +675,9 @@ static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"mode", "n", "j", "ceiling", "s", "r", "pattern", "max_blocks",
                              "node_budget", "prefix", "initial_best", NULL};
-    int mode, n, j, ceiling, s = 0, r = 0, max_blocks = 0, initial_best = -1, bad;
+    int mode, n, j, ceiling, s = 0, r = 0, max_blocks = 0, initial_best = -1;
     long long node_budget = 0;
-    PyObject *pattern = NULL, *prefix = NULL, *seq = NULL, *result = NULL;
-    Py_ssize_t plen = 0;
+    PyObject *pattern = NULL, *prefix = NULL, *result = NULL;
     SeqKernel k;
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiii|iiOiLOi", kwlist, &mode, &n, &j,
@@ -604,44 +685,14 @@ static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
                                      &prefix, &initial_best))
         return parse_failed();
     if (seq_init(&k, mode, n, j, ceiling, s, r, pattern ? pattern : Py_None, max_blocks,
-                 node_budget) < 0)
+                 node_budget) < 0
+        || run(&k.search, prefix, 1, n, initial_best, "prefix must be a sequence",
+               "forced prefix must fit the ceiling and letter range",
+               "forced prefix %R is not admissible") < 0)
         goto done;
-    if (prefix) {
-        if (!(seq = PySequence_Fast(prefix, "prefix must be a sequence")))
-            goto done;
-        plen = PySequence_Fast_GET_SIZE(seq);
-        bad = plen > ceiling;
-        for (Py_ssize_t i = 0; i < plen && !bad; i++) {
-            int overflow;
-            long tok = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-            if (tok == -1 && PyErr_Occurred())
-                goto done;
-            bad = overflow || tok < 1 || tok > n;
-        }
-        if (bad) {
-            value_error("forced prefix must fit the ceiling and letter range");
-            goto done;
-        }
-        for (Py_ssize_t i = 0; i < plen; i++) {
-            int pushed = seq_push(&k, (int)PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i)));
-            if (pushed < 0)
-                goto done;
-            if (pushed == 0) {
-                PyErr_Format(PyExc_ValueError, "forced prefix %R is not admissible", prefix);
-                goto done;
-            }
-        }
-    }
-    k.best = initial_best > plen ? initial_best : (int)plen;
-    k.best_len = (int)plen;
-    memcpy(k.best_tokens, k.tokens, (size_t)plen * sizeof(int));
-    k.done = k.best >= ceiling;
-    if (seq_run(&k) < 0)
-        goto done;
-    result = Py_BuildValue("(iNLO)", k.best, int_list(k.best_tokens, k.best_len), k.nodes,
-                           k.truncated ? Py_True : Py_False);
+    result = Py_BuildValue("(iNLO)", k.search.best, int_list(k.best_tokens, k.best_len),
+                           k.search.nodes, k.search.truncated ? Py_True : Py_False);
 done:
-    Py_XDECREF(seq);
     seq_free(&k);
     return result;
 }
@@ -649,13 +700,17 @@ done:
 /* ------------------------------------------------------------------------ */
 /* Matrix search                                                            */
 
+/* The counterpart of `MatrixState`: depth is the cells filled row-major,
+   value the ones among them; limit and slack are the cell count (no bound
+   beyond the cells). Its moves are 1 and 2, in the order of
+   `MatrixState.candidates`: move 1 sets the next cell to 1, move 2 to 0. */
 typedef struct {
-    int n, m, pn, pm, total, best, truncated, done;
+    Search search;
+    int n, m, pn, pm;
+    int row, col; /* the next cell: depth = row * m + col */
     int equal_rows; /* every pattern row is equal: the row-order rule applies */
-    long long node_budget, nodes;
     u64 *rows, *best_rows, *p_rows;
     int *sel;
-    unsigned char *branch; /* per cell: 0 untried, 1 in its 1-branch, 2 in its 0-branch */
 } MatrixKernel;
 
 static void matrix_free(MatrixKernel *k)
@@ -664,52 +719,7 @@ static void matrix_free(MatrixKernel *k)
     PyMem_Free(k->best_rows);
     PyMem_Free(k->p_rows);
     PyMem_Free(k->sel);
-    PyMem_Free(k->branch);
-}
-
-static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, int pm,
-                       long long node_budget)
-{
-    PyObject *seq;
-    memset(k, 0, sizeof *k);
-    if (n < 1 || m < 1 || m > MAX_COLUMNS)
-        return value_error("need 1 <= n and 1 <= m <= 62");
-    if ((long long)n * m > MAX_CELLS)
-        return value_error("cell count exceeds the 50000 search limit");
-    if (pn < 0 || pm < 0)
-        return value_error("pattern dimensions must be non-negative");
-    k->n = n;
-    k->m = m;
-    k->pn = pn;
-    k->pm = pm;
-    k->total = n * m;
-    k->node_budget = node_budget;
-    if (!(k->rows = zalloc(n, sizeof(u64))) || !(k->best_rows = zalloc(n, sizeof(u64)))
-        || !(k->p_rows = zalloc(pn, sizeof(u64))) || !(k->sel = zalloc(pn, sizeof(int)))
-        || !(k->branch = zalloc((size_t)k->total + 1, 1)))
-        return -1;
-    if (!(seq = PySequence_Fast(p_rows, "p_rows must be a sequence")))
-        return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != pn) {
-        Py_DECREF(seq);
-        return value_error("p_rows must hold pn row masks");
-    }
-    /* Only the low 64 bits of a pattern row are read: m <= 62, and `contains`
-       returns early when pm > m. Equal rows are decided on the whole ints,
-       so the row-order rule fires exactly when the pure twin's does. */
-    k->equal_rows = 1;
-    for (int u = 0; u < pn; u++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, u);
-        int same = u ? PyObject_RichCompareBool(item, PySequence_Fast_GET_ITEM(seq, 0), Py_EQ) : 1;
-        if (same < 0 || ((k->p_rows[u] = PyLong_AsUnsignedLongLongMask(item)) == (u64)-1
-                         && PyErr_Occurred())) {
-            Py_DECREF(seq);
-            return -1;
-        }
-        k->equal_rows &= same;
-    }
-    Py_DECREF(seq);
-    return 0;
+    PyMem_Free(k->search.next);
 }
 
 /* The row-order rule of `MatrixState`: with equal pattern rows, a 1 at
@@ -763,75 +773,93 @@ static int contains(const MatrixKernel *k)
     }
 }
 
-/* Row-major fill from cell `idx`, 1 before 0; mirrors `_kernels_py._dfs`
-   on a `MatrixState` (a refused 1 leaves nodes as they were, so one budget
-   check per chosen branch is the check `_dfs` makes per candidate). A new
-   best is copied only before a 1 below it is cleared or when the search
-   stops on it: 0-cells and the walk back over them leave the rows as they
-   are. */
-static int matrix_run(MatrixKernel *k, int idx, int ones)
+/* Fill the next cell: a 1 for move 1, refused if it breaks the row-order
+   rule or makes the matrix contain P, and a 0 for move 2; mirrors
+   `MatrixState.try_push`. */
+static int matrix_push(Search *s, int c)
 {
-    const int root = idx, total = k->total, m = k->m;
-    int row = idx / m, col = idx % m, pending = 0;
-    const size_t rows_size = (size_t)k->n * sizeof(u64);
-    if (k->done)
-        return 0;
-    k->branch[idx] = 0;
-    for (;;) {
-        u64 bit = (u64)1 << col;
-        int state = k->branch[idx];
-        if (state == 0 && idx < total && ones + (total - idx) > k->best) {
-            state = 2; /* no 1-branch: take the 0-branch */
-            if (!breaks_row_order(k, row, col)) {
-                k->rows[row] |= bit;
-                if (contains(k)) {
-                    k->rows[row] ^= bit;
-                } else {
-                    state = 1;
-                    ones++;
-                }
-            }
-        } else if (state == 1) { /* back from the 1-branch: take the 0-branch */
-            if (pending)
-                memcpy(k->best_rows, k->rows, rows_size), pending = 0;
-            k->rows[row] ^= bit;
-            ones--;
-            state = 2;
-        } else { /* pruned, or back from the 0-branch */
-            if (idx == root)
-                break;
-            idx--;
-            if (col-- == 0) {
-                col = m - 1;
-                row--;
-            }
-            continue;
+    MatrixKernel *k = (MatrixKernel *)s;
+    const int row = k->row, col = k->col;
+    if (c == 1) {
+        if (breaks_row_order(k, row, col))
+            return 0;
+        k->rows[row] |= (u64)1 << col;
+        if (contains(k)) {
+            k->rows[row] ^= (u64)1 << col;
+            return 0;
         }
-        if (k->node_budget && k->nodes >= k->node_budget) {
-            if (state == 1) /* the 1 just set is not a node yet: take it back */
-                k->rows[row] ^= bit;
-            k->truncated = 1;
-            break;
-        }
-        if (count_node(&k->nodes) < 0)
-            return -1;
-        if (state == 1 && ones > k->best) {
-            k->best = ones;
-            pending = 1;
-            if (ones >= total) {
-                k->done = 1;
-                break;
-            }
-        }
-        k->branch[idx++] = (unsigned char)state;
-        k->branch[idx] = 0;
-        if (++col == m) {
-            col = 0;
-            row++;
-        }
+        s->value++;
     }
-    if (pending)
-        memcpy(k->best_rows, k->rows, rows_size);
+    s->depth++;
+    if (++k->col == k->m)
+        k->col = 0, k->row++;
+    return 1;
+}
+
+/* Clear the newest cell if it is set: cells from the fill line on are 0. */
+static void matrix_pop(Search *s)
+{
+    MatrixKernel *k = (MatrixKernel *)s;
+    u64 bit;
+    s->depth--;
+    if (k->col-- == 0)
+        k->col = k->m - 1, k->row--;
+    bit = (u64)1 << k->col;
+    if (k->rows[k->row] & bit) {
+        k->rows[k->row] ^= bit;
+        s->value--;
+    }
+}
+
+static void matrix_keep(Search *s)
+{
+    MatrixKernel *k = (MatrixKernel *)s;
+    memcpy(k->best_rows, k->rows, (size_t)k->n * sizeof(u64));
+}
+
+static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, int pm,
+                       long long node_budget)
+{
+    PyObject *seq;
+    memset(k, 0, sizeof *k);
+    if (n < 1 || m < 1 || m > MAX_COLUMNS)
+        return value_error("need 1 <= n and 1 <= m <= 62");
+    if ((long long)n * m > MAX_CELLS)
+        return value_error("cell count exceeds the 50000 search limit");
+    if (pn < 0 || pm < 0)
+        return value_error("pattern dimensions must be non-negative");
+    k->n = n;
+    k->m = m;
+    k->pn = pn;
+    k->pm = pm;
+    k->search = (Search){.limit = n * m, .slack = n * m, .node_budget = node_budget,
+                         .last = 2, .push = matrix_push, .pop = matrix_pop,
+                         .keep = matrix_keep};
+    if (!(k->rows = zalloc(n, sizeof(u64))) || !(k->best_rows = zalloc(n, sizeof(u64)))
+        || !(k->p_rows = zalloc(pn, sizeof(u64))) || !(k->sel = zalloc(pn, sizeof(int)))
+        || !(k->search.next = zalloc((size_t)n * m + 1, sizeof(int))))
+        return -1;
+    if (!(seq = PySequence_Fast(p_rows, "p_rows must be a sequence")))
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != pn) {
+        Py_DECREF(seq);
+        return value_error("p_rows must hold pn row masks");
+    }
+    /* Only the low 64 bits of a pattern row are read: m <= 62, and `contains`
+       returns early when pm > m. Equal rows are decided on the whole ints,
+       so the row-order rule fires exactly when the pure twin's does. */
+    k->equal_rows = 1;
+    for (int u = 0; u < pn; u++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, u);
+        int same = u ? PyObject_RichCompareBool(item, PySequence_Fast_GET_ITEM(seq, 0), Py_EQ) : 1;
+        if (same < 0 || ((k->p_rows[u] = PyLong_AsUnsignedLongLongMask(item)) == (u64)-1
+                         && PyErr_Occurred())) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        k->equal_rows &= same;
+    }
+    Py_DECREF(seq);
     return 0;
 }
 
@@ -845,53 +873,19 @@ static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwar
 {
     static char *kwlist[] = {"n", "m", "p_rows", "pn", "pm", "node_budget", "prefix_bits",
                              "initial_best", NULL};
-    int n, m, pn, pm, initial_best = -1, ones = 0, bad;
+    int n, m, pn, pm, initial_best = -1;
     long long node_budget = 0;
-    PyObject *p_rows, *prefix = NULL, *seq = NULL, *rows = NULL, *result = NULL;
-    Py_ssize_t plen = 0;
+    PyObject *p_rows, *prefix = NULL, *rows = NULL, *result = NULL;
     MatrixKernel k;
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOii|LOi", kwlist, &n, &m, &p_rows, &pn,
                                      &pm, &node_budget, &prefix, &initial_best))
         return parse_failed();
-    if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget) < 0)
-        goto done;
-    if (prefix) {
-        if (!(seq = PySequence_Fast(prefix, "prefix_bits must be a sequence")))
-            goto done;
-        plen = PySequence_Fast_GET_SIZE(seq);
-        bad = plen > k.total;
-        for (Py_ssize_t i = 0; i < plen && !bad; i++) {
-            int overflow;
-            long bit = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-            if (bit == -1 && PyErr_Occurred())
-                goto done;
-            bad = overflow || (bit != 0 && bit != 1);
-        }
-        if (bad) {
-            value_error("forced prefix must be 0/1 bits within the cell count");
-            goto done;
-        }
-        for (Py_ssize_t i = 0; i < plen; i++) {
-            int row = (int)(i / m), col = (int)(i % m);
-            if (PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i)) == 0)
-                continue;
-            bad = breaks_row_order(&k, row, col);
-            if (!bad) {
-                k.rows[row] |= (u64)1 << col;
-                ones++;
-                bad = contains(&k);
-            }
-            if (bad) {
-                value_error("forced prefix contains the pattern or breaks the row order");
-                goto done;
-            }
-        }
-    }
-    k.best = initial_best > ones ? initial_best : ones;
-    memcpy(k.best_rows, k.rows, (size_t)n * sizeof(u64));
-    k.done = k.best >= k.total;
-    if (matrix_run(&k, (int)plen, ones) < 0 || !(rows = PyList_New(n)))
+    if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget) < 0
+        || run(&k.search, prefix, 0, 1, initial_best, "prefix_bits must be a sequence",
+               "forced prefix must be 0/1 bits within the cell count",
+               "forced prefix contains the pattern or breaks the row order") < 0
+        || !(rows = PyList_New(n)))
         goto done;
     for (int i = 0; i < n; i++) {
         PyObject *item = PyLong_FromUnsignedLongLong(k.best_rows[i]);
@@ -899,10 +893,10 @@ static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwar
             goto done;
         PyList_SET_ITEM(rows, i, item);
     }
-    result = Py_BuildValue("(iOLO)", k.best, rows, k.nodes, k.truncated ? Py_True : Py_False);
+    result = Py_BuildValue("(iOLO)", k.search.best, rows, k.search.nodes,
+                           k.search.truncated ? Py_True : Py_False);
 done:
     Py_XDECREF(rows);
-    Py_XDECREF(seq);
     matrix_free(&k);
     return result;
 }

@@ -12,7 +12,8 @@ forces the state). A move adds at least as much depth as value, so
 value + (limit - depth) bounds every extension; after the first move,
 value + slack bounds it too. `_dfs` searches any state on an explicit stack,
 `frontier` splits it for the parallel search. A node is one accepted move:
-a letter or a cell.
+a letter or a cell. The compiled twin has the same shape: two states with
+these operations and one loop, its `dfs`, that searches both.
 
 Sequence searches walk canonical sequences only (letter k+1 may appear only
 after letters 1..k), which collapses letter-relabeling symmetry without

@@ -115,6 +115,8 @@ def _resolve_matrix_pattern(spec: str) -> MatrixPattern:
     if os.path.exists(spec):
         with open(spec) as fh:
             spec = fh.read()
+    else:  # inline rows may be joined by "/", as a report prints them
+        spec = spec.replace("/", "\n")
     M = parse_matrix(spec)
     return MatrixPattern(M.n, M.m, M.rows)
 
@@ -311,6 +313,8 @@ def _cmd_bound(args) -> int:
     else:  # formation-ceiling
         n, r, s = _require(args, ["n", "r", "s"])
         j = args.j if args.j is not None else r
+        if j < r:  # below r-sparsity no ceiling exists
+            raise ValueError("formation ceiling needs j >= r")
         report.params = {"n": n, "r": r, "s": s}
         bound = oracles.formation_ceiling(n, r, s)
         oracle = lambda: oracles.oracle_formation(n, r, s, j, **limits)

@@ -182,9 +182,23 @@ def _seq_frontier(kw: dict, depth: int):
     return _kernels_py.frontier(st, depth)
 
 
-def _seq_oracle(kw: dict, ceiling: int, threads: int, node_budget: int):
+def _seq_oracle(
+    kw: dict, ceiling: int, threads: int, node_budget: int, valid, proven: bool = True,
+    witness_of=Sequence,
+) -> ExtremalResult:
+    """Run a sequence search under `ceiling`. Its witness is
+    `witness_of(tokens)`, re-checked by its length and `valid(witness)`; the
+    value is exact when the budget did not run out and either the ceiling is
+    `proven` or the search stayed below it."""
     kw = dict(kw, ceiling=ceiling, node_budget=node_budget)
-    return _search("seq_search", kw, threads, _seq_frontier, min(_SEQ_SPLIT_DEPTH, ceiling))
+    best, toks, nodes, truncated = _search(
+        "seq_search", kw, threads, _seq_frontier, min(_SEQ_SPLIT_DEPTH, ceiling)
+    )
+    witness = witness_of(tuple(toks))
+    if not (len(witness) == best and valid(witness)):
+        raise RuntimeError("internal error: witness failed independent re-check")
+    exhausted = not truncated and (proven or best < ceiling)
+    return ExtremalResult(best, witness, nodes, exhausted, ceiling)
 
 
 def oracle_lambda(
@@ -202,11 +216,10 @@ def oracle_lambda(
     _check_caps(LAMBDA_CAPS, {"n": n, "s": s, "j": j}, override_caps)
     ceiling = lambda_ceiling(n, s)
     kw = dict(mode=backends.MODE_DS, n=n, j=j, s=s, r=0, pattern=(), max_blocks=0)
-    best, toks, nodes, truncated = _seq_oracle(kw, ceiling, threads, node_budget)
-    witness = Sequence(tuple(toks))
-    if not (len(witness) == best and checks.is_ds(witness, s) and checks.is_sparse(witness, j)):
-        raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated, ceiling)
+    return _seq_oracle(
+        kw, ceiling, threads, node_budget,
+        lambda w: checks.is_ds(w, s) and checks.is_sparse(w, j),
+    )
 
 
 def oracle_formation(
@@ -228,16 +241,11 @@ def oracle_formation(
     _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s, "j": j}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, r, s, length_cap)
     kw = dict(mode=backends.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
-    best, toks, nodes, truncated = _seq_oracle(kw, ceiling, threads, node_budget)
-    witness = Sequence(tuple(toks))
-    if not (
-        len(witness) == best
-        and checks.is_sparse(witness, j)
-        and checks.max_formation_length(witness, r) < s
-    ):
-        raise RuntimeError("internal error: witness failed independent re-check")
-    exhausted = not truncated and (proven or best < ceiling)
-    return ExtremalResult(best, witness, nodes, exhausted, ceiling)
+    return _seq_oracle(
+        kw, ceiling, threads, node_budget,
+        lambda w: checks.is_sparse(w, j) and checks.max_formation_length(w, r) < s,
+        proven=proven,
+    )
 
 
 def oracle_pattern(
@@ -266,16 +274,11 @@ def oracle_pattern(
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su, "j": j}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
     kw = dict(mode=backends.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
-    best, toks, nodes, truncated = _seq_oracle(kw, ceiling, threads, node_budget)
-    witness = Sequence(tuple(toks))
-    if not (
-        len(witness) == best
-        and checks.is_sparse(witness, j)
-        and not checks.contains_pattern(witness, u)
-    ):
-        raise RuntimeError("internal error: witness failed independent re-check")
-    exhausted = not truncated and (proven or best < ceiling)
-    return ExtremalResult(best, witness, nodes, exhausted, ceiling)
+    return _seq_oracle(
+        kw, ceiling, threads, node_budget,
+        lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),
+        proven=proven,
+    )
 
 
 def _greedy_blocks(tokens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -315,16 +318,11 @@ def oracle_lambda_blocks(
     _check_caps(LAMBDA_BLOCKS_CAPS, {"n": n, "s": s, "m": m}, override_caps)
     ceiling = min(n * m, lambda_ceiling(n, s))
     kw = dict(mode=backends.MODE_DS, n=n, j=1, s=s, r=0, pattern=(), max_blocks=m)
-    best, toks, nodes, truncated = _seq_oracle(kw, ceiling, threads, node_budget)
-    witness = BlockedSequence(_greedy_blocks(tuple(toks)))
-    flat = flatten(witness)
-    if not (
-        len(flat) == best
-        and witness.block_count <= m
-        and checks.is_ds(flat, s)
-    ):
-        raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated, ceiling)
+    return _seq_oracle(
+        kw, ceiling, threads, node_budget,
+        lambda w: w.block_count <= m and checks.is_ds(flatten(w), s),
+        witness_of=lambda toks: BlockedSequence(_greedy_blocks(toks)),
+    )
 
 
 def _matrix_frontier(kw: dict, depth: int):

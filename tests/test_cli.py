@@ -216,6 +216,15 @@ class TestOracle:
         )
         assert code == 0 and payload["results"]["value"] == 6
 
+    def test_matrix_pattern_rows_joined_by_slash(self, capsys):
+        # the report prints a pattern as rows joined by "/"; it can be passed back
+        argv = ("oracle", "ex-matrix", "--n", "4", "--m", "5", "--pattern")
+        _, shorthand, _ = run_json(capsys, *argv, "R2,2")
+        assert shorthand["params"]["pattern"] == "11/11"
+        code, inline, _ = run_json(capsys, *argv, "11/11")
+        assert code == 0 and inline["params"] == shorthand["params"]
+        assert inline["results"] == shorthand["results"]
+
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_pattern_wider_than_a_row_mask(self, capsys, request, backend):
         # 65 columns do not fit a 64-bit mask; wider than the host, P never occurs
@@ -334,6 +343,15 @@ class TestBound:
         assert payload["checks"] == [
             {"name": "oracle<=bound", "pass": True, "measured": 5, "bound": 18}
         ]
+
+    @pytest.mark.parametrize("extra", [(), ("--compare-oracle",)])
+    def test_formation_ceiling_below_r_sparsity_exits_2(self, capsys, extra):
+        # s n^r bounds r-sparse sequences only; below that the oracle stops at a cap
+        code, out, err = run(
+            capsys, "bound", "formation-ceiling", "--n", "2", "--r", "2", "--s", "1",
+            "--j", "1", *extra,
+        )
+        assert (code, out, err) == (2, "", "error: formation ceiling needs j >= r\n")
 
     def test_kst_compare(self, capsys):
         code, payload, _ = run_json(

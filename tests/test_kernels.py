@@ -88,6 +88,22 @@ class TestBackendEquality:
             res = pure.matrix_search(3, 3, (3, 3), 2, 2, node_budget=budget)
             assert res == tuple(compiled.matrix_search(3, 3, (3, 3), 2, 2, node_budget=budget))
             assert res[2] <= budget
+        for kw in (
+            dict(mode=pure.MODE_DS, n=4, j=2, ceiling=19, s=3),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=64, pattern=(1, 2, 1, 2)),
+        ):
+            for budget in range(1, 301):
+                res = pure.seq_search(**kw, node_budget=budget)
+                assert res == tuple(compiled.seq_search(**kw, node_budget=budget))
+                assert res[2] <= budget
+        # a prefix that fills every cell leaves nothing to search
+        for bits, initial_best, expect in (
+            ((1, 1, 0, 1, 0, 1, 0, 1, 1), -1, (6, [3, 5, 6], 0, False)),
+            ((1, 0, 0, 0, 1, 0, 0, 0, 0), 7, (7, [1, 2, 0], 0, False)),
+        ):
+            kw = dict(prefix_bits=bits, initial_best=initial_best)
+            assert pure.matrix_search(3, 3, (3, 3), 2, 2, **kw) == expect
+            assert tuple(compiled.matrix_search(3, 3, (3, 3), 2, 2, **kw)) == expect
 
     def test_infeasible_prefix_raises_everywhere(self, compiled):
         kw = dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=2, prefix=(1, 1))

@@ -211,6 +211,22 @@ def test_greedy_partition_is_minimal():
         assert len(_greedy_blocks(tokens)) == brute_min_blocks(tokens)
 
 
+@pytest.mark.parametrize(
+    "oracle, args, value, tokens",
+    [
+        (oracle_lambda, (2, 1), 3, (1, 2, 1)),  # three runs of {1, 2}: not DS of order 1
+        (oracle_lambda, (2, 1), 1, (1, 2)),  # value 1 but two tokens
+        (oracle_formation, (2, 2, 2, 2), 4, (1, 2, 1, 2)),  # a (2, 2)-formation
+        (oracle_pattern, (Sequence((1, 2, 1)), 2, 2), 3, (1, 2, 1)),  # contains the pattern
+        (oracle_lambda_blocks, (2, 1, 1), 3, (1, 2, 1)),  # needs two blocks
+    ],
+)
+def test_sequence_oracles_recheck_the_kernel_witness(monkeypatch, oracle, args, value, tokens):
+    monkeypatch.setattr(backends, "seq_search", lambda **kw: (value, list(tokens), 1, False))
+    with pytest.raises(RuntimeError, match="witness failed independent re-check"):
+        oracle(*args)
+
+
 class TestLambdaBlocks:
     def test_frozen_values(self):
         # the one-block case packs all letters; two blocks of two letters max out at 3
