@@ -1,15 +1,17 @@
 /*
  * Compiled search kernels: an exact mirror of `_kernels_py`.
  *
- * Same candidate order, same pruning, same node accounting, so both twins
- * return identical (best, witness, nodes, truncated) tuples; `_kernels_py`
- * documents the algorithm. The shape is the pure twin's as well: each
- * kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of `SeqState`
- * and `MatrixState`) embeds a `Search` and supplies its moves, push, pop and
- * keep; one loop, `dfs`, searches either of them on an explicit stack, as
- * `_kernels_py._dfs` does, so the depth (up to the 50,000 ceiling or cell
- * limit) never touches the C stack; and one entry, `run`, forces a prefix
- * and starts `dfs` below it. Build in place with
+ * Same arguments, argument checks (in `_kernels_py`'s order, with its
+ * `ValueError` texts), candidate order, pruning and node accounting, so both
+ * twins return identical (best, witness, nodes, truncated) tuples;
+ * `_kernels_py` documents the algorithm. The shape is the pure twin's as
+ * well: each kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of
+ * `SeqState` and `MatrixState`) embeds a `Search` and supplies its moves,
+ * push, pop and keep; one loop, `dfs`, searches either of them on an
+ * explicit stack, as `_kernels_py._dfs` does, so the depth (up to the 50,000
+ * ceiling or cell limit) never touches the C stack; and one entry, `run`,
+ * forces a prefix and starts `dfs` below it, as `_kernels_py._run` does. The
+ * module exports the two kernels only. Build in place with
  * `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
@@ -153,17 +155,17 @@ static int dfs(Search *s)
 
 /* Force `prefix` (NULL: none), then search below it from a best of at least
    `initial_best`. The prefix may hold at most `limit` items, each in lo..hi;
-   item v is move v, and a matrix's item 0 (a 0-cell) is its move 2. The
-   three texts are the kernel's errors for a non-sequence, an item out of
-   range and a refused move (a format that may show the prefix as %R). */
+   item v is move v, and a matrix's item 0 (a 0-cell) is its move 2. The two
+   texts are the kernel's errors for an item out of range and a refused move
+   (a format that may show the prefix as %R). */
 static int run(Search *s, PyObject *prefix, int lo, int hi, int initial_best,
-               const char *not_sequence, const char *out_of_range, const char *refused)
+               const char *out_of_range, const char *refused)
 {
     PyObject *seq = NULL;
     Py_ssize_t plen = 0;
     int status = -1, bad;
     if (prefix) {
-        if (!(seq = PySequence_Fast(prefix, not_sequence)))
+        if (!(seq = PySequence_Fast(prefix, "prefix must be a sequence")))
             return -1;
         plen = PySequence_Fast_GET_SIZE(seq);
         bad = plen > s->limit;
@@ -354,7 +356,9 @@ static int pattern_init(SeqKernel *k, PyObject *pattern)
 {
     const u64 limit = (u64)1 << 63, base = (u64)k->n + 1;
     u64 ppow = 1;
-    PyObject *seq = PySequence_Fast(pattern, "pattern must be a sequence");
+    /* an omitted pattern (NULL) is the pure twin's default, an empty one */
+    PyObject *seq = pattern ? PySequence_Fast(pattern, "pattern must be a sequence")
+                            : PyTuple_New(0);
     Py_ssize_t plen;
     if (seq == NULL)
         return -1;
@@ -377,8 +381,8 @@ static int pattern_init(SeqKernel *k, PyObject *pattern)
         }
         if (overflow || a < 1 || a > 64) {
             Py_DECREF(seq);
-            /* a letter above 64 fails the 63-bit encoding bound below anyway */
-            return value_error(overflow < 0 || a < 1 ? "pattern letters must be positive"
+            /* a = -1 on overflow; a letter above 64 fails the encoding bound anyway */
+            return value_error(a < 1 && overflow <= 0 ? "pattern letters must be positive"
                                : "pattern alphabet too large for the state encoding");
         }
         k->pattern[i] = (int)a;
@@ -684,9 +688,8 @@ static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
                                      &ceiling, &s, &r, &pattern, &max_blocks, &node_budget,
                                      &prefix, &initial_best))
         return parse_failed();
-    if (seq_init(&k, mode, n, j, ceiling, s, r, pattern ? pattern : Py_None, max_blocks,
-                 node_budget) < 0
-        || run(&k.search, prefix, 1, n, initial_best, "prefix must be a sequence",
+    if (seq_init(&k, mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget) < 0
+        || run(&k.search, prefix, 1, n, initial_best,
                "forced prefix must fit the ceiling and letter range",
                "forced prefix %R is not admissible") < 0)
         goto done;
@@ -864,14 +867,14 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
 }
 
 PyDoc_STRVAR(matrix_search_doc,
-"matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix_bits=(), initial_best=-1)\n"
+"matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1)\n"
 "--\n\n"
 "Row-major fill with 1-before-0 branching; mirrors `_kernels_py.matrix_search`.\n"
 "Returns (best, rows, nodes, truncated).");
 
 static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "m", "p_rows", "pn", "pm", "node_budget", "prefix_bits",
+    static char *kwlist[] = {"n", "m", "p_rows", "pn", "pm", "node_budget", "prefix",
                              "initial_best", NULL};
     int n, m, pn, pm, initial_best = -1;
     long long node_budget = 0;
@@ -882,7 +885,7 @@ static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwar
                                      &pm, &node_budget, &prefix, &initial_best))
         return parse_failed();
     if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget) < 0
-        || run(&k.search, prefix, 0, 1, initial_best, "prefix_bits must be a sequence",
+        || run(&k.search, prefix, 0, 1, initial_best,
                "forced prefix must be 0/1 bits within the cell count",
                "forced prefix contains the pattern or breaks the row order") < 0
         || !(rows = PyList_New(n)))
@@ -919,10 +922,5 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__ckernels(void)
 {
-    PyObject *mod = PyModule_Create(&module);
-    if (mod && (PyModule_AddIntConstant(mod, "MODE_DS", MODE_DS) < 0
-                || PyModule_AddIntConstant(mod, "MODE_FORMATION", MODE_FORMATION) < 0
-                || PyModule_AddIntConstant(mod, "MODE_PATTERN", MODE_PATTERN) < 0))
-        Py_CLEAR(mod);
-    return mod;
+    return PyModule_Create(&module);
 }

@@ -1,19 +1,22 @@
 """Pure-Python search kernels: exhaustive branch-and-bound engines behind the oracles.
 
 The compiled extension `_ckernels` mirrors `seq_search` and `matrix_search`
-exactly: same candidate order, same pruning, same node accounting, so both
-backends return identical (value, witness, nodes, truncated) tuples;
-`backends` picks one at import time.
+exactly: same arguments, same candidate order, same pruning, same node
+accounting, so both twins return identical (value, witness, nodes,
+truncated) tuples; `backends` picks one at import time. Both check their
+arguments in one order with the same `ValueError` texts: integer range (a C
+int, a C long long for the node budget), letters, ceiling or cells, pattern
+dimensions and rows, block budget, mode data item by item, forced prefix.
 
-Each search state offers `depth`, `value`, `slack`, `candidates()`,
-`try_push(c)` (True if move c was admissible and made), `pop()`,
-`snapshot()` (a copy of the witness) and `prefix()` (the kernel keyword that
-forces the state). A move adds at least as much depth as value, so
-value + (limit - depth) bounds every extension; after the first move,
-value + slack bounds it too. `_dfs` searches any state on an explicit stack,
-`frontier` splits it for the parallel search. A node is one accepted move:
-a letter or a cell. The compiled twin has the same shape: two states with
-these operations and one loop, its `dfs`, that searches both.
+Each search state offers `depth`, `value`, `limit`, `slack`, `candidates()`,
+`try_push(c)` (True if move c was admissible and made), `pop()` and
+`snapshot()` (a copy of the witness). A move adds at least as much depth as
+value, so value + (limit - depth) bounds every extension; after the first
+move, value + slack bounds it too. `_run` forces a prefix of moves and
+`_dfs` searches below it on an explicit stack; `frontier` splits a state
+into such prefixes for the parallel search. A node is one accepted move: a
+letter or a cell. The compiled twin has the same shape: two states with
+these operations, one entry, its `run`, and one loop, its `dfs`.
 
 Sequence searches walk canonical sequences only (letter k+1 may appear only
 after letters 1..k), which collapses letter-relabeling symmetry without
@@ -67,11 +70,16 @@ class SeqState:
     to c.
     """
 
-    def __init__(self, mode, n, j, s=0, r=0, pattern=(), max_blocks=0):
+    def __init__(self, mode, n, j, ceiling=MAX_CEILING, s=0, r=0, pattern=(), max_blocks=0):
         if not 1 <= n <= MAX_LETTERS:
             raise ValueError(f"letter count must be in 1..{MAX_LETTERS}")
+        if not 0 <= ceiling <= MAX_CEILING:
+            raise ValueError(f"ceiling must be in 0..{MAX_CEILING}")
+        if max_blocks and mode != MODE_DS:
+            raise ValueError("block budgets only apply to DS searches")
         self.mode = mode
         self.n = n
+        self.limit = ceiling
         self.jeff = max(j, 2) if mode == MODE_DS else j
         self.s = s
         self.tokens = []
@@ -82,8 +90,6 @@ class SeqState:
         self.max_blocks = max_blocks
         self.block_mask = 0
         self.blocks_used = 0
-        if max_blocks and mode != MODE_DS:
-            raise ValueError("block budgets only apply to DS searches")
         self.slack = MAX_CEILING
         if mode == MODE_DS:
             size = (n + 1) * (n + 1)
@@ -108,11 +114,13 @@ class SeqState:
             self.pattern = tuple(pattern)
             if not self.pattern:
                 raise ValueError("pattern must be nonempty")
-            if min(self.pattern) < 1:
+            # the first letter outside 1..64 decides, as in the compiled twin
+            bad = next((a for a in self.pattern if not 1 <= a <= 64), 1)
+            if bad < 1:
                 raise ValueError("pattern letters must be positive")
             self.ru = max(self.pattern)
             # mappings are packed into 64-bit codes in the compiled twin
-            if (n + 1) ** self.ru * (len(self.pattern) + 1) >= 2**63:
+            if bad > 64 or (n + 1) ** self.ru * (len(self.pattern) + 1) >= 2**63:
                 raise ValueError("pattern alphabet too large for the state encoding")
             self.slot = tuple(a - 1 for a in self.pattern)  # mapping index per position
             empty = (0,) * self.ru
@@ -245,9 +253,6 @@ class SeqState:
     def snapshot(self):
         return list(self.tokens)
 
-    def prefix(self):
-        return {"prefix": tuple(self.tokens)}
-
 
 class MatrixState:
     """Row-major 0-1 fill of an n x m matrix avoiding the pattern P (rows
@@ -269,7 +274,16 @@ class MatrixState:
     prefixes obey the rule too."""
 
     def __init__(self, n, m, p_rows, pn, pm):
+        if n < 1 or m < 1 or m > 62:
+            raise ValueError("need 1 <= n and 1 <= m <= 62")
+        if n * m > 50_000:
+            raise ValueError("cell count exceeds the 50000 search limit")
+        if pn < 0 or pm < 0:
+            raise ValueError("pattern dimensions must be non-negative")
+        if len(p_rows) != pn:
+            raise ValueError("p_rows must hold pn row masks")
         self.n, self.m, self.p_rows, self.pn, self.pm = n, m, p_rows, pn, pm
+        self.limit = n * m
         self.equal_rows = all(r == p_rows[0] for r in p_rows)
         self.rows = [0] * n
         self.bits = []
@@ -306,13 +320,10 @@ class MatrixState:
     def snapshot(self):
         return list(self.rows)
 
-    def prefix(self):
-        return {"prefix_bits": tuple(self.bits)}
 
-
-def _dfs(st, limit, best, witness, node_budget):
-    """Depth-first branch-and-bound below state `st`, up to `limit`, on an
-    explicit stack. Returns (best, witness, nodes, truncated).
+def _dfs(st, best, witness, node_budget):
+    """Depth-first branch-and-bound below state `st`, up to `st.limit`, on
+    an explicit stack. Returns (best, witness, nodes, truncated).
 
     Subtrees where value + (limit - depth) <= best are skipped, and so are
     those below a move where value + slack <= best (the state's own bound,
@@ -325,7 +336,7 @@ def _dfs(st, limit, best, witness, node_budget):
     witness as it is (a 0 cell), so the current state is the witness, and a
     straight path of any depth costs one copy.
     """
-    nodes = 0
+    nodes, limit = 0, st.limit
     push, pop, candidates = st.try_push, st.pop, st.candidates
     stack = [iter(candidates())] if st.value + (limit - st.depth) > best else []
     while stack:  # witness None: the current state is a best not yet copied
@@ -357,10 +368,10 @@ def _dfs(st, limit, best, witness, node_budget):
 
 
 def frontier(st, depth):
-    """The admissible states `depth` >= 1 moves below `st`, as `prefix()`
-    keywords, with the best value met on the way, its witness and the nodes:
-    (prefixes, best, witness, nodes)."""
-    prefixes = []
+    """The admissible move tuples of length `depth` >= 1 from `st`, each the
+    `prefix` that forces its state, with the best value met on the way, its
+    witness and the nodes: (prefixes, best, witness, nodes)."""
+    prefixes, path = [], []  # path: the moves down to the current state
     best, witness, nodes = st.value, st.snapshot(), 0
     stack = [iter(st.candidates())]
     while stack:
@@ -368,18 +379,37 @@ def frontier(st, depth):
             if not st.try_push(c):
                 continue
             nodes += 1
+            path[len(stack) - 1:] = (c,)
             if st.value > best:
                 best, witness = st.value, st.snapshot()
             if st.depth < depth:
                 stack.append(iter(st.candidates()))
                 break
-            prefixes.append(st.prefix())
+            prefixes.append(tuple(path))
             st.pop()
         else:
             stack.pop()
             if stack:
                 st.pop()
     return prefixes, best, witness, nodes
+
+
+def _c_ints(*values, node_budget=0):
+    """Refuse what the compiled twin cannot parse: C ints, a C long long budget."""
+    if not all(-(2**31) <= v < 2**31 for v in values) or not -(2**63) <= node_budget < 2**63:
+        raise ValueError("argument out of range")
+
+
+def _run(st, prefix, items, initial_best, node_budget, out_of_range, refused):
+    """Force `prefix` (at most `st.limit` moves, each in `items`) on `st`, then
+    search below it from a best of at least `initial_best`, as the compiled
+    twin's `run` does; `refused` may show the prefix as {!r}."""
+    if len(prefix) > st.limit or any(c not in items for c in prefix):
+        raise ValueError(out_of_range)
+    for c in prefix:
+        if not st.try_push(c):
+            raise ValueError(refused.format(prefix))
+    return _dfs(st, max(initial_best, st.value), st.snapshot(), node_budget)
 
 
 def seq_search(
@@ -401,15 +431,11 @@ def seq_search(
     when the node budget ran out; the search also stops once best reaches
     `ceiling`, which is exact whenever the ceiling is a valid upper bound.
     """
-    if not 0 <= ceiling <= MAX_CEILING:
-        raise ValueError(f"ceiling must be in 0..{MAX_CEILING}")
-    if len(prefix) > ceiling or any(not 1 <= tok <= n for tok in prefix):
-        raise ValueError("forced prefix must fit the ceiling and letter range")
-    st = SeqState(mode, n, j, s=s, r=r, pattern=pattern, max_blocks=max_blocks)
-    for tok in prefix:
-        if not st.try_push(tok):
-            raise ValueError(f"forced prefix {prefix!r} is not admissible")
-    return _dfs(st, ceiling, max(initial_best, len(prefix)), list(prefix), node_budget)
+    _c_ints(mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget=node_budget)
+    st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)
+    return _run(st, prefix, range(1, n + 1), initial_best, node_budget,
+                "forced prefix must fit the ceiling and letter range",
+                "forced prefix {!r} is not admissible")
 
 
 def cols_embed(row_masks, p_rows, pm, m):
@@ -447,20 +473,14 @@ def matrix_search(
     pn,
     pm,
     node_budget=0,
-    prefix_bits=(),
+    prefix=(),
     initial_best=-1,
 ):
     """Fill cells row-major, 1 before 0, pruning on containment and on
-    ones-so-far + cells-remaining <= best. Returns (best, rows, nodes, truncated)."""
-    if n < 1 or m < 1 or m > 62:
-        raise ValueError("need 1 <= n and 1 <= m <= 62")
-    if n * m > 50_000:
-        raise ValueError("cell count exceeds the 50000 search limit")
-    if len(prefix_bits) > n * m or any(bit not in (0, 1) for bit in prefix_bits):
-        raise ValueError("forced prefix must be 0/1 bits within the cell count")
-    st = MatrixState(n, m, p_rows, pn, pm)
-    for bit in prefix_bits:
-        if not st.try_push(bit):
-            raise ValueError("forced prefix contains the pattern or breaks the row order")
-    return _dfs(st, n * m, max(initial_best, st.value), st.snapshot(), node_budget)
+    ones-so-far + cells-remaining <= best; `prefix` forces the first cells
+    (0/1 bits). Returns (best, rows, nodes, truncated)."""
+    _c_ints(n, m, pn, pm, initial_best, node_budget=node_budget)
+    return _run(MatrixState(n, m, p_rows, pn, pm), prefix, range(2), initial_best, node_budget,
+                "forced prefix must be 0/1 bits within the cell count",
+                "forced prefix contains the pattern or breaks the row order")
 

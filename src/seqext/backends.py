@@ -1,39 +1,23 @@
-"""Selects the search-kernel backend: compiled extension when available,
-pure Python otherwise. Override with SEQEXT_KERNELS=pure or SEQEXT_KERNELS=compiled.
+"""Selects the search-kernel backend: the compiled twin `_ckernels` when it
+imports, the pure twin `_kernels_py` otherwise. Both take the same arguments,
+raise the same `ValueError` texts and return the same results, so which one
+runs shows only in `backend_name()` and in the time taken.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernels_py
 
-_choice = os.environ.get("SEQEXT_KERNELS", "auto").strip().lower()
-
-if _choice in ("auto", ""):
-    try:
-        from . import _ckernels as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "pure"
-elif _choice == "pure":
-    _impl = _kernels_py
-    BACKEND = "pure"
-elif _choice == "compiled":
+try:
     from . import _ckernels as _impl
 
     BACKEND = "compiled"
-else:
-    raise RuntimeError(f"unknown SEQEXT_KERNELS value {_choice!r}")
+except ImportError:
+    _impl = _kernels_py
+    BACKEND = "pure"
 
 seq_search = _impl.seq_search
 matrix_search = _impl.matrix_search
-
-MODE_DS = _kernels_py.MODE_DS
-MODE_FORMATION = _kernels_py.MODE_FORMATION
-MODE_PATTERN = _kernels_py.MODE_PATTERN
 
 
 def backend_name() -> str:

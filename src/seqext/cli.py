@@ -307,7 +307,7 @@ def _cmd_bound(args) -> int:
     elif kind == "ds-ceiling":
         n, s = _require(args, ["n", "s"])
         j = args.j if args.j is not None else 2
-        report.params = {"n": n, "s": s}
+        report.params = {"n": n, "s": s, "j": j}
         bound = oracles.lambda_ceiling(n, s)
         oracle = lambda: oracles.oracle_lambda(n, s, j, **limits)
     else:  # formation-ceiling
@@ -315,7 +315,7 @@ def _cmd_bound(args) -> int:
         j = args.j if args.j is not None else r
         if j < r:  # below r-sparsity no ceiling exists
             raise ValueError("formation ceiling needs j >= r")
-        report.params = {"n": n, "r": r, "s": s}
+        report.params = {"n": n, "r": r, "s": s, "j": j}
         bound = oracles.formation_ceiling(n, r, s)
         oracle = lambda: oracles.oracle_formation(n, r, s, j, **limits)
     report.results["bound"] = bound

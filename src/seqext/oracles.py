@@ -28,8 +28,9 @@ total: a budgeted search always runs in one process. A node is one
 accepted move of the kernel: a letter or a matrix cell. Lambda-prime is
 ex(n, m, R_{2,s+1}) and runs as that matrix search.
 
-Default size caps keep casual calls off exponential cliffs; pass
-override_caps=True to lift them.
+Default size caps keep casual calls off exponential cliffs, and
+`_check_caps` raises every cap error; pass override_caps=True to lift them.
+No cap bounds j: a sparser search is only smaller.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ __all__ = [
     "estimate_nodes",
 ]
 
-LAMBDA_CAPS = {"n": 5, "s": 4, "j": 3}
-FORMATION_CAPS = {"n": 4, "r": 3, "s": 3, "j": 3}
-PATTERN_CAPS = {"n": 4, "pattern length": 6, "j": 3}
+LAMBDA_CAPS = {"n": 5, "s": 4}
+FORMATION_CAPS = {"n": 4, "r": 3, "s": 3}
+PATTERN_CAPS = {"n": 4, "pattern length": 6}
 LAMBDA_BLOCKS_CAPS = {"n": 4, "s": 4, "m": 4}
-EX_MATRIX_CELL_CAP = 30
+EX_MATRIX_CAPS = {"n*m": 30}
 
 _SEQ_SPLIT_DEPTH = 4
 _MATRIX_SPLIT_DEPTH = 6
@@ -151,17 +152,18 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
     """Run `backends.<kernel>(**kw)` and return (best, witness, nodes, truncated).
 
     With threads > 1, `frontier(kw, depth)` enumerates the admissible prefixes
-    of the given depth, each as the kernel keyword it feeds, and the searches
-    below them run as pool tasks seeded with the frontier's best value; the
-    merge keeps the first task that beats it, so the value and witness do not
-    depend on the schedule. A search with a node budget runs serially, so the
-    budget bounds the total node count. Kernels, frontiers and the pool class
-    are looked up at call time, so they can be patched on their modules."""
+    of the given depth, each a move tuple for the kernel's `prefix`, and the
+    searches below them run as pool tasks seeded with the frontier's best
+    value; the merge keeps the first task that beats it, so the value and
+    witness do not depend on the schedule. A search with a node budget runs
+    serially, so the budget bounds the total node count. Kernels, frontiers
+    and the pool class are looked up at call time, so they can be patched on
+    their modules."""
     _check_threads(threads)
     if threads == 1 or kw["node_budget"] or depth < 1:
         return getattr(backends, kernel)(**kw)
     prefixes, best, witness, nodes = frontier(kw, depth)
-    tasks = [(kernel, dict(kw, initial_best=best, **p)) for p in prefixes]
+    tasks = [(kernel, dict(kw, initial_best=best, prefix=p)) for p in prefixes]
     truncated = False
     with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
         for b, w, nd, tr in pool.map(_run_task, tasks):
@@ -174,7 +176,7 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
 
 
 def _seq_frontier(kw: dict, depth: int):
-    """Admissible canonical prefixes of the given depth, as `prefix` keywords."""
+    """Admissible canonical prefixes of the given depth, as letter tuples."""
     st = _kernels_py.SeqState(
         kw["mode"], kw["n"], kw["j"], s=kw["s"], r=kw["r"],
         pattern=kw["pattern"], max_blocks=kw["max_blocks"],
@@ -213,9 +215,9 @@ def oracle_lambda(
     """Maximum length of a j-sparse order-s DS sequence on at most n letters."""
     if n < 1 or s < 1 or j < 1:
         raise ValueError("need n, s, j >= 1")
-    _check_caps(LAMBDA_CAPS, {"n": n, "s": s, "j": j}, override_caps)
+    _check_caps(LAMBDA_CAPS, {"n": n, "s": s}, override_caps)
     ceiling = lambda_ceiling(n, s)
-    kw = dict(mode=backends.MODE_DS, n=n, j=j, s=s, r=0, pattern=(), max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=s, r=0, pattern=(), max_blocks=0)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_ds(w, s) and checks.is_sparse(w, j),
@@ -238,9 +240,9 @@ def oracle_formation(
     `length_cap` and reports exhausted=False if the cap was reached."""
     if n < 1 or r < 1 or s < 1 or j < 1:
         raise ValueError("need n, r, s, j >= 1")
-    _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s, "j": j}, override_caps)
+    _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, r, s, length_cap)
-    kw = dict(mode=backends.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_sparse(w, j) and checks.max_formation_length(w, r) < s,
@@ -271,9 +273,9 @@ def oracle_pattern(
         raise ValueError("pattern must be nonempty")
     ru = len(u.alphabet)
     su = len(u)
-    _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su, "j": j}, override_caps)
+    _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
-    kw = dict(mode=backends.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),
@@ -317,7 +319,7 @@ def oracle_lambda_blocks(
         raise ValueError("need n, s, m >= 1")
     _check_caps(LAMBDA_BLOCKS_CAPS, {"n": n, "s": s, "m": m}, override_caps)
     ceiling = min(n * m, lambda_ceiling(n, s))
-    kw = dict(mode=backends.MODE_DS, n=n, j=1, s=s, r=0, pattern=(), max_blocks=m)
+    kw = dict(mode=_kernels_py.MODE_DS, n=n, j=1, s=s, r=0, pattern=(), max_blocks=m)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: w.block_count <= m and checks.is_ds(flatten(w), s),
@@ -326,7 +328,7 @@ def oracle_lambda_blocks(
 
 
 def _matrix_frontier(kw: dict, depth: int):
-    """Admissible fillings of the first `depth` cells, as `prefix_bits` keywords."""
+    """Admissible fillings of the first `depth` cells, as 0/1 tuples."""
     st = _kernels_py.MatrixState(kw["n"], kw["m"], kw["p_rows"], kw["pn"], kw["pm"])
     return _kernels_py.frontier(st, depth)
 
@@ -347,11 +349,7 @@ def oracle_ex_matrix(
         raise ValueError("P must be a matrix pattern")
     if all(mask == 0 for mask in P.rows):
         raise ValueError("pattern needs at least one 1-entry")
-    if not override_caps and n * m > EX_MATRIX_CELL_CAP:
-        raise CapExceededError(
-            f"n*m={n * m} exceeds exhaustive cap {EX_MATRIX_CELL_CAP}; "
-            "pass override_caps=True to force the search"
-        )
+    _check_caps(EX_MATRIX_CAPS, {"n*m": n * m}, override_caps)
     kw = dict(n=n, m=m, p_rows=P.rows, pn=P.n, pm=P.m, node_budget=node_budget)
     best, wit_rows, nodes, truncated = _search(
         "matrix_search", kw, threads, _matrix_frontier, min(_MATRIX_SPLIT_DEPTH, n * m)

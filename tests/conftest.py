@@ -1,6 +1,6 @@
 """Shared fixtures: the construction grid, random-instance generators, the
-brute-force matrix oracle, and the compiled kernel twin built from this
-checkout."""
+brute-force matrix oracle, the compiled kernel twin built from this
+checkout, and fixtures that route the oracles through either twin."""
 
 import importlib.util
 import os
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from seqext import backends
+from seqext import _kernels_py, backends
 from seqext.coloring import Hypergraph
 from seqext.construct import build_formation_witness
 from seqext.matrices import ZeroOneMatrix, matrix_contains_brute
@@ -117,3 +117,11 @@ def compiled_backend(compiled, monkeypatch):
     """Route the oracles through the compiled kernels for one test."""
     monkeypatch.setattr(backends, "seq_search", compiled.seq_search)
     monkeypatch.setattr(backends, "matrix_search", compiled.matrix_search)
+
+
+@pytest.fixture
+def pure_backend(monkeypatch):
+    """Route the oracles through the pure kernels for one test, even where
+    `backends` picked the compiled twin."""
+    monkeypatch.setattr(backends, "seq_search", _kernels_py.seq_search)
+    monkeypatch.setattr(backends, "matrix_search", _kernels_py.matrix_search)

@@ -228,8 +228,7 @@ class TestOracle:
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_pattern_wider_than_a_row_mask(self, capsys, request, backend):
         # 65 columns do not fit a 64-bit mask; wider than the host, P never occurs
-        if backend == "compiled":
-            request.getfixturevalue("compiled_backend")
+        request.getfixturevalue(f"{backend}_backend")
         code, payload, err = run_json(
             capsys, "oracle", "ex-matrix", "--n", "2", "--m", "2", "--pattern", "R2,65"
         )
@@ -328,6 +327,15 @@ class TestBound:
         assert payload["results"]["bound"] == 7
         assert payload["results"]["oracle_value"] == 5
 
+    @pytest.mark.parametrize("j, value", [(2, 7), (3, 6)])
+    def test_ds_ceiling_reports_its_j(self, capsys, j, value):
+        code, payload, _ = run_json(
+            capsys, "bound", "ds-ceiling", "--n", "4", "--s", "2", "--j", str(j),
+            "--compare-oracle",
+        )
+        assert code == 0 and payload["params"] == {"n": 4, "s": 2, "j": j}
+        assert payload["results"]["oracle_value"] == value
+
     def test_formation_ceiling(self, capsys):
         code, payload, _ = run_json(
             capsys, "bound", "formation-ceiling", "--n", "3", "--r", "2", "--s", "2"
@@ -340,6 +348,7 @@ class TestBound:
             "--compare-oracle",
         )
         assert code == 0 and payload["results"]["oracle_value"] == 5
+        assert payload["params"] == {"n": 3, "r": 2, "s": 2, "j": 2}
         assert payload["checks"] == [
             {"name": "oracle<=bound", "pass": True, "measured": 5, "bound": 18}
         ]

@@ -1,7 +1,7 @@
 """Backend fidelity: the pure and compiled kernels must traverse identically,
 and the incremental admissibility state must agree with the plain checkers."""
 
-import importlib.util
+import inspect
 import random
 import sys
 from itertools import product
@@ -11,7 +11,7 @@ import pytest
 
 from conftest import brute_ex_matrix, random_sequence
 from seqext import _kernels_py as pure
-from seqext import backends, checks, matrices
+from seqext import checks, matrices
 from seqext.backends import backend_name
 from seqext.oracles import _greedy_blocks
 from seqext.sequences import PatternSequence, Sequence
@@ -101,16 +101,24 @@ class TestBackendEquality:
             ((1, 1, 0, 1, 0, 1, 0, 1, 1), -1, (6, [3, 5, 6], 0, False)),
             ((1, 0, 0, 0, 1, 0, 0, 0, 0), 7, (7, [1, 2, 0], 0, False)),
         ):
-            kw = dict(prefix_bits=bits, initial_best=initial_best)
+            kw = dict(prefix=bits, initial_best=initial_best)
             assert pure.matrix_search(3, 3, (3, 3), 2, 2, **kw) == expect
             assert tuple(compiled.matrix_search(3, 3, (3, 3), 2, 2, **kw)) == expect
 
     def test_infeasible_prefix_raises_everywhere(self, compiled):
         kw = dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=2, prefix=(1, 1))
-        with pytest.raises(ValueError):
-            pure.seq_search(**kw)
-        with pytest.raises(ValueError):
-            compiled.seq_search(**kw)
+        message = "forced prefix (1, 1) is not admissible"
+        assert _error(pure.seq_search, **kw) == _error(compiled.seq_search, **kw) == message
+
+    @pytest.mark.parametrize("kernel", ["seq_search", "matrix_search"])
+    def test_twins_share_one_signature(self, compiled, kernel):
+        pure_sig = inspect.signature(getattr(pure, kernel))
+        assert pure_sig == inspect.signature(getattr(compiled, kernel))
+        assert "prefix" in pure_sig.parameters
+
+    def test_compiled_exports_only_the_kernels(self, compiled):
+        names = [name for name in vars(compiled) if not name.startswith("__")]
+        assert sorted(names) == ["matrix_search", "seq_search"]
 
     @pytest.mark.parametrize(
         "kw",
@@ -127,13 +135,23 @@ class TestBackendEquality:
             dict(mode=7, n=3, j=2, ceiling=5),
             dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=5, pattern=()),
             dict(mode=pure.MODE_PATTERN, n=2, j=3, ceiling=5, pattern=(0, 1)),
+            # the letters come before the prefix and the ceiling
+            dict(mode=pure.MODE_DS, n=0, j=2, ceiling=5, s=1, prefix=(9,)),
+            dict(mode=pure.MODE_DS, n=0, j=2, ceiling=-1, s=1),
+            # the mode data comes before the prefix, item by item
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=5, pattern=(), prefix=(9,)),
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=5, pattern=(70, 0)),
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=5, pattern=(2**70, 0)),
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=5),
+            # the block budget comes before the mode
+            dict(mode=7, n=3, j=2, ceiling=5, max_blocks=2),
+            # an integer beyond a C int comes first of all
+            dict(mode=pure.MODE_DS, n=0, j=2, ceiling=10**12, s=1),
+            dict(mode=pure.MODE_DS, n=3, j=2, ceiling=5, s=1, node_budget=2**63),
         ],
     )
     def test_seq_limits_raise_everywhere(self, compiled, kw):
-        with pytest.raises(ValueError):
-            pure.seq_search(**kw)
-        with pytest.raises(ValueError):
-            compiled.seq_search(**kw)
+        assert _error(pure.seq_search, **kw) == _error(compiled.seq_search, **kw)
 
     @pytest.mark.parametrize(
         "args, extra",
@@ -143,17 +161,26 @@ class TestBackendEquality:
             ((3, 63, (1,), 1, 1), {}),
             ((50_001, 1, (1,), 1, 1), {}),
             ((807, 62, (1,), 1, 1), {}),
-            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 1, 1, 1, 0))),
-            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 2))),
-            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(1, 1, 1, 1))),
-            ((2, 2, (3, 3), 2, 2), dict(prefix_bits=(0, 0, 1))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix=(1, 1, 1, 1, 0))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix=(1, 2))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix=(1, 1, 1, 1))),
+            ((2, 2, (3, 3), 2, 2), dict(prefix=(0, 0, 1))),
+            # the pattern's dimensions and rows come after the cells
+            ((3, 3, (3,), 2, 2), {}),
+            ((3, 3, (3, 3, 3), 2, 2), {}),
+            ((3, 3, (), -1, 2), {}),
+            ((3, 3, (3,), 1, -1), {}),
+            ((0, 3, (3,), 2, 2), dict(prefix=(2,))),
+            ((3, 3, (3,), 2, 2), dict(prefix=(2,))),
+            # an integer beyond a C int comes first of all
+            ((0, 2**40, (1,), 1, 1), {}),
+            ((3, 3, (3, 3), 2, 2), dict(node_budget=-(2**63) - 1)),
         ],
     )
     def test_matrix_limits_raise_everywhere(self, compiled, args, extra):
-        with pytest.raises(ValueError):
-            pure.matrix_search(*args, **extra)
-        with pytest.raises(ValueError):
-            compiled.matrix_search(*args, **extra)
+        assert _error(pure.matrix_search, *args, **extra) == _error(
+            compiled.matrix_search, *args, **extra
+        )
 
     def test_limits_are_accepted(self, compiled):
         for kw in (
@@ -206,14 +233,6 @@ def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
 
 
-@pytest.mark.parametrize("value", ["py", "python", "c", "cython"])
-def test_unknown_kernels_value_raises(monkeypatch, value):
-    monkeypatch.setenv("SEQEXT_KERNELS", value)
-    spec = importlib.util.spec_from_file_location("seqext.backends", backends.__file__)
-    with pytest.raises(RuntimeError, match="unknown SEQEXT_KERNELS value"):
-        spec.loader.exec_module(importlib.util.module_from_spec(spec))
-
-
 def test_backend_differential_fuzz(compiled):
     rng = random.Random(987654)
     for _ in range(150):
@@ -257,7 +276,7 @@ def test_backend_differential_fuzz(compiled):
         if rng.random() < 0.3:
             kw["node_budget"] = rng.randint(1, rng.choice((20, 1500)))
         if rng.random() < 0.4:
-            kw["prefix_bits"] = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
+            kw["prefix"] = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 6)))
         if rng.random() < 0.2:
             kw["initial_best"] = rng.randint(-1, 12)
         assert _outcome(pure.matrix_search, kw) == _outcome(compiled.matrix_search, kw), kw
@@ -310,7 +329,14 @@ class TestRowOrderRule:
             for search in (pure.matrix_search, compiled.matrix_search):
                 with pytest.raises(ValueError, match="^forced prefix contains the pattern "
                                    "or breaks the row order$"):
-                    search(2, 2, (3, 3), 2, 2, prefix_bits=bits)
+                    search(2, 2, (3, 3), 2, 2, prefix=bits)
+
+
+def _error(search, *args, **kw):
+    """The text of the ValueError that a kernel call raises."""
+    with pytest.raises(ValueError) as info:
+        search(*args, **kw)
+    return str(info.value)
 
 
 def _outcome(search, kw):

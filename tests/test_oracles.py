@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from conftest import brute_ex_matrix
-from seqext import backends, checks, matrices, oracles
+from seqext import _kernels_py, backends, checks, matrices, oracles
 from seqext.construct import build_block_witness
 from seqext.errors import CapExceededError
 from seqext.matrices import all_ones
@@ -80,6 +80,13 @@ class TestLambda:
         with pytest.raises(CapExceededError):
             oracle_lambda(6, 1, 2)
         assert oracle_lambda(6, 1, 2, override_caps=True).value == 6
+
+    def test_caps_leave_sparsity_free(self):
+        # a larger j only shrinks the search: 8,236 nodes at j=3, 262 at j=4
+        res = oracle_lambda(5, 4, 4)
+        assert (res.value, res.nodes_explored, res.exhausted) == (13, 262, True)
+        assert oracle_formation(4, 3, 3, 5).exhausted
+        assert oracle_pattern(Sequence((1, 2) * 3), 5, 4).exhausted
 
     def test_node_budget_flags_nonexhausted(self):
         res = oracle_lambda(4, 2, 2, node_budget=5)
@@ -308,8 +315,7 @@ class TestLambdaPrime:
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_wide_pattern_is_clamped(self, request, backend):
         # s + 1 = 101 columns would overflow a 64-bit row mask; clamped to m + 1
-        if backend == "compiled":
-            request.getfixturevalue("compiled_backend")
+        request.getfixturevalue(f"{backend}_backend")
         res = oracle_lambda_prime(3, 100, 3)
         assert (res.value, res.exhausted) == (9, True)
 
@@ -367,7 +373,7 @@ class TestExMatrix:
         assert res.witness.ones_count == 9
 
     def test_cell_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match=r"^n\*m=36 exceeds default cap 30; "):
             oracle_ex_matrix(6, 6, all_ones(2, 2))
 
     def test_5x5_values(self, compiled_backend):  # ~0.3 s per search on the pure kernels
@@ -449,7 +455,7 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
     def test_lambda(self, pool_sizes, monkeypatch, cpus):
-        kw = dict(mode=backends.MODE_DS, n=4, j=2, s=2, r=0, pattern=(), max_blocks=0)
+        kw = dict(mode=_kernels_py.MODE_DS, n=4, j=2, s=2, r=0, pattern=(), max_blocks=0)
         tasks = len(oracles._seq_frontier(kw, oracles._SEQ_SPLIT_DEPTH)[0])
         monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
         reference = oracle_lambda(4, 2, threads=2)
