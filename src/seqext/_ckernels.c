@@ -203,16 +203,18 @@ done:
 /* Sequence search                                                          */
 
 typedef struct {
-    int idx;       /* letter-pair slot (DS), r-subset (formation) or embedding (pattern) */
+    int idx;       /* letter-pair slot, r-subset (formation) or embedding (pattern) */
     int completed; /* formation: this push completed the subset;
                       pattern: this push appended the embedding */
-    u64 old;       /* previous alt_last (DS), partial mask (formation) or k (pattern) */
+    u64 old;       /* previous alt_last, partial mask (formation) or k (pattern) */
 } Change;
 
+/* A push logs its letter-pair changes, then its mode's changes. */
 typedef struct {
     int last_pos, used_max, blocks_used;
     u64 block_mask;
-    size_t mark; /* height of the change log before the push */
+    size_t mark;  /* height of the change log before the push */
+    size_t pairs; /* height after the letter-pair changes */
 } Undo;
 
 /* Pattern mode: one partial embedding per mapping, as in `SeqState.reach`. */
@@ -224,18 +226,21 @@ typedef struct {
 } Embedding;
 
 /* The counterpart of `SeqState`: depth and value are the length, limit is
-   the ceiling and last is min(used_max + 1, n); slack is, in DS mode, the
-   runs the letter pairs can still take (see `SeqState`), else MAX_CEILING. */
+   the ceiling and last is min(used_max + 1, n); slack is, under an
+   alternation budget (DS mode and two-letter patterns with j >= 2), the runs
+   the letter pairs can still take (see `SeqState`), else MAX_CEILING. */
 typedef struct {
     Search search;
     int mode, n, jeff, s, max_blocks;
     int used_max, blocks_used, best_len;
+    long long cap; /* the runs each letter pair may take, if alt is set */
     u64 block_mask;
     int *tokens, *best_tokens, *last_pos;
     Undo *undo;
     Change *log;
     size_t log_top, log_cap;
-    /* DS: alternation count and last letter per letter pair */
+    /* alternation budget: run count and last letter per letter pair, NULL
+       when the search has no budget */
     int *alt, *alt_last;
     /* formation: per r-subset its letter mask, greedy progress and completed
        copies; per letter the subsets containing it */
@@ -415,6 +420,24 @@ static int pattern_init(SeqKernel *k, PyObject *pattern)
     return 0;
 }
 
+/* 2 ell - k - 1 for a pattern of ell tokens in k runs on exactly two
+   letters, the cap of its alternation budget (see `SeqState`); 0 for a
+   pattern on one letter or on three or more. */
+static long long two_letter_cap(const int *pattern, int plen)
+{
+    int other = 0;
+    long long runs = 1;
+    for (int i = 1; i < plen; i++) {
+        if (pattern[i] != pattern[0] && pattern[i] != other) {
+            if (other)
+                return 0;
+            other = pattern[i];
+        }
+        runs += pattern[i] != pattern[i - 1];
+    }
+    return other ? 2 * (long long)plen - runs - 1 : 0;
+}
+
 /* The change log with room for `need` entries; NULL (MemoryError) on failure. */
 static Change *log_reserve(SeqKernel *k, size_t need)
 {
@@ -427,10 +450,23 @@ static Change *log_reserve(SeqKernel *k, size_t need)
     return log;
 }
 
-/* Each *_push appends c to the mode's state if the sequence stays
+/* The alternation budget of `SeqState`, with each pair capped at `cap` runs. */
+static int pairs_init(SeqKernel *k, long long cap)
+{
+    const int n = k->n;
+    k->cap = cap;
+    k->search.slack = cap * (n * (n - 1) / 2);
+    if (!(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
+        || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
+        return -1;
+    return 0;
+}
+
+/* Each *_push appends c to its part of the state if the sequence stays
    admissible: 1 if pushed, 0 if rejected (state untouched), -1 on error. */
 
-static int ds_push(SeqKernel *k, int c)
+/* Starts a run of every pair {b, c} whose last letter is not c. */
+static int pairs_push(SeqKernel *k, int c)
 {
     const int n = k->n;
     int *alt = k->alt, *alt_last = k->alt_last;
@@ -442,7 +478,7 @@ static int ds_push(SeqKernel *k, int c)
         int idx = c < b ? c * (n + 1) + b : b * (n + 1) + c;
         if (b == c || alt_last[idx] == c)
             continue;
-        if (alt[idx] > k->s)
+        if (alt[idx] >= k->cap) /* the run would be pair idx's (cap+1)-th */
             return 0;
         log[top++] = (Change){idx, 0, (u64)alt_last[idx]};
     }
@@ -453,6 +489,16 @@ static int ds_push(SeqKernel *k, int c)
     k->search.slack -= (long long)(top - k->log_top);
     k->log_top = top;
     return 1;
+}
+
+/* Undo the pair changes log[from..to). */
+static void pairs_pop(SeqKernel *k, size_t from, size_t to)
+{
+    for (size_t i = from; i < to; i++) {
+        k->alt[k->log[i].idx]--;
+        k->alt_last[k->log[i].idx] = (int)k->log[i].old;
+    }
+    k->search.slack += (long long)(to - from);
 }
 
 static int formation_push(SeqKernel *k, int c)
@@ -543,18 +589,24 @@ static int seq_push(Search *s, int c)
     SeqKernel *k = (SeqKernel *)s;
     int d = s->depth, lp = k->last_pos[c], pushed;
     int new_block = k->max_blocks && (k->block_mask == 0 || (k->block_mask >> c) & 1);
-    size_t mark = k->log_top;
-    if (lp && d + 1 - lp < k->jeff)
+    size_t mark = k->log_top, pairs;
+    if ((lp && d + 1 - lp < k->jeff) || (new_block && k->blocks_used + 1 > k->max_blocks))
         return 0;
-    if (k->mode == MODE_DS)
-        pushed = new_block && k->blocks_used + 1 > k->max_blocks ? 0 : ds_push(k, c);
-    else if (k->mode == MODE_FORMATION)
-        pushed = formation_push(k, c);
-    else
-        pushed = pattern_push(k, c);
-    if (pushed <= 0)
+    if (k->alt && (pushed = pairs_push(k, c)) <= 0)
         return pushed;
-    k->undo[d] = (Undo){lp, k->used_max, k->blocks_used, k->block_mask, mark};
+    pairs = k->log_top;
+    if (k->mode == MODE_FORMATION)
+        pushed = formation_push(k, c);
+    else if (k->mode == MODE_PATTERN)
+        pushed = pattern_push(k, c);
+    else
+        pushed = 1;
+    if (pushed <= 0) {
+        pairs_pop(k, mark, pairs);
+        k->log_top = mark;
+        return pushed;
+    }
+    k->undo[d] = (Undo){lp, k->used_max, k->blocks_used, k->block_mask, mark, pairs};
     if (new_block) {
         k->blocks_used++;
         k->block_mask = (u64)1 << c;
@@ -580,15 +632,10 @@ static void seq_pop(Search *s)
     k->blocks_used = u->blocks_used;
     k->block_mask = u->block_mask;
     s->last = seq_last(k);
-    if (k->mode == MODE_DS)
-        s->slack += (long long)(k->log_top - u->mark);
     /* newest first: a pattern push may raise one embedding twice */
-    for (size_t i = k->log_top; i-- > u->mark;) {
+    for (size_t i = k->log_top; i-- > u->pairs;) {
         const Change *ch = &k->log[i];
-        if (k->mode == MODE_DS) {
-            k->alt[ch->idx]--;
-            k->alt_last[ch->idx] = (int)ch->old;
-        } else if (k->mode == MODE_FORMATION) {
+        if (k->mode == MODE_FORMATION) {
             if (ch->completed)
                 k->sub_count[ch->idx]--;
             k->sub_partial[ch->idx] = ch->old;
@@ -600,6 +647,7 @@ static void seq_pop(Search *s)
             e->want = image_of(k, e->code, e->k);
         }
     }
+    pairs_pop(k, u->mark, u->pairs);
     k->log_top = u->mark;
 }
 
@@ -638,15 +686,16 @@ static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
         return -1;
     switch (mode) {
     case MODE_DS:
-        k->search.slack = ((long long)s + 1) * (n * (n - 1) / 2);
-        if (!(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
-            || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
-            return -1;
-        return 0;
+        return pairs_init(k, (long long)s + 1);
     case MODE_FORMATION:
         return formation_init(k, r);
-    case MODE_PATTERN:
-        return pattern_init(k, pattern);
+    case MODE_PATTERN: {
+        long long cap;
+        if (pattern_init(k, pattern) < 0)
+            return -1;
+        cap = j >= 2 ? two_letter_cap(k->pattern, k->plen) : 0;
+        return cap ? pairs_init(k, cap) : 0;
+    }
     default:
         PyErr_Format(PyExc_ValueError, "unknown mode %d", mode);
         return -1;

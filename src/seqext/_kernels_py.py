@@ -40,20 +40,31 @@ class SeqState:
     """Incremental admissibility state for canonical sequence search.
 
     Tracks, per appended token: last occurrence positions (sparsity), run
-    counts per letter pair (alternations, DS mode), greedy formation
-    progress per r-subset (formation mode), and the partial pattern
-    embeddings (pattern mode). DS mode optionally tracks the greedy minimal
-    block partition for block-budgeted searches.
+    counts per letter pair (alternations), greedy formation progress per
+    r-subset (formation mode), and the partial pattern embeddings (pattern
+    mode). DS mode optionally tracks the greedy minimal block partition for
+    block-budgeted searches.
 
-    Alternation budget (DS mode): `slack` is (s+1) C(n,2) minus the sum of
-    `alt` over all letter pairs, so it is what the pairs can still take
-    before each reaches its cap of s+1 runs. It bounds the tokens still to
-    come once the sequence is nonempty: since jeff >= 2, every token after
-    the first differs from its predecessor p, and the pair {p, c} last saw
-    p, so the token starts a new run of {p, c} and raises its `alt` by one.
-    Block budgets only refuse more tokens, so the bound holds with them too.
-    Other modes have no such budget; their slack is MAX_CEILING, which no
-    search can exceed.
+    Alternation budget: `alt` counts the runs of each letter pair's
+    restriction (the sequence with every other letter deleted), and a push
+    that would give some pair more than `cap` runs is refused. It applies
+    in two cases:
+    - DS order s: cap = s + 1, the definition of order s.
+    - a pattern u with exactly two distinct letters, when j >= 2: if u has
+      ell tokens in k runs, cap = 2 ell - k - 1. A run of length l takes
+      2l - 1 positions of an alternation and the next run starts on the
+      next position, so the alternation of length R = 2 ell - k contains u;
+      a pair with R runs holds that alternation (one token per run), so the
+      containment check refuses every push the cap refuses.
+    `slack` is cap C(n,2) minus the sum of `alt` over all letter pairs, so
+    it is what the pairs can still take before each reaches its cap. It
+    bounds the tokens still to come once the sequence is nonempty: since
+    jeff >= 2, every token after the first differs from its predecessor p,
+    and the pair {p, c} last saw p, so the token starts a new run of {p, c}
+    and raises its `alt` by one. Block budgets only refuse more tokens, so
+    the bound holds with them too. Other searches (formation, patterns on
+    one or three or more letters, 1-sparse patterns) have no such budget;
+    their slack is MAX_CEILING, which no search can exceed.
 
     Pattern embeddings (pattern mode): `reach` maps each partial mapping mp
     (mp[a-1] the image of pattern letter a, 0 if unmapped) to the greatest
@@ -91,16 +102,9 @@ class SeqState:
         self.block_mask = 0
         self.blocks_used = 0
         self.slack = MAX_CEILING
+        cap = None  # the runs each letter pair may take; None: no budget
         if mode == MODE_DS:
-            size = (n + 1) * (n + 1)
-            self.alt = [0] * size
-            self.alt_last = [0] * size
-            # pair_slots[c]: the slot min(b, c) * (n+1) + max(b, c) of each pair {b, c}
-            self.pair_slots = [
-                [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
-                for c in range(n + 1)
-            ]
-            self.slack = (s + 1) * (n * (n - 1) // 2)
+            cap = s + 1
         elif mode == MODE_FORMATION:
             subs = list(combinations(range(1, n + 1), r)) if r <= n else []
             self.sub_full = [sum(1 << v for v in sub) for sub in subs]
@@ -127,8 +131,22 @@ class SeqState:
             self.reach = {empty: 0}
             self.waiting = [set() for _ in range(n + 1)]
             self.waiting[0].add(empty)
+            if j >= 2 and len(set(self.pattern)) == 2:
+                runs = 1 + sum(a != b for a, b in zip(self.pattern, self.pattern[1:]))
+                cap = 2 * len(self.pattern) - runs - 1
         else:
             raise ValueError(f"unknown mode {mode}")
+        self.cap = cap
+        if cap is not None:
+            size = (n + 1) * (n + 1)
+            self.alt = [0] * size
+            self.alt_last = [0] * size
+            # pair_slots[c]: the slot min(b, c) * (n+1) + max(b, c) of each pair {b, c}
+            self.pair_slots = [
+                [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
+                for c in range(n + 1)
+            ]
+            self.slack = cap * (n * (n - 1) // 2)
 
     def candidates(self):
         u = self.used_max  # canonical letters 1..min(u + 1, n); min() is slow here
@@ -141,36 +159,25 @@ class SeqState:
         if lp and pos - lp < self.jeff:
             return False
         mode = self.mode
-        extra = None
+        extra = bumps = None
         prev_mask = self.block_mask
         prev_used = self.blocks_used
-        if mode == MODE_DS:
-            if self.max_blocks:
-                if prev_mask == 0 or (prev_mask >> c) & 1:
-                    if prev_used + 1 > self.max_blocks:
-                        return False
-            alt, alt_last, s = self.alt, self.alt_last, self.s
+        if self.max_blocks:
+            if prev_mask == 0 or (prev_mask >> c) & 1:
+                if prev_used + 1 > self.max_blocks:
+                    return False
+        if self.cap is not None:
+            alt, alt_last, cap = self.alt, self.alt_last, self.cap
             bumps = []
             for idx in self.pair_slots[c]:
                 last = alt_last[idx]
                 if last != c:
-                    if alt[idx] > s:  # the run would be pair idx's (s+2)-th
+                    if alt[idx] >= cap:  # the run would be pair idx's (cap+1)-th
                         return False
                     bumps.append((idx, last))
-            for idx, _old in bumps:
-                alt[idx] += 1
-                alt_last[idx] = c
-            self.slack -= len(bumps)
-            extra = bumps
-            if self.max_blocks:
-                if prev_mask == 0 or (prev_mask >> c) & 1:
-                    self.blocks_used = prev_used + 1
-                    self.block_mask = 1 << c
-                else:
-                    self.block_mask = prev_mask | (1 << c)
-        elif mode == MODE_FORMATION:
+        if mode == MODE_FORMATION:
             bit = 1 << c
-            changes = []
+            extra = []
             for si in self.letter_subs[c]:
                 pm = self.sub_partial[si]
                 if pm & bit:
@@ -178,17 +185,16 @@ class SeqState:
                 if (pm | bit) == self.sub_full[si]:
                     if self.sub_count[si] + 1 >= self.s:
                         return False
-                    changes.append((si, pm, True))
+                    extra.append((si, pm, True))
                 else:
-                    changes.append((si, pm, False))
-            for si, pm, completed in changes:
+                    extra.append((si, pm, False))
+            for si, pm, completed in extra:
                 if completed:
                     self.sub_count[si] += 1
                     self.sub_partial[si] = 0
                 else:
                     self.sub_partial[si] = pm | bit
-            extra = changes
-        else:  # MODE_PATTERN
+        elif mode == MODE_PATTERN:
             reach, slot, waiting = self.reach, self.slot, self.waiting
             last = len(slot) - 1
             fresh = []
@@ -213,7 +219,18 @@ class SeqState:
                         waiting[mp[slot[old]]].remove(mp)
                     reach[mp] = k
                     waiting[mp[slot[k]]].add(mp)
-        self.undo.append((c, lp, self.used_max, prev_mask, prev_used, extra))
+        if bumps is not None:
+            for idx, _old in bumps:
+                alt[idx] += 1
+                alt_last[idx] = c
+            self.slack -= len(bumps)
+        if self.max_blocks:
+            if prev_mask == 0 or (prev_mask >> c) & 1:
+                self.blocks_used = prev_used + 1
+                self.block_mask = 1 << c
+            else:
+                self.block_mask = prev_mask | (1 << c)
+        self.undo.append((c, lp, self.used_max, prev_mask, prev_used, bumps, extra))
         self.last_pos[c] = pos
         if c > self.used_max:
             self.used_max = c
@@ -222,25 +239,25 @@ class SeqState:
         return True
 
     def pop(self):
-        c, lp, prev_umax, prev_mask, prev_used, extra = self.undo.pop()
+        c, lp, prev_umax, prev_mask, prev_used, bumps, extra = self.undo.pop()
         self.tokens.pop()
         self.depth = self.value = len(self.tokens)
         self.last_pos[c] = lp
         self.used_max = prev_umax
         self.block_mask = prev_mask
         self.blocks_used = prev_used
-        mode = self.mode
-        if mode == MODE_DS:
-            for idx, old in extra:
+        if bumps is not None:
+            for idx, old in bumps:
                 self.alt[idx] -= 1
                 self.alt_last[idx] = old
-            self.slack += len(extra)
-        elif mode == MODE_FORMATION:
+            self.slack += len(bumps)
+        mode = self.mode
+        if mode == MODE_FORMATION:
             for si, pm, completed in extra:
                 if completed:
                     self.sub_count[si] -= 1
                 self.sub_partial[si] = pm
-        else:
+        elif mode == MODE_PATTERN:
             reach, slot, waiting = self.reach, self.slot, self.waiting
             for mp, old in reversed(extra):  # a mapping may be raised twice
                 waiting[mp[slot[reach[mp]]]].remove(mp)

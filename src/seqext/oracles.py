@@ -6,7 +6,8 @@ ceiling, re-checks its own witness through the independent predicates in
 (true iff the search space was fully explored, making the value exact).
 
 Search ceilings: DS sequences never exceed s C(n,2) + 1; a j-sparse
-sequence avoiding all (r, s)-formations never exceeds s n^r when j >= r
+sequence avoiding all (r, s)-formations never exceeds s n^r when j >= r,
+and (s-1) n when r = 1, since a (1, s)-formation is one letter s times
 (any j-sparse sequence on fewer than j letters has length at most that
 letter count); avoiding a pattern u with r_u letters and length s_u implies
 avoiding all (r_u, s_u)-formations, since each of the s_u permutation
@@ -18,7 +19,8 @@ These ceilings are worked out here only: each result carries the one its
 search ran under as `ExtremalResult.ceiling`, and the CLI's `estimated_nodes`
 is computed from it. Below the ceiling, the DS searches (lambda,
 lambda-blocks) also prune on the alternation budget that the kernels track
-(`_kernels_py.SeqState`).
+(`_kernels_py.SeqState`), and so do the searches for a pattern on exactly
+two letters with j >= 2: such a pattern caps the runs of every letter pair.
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
@@ -89,14 +91,16 @@ def lambda_ceiling(n: int, s: int) -> int:
 
 def formation_ceiling(n: int, r: int, s: int) -> int:
     """Every r-sparse sequence on n >= r letters avoiding all (r, s)-formations
-    has length at most s n^r."""
-    return s * n**r
+    has length at most s n^r. For r = 1 the exact value is (s-1) n: a
+    (1, s)-formation is one letter s times, so each letter occurs at most
+    s-1 times, and (1..n)^(s-1) attains it."""
+    return (s - 1) * n if r == 1 else s * n**r
 
 
 def _sparse_ceiling(n: int, j: int, r: int, s: int, length_cap: int) -> tuple[int, bool]:
     """Search ceiling for j-sparse sequences on n letters avoiding all
-    (r, s)-formations, and whether it is proven: n when n < j, s n^r when
-    j >= r, else `length_cap` (no ceiling exists)."""
+    (r, s)-formations, and whether it is proven: n when n < j,
+    `formation_ceiling` when j >= r, else `length_cap` (no ceiling exists)."""
     if n < j:
         return n, True
     if j >= r:

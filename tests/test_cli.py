@@ -342,6 +342,14 @@ class TestBound:
         )
         assert code == 0 and payload["results"]["bound"] == 18
 
+    def test_formation_ceiling_one_letter(self, capsys):
+        # a (1, s)-formation is one letter s times: (s-1) n
+        code, payload, _ = run_json(
+            capsys, "bound", "formation-ceiling", "--n", "4", "--r", "1", "--s", "3",
+            "--compare-oracle",
+        )
+        assert code == 0 and payload["results"] == {"bound": 8, "oracle_value": 8}
+
     def test_formation_ceiling_compare(self, capsys):
         code, payload, _ = run_json(
             capsys, "bound", "formation-ceiling", "--n", "3", "--r", "2", "--s", "2",

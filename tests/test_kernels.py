@@ -13,7 +13,7 @@ from conftest import brute_ex_matrix, random_sequence
 from seqext import _kernels_py as pure
 from seqext import checks, matrices
 from seqext.backends import backend_name
-from seqext.oracles import _greedy_blocks
+from seqext.oracles import _greedy_blocks, _sparse_ceiling
 from seqext.sequences import PatternSequence, Sequence
 
 SEQ_CASES = [
@@ -38,6 +38,9 @@ SEQ_CASES = [
     dict(mode=pure.MODE_FORMATION, n=4, j=2, ceiling=48, s=3, r=2),
     dict(mode=pure.MODE_PATTERN, n=5, j=2, ceiling=54, pattern=(1, 2, 1, 2)),
     dict(mode=pure.MODE_PATTERN, n=6, j=3, ceiling=1296, pattern=(1, 2, 3, 1, 2, 3)),
+    # two-letter patterns need not be canonical: the budget counts letters
+    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=80, pattern=(1, 3, 1, 3, 1)),
+    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=27, pattern=(2, 1, 2)),
 ]
 
 MATRIX_CASES = [
@@ -404,9 +407,16 @@ class TestStateMatchesCheckers:
 
 
 class _NoBudget(pure.SeqState):
-    """A sequence state whose alternation budget never binds."""
+    """A sequence state whose alternation budget never binds: its slack is
+    MAX_CEILING, and a pattern search drops the pair-run cap, so only the
+    containment check refuses a letter."""
 
     slack = property(lambda self: pure.MAX_CEILING, lambda self, value: None)
+
+    def __init__(self, mode, *args, **kw):
+        super().__init__(mode, *args, **kw)
+        if mode == pure.MODE_PATTERN:
+            self.cap = None
 
 
 def test_alternation_budget_against_unbudgeted_search(monkeypatch):
@@ -435,6 +445,33 @@ def test_alternation_budget_against_unbudgeted_search(monkeypatch):
         assert (res[0], res[1], res[3]) == (ref[0], ref[1], ref[3]), case
         assert res[2] <= ref[2], case
     assert budgeted[grid.index((5, 4, 2, 0))][2] == 1_443_083
+
+
+def test_pair_run_budget_against_unbudgeted_pattern_search(monkeypatch):
+    """A two-letter pattern caps the runs of every letter pair; the cap and
+    its slack change no value, witness or truncation flag of a pattern
+    search, and never add a node."""
+
+    def search(pattern, n, j):
+        ceiling, _ = _sparse_ceiling(n, j, 2, len(pattern), 24)
+        return pure.seq_search(pure.MODE_PATTERN, n, j, ceiling, pattern=pattern)
+
+    # every canonical pattern on exactly the letters 1 and 2, up to length 5
+    patterns = [(1,) + rest for k in range(2, 6) for rest in product((1, 2), repeat=k - 1)
+                if 2 in rest]
+    for pattern, j, cap in (((1, 2, 2, 1), 2, 4), ((1, 3, 1, 3), 2, 3), ((1, 2, 2, 1), 1, None),
+                            ((1, 2, 3), 2, None), ((1, 1), 2, None)):
+        assert pure.SeqState(pure.MODE_PATTERN, 3, j, pattern=pattern).cap == cap
+    grid = list(product(patterns, range(1, 5), (1, 2, 3)))
+    budgeted = [search(*case) for case in grid]
+    monkeypatch.setattr(pure, "SeqState", _NoBudget)
+    fell = 0
+    for case, res in zip(grid, budgeted):
+        ref = search(*case)
+        assert (res[0], res[1], res[3]) == (ref[0], ref[1], ref[3]), case
+        assert res[2] <= ref[2], case
+        fell += res[2] < ref[2]
+    assert fell, "the budget pruned no pattern search"
 
 
 def test_masks_contain_matches_public_checker():

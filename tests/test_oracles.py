@@ -148,11 +148,19 @@ class TestPattern:
         assert oracle_pattern(parse_pattern("a a"), 2, 3).value == 3
         assert oracle_pattern(parse_pattern("a b a"), 2, 2).value == 2
 
-    def test_matches_lambda_for_alternations(self):
-        # avoiding the alternation of length s+2 with no adjacent repeats is DS order s
-        for (n, s) in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3)]:
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_matches_lambda_for_alternations(self, request, backend):
+        # avoiding the alternation of length s+2 with no adjacent repeats is
+        # DS order s; both cap every letter pair at s+1 runs, so the two
+        # searches walk one tree
+        request.getfixturevalue(f"{backend}_backend")
+        grid = [(n, s) for n in range(1, 5) for s in range(1, 5)] + [(5, s) for s in (1, 2, 3)]
+        for (n, s), j in product(grid, (2, 3)):
             alt = parse_pattern(" ".join("ab"[i % 2] for i in range(s + 2)))
-            assert oracle_pattern(alt, 2, n).value == oracle_lambda(n, s, 2).value
+            pat = oracle_pattern(alt, j, n, override_caps=True)
+            ds = oracle_lambda(n, s, j)
+            assert (pat.value, pat.witness, pat.nodes_explored) == (
+                ds.value, ds.witness, ds.nodes_explored), (n, s, j)
 
     def test_enumeration_cross_check(self):
         for (text, j, n) in [("a b a", 2, 2), ("a a", 2, 3), ("a b a b", 2, 3), ("a b b a", 2, 3)]:
@@ -173,7 +181,7 @@ class TestPattern:
 
 class TestNodeCounts:
     """Exact node counts: the alternation budget prunes the DS searches
-    (lambda, lambda-blocks); pattern searches have no budget."""
+    (lambda, lambda-blocks) and the searches for two-letter patterns."""
 
     def test_ds_searches(self):
         for res, value, nodes in (
@@ -183,10 +191,10 @@ class TestNodeCounts:
         ):
             assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
 
-    def test_alternation_pattern(self, compiled_backend):  # ~2 s on the pure kernels
-        # the same tree as lambda_5(4) without the alternation budget
+    def test_alternation_pattern(self, compiled_backend):
+        # the tree of lambda_5(4): both cap each letter pair at 6 runs
         res = oracle_pattern(parse_pattern("a b a b a b a"), 2, 4, override_caps=True)
-        assert (res.value, res.nodes_explored, res.exhausted) == (23, 243_326, True)
+        assert (res.value, res.nodes_explored, res.exhausted) == (23, 35_119, True)
 
 
 def test_greedy_partition_is_minimal():
@@ -475,8 +483,9 @@ class TestPoolSize:
         assert res == reference
 
     def test_empty_frontier(self, pool_sizes):
-        # every 1-letter prefix completes a (1, 1)-formation: no tasks at all
-        assert oracle_formation(1, 1, 1, 1, threads=4) == oracle_formation(1, 1, 1, 1)
+        # the ceiling is n = 1 (n < j), and every 1-letter prefix completes a
+        # (1, 1)-formation: no tasks at all
+        assert oracle_formation(1, 1, 1, 2, threads=4) == oracle_formation(1, 1, 1, 2)
         assert pool_sizes == [1]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -525,6 +534,15 @@ class TestCeiling:
         assert oracle_pattern(u, 2, 3).ceiling == formation_ceiling(3, 2, 3)
         assert oracle_pattern(u, 3, 2).ceiling == 2  # n < j
         assert oracle_pattern(u, 1, 3, length_cap=5).ceiling == 5  # j < r_u
+
+    def test_one_letter_ceiling_is_exact(self):
+        # a (1, s)-formation is one letter s times, and (1..n)^(s-1) is
+        # j-sparse for n >= j, so the ceiling (s-1) n is the value
+        for n, s, j in product((2, 3, 4), (1, 2, 3), (1, 2)):
+            res = oracle_formation(n, 1, s, j)
+            assert (res.value, res.ceiling, res.exhausted) == ((s - 1) * n, (s - 1) * n, True)
+        res = oracle_pattern(parse_pattern("a a a a a a"), 2, 4)
+        assert (res.value, res.ceiling, res.nodes_explored, res.exhausted) == (20, 20, 20, True)
 
     def test_ex_matrix(self):
         assert oracle_ex_matrix(3, 4, all_ones(2, 2)).ceiling == 12
