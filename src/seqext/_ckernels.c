@@ -753,15 +753,21 @@ done:
 /* Matrix search                                                            */
 
 /* The counterpart of `MatrixState`: depth is the cells filled row-major,
-   value the ones among them; limit and slack are the cell count (no bound
-   beyond the cells). Its moves are 1 and 2, in the order of
-   `MatrixState.candidates`: move 1 sets the next cell to 1, move 2 to 0. */
+   value the ones among them, limit the cell count. Its moves are 1 and 2,
+   in the order of `MatrixState.candidates`: move 1 sets the next cell to 1,
+   move 2 to 0. After each move, slack is `MatrixState`'s Russian-doll slack
+   over `bounds` (bounds[k] for k = 0..n: the table, then k m). */
 typedef struct {
     Search search;
     int n, m, pn, pm;
     int row, col; /* the next cell: depth = row * m + col */
     int equal_rows; /* every pattern row is equal: the row-order rule applies */
+    int equal_cols; /* every pattern column is equal: the column rule applies */
+    int last; /* P's last nonempty row; -1 when P does not fit the host */
+    u64 full; /* the m columns */
     u64 *rows, *best_rows, *p_rows;
+    u64 *tie; /* tie[i]: bit c set when columns c-1 and c agree on rows 0..i-1 */
+    long long *bounds;
     int *sel;
 } MatrixKernel;
 
@@ -770,74 +776,115 @@ static void matrix_free(MatrixKernel *k)
     PyMem_Free(k->rows);
     PyMem_Free(k->best_rows);
     PyMem_Free(k->p_rows);
+    PyMem_Free(k->tie);
+    PyMem_Free(k->bounds);
     PyMem_Free(k->sel);
     PyMem_Free(k->search.next);
 }
 
-/* The row-order rule of `MatrixState`: with equal pattern rows, a 1 at
-   (row, col) is refused if the row above has a 0 there and equals this row
-   on the columns before col (the cells from col on are still 0). */
-static int breaks_row_order(const MatrixKernel *k, int row, int col)
+static int bit_count(u64 x)
 {
-    u64 above;
-    if (!k->equal_rows || row == 0)
-        return 0;
-    above = k->rows[row - 1];
-    return !((above >> col) & 1) && k->rows[row] == (above & (((u64)1 << col) - 1));
+#if defined(__GNUC__)
+    return __builtin_popcountll(x);
+#else
+    int count = 0;
+    for (; x; x &= x - 1)
+        count++;
+    return count;
+#endif
 }
 
-/* Greedy left-to-right column matching for the row selection in sel. */
-static int cols_embed(const u64 *rows, const int *sel, const u64 *p_rows, int pn, int pm, int m)
+/* The index of the lowest set bit of x != 0. */
+static int lowest_bit(u64 x)
 {
-    int j = 0;
-    for (int v = 0; v < pm; v++, j++) {
-        for (; j < m; j++) {
-            int u = 0;
-            while (u < pn && !((p_rows[u] >> v) & 1 && !((rows[sel[u]] >> j) & 1)))
-                u++;
-            if (u == pn)
-                break;
-        }
-        if (j == m)
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int i = 0;
+    for (; !(x & 1); x >>= 1)
+        i++;
+    return i;
+#endif
+}
+
+/* The order rules of `MatrixState`, for a 1 at (row, col) (the cells from
+   col on are still 0): with equal pattern rows, refused if the row above
+   has a 0 there and equals this row on the columns before col; with equal
+   pattern columns, refused if the cell to the left is 0 and its column
+   agrees with this one above the row. */
+static int breaks_order(const MatrixKernel *k, int row, int col)
+{
+    const u64 cur = k->rows[row];
+    if (k->equal_rows && row > 0) {
+        const u64 above = k->rows[row - 1];
+        if (!((above >> col) & 1) && cur == (above & (((u64)1 << col) - 1)))
+            return 1;
+    }
+    return k->equal_cols && col > 0 && !((cur >> (col - 1)) & 1) && ((k->tie[row] >> col) & 1);
+}
+
+/* Greedy column matching of P's rows 0..last on the host rows sel[0..last]:
+   each P column goes to the first column after the previous match among
+   the AND of the host rows whose P rows have a 1 in it. */
+static int embeds(const MatrixKernel *k, const int *sel)
+{
+    int pos = 0; /* the first column not yet matched, at most m <= 62 */
+    for (int v = 0; v < k->pm; v++) {
+        u64 c = k->full;
+        for (int w = 0; w <= k->last; w++)
+            if ((k->p_rows[w] >> v) & 1)
+                c &= k->rows[sel[w]];
+        c >>= pos;
+        if (!c)
             return 0;
+        pos += lowest_bit(c) + 1;
     }
     return 1;
 }
 
-/* Pattern containment: every row selection, in lexicographic order. */
-static int contains(const MatrixKernel *k)
+/* Does the 1 just set in `row` complete an occurrence of P? The row takes
+   P's last nonempty row, and every choice of `last` rows above it, in
+   lexicographic order, the rows before; `MatrixState.completes`. */
+static int completes(const MatrixKernel *k, int row)
 {
-    const int n = k->n, pn = k->pn;
+    const int last = k->last;
     int *sel = k->sel, u;
-    if (pn > n || k->pm > k->m)
+    if (last < 0 || row < last || row > k->n - k->pn + last)
         return 0;
-    for (u = 0; u < pn; u++)
+    for (u = 0; u < last; u++)
         sel[u] = u;
+    sel[last] = row;
     for (;;) {
-        if (cols_embed(k->rows, sel, k->p_rows, pn, k->pm, k->m))
+        if (embeds(k, sel))
             return 1;
-        for (u = pn - 1; u >= 0 && sel[u] == n - pn + u; u--)
+        for (u = last - 1; u >= 0 && sel[u] == row - last + u; u--)
             ;
         if (u < 0)
             return 0;
-        for (sel[u]++, u++; u < pn; u++)
+        for (sel[u]++, u++; u < last; u++)
             sel[u] = sel[u - 1] + 1;
     }
 }
 
-/* Fill the next cell: a 1 for move 1, refused if it breaks the row-order
-   rule or makes the matrix contain P, and a 0 for move 2; mirrors
-   `MatrixState.try_push`. */
+/* Fill the next cell: a 1 for move 1, refused if it breaks an order rule or
+   completes an occurrence of P, and a 0 for move 2; then the slack at the
+   new next cell. Mirrors `MatrixState.try_push`. */
 static int matrix_push(Search *s, int c)
 {
     MatrixKernel *k = (MatrixKernel *)s;
     const int row = k->row, col = k->col;
+    int rest;
+    if (col == 0 && row > 0 && k->equal_cols) {
+        const u64 above = k->rows[row - 1];
+        k->tie[row] = k->tie[row - 1] & ~(above ^ (above << 1));
+    }
     if (c == 1) {
-        if (breaks_row_order(k, row, col))
+        const u64 bit = (u64)1 << col;
+        if (breaks_order(k, row, col))
             return 0;
-        k->rows[row] |= (u64)1 << col;
-        if (contains(k)) {
-            k->rows[row] ^= (u64)1 << col;
+        k->rows[row] |= bit;
+        if (completes(k, row)) {
+            k->rows[row] ^= bit;
             return 0;
         }
         s->value++;
@@ -845,6 +892,14 @@ static int matrix_push(Search *s, int c)
     s->depth++;
     if (++k->col == k->m)
         k->col = 0, k->row++;
+    rest = k->n - k->row;
+    if (rest == 0) {
+        s->slack = 0;
+    } else {
+        long long cells = (k->m - k->col) + k->bounds[rest - 1];
+        long long rows = k->bounds[rest] - bit_count(k->rows[k->row]);
+        s->slack = cells < rows ? cells : rows;
+    }
     return 1;
 }
 
@@ -870,9 +925,11 @@ static void matrix_keep(Search *s)
 }
 
 static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, int pm,
-                       long long node_budget)
+                       long long node_budget, PyObject *row_bounds)
 {
     PyObject *seq;
+    Py_ssize_t count, i;
+    int bad = 0, fits;
     memset(k, 0, sizeof *k);
     if (n < 1 || m < 1 || m > MAX_COLUMNS)
         return value_error("need 1 <= n and 1 <= m <= 62");
@@ -884,11 +941,14 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
     k->m = m;
     k->pn = pn;
     k->pm = pm;
+    k->full = ((u64)1 << m) - 1;
     k->search = (Search){.limit = n * m, .slack = n * m, .node_budget = node_budget,
                          .last = 2, .push = matrix_push, .pop = matrix_pop,
                          .keep = matrix_keep};
     if (!(k->rows = zalloc(n, sizeof(u64))) || !(k->best_rows = zalloc(n, sizeof(u64)))
         || !(k->p_rows = zalloc(pn, sizeof(u64))) || !(k->sel = zalloc(pn, sizeof(int)))
+        || !(k->tie = zalloc(n, sizeof(u64)))
+        || !(k->bounds = zalloc((size_t)n + 1, sizeof(long long)))
         || !(k->search.next = zalloc((size_t)n * m + 1, sizeof(int))))
         return -1;
     if (!(seq = PySequence_Fast(p_rows, "p_rows must be a sequence")))
@@ -897,9 +957,10 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
         Py_DECREF(seq);
         return value_error("p_rows must hold pn row masks");
     }
-    /* Only the low 64 bits of a pattern row are read: m <= 62, and `contains`
-       returns early when pm > m. Equal rows are decided on the whole ints,
-       so the row-order rule fires exactly when the pure twin's does. */
+    /* Only the low 64 bits of a pattern row are read: the rules and checks
+       that read P's rows apply only when P fits the host, so pm <= m <= 62.
+       Equal rows are decided on the whole ints, so the row-order rule fires
+       exactly when the pure twin's does. */
     k->equal_rows = 1;
     for (int u = 0; u < pn; u++) {
         PyObject *item = PySequence_Fast_GET_ITEM(seq, u);
@@ -912,11 +973,44 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
         k->equal_rows &= same;
     }
     Py_DECREF(seq);
+    i = 0;
+    if (row_bounds) { /* NULL: no table */
+        if (!(seq = PySequence_Fast(row_bounds, "row_bounds must be a sequence")))
+            return -1;
+        count = PySequence_Fast_GET_SIZE(seq);
+        bad = count > n;
+        for (; i < count && !bad; i++) {
+            int overflow;
+            long long v = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
+            if (v == -1 && PyErr_Occurred()) {
+                Py_DECREF(seq);
+                return -1;
+            }
+            bad = overflow || v < 0 || v > (long long)i * m;
+            k->bounds[i] = v;
+        }
+        Py_DECREF(seq);
+        if (bad)
+            return value_error("row_bounds must hold at most n bounds, bound k in 0..k*m");
+    }
+    for (; i <= n; i++)
+        k->bounds[i] = (long long)i * m;
+    fits = pn <= n && pm <= m;
+    k->equal_cols = fits;
+    k->last = -1;
+    for (int u = 0; u < pn && fits; u++) {
+        const u64 row = k->p_rows[u] & (((u64)1 << pm) - 1);
+        k->p_rows[u] = row;
+        k->equal_cols &= row == 0 || row == (((u64)1 << pm) - 1);
+        if (row)
+            k->last = u;
+    }
+    k->tie[0] = k->full;
     return 0;
 }
 
 PyDoc_STRVAR(matrix_search_doc,
-"matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1)\n"
+"matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1, row_bounds=())\n"
 "--\n\n"
 "Row-major fill with 1-before-0 branching; mirrors `_kernels_py.matrix_search`.\n"
 "Returns (best, rows, nodes, truncated).");
@@ -924,19 +1018,19 @@ PyDoc_STRVAR(matrix_search_doc,
 static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "m", "p_rows", "pn", "pm", "node_budget", "prefix",
-                             "initial_best", NULL};
+                             "initial_best", "row_bounds", NULL};
     int n, m, pn, pm, initial_best = -1;
     long long node_budget = 0;
-    PyObject *p_rows, *prefix = NULL, *rows = NULL, *result = NULL;
+    PyObject *p_rows, *prefix = NULL, *row_bounds = NULL, *rows = NULL, *result = NULL;
     MatrixKernel k;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOii|LOi", kwlist, &n, &m, &p_rows, &pn,
-                                     &pm, &node_budget, &prefix, &initial_best))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOii|LOiO", kwlist, &n, &m, &p_rows, &pn,
+                                     &pm, &node_budget, &prefix, &initial_best, &row_bounds))
         return parse_failed();
-    if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget) < 0
+    if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget, row_bounds) < 0
         || run(&k.search, prefix, 0, 1, initial_best,
                "forced prefix must be 0/1 bits within the cell count",
-               "forced prefix contains the pattern or breaks the row order") < 0
+               "forced prefix contains the pattern or breaks the row or column order") < 0
         || !(rows = PyList_New(n)))
         goto done;
     for (int i = 0; i < n; i++) {

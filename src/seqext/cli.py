@@ -415,7 +415,10 @@ def main(argv=None) -> int:
     try:
         oracles._check_threads(getattr(args, "threads", 1))
         return _DISPATCH[args.command](args)
-    except (ValueError, InfeasibleError, CapExceededError, OSError) as exc:
+    except CapExceededError as exc:
+        print(f"error: {exc.text('--override-caps')}", file=sys.stderr)
+        return 2
+    except (ValueError, InfeasibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # after CapExceededError, which subclasses it

@@ -30,6 +30,12 @@ total: a budgeted search always runs in one process. A node is one
 accepted move of the kernel: a letter or a matrix cell. Lambda-prime is
 ex(n, m, R_{2,s+1}) and runs as that matrix search.
 
+A matrix search first builds its Russian-doll table, ex(k, m, P) for every
+k < n, serially and on the same kernel (`_row_bounds`), and passes it whole
+to every kernel call, pool tasks included. The table's searches are counted
+in `nodes_explored` and draw on `node_budget`, so the budget stays a total;
+a budget that runs out in the table leaves the result not exhausted.
+
 Default size caps keep casual calls off exponential cliffs, and
 `_check_caps` raises every cap error; pass override_caps=True to lift them.
 No cap bounds j: a sparser search is only smaller.
@@ -114,8 +120,7 @@ def _check_caps(caps: dict[str, int], values: dict[str, int], override: bool) ->
     for name, cap in caps.items():
         if values[name] > cap:
             raise CapExceededError(
-                f"{name}={values[name]} exceeds default cap {cap}; "
-                "pass override_caps=True to force the search"
+                f"{name}={values[name]} exceeds default cap {cap}", "override_caps=True"
             )
 
 
@@ -337,6 +342,29 @@ def _matrix_frontier(kw: dict, depth: int):
     return _kernels_py.frontier(st, depth)
 
 
+def _row_bounds(n: int, m: int, P: MatrixPattern, node_budget: int):
+    """The Russian-doll table RD[k] = ex(k, m, P) for k < n, each entry
+    searched serially below the entries before it; k m, unsearched, when P
+    does not fit k rows or m columns. Returns (table, nodes, cut) where cut
+    is None, or, when the node budget ran out first, the (best, rows) of the
+    search it stopped, its rows padded to n."""
+    bounds: list[int] = []
+    nodes = 0
+    for k in range(n):
+        if k < P.n or P.m > m:
+            bounds.append(k * m)
+            continue
+        left = node_budget - nodes if node_budget else 0
+        best, rows, nd, truncated = backends.matrix_search(
+            n=k, m=m, p_rows=P.rows, pn=P.n, pm=P.m, node_budget=left, row_bounds=tuple(bounds)
+        )
+        nodes += nd
+        if truncated or (node_budget and nodes >= node_budget):
+            return bounds, nodes, (best, list(rows) + [0] * (n - k))
+        bounds.append(best)
+    return bounds, nodes, None
+
+
 def oracle_ex_matrix(
     n: int,
     m: int,
@@ -346,7 +374,9 @@ def oracle_ex_matrix(
     threads: int = 1,
     node_budget: int = 0,
 ) -> ExtremalResult:
-    """Maximum number of ones in an n x m 0-1 matrix avoiding P."""
+    """Maximum number of ones in an n x m 0-1 matrix avoiding P, pruned on
+    the table of `_row_bounds`. When the node budget runs out in the table,
+    the result is the stopped search's matrix, padded with zero rows."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     if not isinstance(P, ZeroOneMatrix):
@@ -354,10 +384,17 @@ def oracle_ex_matrix(
     if all(mask == 0 for mask in P.rows):
         raise ValueError("pattern needs at least one 1-entry")
     _check_caps(EX_MATRIX_CAPS, {"n*m": n * m}, override_caps)
-    kw = dict(n=n, m=m, p_rows=P.rows, pn=P.n, pm=P.m, node_budget=node_budget)
-    best, wit_rows, nodes, truncated = _search(
-        "matrix_search", kw, threads, _matrix_frontier, min(_MATRIX_SPLIT_DEPTH, n * m)
-    )
+    _check_threads(threads)
+    bounds, nodes, cut = _row_bounds(n, m, P, node_budget)
+    if cut is None:
+        kw = dict(n=n, m=m, p_rows=P.rows, pn=P.n, pm=P.m, row_bounds=tuple(bounds),
+                  node_budget=node_budget - nodes if node_budget else 0)
+        best, wit_rows, nd, truncated = _search(
+            "matrix_search", kw, threads, _matrix_frontier, min(_MATRIX_SPLIT_DEPTH, n * m)
+        )
+        nodes += nd
+    else:
+        (best, wit_rows), truncated = cut, True
     witness = ZeroOneMatrix(n, m, tuple(wit_rows))
     if not (witness.ones_count == best and not matrices.matrix_contains(witness, P)):
         raise RuntimeError("internal error: witness failed independent re-check")

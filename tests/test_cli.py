@@ -247,6 +247,13 @@ class TestOracle:
         )
         assert code == 2 and "cap" in err
 
+    def test_cap_message_names_the_flag(self, capsys):
+        code, _, err = run(
+            capsys, "oracle", "lambda", "--n", "6", "--s", "1", "--j", "2"
+        )
+        assert code == 2
+        assert err == "error: n=6 exceeds default cap 5; pass --override-caps to force the search\n"
+
     def test_override_caps_reports_estimate(self, capsys):
         code, payload, _ = run_json(
             capsys, "oracle", "lambda",

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import brute_ex_matrix, random_sequence
 from seqext import _kernels_py as pure
-from seqext import checks, matrices
+from seqext import backends, checks, matrices, oracles
 from seqext.backends import backend_name
 from seqext.oracles import _greedy_blocks, _sparse_ceiling
 from seqext.sequences import PatternSequence, Sequence
@@ -82,7 +82,7 @@ class TestBackendEquality:
             )
         for search, args, budget in (
             ("seq_search", (pure.MODE_DS, 5, 2, 31), dict(s=3, node_budget=5000)),
-            ("matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=500)),
+            ("matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=100)),
         ):
             res = getattr(pure, search)(*args, **budget)
             assert res == tuple(getattr(compiled, search)(*args, **budget))
@@ -175,6 +175,12 @@ class TestBackendEquality:
             ((3, 3, (3,), 1, -1), {}),
             ((0, 3, (3,), 2, 2), dict(prefix=(2,))),
             ((3, 3, (3,), 2, 2), dict(prefix=(2,))),
+            # the row-bound table comes after the pattern, before the prefix
+            ((3, 3, (3, 3), 2, 2), dict(row_bounds=(0, 3, 7))),
+            ((3, 3, (3, 3), 2, 2), dict(row_bounds=(0,) * 4)),
+            ((3, 3, (3, 3), 2, 2), dict(row_bounds=(-1,), prefix=(2,))),
+            ((3, 3, (3, 3), 2, 2), dict(row_bounds=(2**70,))),
+            ((3, 3, (3,), 2, 2), dict(row_bounds=(9,))),
             # an integer beyond a C int comes first of all
             ((0, 2**40, (1,), 1, 1), {}),
             ((3, 3, (3, 3), 2, 2), dict(node_budget=-(2**63) - 1)),
@@ -298,10 +304,27 @@ def _lex_largest_optimum(n, m, P):
     return best, best_rows
 
 
+def _against_enumeration(compiled, monkeypatch, patterns):
+    """Both twins, bare and through `oracle_ex_matrix` with its row-bound
+    table, return the most ones and the lexicographically largest matrix
+    with them, on every host with n * m <= 9."""
+    hosts = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
+    for P in patterns:
+        for n, m in hosts:
+            value, rows = _lex_largest_optimum(n, m, P)
+            for twin in (pure, compiled):
+                res = tuple(twin.matrix_search(n, m, P.rows, P.n, P.m))
+                assert res[:2] == (value, rows), (n, m, P, twin)
+                monkeypatch.setattr(backends, "matrix_search", twin.matrix_search)
+                res = oracles.oracle_ex_matrix(n, m, P, override_caps=True)
+                assert (res.value, list(res.witness.rows), res.exhausted) == (value, rows, True)
+
+
 class TestRowOrderRule:
     """With equal pattern rows both twins refuse a 1 that would make a row
-    larger than the row above it; values and witnesses stay those of the
-    unrestricted search."""
+    larger than the row above it, and with equal pattern columns a 1 that
+    would make a column larger than the column to its left; values and
+    witnesses stay those of the unrestricted search."""
 
     def test_equal_rows_against_enumeration(self, compiled):
         hosts = [(n, m) for n in range(1, 10) for m in range(1, 10) if n * m <= 9]
@@ -315,23 +338,47 @@ class TestRowOrderRule:
                     assert res[:2] == (value, rows), (n, m, P)
                     assert tuple(compiled.matrix_search(n, m, P.rows, pn, pm)) == res
 
+    def test_equal_columns_against_enumeration(self, compiled, monkeypatch):
+        # every row empty or full: 11/00, 00/11, 1/0/1, 111/000/111, ...
+        patterns = [
+            matrices.MatrixPattern(pn, pm, tuple(((1 << pm) - 1) * f for f in full))
+            for pn in (1, 2, 3) for pm in (1, 2, 3)
+            for full in product((0, 1), repeat=pn) if any(full)
+        ]
+        assert matrices.MatrixPattern(2, 2, (3, 0)) in patterns
+        _against_enumeration(compiled, monkeypatch, patterns)
+
+    def test_unequal_columns_against_enumeration(self, compiled, monkeypatch):
+        # empty rows and columns included: 01, 10/00, 01/01, 10/01, ...
+        patterns = [
+            matrices.MatrixPattern(pn, pm, rows)
+            for pn, pm in ((1, 2), (2, 2), (1, 3))
+            for rows in product(range(1 << pm), repeat=pn)
+            if any(rows) and not all(r in (0, (1 << pm) - 1) for r in rows)
+        ]
+        _against_enumeration(compiled, monkeypatch, patterns)
+
     def test_unequal_rows_node_count_unchanged(self, compiled):
-        # the 2x2 identity has unequal rows, so the rule never fires
+        # the 2x2 identity has unequal rows and columns, so neither rule fires
         res = pure.matrix_search(4, 4, (1, 2), 2, 2)
         assert res == (7, [15, 1, 1, 1], 1796, False)
         assert tuple(compiled.matrix_search(4, 4, (1, 2), 2, 2)) == res
 
     def test_r22_5x5_node_count_pinned(self, compiled):
-        res = pure.matrix_search(5, 5, (3, 3), 2, 2)
-        assert res == (12, [15, 17, 18, 20, 24], 25_222, False)
-        assert tuple(compiled.matrix_search(5, 5, (3, 3), 2, 2)) == res
+        # both rules: 2,059 nodes (25,222 with the row rule alone); with the
+        # row-bound table ex(k, 5, R22), k < 5, as oracle_ex_matrix builds it
+        for kw, nodes in ((dict(), 2_059), (dict(row_bounds=(0, 5, 6, 8, 10)), 650)):
+            res = pure.matrix_search(5, 5, (3, 3), 2, 2, **kw)
+            assert res == (12, [15, 17, 18, 20, 24], nodes, False)
+            assert tuple(compiled.matrix_search(5, 5, (3, 3), 2, 2, **kw)) == res
 
     def test_prefix_refusal_message(self, compiled):
-        # (1, 1, 1, 1) contains R22; (0, 0, 1) puts a 1 under a 0 in equal rows
-        for bits in ((1, 1, 1, 1), (0, 0, 1)):
+        # (1, 1, 1, 1) contains R22; (0, 0, 1) puts a 1 under a 0 in equal
+        # rows; (0, 1) puts a 1 right of a 0 in equal columns
+        for bits in ((1, 1, 1, 1), (0, 0, 1), (0, 1)):
             for search in (pure.matrix_search, compiled.matrix_search):
                 with pytest.raises(ValueError, match="^forced prefix contains the pattern "
-                                   "or breaks the row order$"):
+                                   "or breaks the row or column order$"):
                     search(2, 2, (3, 3), 2, 2, prefix=bits)
 
 
@@ -474,20 +521,27 @@ def test_pair_run_budget_against_unbudgeted_pattern_search(monkeypatch):
     assert fell, "the budget pruned no pattern search"
 
 
-def test_masks_contain_matches_public_checker():
+def test_containment_through_the_new_cell_matches_public_checker():
+    """Fill random matrices cell by cell, skipping each 1 that would make
+    them contain P: `MatrixState.completes` must say exactly when it would."""
     rng = random.Random(97)
     for _ in range(300):
-        n = rng.randint(1, 5)
-        m = rng.randint(1, 5)
-        rows = [rng.randrange(1 << m) for _ in range(n)]
-        pn = rng.randint(1, 3)
-        pm = rng.randint(1, 3)
-        p_rows = tuple(rng.randrange(1 << pm) for _ in range(pn))
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        pn, pm = rng.randint(1, 3), rng.randint(1, 3)
+        p_rows = tuple(rng.randrange(1 << pm) for _ in range(pn))  # empty rows and columns too
         if not any(p_rows):
             continue
-        A = matrices.ZeroOneMatrix(n, m, tuple(rows))
         P = matrices.MatrixPattern(pn, pm, p_rows)
-        assert pure.masks_contain(rows, n, m, p_rows, pn, pm) == matrices.matrix_contains(A, P)
+        st = pure.MatrixState(n, m, p_rows, pn, pm)
+        rows = [0] * n
+        for i, c in product(range(n), range(m)):
+            if rng.random() < 0.6:
+                trial = rows[:i] + [rows[i] | 1 << c] + rows[i + 1:]
+                contains = matrices.matrix_contains(matrices.ZeroOneMatrix(n, m, tuple(trial)), P)
+                st.rows[:n] = rows
+                assert st.completes(i, trial[i]) == contains, (P, rows, i, c)
+                if not contains:
+                    rows = trial
 
 
 def test_node_budget_truncates():

@@ -306,13 +306,14 @@ class TestLambdaPrime:
         assert res.exhausted
 
     def test_node_count_pinned(self):
-        """Lambda-prime is the matrix search for R_{2,s+1}: a node is one cell."""
+        """Lambda-prime is the matrix search for R_{2,s+1}: a node is one cell,
+        in the row-bound table's searches too."""
         res = oracle_lambda_prime(4, 3, 4)
-        assert (res.value, res.nodes_explored, res.exhausted) == (13, 255, True)
+        assert (res.value, res.nodes_explored, res.exhausted) == (13, 81, True)
 
     def test_compiled_matches_pure(self, compiled_backend):
         res = oracle_lambda_prime(4, 3, 4)
-        assert (res.value, res.nodes_explored, res.exhausted) == (13, 255, True)
+        assert (res.value, res.nodes_explored, res.exhausted) == (13, 81, True)
         assert str(res.witness) == "1 2 3 4 | 1 2 3 4 | 1 2 3 4 | 1"
 
     def test_parallel_matches_serial(self):
@@ -328,9 +329,9 @@ class TestLambdaPrime:
         assert (res.value, res.exhausted) == (9, True)
 
     def test_cell_cap(self):
-        assert oracle_lambda_prime(5, 1, 5).value == 12  # n*m = 25: no override needed
+        assert oracle_lambda_prime(5, 1, 6).value == 14  # n*m = 30: no override needed
         with pytest.raises(CapExceededError):
-            oracle_lambda_prime(5, 1, 7)
+            oracle_lambda_prime(1, 1, 31)
 
     def test_node_budget_is_exact(self):
         res = oracle_lambda_prime(5, 1, 5, override_caps=True, node_budget=1000)
@@ -381,10 +382,36 @@ class TestExMatrix:
         assert res.witness.ones_count == 9
 
     def test_cell_cap(self):
-        with pytest.raises(CapExceededError, match=r"^n\*m=36 exceeds default cap 30; "):
-            oracle_ex_matrix(6, 6, all_ones(2, 2))
+        assert oracle_ex_matrix(5, 6, all_ones(2, 2)).value == 14  # Guy's z(5,6;2)
+        with pytest.raises(CapExceededError, match=r"^n\*m=31 exceeds default cap 30; "):
+            oracle_ex_matrix(1, 31, all_ones(2, 2))
 
-    def test_5x5_values(self, compiled_backend):  # ~0.3 s per search on the pure kernels
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_guy_values_exhausted(self, request, backend):
+        # Guy's z(6;2) = 16 and z(7;2) = 21, row-bound table nodes included
+        request.getfixturevalue(f"{backend}_backend")
+        for n, value, nodes in ((6, 16, 8_967), (7, 21, 107_427)):
+            res = oracle_ex_matrix(n, n, all_ones(2, 2), override_caps=True)
+            assert (res.value, res.nodes_explored, res.exhausted) == (value, nodes, True)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_node_budget_is_a_total_with_the_table(self, request, backend):
+        """The table's searches draw on the budget too: every budget below
+        the total stops at it, not exhausted, in the table or after it, with
+        a witness that passes the re-check."""
+        request.getfixturevalue(f"{backend}_backend")
+        P = all_ones(2, 2)
+        full = oracle_ex_matrix(4, 4, P)
+        assert (full.value, full.nodes_explored) == (9, 180)
+        for budget in range(1, full.nodes_explored + 2):
+            res = oracle_ex_matrix(4, 4, P, node_budget=budget)
+            if res.exhausted:
+                assert budget >= full.nodes_explored and res == full
+            else:
+                assert res.nodes_explored == budget and res.value <= full.value
+                assert not matrices.matrix_contains(res.witness, P)
+
+    def test_5x5_values(self, compiled_backend):
         assert oracle_ex_matrix(5, 5, all_ones(2, 2)).value == 12
         res = oracle_ex_matrix(5, 5, all_ones(2, 3)).value
         assert res == 16 <= matrices.kst_bound(5, 5, 2, 3)
@@ -507,12 +534,14 @@ class TestPoolSize:
                             (backends, "seq_search"), (backends, "matrix_search")):
             counting(owner, name)
         oracle_lambda(4, 2, threads=threads)
+        # the row-bound table of a 3 x 3 search for R22 searches 2 rows first
         oracle_ex_matrix(3, 3, all_ones(2, 2), threads=threads)
         if threads == 1:
-            assert calls == ["seq_search", "matrix_search"] and pool_sizes == []
+            assert calls == ["seq_search", "matrix_search", "matrix_search"] and pool_sizes == []
         else:
             k = calls.index("_matrix_frontier")
-            assert calls[0] == "_seq_frontier" and set(calls[1:k]) == {"seq_search"}
+            assert calls[0] == "_seq_frontier" and set(calls[1:k - 1]) == {"seq_search"}
+            assert calls[k - 1] == "matrix_search"  # the table, serially
             assert set(calls[k + 1:]) == {"matrix_search"} and len(pool_sizes) == 2
 
 
