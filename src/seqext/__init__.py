@@ -1,7 +1,15 @@
 """seqext: exact extremal functions for sparse sequences, forbidden
 (r, s)-formations, blocked sequences, and 0-1 matrix patterns, with
 constructions that realize the matching lower bounds and brute-force
-oracles that certify them on small instances."""
+oracles that certify them on small instances.
+
+`import seqext` loads the sequences, checks, matrices, oracles, errors and
+backends modules. The construction names (`construct`, `coloring` and the
+names below taken from them) load on first use, so an oracle or verify run
+never compiles them.
+"""
+
+from importlib import import_module as _import_module
 
 from .sequences import (
     BlockedSequence,
@@ -36,19 +44,6 @@ from .matrices import (
     parse_matrix,
     render_matrix,
 )
-from .coloring import EdgeColoring, Hypergraph, greedy_edge_coloring, validate_coloring
-from .construct import (
-    ConstructionTrace,
-    Troop,
-    build_base,
-    build_block_witness,
-    build_ds_sparse_witness,
-    build_formation_witness,
-    choose_params,
-    lift,
-    pad_to_alphabet,
-    trace_report,
-)
 from .oracles import (
     ExtremalResult,
     oracle_ex_matrix,
@@ -62,3 +57,55 @@ from .errors import CapExceededError, InfeasibleError
 from .backends import backend_name
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported by __getattr__ on first use
+_LAZY = {
+    "EdgeColoring": "coloring",
+    "Hypergraph": "coloring",
+    "greedy_edge_coloring": "coloring",
+    "validate_coloring": "coloring",
+    "ConstructionTrace": "construct",
+    "Troop": "construct",
+    "build_base": "construct",
+    "build_block_witness": "construct",
+    "build_ds_sparse_witness": "construct",
+    "build_formation_witness": "construct",
+    "choose_params": "construct",
+    "lift": "construct",
+    "pad_to_alphabet": "construct",
+    "trace_report": "construct",
+}
+
+__all__ = [
+    # submodules
+    "backends", "checks", "coloring", "construct", "errors", "matrices", "oracles", "sequences",
+    # sequences
+    "BlockedSequence", "PatternSequence", "Sequence", "flatten", "normalize", "parse_pattern",
+    "parse_sequence", "render",
+    # checks
+    "alternation_length", "avoids_all_formations", "brute_formation_length", "contains_pattern",
+    "formation_length", "is_ds", "is_sparse", "max_alternation", "max_formation_length",
+    # matrices
+    "MatrixPattern", "ZeroOneMatrix", "all_ones", "blocked_to_matrix", "kst_bound",
+    "matrix_contains", "matrix_to_blocked", "pair_block_cooccurrence", "parse_matrix",
+    "render_matrix",
+    # oracles
+    "ExtremalResult", "oracle_ex_matrix", "oracle_formation", "oracle_lambda",
+    "oracle_lambda_blocks", "oracle_lambda_prime", "oracle_pattern",
+    # errors and backends
+    "CapExceededError", "InfeasibleError", "backend_name",
+    # coloring and construct, loaded on first use
+    *_LAZY,
+]
+
+
+def __getattr__(name: str):
+    """Import `coloring` or `construct` (PEP 562) when one of them, or a name
+    taken from it, is first looked up on the package."""
+    if name in ("coloring", "construct"):
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

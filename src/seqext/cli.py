@@ -18,7 +18,7 @@ import sys
 import time
 from math import comb, factorial
 
-from . import checks, coloring, construct, matrices, oracles
+from . import checks, matrices, oracles
 from .errors import CapExceededError, InfeasibleError
 from .matrices import MatrixPattern, all_ones, parse_matrix, render_matrix
 from .sequences import (
@@ -127,6 +127,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct  # imported here, so that other commands never load it
+
     kind = args.kind
     report = Report(f"construct {kind}", {})
     if kind == "formation":
@@ -183,6 +185,8 @@ def _check_ds(report: Report, seq: Sequence, s: int) -> None:
 
 def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
     """Re-verify every construction postcondition through the checkers."""
+    from . import coloring, construct
+
     r, q, x, t = trace.r, trace.q, trace.x, trace.t
     report.check("length", len(seq) == q * t * comb(x, r), len(seq), q * t * comb(x, r))
     report.check(f"sparse:{q}", checks.is_sparse(seq, q))

@@ -21,6 +21,8 @@ is computed from it. Below the ceiling, the DS searches (lambda,
 lambda-blocks) also prune on the alternation budget that the kernels track
 (`_kernels_py.SeqState`), and so do the searches for a pattern on exactly
 two letters with j >= 2: such a pattern caps the runs of every letter pair.
+An alternation pattern with j >= 2 is nothing but that cap, so
+`oracle_pattern` runs it as a DS search.
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
@@ -44,7 +46,6 @@ No cap bounds j: a sparser search is only smaller.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Union
@@ -92,6 +93,8 @@ class ExtremalResult:
 
 def lambda_ceiling(n: int, s: int) -> int:
     """Every order-s DS sequence on n letters has length at most s C(n,2) + 1."""
+    if n < 1 or s < 1:
+        raise ValueError("need n, s >= 1")
     return s * comb(n, 2) + 1
 
 
@@ -100,6 +103,8 @@ def formation_ceiling(n: int, r: int, s: int) -> int:
     has length at most s n^r. For r = 1 the exact value is (s-1) n: a
     (1, s)-formation is one letter s times, so each letter occurs at most
     s-1 times, and (1..n)^(s-1) attains it."""
+    if n < 1 or r < 1 or s < 1:
+        raise ValueError("need n, r, s >= 1")
     return (s - 1) * n if r == 1 else s * n**r
 
 
@@ -151,6 +156,15 @@ def _pool_size(threads: int, tasks: list) -> int:
     return max(1, min(threads, len(tasks), os.cpu_count() or 1))
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The pool of a split search: a `concurrent.futures.ProcessPoolExecutor`,
+    imported on the first split search, so a serial run never loads
+    multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
+
+
 def _run_task(task: tuple[str, dict]):
     """Pool worker: one kernel call, looked up on `backends` in the worker."""
     kernel, kw = task
@@ -166,8 +180,8 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
     value; the merge keeps the first task that beats it, so the value and
     witness do not depend on the schedule. A search with a node budget runs
     serially, so the budget bounds the total node count. Kernels, frontiers
-    and the pool class are looked up at call time, so they can be patched on
-    their modules."""
+    and `ProcessPoolExecutor` are looked up at call time, so they can be
+    patched on their modules."""
     _check_threads(threads)
     if threads == 1 or kw["node_budget"] or depth < 1:
         return getattr(backends, kernel)(**kw)
@@ -274,7 +288,10 @@ def oracle_pattern(
     A sequence avoiding u avoids every (r_u, s_u)-formation (r_u = distinct
     letters of u, s_u = length of u), which yields the search ceiling for
     j >= r_u; below that sparsity the function is infinite and the search is
-    capped as in oracle_formation."""
+    capped as in oracle_formation. An alternation 1 2 1 2 ... of length
+    ell >= 3 with j >= 2 runs as the DS search of order ell - 2: a sequence
+    avoids it exactly when no letter pair has ell runs, the cap that search
+    enforces, so it walks the same tree without tracking pattern states."""
     if n < 1 or j < 1:
         raise ValueError("need n, j >= 1")
     u = PatternSequence.from_sequence(u)
@@ -284,7 +301,11 @@ def oracle_pattern(
     su = len(u)
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
-    kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
+    if j >= 2 and su >= 3 and u.tokens == tuple(1 + k % 2 for k in range(su)):
+        kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=su - 2, r=0, pattern=(), max_blocks=0)
+    else:
+        kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens,
+                  max_blocks=0)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),

@@ -377,6 +377,21 @@ class TestBound:
         )
         assert (code, out, err) == (2, "", "error: formation ceiling needs j >= r\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("ds-ceiling", "--n", "3", "--s", "0"), "need n, s >= 1"),
+            (("ds-ceiling", "--n", "0", "--s", "2"), "need n, s >= 1"),
+            (("ds-ceiling", "--n", "-3", "--s", "2"), "need n, s >= 1"),
+            (("formation-ceiling", "--n", "-2", "--r", "2", "--s", "3"), "need n, r, s >= 1"),
+            (("formation-ceiling", "--n", "3", "--r", "0", "--s", "2"), "need n, r, s >= 1"),
+            (("formation-ceiling", "--n", "3", "--r", "2", "--s", "0"), "need n, r, s >= 1"),
+        ],
+    )
+    def test_ceiling_parameters_below_one_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "bound", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_kst_compare(self, capsys):
         code, payload, _ = run_json(
             capsys, "bound", "kst", "--n", "4", "--m", "4", "--a", "2", "--b", "2",

@@ -162,6 +162,41 @@ class TestPattern:
             assert (pat.value, pat.witness, pat.nodes_explored) == (
                 ds.value, ds.witness, ds.nodes_explored), (n, s, j)
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_alternations_run_as_ds_searches(self, request, monkeypatch, backend):
+        # with j >= 2 the oracle runs an alternation in DS mode; the pattern
+        # kernel under the same ceiling and budget must agree on the value,
+        # witness, node count and truncation
+        request.getfixturevalue(f"{backend}_backend")
+        kernel = backends.seq_search
+        modes = []
+        monkeypatch.setattr(backends, "seq_search",
+                            lambda **kw: modes.append(kw["mode"]) or kernel(**kw))
+
+        def agree(n, j, ell, budget=0):
+            u = parse_pattern(" ".join("ab"[i % 2] for i in range(ell)))
+            res = oracle_pattern(u, j, n, override_caps=True, node_budget=budget)
+            best, toks, nodes, truncated = kernel(
+                mode=_kernels_py.MODE_PATTERN, n=n, j=j, ceiling=res.ceiling,
+                pattern=u.tokens, node_budget=budget,
+            )
+            assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
+                best, tuple(toks), nodes, not truncated), (n, j, ell, budget)
+            return nodes
+
+        for n, j, ell in product(range(1, 5), (2, 3), range(3, 9)):
+            if n < 4 or ell < 8:
+                agree(n, j, ell)
+        for n, j, ell in ((3, 2, 5), (4, 2, 4), (4, 3, 6)):
+            for budget in range(1, agree(n, j, ell) + 2):
+                agree(n, j, ell, budget)
+        assert set(modes) == {_kernels_py.MODE_DS}
+        # 1-sparse alternations and other two-letter patterns keep pattern mode
+        modes.clear()
+        oracle_pattern(parse_pattern("a b a"), 1, 3, length_cap=6)
+        oracle_pattern(parse_pattern("a b b a"), 2, 3)
+        assert modes == [_kernels_py.MODE_PATTERN] * 2
+
     def test_enumeration_cross_check(self):
         for (text, j, n) in [("a b a", 2, 2), ("a a", 2, 3), ("a b a b", 2, 3), ("a b b a", 2, 3)]:
             u = parse_pattern(text)

@@ -1,0 +1,106 @@
+"""The package surface: what `import seqext` loads, what a CLI run loads,
+the exported names, and the README's library quick tour as a doctest."""
+
+import ast
+import doctest
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import seqext
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# modules an oracle or verify run never needs; they load on first use
+ON_FIRST_USE = ("concurrent.futures", "multiprocessing", "seqext.construct", "seqext.coloring")
+
+# `from seqext import *` before the package had an __all__
+OLD_EXPORTS = {
+    "BlockedSequence", "CapExceededError", "ConstructionTrace", "EdgeColoring", "ExtremalResult",
+    "Hypergraph", "InfeasibleError", "MatrixPattern", "PatternSequence", "Sequence", "Troop",
+    "ZeroOneMatrix", "all_ones", "alternation_length", "avoids_all_formations", "backend_name",
+    "backends", "blocked_to_matrix", "brute_formation_length", "build_base",
+    "build_block_witness", "build_ds_sparse_witness", "build_formation_witness", "checks",
+    "choose_params", "coloring", "construct", "contains_pattern", "errors", "flatten",
+    "formation_length", "greedy_edge_coloring", "is_ds", "is_sparse", "kst_bound", "lift",
+    "matrices", "matrix_contains", "matrix_to_blocked", "max_alternation",
+    "max_formation_length", "normalize", "oracle_ex_matrix", "oracle_formation",
+    "oracle_lambda", "oracle_lambda_blocks", "oracle_lambda_prime", "oracle_pattern", "oracles",
+    "pad_to_alphabet", "pair_block_cooccurrence", "parse_matrix", "parse_pattern",
+    "parse_sequence", "render", "render_matrix", "sequences", "trace_report",
+    "validate_coloring",
+}
+
+
+def fresh(code: str) -> list:
+    """Run `code` in a new interpreter on this checkout's sources and return
+    the Python literal its last output line prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def loaded(names) -> str:
+    """An expression, for `fresh`, listing which of `names` are loaded."""
+    return f"sorted(m for m in {tuple(names)!r} if m in sys.modules)"
+
+
+class TestImports:
+    def test_import_seqext(self):
+        got = fresh(f"import sys, seqext; print({loaded(ON_FIRST_USE + ('seqext.oracles',))})")
+        assert got == ["seqext.oracles"]
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "ex-matrix", "--n", "4", "--m", "4", "--pattern", "R2,2"],
+        ["oracle", "lambda", "--n", "4", "--s", "2"],
+        ["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4", "pattern:(ab)^3",
+         "lambda-prime:4"],
+    ])
+    def test_cli_run(self, tmp_path, argv):
+        witness = tmp_path / "w.seq"
+        witness.write_text("1 2 | 1 3 | 1\n")
+        argv = [str(witness) if a == "WITNESS" else a for a in argv]
+        code = (f"import sys; from seqext import cli; code = cli.main({argv!r}); "
+                f"print((code, {loaded(ON_FIRST_USE)}))")
+        assert fresh(code) == (0, [])
+
+    def test_threads_load_the_pool(self):
+        code = ("import sys; from seqext import oracles; "
+                "a = oracles.oracle_ex_matrix(4, 4, oracles.matrices.all_ones(2, 2)); "
+                "b = oracles.oracle_ex_matrix(4, 4, oracles.matrices.all_ones(2, 2), threads=2); "
+                "print(((a.value, a.witness.rows), (b.value, b.witness.rows), "
+                "'concurrent.futures' in sys.modules))")
+        serial, threaded, pool_loaded = fresh(code)
+        assert serial == threaded and serial[0] == 9 and pool_loaded
+
+
+class TestExports:
+    def test_every_name_resolves(self):
+        assert len(set(seqext.__all__)) == len(seqext.__all__)
+        for name in seqext.__all__:
+            assert getattr(seqext, name) is not None, name
+
+    def test_star_import_keeps_the_old_set(self):
+        namespace: dict = {}
+        exec("from seqext import *", namespace)
+        assert set(namespace) - {"__builtins__"} == OLD_EXPORTS
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            seqext.no_such_name
+
+    def test_readme_quick_tour(self):
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"## Library quick tour\n\n```pycon\n(.*?)```", text, re.S)
+        assert block, "README has no library quick tour"
+        test = doctest.DocTestParser().get_doctest(
+            block.group(1), {}, "README quick tour", "README.md", 0)
+        out: list[str] = []
+        result = doctest.DocTestRunner().run(test, out=out.append)
+        assert result.attempted > 0 and result.failed == 0, "".join(out)
