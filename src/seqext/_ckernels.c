@@ -227,8 +227,8 @@ typedef struct {
 
 /* The counterpart of `SeqState`: depth and value are the length, limit is
    the ceiling and last is min(used_max + 1, n); slack is, under an
-   alternation budget (DS mode and two-letter patterns with j >= 2), the runs
-   the letter pairs can still take (see `SeqState`), else MAX_CEILING. */
+   alternation budget (DS mode, and pattern mode with s > 0), the runs the
+   letter pairs can still take (see `SeqState`), else MAX_CEILING. */
 typedef struct {
     Search search;
     int mode, n, jeff, s, max_blocks;
@@ -418,24 +418,6 @@ static int pattern_init(SeqKernel *k, PyObject *pattern)
     k->emb_top = 1;
     k->slots[slot_of(k, 0)] = 1;
     return 0;
-}
-
-/* 2 ell - k - 1 for a pattern of ell tokens in k runs on exactly two
-   letters, the cap of its alternation budget (see `SeqState`); 0 for a
-   pattern on one letter or on three or more. */
-static long long two_letter_cap(const int *pattern, int plen)
-{
-    int other = 0;
-    long long runs = 1;
-    for (int i = 1; i < plen; i++) {
-        if (pattern[i] != pattern[0] && pattern[i] != other) {
-            if (other)
-                return 0;
-            other = pattern[i];
-        }
-        runs += pattern[i] != pattern[i - 1];
-    }
-    return other ? 2 * (long long)plen - runs - 1 : 0;
 }
 
 /* The change log with room for `need` entries; NULL (MemoryError) on failure. */
@@ -689,13 +671,14 @@ static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
         return pairs_init(k, (long long)s + 1);
     case MODE_FORMATION:
         return formation_init(k, r);
-    case MODE_PATTERN: {
-        long long cap;
+    case MODE_PATTERN:
         if (pattern_init(k, pattern) < 0)
             return -1;
-        cap = j >= 2 ? two_letter_cap(k->pattern, k->plen) : 0;
-        return cap ? pairs_init(k, cap) : 0;
-    }
+        if (s <= 0)
+            return 0;
+        if (j < 2)
+            return value_error("a pair-run cap needs j >= 2");
+        return pairs_init(k, (long long)s + 1);
     default:
         PyErr_Format(PyExc_ValueError, "unknown mode %d", mode);
         return -1;

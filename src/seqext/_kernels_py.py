@@ -47,24 +47,19 @@ class SeqState:
 
     Alternation budget: `alt` counts the runs of each letter pair's
     restriction (the sequence with every other letter deleted), and a push
-    that would give some pair more than `cap` runs is refused. It applies
-    in two cases:
-    - DS order s: cap = s + 1, the definition of order s.
-    - a pattern u with exactly two distinct letters, when j >= 2: if u has
-      ell tokens in k runs, cap = 2 ell - k - 1. A run of length l takes
-      2l - 1 positions of an alternation and the next run starts on the
-      next position, so the alternation of length R = 2 ell - k contains u;
-      a pair with R runs holds that alternation (one token per run), so the
-      containment check refuses every push the cap refuses.
+    that would give some pair more than cap = s + 1 runs is refused. DS
+    mode always has it (the definition of order s); pattern mode has it
+    when s > 0, a cap that the caller derives from the pattern
+    (`oracles.oracle_pattern`), and refuses it with j < 2.
     `slack` is cap C(n,2) minus the sum of `alt` over all letter pairs, so
     it is what the pairs can still take before each reaches its cap. It
     bounds the tokens still to come once the sequence is nonempty: since
     jeff >= 2, every token after the first differs from its predecessor p,
     and the pair {p, c} last saw p, so the token starts a new run of {p, c}
     and raises its `alt` by one. Block budgets only refuse more tokens, so
-    the bound holds with them too. Other searches (formation, patterns on
-    one or three or more letters, 1-sparse patterns) have no such budget;
-    their slack is MAX_CEILING, which no search can exceed.
+    the bound holds with them too. Other searches (formation, pattern mode
+    with s = 0) have no such budget; their slack is MAX_CEILING, which no
+    search can exceed.
 
     Pattern embeddings (pattern mode): `reach` maps each partial mapping mp
     (mp[a-1] the image of pattern letter a, 0 if unmapped) to the greatest
@@ -131,9 +126,10 @@ class SeqState:
             self.reach = {empty: 0}
             self.waiting = [set() for _ in range(n + 1)]
             self.waiting[0].add(empty)
-            if j >= 2 and len(set(self.pattern)) == 2:
-                runs = 1 + sum(a != b for a, b in zip(self.pattern, self.pattern[1:]))
-                cap = 2 * len(self.pattern) - runs - 1
+            if s > 0:
+                if j < 2:
+                    raise ValueError("a pair-run cap needs j >= 2")
+                cap = s + 1
         else:
             raise ValueError(f"unknown mode {mode}")
         self.cap = cap
@@ -527,9 +523,12 @@ def seq_search(
 ):
     """Depth-first maximum-length search over canonical admissible sequences.
 
-    Returns (best, witness_tokens, nodes, truncated). `truncated` is set only
-    when the node budget ran out; the search also stops once best reaches
-    `ceiling`, which is exact whenever the ceiling is a valid upper bound.
+    `s` is the DS order in DS mode, the formation length in formation mode
+    and, in pattern mode, caps the runs of every letter pair at s + 1 when
+    s > 0 (see `SeqState`). Returns (best, witness_tokens, nodes,
+    truncated). `truncated` is set only when the node budget ran out; the
+    search also stops once best reaches `ceiling`, which is exact whenever
+    the ceiling is a valid upper bound.
     """
     _c_ints(mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget=node_budget)
     st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)

@@ -313,6 +313,8 @@ def _cmd_bound(args) -> int:
         j = args.j if args.j is not None else 2
         report.params = {"n": n, "s": s, "j": j}
         bound = oracles.lambda_ceiling(n, s)
+        if j < 1:
+            raise ValueError("need n, s, j >= 1")
         oracle = lambda: oracles.oracle_lambda(n, s, j, **limits)
     else:  # formation-ceiling
         n, r, s = _require(args, ["n", "r", "s"])

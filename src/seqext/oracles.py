@@ -15,14 +15,14 @@ groups supplies one token of u. When j < r no such ceiling exists (a cycle
 of j letters is admissible and arbitrarily long), so the search runs to a
 configurable length cap and reports exhausted=False if the cap was hit.
 
-These ceilings are worked out here only: each result carries the one its
-search ran under as `ExtremalResult.ceiling`, and the CLI's `estimated_nodes`
-is computed from it. Below the ceiling, the DS searches (lambda,
-lambda-blocks) also prune on the alternation budget that the kernels track
-(`_kernels_py.SeqState`), and so do the searches for a pattern on exactly
-two letters with j >= 2: such a pattern caps the runs of every letter pair.
-An alternation pattern with j >= 2 is nothing but that cap, so
-`oracle_pattern` runs it as a DS search.
+Every search bound is derived here only and passed to the kernels: each
+result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
+from which the CLI's `estimated_nodes` is computed. Below the ceiling, the
+DS searches (lambda, lambda-blocks) cap the runs of every letter pair at
+s + 1, the alternation budget that the kernels track
+(`_kernels_py.SeqState`); `oracle_pattern` derives such a cap for a pattern
+on exactly two letters with j >= 2, and runs an alternation as the DS
+search it is.
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
@@ -32,11 +32,12 @@ total: a budgeted search always runs in one process. A node is one
 accepted move of the kernel: a letter or a matrix cell. Lambda-prime is
 ex(n, m, R_{2,s+1}) and runs as that matrix search.
 
-A matrix search first builds its Russian-doll table, ex(k, m, P) for every
-k < n, serially and on the same kernel (`_row_bounds`), and passes it whole
-to every kernel call, pool tasks included. The table's searches are counted
+`oracle_ex_matrix` solves ex(k, m, P) for k = 1..n in one loop, each
+search on the table of the answers before it, so the last answer is the
+value; the searches below n run serially, and the table goes whole to every
+kernel call of the last one, pool tasks included. All of them are counted
 in `nodes_explored` and draw on `node_budget`, so the budget stays a total;
-a budget that runs out in the table leaves the result not exhausted.
+a budget that runs out below n leaves the result not exhausted.
 
 Default size caps keep casual calls off exponential cliffs, and
 `_check_caps` raises every cap error; pass override_caps=True to lift them.
@@ -288,10 +289,21 @@ def oracle_pattern(
     A sequence avoiding u avoids every (r_u, s_u)-formation (r_u = distinct
     letters of u, s_u = length of u), which yields the search ceiling for
     j >= r_u; below that sparsity the function is infinite and the search is
-    capped as in oracle_formation. An alternation 1 2 1 2 ... of length
-    ell >= 3 with j >= 2 runs as the DS search of order ell - 2: a sequence
-    avoids it exactly when no letter pair has ell runs, the cap that search
-    enforces, so it walks the same tree without tracking pattern states."""
+    capped as in oracle_formation.
+
+    Pair-run cap: a pattern on exactly two letters, with ell tokens in k
+    runs, caps the runs of every letter pair at 2 ell - k - 1. A run of
+    length l takes 2l - 1 positions of an alternation and the next run
+    starts on the next position, so the alternation of length 2 ell - k
+    contains u; a pair with that many runs holds the alternation (one token
+    per run), so the containment check refuses every letter the cap
+    refuses. With j >= 2 the search gets s = 2 ell - k - 2, read as in DS
+    mode (cap s + 1), and prunes on the budget the kernels track
+    (`_kernels_py.SeqState`); the budget's slack needs every token to differ
+    from the one before it, so a 1-sparse search gets no cap. When k = ell,
+    u is the alternation 1 2 1 2 ... itself and a sequence avoids it exactly
+    when no pair has ell runs, so the search runs in DS mode of order
+    ell - 2: the same tree, without tracking pattern states."""
     if n < 1 or j < 1:
         raise ValueError("need n, j >= 1")
     u = PatternSequence.from_sequence(u)
@@ -301,11 +313,12 @@ def oracle_pattern(
     su = len(u)
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
-    if j >= 2 and su >= 3 and u.tokens == tuple(1 + k % 2 for k in range(su)):
-        kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=su - 2, r=0, pattern=(), max_blocks=0)
-    else:
-        kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens,
-                  max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
+    if j >= 2 and ru == 2:
+        runs = 1 + sum(a != b for a, b in zip(u.tokens, u.tokens[1:]))
+        kw["s"] = 2 * su - runs - 2
+        if runs == su:
+            kw.update(mode=_kernels_py.MODE_DS, pattern=())
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),
@@ -363,29 +376,6 @@ def _matrix_frontier(kw: dict, depth: int):
     return _kernels_py.frontier(st, depth)
 
 
-def _row_bounds(n: int, m: int, P: MatrixPattern, node_budget: int):
-    """The Russian-doll table RD[k] = ex(k, m, P) for k < n, each entry
-    searched serially below the entries before it; k m, unsearched, when P
-    does not fit k rows or m columns. Returns (table, nodes, cut) where cut
-    is None, or, when the node budget ran out first, the (best, rows) of the
-    search it stopped, its rows padded to n."""
-    bounds: list[int] = []
-    nodes = 0
-    for k in range(n):
-        if k < P.n or P.m > m:
-            bounds.append(k * m)
-            continue
-        left = node_budget - nodes if node_budget else 0
-        best, rows, nd, truncated = backends.matrix_search(
-            n=k, m=m, p_rows=P.rows, pn=P.n, pm=P.m, node_budget=left, row_bounds=tuple(bounds)
-        )
-        nodes += nd
-        if truncated or (node_budget and nodes >= node_budget):
-            return bounds, nodes, (best, list(rows) + [0] * (n - k))
-        bounds.append(best)
-    return bounds, nodes, None
-
-
 def oracle_ex_matrix(
     n: int,
     m: int,
@@ -395,9 +385,11 @@ def oracle_ex_matrix(
     threads: int = 1,
     node_budget: int = 0,
 ) -> ExtremalResult:
-    """Maximum number of ones in an n x m 0-1 matrix avoiding P, pruned on
-    the table of `_row_bounds`. When the node budget runs out in the table,
-    the result is the stopped search's matrix, padded with zero rows."""
+    """Maximum number of ones in an n x m 0-1 matrix avoiding P: the last
+    of ex(k, m, P) for k = 1..n, each searched on the Russian-doll table of
+    the ones before it (k m, unsearched, when k < n and P does not fit k
+    rows or m columns). When the node budget runs out before k = n, the
+    result is the stopped search's matrix, padded with zero rows."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     if not isinstance(P, ZeroOneMatrix):
@@ -406,17 +398,23 @@ def oracle_ex_matrix(
         raise ValueError("pattern needs at least one 1-entry")
     _check_caps(EX_MATRIX_CAPS, {"n*m": n * m}, override_caps)
     _check_threads(threads)
-    bounds, nodes, cut = _row_bounds(n, m, P, node_budget)
-    if cut is None:
-        kw = dict(n=n, m=m, p_rows=P.rows, pn=P.n, pm=P.m, row_bounds=tuple(bounds),
+    table, nodes = [0], 0  # table[k] = ex(k, m, P)
+    for k in range(1, n + 1):
+        if k < n and (k < P.n or P.m > m):
+            table.append(k * m)
+            continue
+        kw = dict(n=k, m=m, p_rows=P.rows, pn=P.n, pm=P.m, row_bounds=tuple(table),
                   node_budget=node_budget - nodes if node_budget else 0)
         best, wit_rows, nd, truncated = _search(
-            "matrix_search", kw, threads, _matrix_frontier, min(_MATRIX_SPLIT_DEPTH, n * m)
+            "matrix_search", kw, threads if k == n else 1, _matrix_frontier,
+            min(_MATRIX_SPLIT_DEPTH, k * m),
         )
         nodes += nd
-    else:
-        (best, wit_rows), truncated = cut, True
-    witness = ZeroOneMatrix(n, m, tuple(wit_rows))
+        if truncated or (k < n and node_budget and nodes >= node_budget):
+            truncated = True
+            break
+        table.append(best)
+    witness = ZeroOneMatrix(n, m, tuple(wit_rows) + (0,) * (n - k))
     if not (witness.ones_count == best and not matrices.matrix_contains(witness, P)):
         raise RuntimeError("internal error: witness failed independent re-check")
     return ExtremalResult(best, witness, nodes, not truncated, n * m)

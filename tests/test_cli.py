@@ -386,6 +386,7 @@ class TestBound:
             (("formation-ceiling", "--n", "-2", "--r", "2", "--s", "3"), "need n, r, s >= 1"),
             (("formation-ceiling", "--n", "3", "--r", "0", "--s", "2"), "need n, r, s >= 1"),
             (("formation-ceiling", "--n", "3", "--r", "2", "--s", "0"), "need n, r, s >= 1"),
+            (("ds-ceiling", "--n", "3", "--s", "2", "--j", "0"), "need n, s, j >= 1"),
         ],
     )
     def test_ceiling_parameters_below_one_exit_2(self, capsys, argv, message):

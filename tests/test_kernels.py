@@ -28,19 +28,20 @@ SEQ_CASES = [
     dict(mode=pure.MODE_FORMATION, n=4, j=2, ceiling=24, s=1, r=1),
     dict(mode=pure.MODE_FORMATION, n=4, j=3, ceiling=192, s=2, r=3),
     dict(mode=pure.MODE_FORMATION, n=2, j=2, ceiling=24, s=1, r=3),
-    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=54, pattern=(1, 2, 1, 2)),
-    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=96, pattern=(1, 2, 2, 1)),
+    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=54, s=2, pattern=(1, 2, 1, 2)),
+    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=96, s=3, pattern=(1, 2, 2, 1)),
     dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=9, pattern=(1, 1, 1)),
     dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=40, pattern=(1, 2, 3, 1, 2)),
     dict(mode=pure.MODE_DS, n=5, j=2, ceiling=31, s=3),
     dict(mode=pure.MODE_DS, n=4, j=2, ceiling=31, s=5),
     dict(mode=pure.MODE_DS, n=4, j=1, ceiling=16, s=4, max_blocks=4),
     dict(mode=pure.MODE_FORMATION, n=4, j=2, ceiling=48, s=3, r=2),
-    dict(mode=pure.MODE_PATTERN, n=5, j=2, ceiling=54, pattern=(1, 2, 1, 2)),
+    dict(mode=pure.MODE_PATTERN, n=5, j=2, ceiling=54, s=2, pattern=(1, 2, 1, 2)),
     dict(mode=pure.MODE_PATTERN, n=6, j=3, ceiling=1296, pattern=(1, 2, 3, 1, 2, 3)),
-    # two-letter patterns need not be canonical: the budget counts letters
-    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=80, pattern=(1, 3, 1, 3, 1)),
-    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=27, pattern=(2, 1, 2)),
+    # patterns need not be canonical; s is the pair-run cap minus one that
+    # `oracle_pattern` derives for a two-letter pattern
+    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=80, s=3, pattern=(1, 3, 1, 3, 1)),
+    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=27, s=1, pattern=(2, 1, 2)),
 ]
 
 MATRIX_CASES = [
@@ -93,7 +94,7 @@ class TestBackendEquality:
             assert res[2] <= budget
         for kw in (
             dict(mode=pure.MODE_DS, n=4, j=2, ceiling=19, s=3),
-            dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=64, pattern=(1, 2, 1, 2)),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=64, s=2, pattern=(1, 2, 1, 2)),
         ):
             for budget in range(1, 301):
                 res = pure.seq_search(**kw, node_budget=budget)
@@ -151,6 +152,9 @@ class TestBackendEquality:
             # an integer beyond a C int comes first of all
             dict(mode=pure.MODE_DS, n=0, j=2, ceiling=10**12, s=1),
             dict(mode=pure.MODE_DS, n=3, j=2, ceiling=5, s=1, node_budget=2**63),
+            # a pair-run cap needs a 2-sparse search; the pattern comes first
+            dict(mode=pure.MODE_PATTERN, n=3, j=1, ceiling=5, s=2, pattern=(1, 2, 2, 1)),
+            dict(mode=pure.MODE_PATTERN, n=3, j=1, ceiling=5, s=2, pattern=(0, 1)),
         ],
     )
     def test_seq_limits_raise_everywhere(self, compiled, kw):
@@ -454,16 +458,10 @@ class TestStateMatchesCheckers:
 
 
 class _NoBudget(pure.SeqState):
-    """A sequence state whose alternation budget never binds: its slack is
-    MAX_CEILING, and a pattern search drops the pair-run cap, so only the
-    containment check refuses a letter."""
+    """A sequence state whose alternation budget never prunes: its slack is
+    MAX_CEILING."""
 
     slack = property(lambda self: pure.MAX_CEILING, lambda self, value: None)
-
-    def __init__(self, mode, *args, **kw):
-        super().__init__(mode, *args, **kw)
-        if mode == pure.MODE_PATTERN:
-            self.cap = None
 
 
 def test_alternation_budget_against_unbudgeted_search(monkeypatch):
@@ -495,30 +493,34 @@ def test_alternation_budget_against_unbudgeted_search(monkeypatch):
 
 
 def test_pair_run_budget_against_unbudgeted_pattern_search(monkeypatch):
-    """A two-letter pattern caps the runs of every letter pair; the cap and
-    its slack change no value, witness or truncation flag of a pattern
-    search, and never add a node."""
-
-    def search(pattern, n, j):
-        ceiling, _ = _sparse_ceiling(n, j, 2, len(pattern), 24)
-        return pure.seq_search(pure.MODE_PATTERN, n, j, ceiling, pattern=pattern)
-
+    """For a pattern of ell tokens in k runs on exactly two letters,
+    `oracle_pattern` passes s = 2 ell - k - 2 exactly when j >= 2; the cap
+    and its slack change no value, witness or exhaustion of an uncapped
+    pattern search, and never add a node."""
+    kernel = backends.seq_search
+    calls = []
+    monkeypatch.setattr(backends, "seq_search", lambda **kw: calls.append(kw) or kernel(**kw))
     # every canonical pattern on exactly the letters 1 and 2, up to length 5
     patterns = [(1,) + rest for k in range(2, 6) for rest in product((1, 2), repeat=k - 1)
                 if 2 in rest]
-    for pattern, j, cap in (((1, 2, 2, 1), 2, 4), ((1, 3, 1, 3), 2, 3), ((1, 2, 2, 1), 1, None),
-                            ((1, 2, 3), 2, None), ((1, 1), 2, None)):
-        assert pure.SeqState(pure.MODE_PATTERN, 3, j, pattern=pattern).cap == cap
-    grid = list(product(patterns, range(1, 5), (1, 2, 3)))
-    budgeted = [search(*case) for case in grid]
-    monkeypatch.setattr(pure, "SeqState", _NoBudget)
     fell = 0
-    for case, res in zip(grid, budgeted):
-        ref = search(*case)
-        assert (res[0], res[1], res[3]) == (ref[0], ref[1], ref[3]), case
-        assert res[2] <= ref[2], case
-        fell += res[2] < ref[2]
-    assert fell, "the budget pruned no pattern search"
+    for pattern, n, j in product(patterns, range(1, 5), (1, 2, 3)):
+        calls.clear()
+        res = oracles.oracle_pattern(PatternSequence(pattern), j, n)
+        runs = 1 + sum(a != b for a, b in zip(pattern, pattern[1:]))
+        assert [kw["s"] for kw in calls] == [2 * len(pattern) - runs - 2 if j >= 2 else 0]
+        best, toks, nodes, truncated = kernel(
+            mode=pure.MODE_PATTERN, n=n, j=j, ceiling=res.ceiling, pattern=pattern
+        )
+        proven = _sparse_ceiling(n, j, 2, len(pattern), 24)[1]
+        exhausted = not truncated and (proven or best < res.ceiling)
+        case = (pattern, n, j)
+        assert (res.value, res.witness.tokens, res.exhausted) == (best, tuple(toks), exhausted), case
+        assert res.nodes_explored <= nodes, case
+        fell += res.nodes_explored < nodes
+    assert fell, "the cap pruned no pattern search"
+    assert _error(kernel, mode=pure.MODE_PATTERN, n=3, j=1, ceiling=5, s=2,
+                  pattern=(1, 2, 2, 1)) == "a pair-run cap needs j >= 2"
 
 
 def test_containment_through_the_new_cell_matches_public_checker():

@@ -1,6 +1,7 @@
 """Oracle values: frozen regressions, known identities, and cross-validation
 against plain product-enumeration (a second, dumber exhaustive path)."""
 
+import hashlib
 from itertools import product
 from math import comb
 
@@ -164,9 +165,10 @@ class TestPattern:
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_alternations_run_as_ds_searches(self, request, monkeypatch, backend):
-        # with j >= 2 the oracle runs an alternation in DS mode; the pattern
-        # kernel under the same ceiling and budget must agree on the value,
-        # witness, node count and truncation
+        # with j >= 2 the oracle runs an alternation of ell tokens in DS
+        # mode of order ell - 2; the pattern kernel under the same ceiling,
+        # the pair-run cap the oracle derives (s = ell - 2) and the same
+        # budget must agree on the value, witness, node count and truncation
         request.getfixturevalue(f"{backend}_backend")
         kernel = backends.seq_search
         modes = []
@@ -177,7 +179,7 @@ class TestPattern:
             u = parse_pattern(" ".join("ab"[i % 2] for i in range(ell)))
             res = oracle_pattern(u, j, n, override_caps=True, node_budget=budget)
             best, toks, nodes, truncated = kernel(
-                mode=_kernels_py.MODE_PATTERN, n=n, j=j, ceiling=res.ceiling,
+                mode=_kernels_py.MODE_PATTERN, n=n, j=j, ceiling=res.ceiling, s=ell - 2,
                 pattern=u.tokens, node_budget=budget,
             )
             assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
@@ -433,18 +435,28 @@ class TestExMatrix:
     def test_node_budget_is_a_total_with_the_table(self, request, backend):
         """The table's searches draw on the budget too: every budget below
         the total stops at it, not exhausted, in the table or after it, with
-        a witness that passes the re-check."""
+        a witness that passes the re-check. The digest of every budget's
+        (value, rows, nodes, exhausted) pins the witnesses as well."""
         request.getfixturevalue(f"{backend}_backend")
         P = all_ones(2, 2)
-        full = oracle_ex_matrix(4, 4, P)
-        assert (full.value, full.nodes_explored) == (9, 180)
-        for budget in range(1, full.nodes_explored + 2):
-            res = oracle_ex_matrix(4, 4, P, node_budget=budget)
-            if res.exhausted:
-                assert budget >= full.nodes_explored and res == full
-            else:
-                assert res.nodes_explored == budget and res.value <= full.value
-                assert not matrices.matrix_contains(res.witness, P)
+        for n, value, total, digest in (
+            (4, 9, 180, "087f5ccb232a8a2ddc7b8a14bd546d9d87ad8f8be22ccd00c350641ac90f2109"),
+            (5, 12, 1_099, "8d2b8620da5c992b5f9c03eb4c83ae2f2d3070fcbfa04345e2240de5991f900f"),
+        ):
+            full = oracle_ex_matrix(n, n, P)
+            assert (full.value, full.nodes_explored) == (value, total)
+            sweep = hashlib.sha256()
+            for budget in range(1, total + 2):
+                res = oracle_ex_matrix(n, n, P, node_budget=budget)
+                sweep.update(repr(
+                    (res.value, res.witness.rows, res.nodes_explored, res.exhausted)
+                ).encode())
+                if res.exhausted:
+                    assert budget >= total and res == full
+                else:
+                    assert res.nodes_explored == budget and res.value <= value
+                    assert not matrices.matrix_contains(res.witness, P)
+            assert sweep.hexdigest() == digest, n
 
     def test_5x5_values(self, compiled_backend):
         assert oracle_ex_matrix(5, 5, all_ones(2, 2)).value == 12
