@@ -705,7 +705,9 @@ PyDoc_STRVAR(seq_search_doc,
 "--\n\n"
 "Depth-first maximum-length search over canonical admissible sequences.\n\n"
 "Mirrors `_kernels_py.seq_search`; returns (best, witness_tokens, nodes,\n"
-"truncated).");
+"truncated). In pattern mode s > 0 caps the runs of every letter pair at\n"
+"s + 1; like the ceiling, the cap is trusted, so the result is exact only\n"
+"when s >= 2 ell - k - 2 for a two-letter pattern of ell tokens in k runs.");
 
 static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {

@@ -528,7 +528,10 @@ def seq_search(
     s > 0 (see `SeqState`). Returns (best, witness_tokens, nodes,
     truncated). `truncated` is set only when the node budget ran out; the
     search also stops once best reaches `ceiling`, which is exact whenever
-    the ceiling is a valid upper bound.
+    the ceiling is a valid upper bound. Like the ceiling, a pattern-mode
+    cap is trusted, not checked: the result is exact only when every
+    sequence with a pair of more than s + 1 runs contains the pattern, as
+    for s >= 2 ell - k - 2 with a two-letter pattern of ell tokens in k runs.
     """
     _c_ints(mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget=node_budget)
     st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)

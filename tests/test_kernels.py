@@ -246,6 +246,13 @@ def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
 
 
+def _oracle_cap(pattern):
+    """The s that `oracle_pattern` passes for a two-letter pattern of ell
+    tokens in k runs when j >= 2: 2 ell - k - 2."""
+    runs = 1 + sum(a != b for a, b in zip(pattern, pattern[1:]))
+    return 2 * len(pattern) - runs - 2
+
+
 def test_backend_differential_fuzz(compiled):
     rng = random.Random(987654)
     for _ in range(150):
@@ -267,8 +274,25 @@ def test_backend_differential_fuzz(compiled):
             seen = {}
             kw["pattern"] = tuple(seen.setdefault(t, len(seen) + 1) for t in raw)
             kw["ceiling"] = rng.randint(0, 20)
+            if len(seen) == 2 and kw["j"] >= 2:
+                kw["s"] = _oracle_cap(kw["pattern"])
         if rng.random() < 0.3:
             kw["node_budget"] = rng.randint(1, rng.choice((20, 400)))
+        if rng.random() < 0.4:
+            kw["prefix"] = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.2:
+            kw["initial_best"] = rng.randint(-1, 12)
+        assert _outcome(pure.seq_search, kw) == _outcome(compiled.seq_search, kw), kw
+    # two-letter patterns under the pair-run cap, on their own; the budget
+    # keeps the searches with five letters short
+    for _ in range(60):
+        pattern = (1,) + tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 5)))
+        if 2 not in pattern:
+            pattern += (2,)
+        n = rng.randint(1, 5)
+        kw = dict(mode=pure.MODE_PATTERN, n=n, j=rng.randint(2, 4), pattern=pattern,
+                  s=_oracle_cap(pattern), ceiling=rng.randint(0, 40),
+                  node_budget=rng.randint(1, rng.choice((20, 3000))))
         if rng.random() < 0.4:
             kw["prefix"] = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
         if rng.random() < 0.2:
@@ -428,12 +452,14 @@ class TestStateMatchesCheckers:
             dict(mode=pure.MODE_DS, n=3, j=1, s=2, max_blocks=2),
             dict(mode=pure.MODE_FORMATION, n=4, j=2, s=2, r=2),
             dict(mode=pure.MODE_FORMATION, n=4, j=2, s=2, r=3),
-            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 1)),
-            dict(mode=pure.MODE_PATTERN, n=3, j=2, pattern=(1, 2, 2, 1)),
+            # two-letter patterns with the s that `oracle_pattern` derives,
+            # so every refusal by the pair-run cap is checked too
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, s=1, pattern=(1, 2, 1)),
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, s=3, pattern=(1, 2, 2, 1)),
             # long walks with pops: mappings whose embedding is raised, and
             # the undo of the raise, on patterns that take many tokens to embed
             dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 3, 1, 2, 3), steps=30),
-            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 1, 2, 1, 2, 1), steps=30),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, s=5, pattern=(1, 2, 1, 2, 1, 2, 1), steps=30),
             dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 3, 2, 1), steps=30),
         ],
     )
