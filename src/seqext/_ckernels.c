@@ -27,6 +27,7 @@ enum { MODE_DS = 0, MODE_FORMATION = 1, MODE_PATTERN = 2 };
 #define MAX_CEILING 50000
 #define MAX_COLUMNS 62
 #define MAX_CELLS 50000
+#define MAX_SUBSETS 1000000
 /* Searches poll for Ctrl-C once every 2^20 nodes. */
 #define SIGNAL_MASK ((1LL << 20) - 1)
 
@@ -226,9 +227,8 @@ typedef struct {
 } Embedding;
 
 /* The counterpart of `SeqState`: depth and value are the length, limit is
-   the ceiling and last is min(used_max + 1, n); slack is, under an
-   alternation budget (DS mode, and pattern mode with s > 0), the runs the
-   letter pairs can still take (see `SeqState`), else MAX_CEILING. */
+   the ceiling and last is min(used_max + 1, n); slack is, in DS mode, the
+   runs the letter pairs can still take (see `SeqState`), else MAX_CEILING. */
 typedef struct {
     Search search;
     int mode, n, jeff, s, max_blocks;
@@ -240,7 +240,7 @@ typedef struct {
     Change *log;
     size_t log_top, log_cap;
     /* alternation budget: run count and last letter per letter pair, NULL
-       when the search has no budget */
+       outside DS mode */
     int *alt, *alt_last;
     /* formation: per r-subset its letter mask, greedy progress and completed
        copies; per letter the subsets containing it */
@@ -283,10 +283,8 @@ static int formation_init(SeqKernel *k, int r)
         nsubs = 1;
         for (int i = 0; i < r; i++)
             nsubs = nsubs * (u64)(n - i) / (u64)(i + 1);
-        if (nsubs > INT_MAX) {
-            PyErr_NoMemory();
-            return -1;
-        }
+        if (nsubs > MAX_SUBSETS)
+            return value_error("r-subset count exceeds the 1000000 search limit");
     }
     if (!(k->sub_full = zalloc(nsubs, sizeof(u64)))
         || !(k->sub_partial = zalloc(nsubs, sizeof(u64)))
@@ -672,13 +670,7 @@ static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
     case MODE_FORMATION:
         return formation_init(k, r);
     case MODE_PATTERN:
-        if (pattern_init(k, pattern) < 0)
-            return -1;
-        if (s <= 0)
-            return 0;
-        if (j < 2)
-            return value_error("a pair-run cap needs j >= 2");
-        return pairs_init(k, (long long)s + 1);
+        return pattern_init(k, pattern);
     default:
         PyErr_Format(PyExc_ValueError, "unknown mode %d", mode);
         return -1;
@@ -705,9 +697,7 @@ PyDoc_STRVAR(seq_search_doc,
 "--\n\n"
 "Depth-first maximum-length search over canonical admissible sequences.\n\n"
 "Mirrors `_kernels_py.seq_search`; returns (best, witness_tokens, nodes,\n"
-"truncated). In pattern mode s > 0 caps the runs of every letter pair at\n"
-"s + 1; like the ceiling, the cap is trusted, so the result is exact only\n"
-"when s >= 2 ell - k - 2 for a two-letter pattern of ell tokens in k runs.");
+"truncated). Pattern mode ignores s.");
 
 static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {

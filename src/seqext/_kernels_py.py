@@ -6,7 +6,9 @@ accounting, so both twins return identical (value, witness, nodes,
 truncated) tuples; `backends` picks one at import time. Both check their
 arguments in one order with the same `ValueError` texts: integer range (a C
 int, a C long long for the node budget), letters, ceiling or cells, pattern
-dimensions and rows, block budget, mode data item by item, forced prefix.
+dimensions and rows, block budget, mode data item by item (formation: r,
+then at most MAX_SUBSETS r-subsets; pattern: its tokens, then its state
+encoding), forced prefix.
 
 Each search state offers `depth`, `value`, `limit`, `slack`, `candidates()`,
 `try_push(c)` (True if move c was admissible and made), `pop()` and
@@ -27,6 +29,7 @@ under prefix extension, so infeasible prefixes are cut immediately.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 MODE_DS = 0
 MODE_FORMATION = 1
@@ -34,6 +37,7 @@ MODE_PATTERN = 2
 
 MAX_LETTERS = 60
 MAX_CEILING = 50_000
+MAX_SUBSETS = 1_000_000  # the subset cap of `checks.max_formation_length`
 
 
 class SeqState:
@@ -45,21 +49,18 @@ class SeqState:
     mode). DS mode optionally tracks the greedy minimal block partition for
     block-budgeted searches.
 
-    Alternation budget: `alt` counts the runs of each letter pair's
-    restriction (the sequence with every other letter deleted), and a push
-    that would give some pair more than cap = s + 1 runs is refused. DS
-    mode always has it (the definition of order s); pattern mode has it
-    when s > 0, a cap that the caller derives from the pattern
-    (`oracles.oracle_pattern`), and refuses it with j < 2.
-    `slack` is cap C(n,2) minus the sum of `alt` over all letter pairs, so
-    it is what the pairs can still take before each reaches its cap. It
-    bounds the tokens still to come once the sequence is nonempty: since
-    jeff >= 2, every token after the first differs from its predecessor p,
-    and the pair {p, c} last saw p, so the token starts a new run of {p, c}
-    and raises its `alt` by one. Block budgets only refuse more tokens, so
-    the bound holds with them too. Other searches (formation, pattern mode
-    with s = 0) have no such budget; their slack is MAX_CEILING, which no
-    search can exceed.
+    Alternation budget (DS mode): `alt` counts the runs of each letter
+    pair's restriction (the sequence with every other letter deleted), and
+    a push that would give some pair more than cap = s + 1 runs is refused,
+    the definition of order s. `slack` is cap C(n,2) minus the sum of `alt`
+    over all letter pairs, so it is what the pairs can still take before
+    each reaches its cap. It bounds the tokens still to come once the
+    sequence is nonempty: since jeff >= 2, every token after the first
+    differs from its predecessor p, and the pair {p, c} last saw p, so the
+    token starts a new run of {p, c} and raises its `alt` by one. Block
+    budgets only refuse more tokens, so the bound holds with them too.
+    Formation and pattern searches have no such budget; their slack is
+    MAX_CEILING, which no search can exceed.
 
     Pattern embeddings (pattern mode): `reach` maps each partial mapping mp
     (mp[a-1] the image of pattern letter a, 0 if unmapped) to the greatest
@@ -97,11 +98,24 @@ class SeqState:
         self.block_mask = 0
         self.blocks_used = 0
         self.slack = MAX_CEILING
-        cap = None  # the runs each letter pair may take; None: no budget
+        self.cap = None  # the runs each letter pair may take; None: no budget
         if mode == MODE_DS:
-            cap = s + 1
+            self.cap = s + 1
+            size = (n + 1) * (n + 1)
+            self.alt = [0] * size
+            self.alt_last = [0] * size
+            # pair_slots[c]: the slot min(b, c) * (n+1) + max(b, c) of each pair {b, c}
+            self.pair_slots = [
+                [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
+                for c in range(n + 1)
+            ]
+            self.slack = self.cap * (n * (n - 1) // 2)
         elif mode == MODE_FORMATION:
-            subs = list(combinations(range(1, n + 1), r)) if r <= n else []
+            if r < 0:
+                raise ValueError("r must be non-negative")
+            if comb(n, r) > MAX_SUBSETS:
+                raise ValueError(f"r-subset count exceeds the {MAX_SUBSETS} search limit")
+            subs = list(combinations(range(1, n + 1), r))
             self.sub_full = [sum(1 << v for v in sub) for sub in subs]
             self.sub_partial = [0] * len(subs)
             self.sub_count = [0] * len(subs)
@@ -126,23 +140,8 @@ class SeqState:
             self.reach = {empty: 0}
             self.waiting = [set() for _ in range(n + 1)]
             self.waiting[0].add(empty)
-            if s > 0:
-                if j < 2:
-                    raise ValueError("a pair-run cap needs j >= 2")
-                cap = s + 1
         else:
             raise ValueError(f"unknown mode {mode}")
-        self.cap = cap
-        if cap is not None:
-            size = (n + 1) * (n + 1)
-            self.alt = [0] * size
-            self.alt_last = [0] * size
-            # pair_slots[c]: the slot min(b, c) * (n+1) + max(b, c) of each pair {b, c}
-            self.pair_slots = [
-                [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
-                for c in range(n + 1)
-            ]
-            self.slack = cap * (n * (n - 1) // 2)
 
     def candidates(self):
         u = self.used_max  # canonical letters 1..min(u + 1, n); min() is slow here
@@ -523,15 +522,12 @@ def seq_search(
 ):
     """Depth-first maximum-length search over canonical admissible sequences.
 
-    `s` is the DS order in DS mode, the formation length in formation mode
-    and, in pattern mode, caps the runs of every letter pair at s + 1 when
-    s > 0 (see `SeqState`). Returns (best, witness_tokens, nodes,
-    truncated). `truncated` is set only when the node budget ran out; the
-    search also stops once best reaches `ceiling`, which is exact whenever
-    the ceiling is a valid upper bound. Like the ceiling, a pattern-mode
-    cap is trusted, not checked: the result is exact only when every
-    sequence with a pair of more than s + 1 runs contains the pattern, as
-    for s >= 2 ell - k - 2 with a two-letter pattern of ell tokens in k runs.
+    `s` is the DS order in DS mode and the formation length in formation
+    mode; pattern mode ignores it, as every mode but formation ignores `r`.
+    Returns (best, witness_tokens, nodes, truncated). `truncated` is set
+    only when the node budget ran out; the search also stops once best
+    reaches `ceiling`, which is exact whenever the ceiling is a valid upper
+    bound.
     """
     _c_ints(mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget=node_budget)
     st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)

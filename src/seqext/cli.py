@@ -424,8 +424,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc.text('--override-caps')}", file=sys.stderr)
         return 2
-    except (ValueError, InfeasibleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, InfeasibleError, OSError, OverflowError, MemoryError) as exc:
+        # a parameter too large to hold is a usage error, not a failed check
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # after CapExceededError, which subclasses it
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,8 @@ result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
 from which the CLI's `estimated_nodes` is computed. Below the ceiling, the
 DS searches (lambda, lambda-blocks) cap the runs of every letter pair at
 s + 1, the alternation budget that the kernels track
-(`_kernels_py.SeqState`); `oracle_pattern` derives such a cap for a pattern
-on exactly two letters with j >= 2, and runs an alternation as the DS
-search it is.
+(`_kernels_py.SeqState`); `oracle_pattern` runs an alternation with j >= 2
+as the DS search it is.
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
@@ -291,19 +290,10 @@ def oracle_pattern(
     j >= r_u; below that sparsity the function is infinite and the search is
     capped as in oracle_formation.
 
-    Pair-run cap: a pattern on exactly two letters, with ell tokens in k
-    runs, caps the runs of every letter pair at 2 ell - k - 1. A run of
-    length l takes 2l - 1 positions of an alternation and the next run
-    starts on the next position, so the alternation of length 2 ell - k
-    contains u; a pair with that many runs holds the alternation (one token
-    per run), so the containment check refuses every letter the cap
-    refuses. With j >= 2 the search gets s = 2 ell - k - 2, read as in DS
-    mode (cap s + 1), and prunes on the budget the kernels track
-    (`_kernels_py.SeqState`); the budget's slack needs every token to differ
-    from the one before it, so a 1-sparse search gets no cap. When k = ell,
-    u is the alternation 1 2 1 2 ... itself and a sequence avoids it exactly
-    when no pair has ell runs, so the search runs in DS mode of order
-    ell - 2: the same tree, without tracking pattern states."""
+    An alternation 1 2 1 2 ... of ell tokens is avoided exactly when no
+    letter pair has ell runs, so with j >= 2 the search runs in DS mode of
+    order ell - 2: the same tree, without tracking pattern states. A
+    1-sparse search keeps pattern mode, since DS mode is 2-sparse."""
     if n < 1 or j < 1:
         raise ValueError("need n, j >= 1")
     u = PatternSequence.from_sequence(u)
@@ -314,11 +304,8 @@ def oracle_pattern(
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
     ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
     kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
-    if j >= 2 and ru == 2:
-        runs = 1 + sum(a != b for a, b in zip(u.tokens, u.tokens[1:]))
-        kw["s"] = 2 * su - runs - 2
-        if runs == su:
-            kw.update(mode=_kernels_py.MODE_DS, pattern=())
+    if j >= 2 and ru == 2 and all(a != b for a, b in zip(u.tokens, u.tokens[1:])):
+        kw.update(mode=_kernels_py.MODE_DS, s=su - 2, pattern=())
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),

@@ -308,6 +308,7 @@ class TestOracle:
              "error: internal error"),
             (CapExceededError("n=9 exceeds default cap 5"), 2, "error: n=9"),
             (KeyboardInterrupt(), 2, "interrupted"),
+            (MemoryError(), 2, "error: MemoryError\n"),
         ],
     )
     def test_oracle_failures_keep_exit_contract(self, capsys, monkeypatch, exc, code, message):
@@ -317,6 +318,36 @@ class TestOracle:
         monkeypatch.setattr(oracles, "oracle_lambda", fail)
         got, out, err = run(capsys, "oracle", "lambda", "--n", "3", "--s", "2")
         assert (got, out) == (code, "") and err.startswith(message)
+
+
+BIG = str(10**400)
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # integers too large for a float or an index
+        ("bound", "kst", "--n", "2", "--m", BIG, "--a", "2", "--b", "2"),
+        ("bound", "kst", "--n", BIG, "--m", "2", "--a", "2", "--b", "2"),
+        ("construct", "block", "--n", BIG, "--s", "1"),
+        ("construct", "formation", "--r", "2", "--q", "2", "--x", BIG, "--t", "1"),
+        ("construct", "ds-sparse", "--n", BIG, "--s", "8", "--j", "3"),
+        ("oracle", "ex-matrix", "--n", "2", "--m", "2", "--pattern", f"R{BIG},2"),
+        # more r-subsets than the formation search holds: j < r, and n < j
+        ("oracle", "formation", "--n", "60", "--r", "10", "--s", "2", "--j", "2",
+         "--override-caps"),
+        ("oracle", "formation", "--n", "40", "--r", "20", "--s", "2", "--j", "41",
+         "--override-caps"),
+    ],
+    ids=["kst-m", "kst-n", "block", "formation", "ds-sparse", "ex-matrix",
+         "oracle-formation", "oracle-formation-n-below-j"],
+)
+def test_sizes_beyond_reach_exit_2(capsys, request, backend, argv):
+    request.getfixturevalue(f"{backend}_backend")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestBound:

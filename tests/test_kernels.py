@@ -28,20 +28,19 @@ SEQ_CASES = [
     dict(mode=pure.MODE_FORMATION, n=4, j=2, ceiling=24, s=1, r=1),
     dict(mode=pure.MODE_FORMATION, n=4, j=3, ceiling=192, s=2, r=3),
     dict(mode=pure.MODE_FORMATION, n=2, j=2, ceiling=24, s=1, r=3),
-    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=54, s=2, pattern=(1, 2, 1, 2)),
-    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=96, s=3, pattern=(1, 2, 2, 1)),
+    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=54, pattern=(1, 2, 1, 2)),
+    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=96, pattern=(1, 2, 2, 1)),
     dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=9, pattern=(1, 1, 1)),
     dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=40, pattern=(1, 2, 3, 1, 2)),
     dict(mode=pure.MODE_DS, n=5, j=2, ceiling=31, s=3),
     dict(mode=pure.MODE_DS, n=4, j=2, ceiling=31, s=5),
     dict(mode=pure.MODE_DS, n=4, j=1, ceiling=16, s=4, max_blocks=4),
     dict(mode=pure.MODE_FORMATION, n=4, j=2, ceiling=48, s=3, r=2),
-    dict(mode=pure.MODE_PATTERN, n=5, j=2, ceiling=54, s=2, pattern=(1, 2, 1, 2)),
+    dict(mode=pure.MODE_PATTERN, n=5, j=2, ceiling=54, pattern=(1, 2, 1, 2)),
     dict(mode=pure.MODE_PATTERN, n=6, j=3, ceiling=1296, pattern=(1, 2, 3, 1, 2, 3)),
-    # patterns need not be canonical; s is the pair-run cap minus one that
-    # `oracle_pattern` derives for a two-letter pattern
-    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=80, s=3, pattern=(1, 3, 1, 3, 1)),
-    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=27, s=1, pattern=(2, 1, 2)),
+    # patterns need not be canonical
+    dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=80, pattern=(1, 3, 1, 3, 1)),
+    dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=27, pattern=(2, 1, 2)),
 ]
 
 MATRIX_CASES = [
@@ -94,7 +93,7 @@ class TestBackendEquality:
             assert res[2] <= budget
         for kw in (
             dict(mode=pure.MODE_DS, n=4, j=2, ceiling=19, s=3),
-            dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=64, s=2, pattern=(1, 2, 1, 2)),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, ceiling=64, pattern=(1, 2, 1, 2)),
         ):
             for budget in range(1, 301):
                 res = pure.seq_search(**kw, node_budget=budget)
@@ -152,9 +151,9 @@ class TestBackendEquality:
             # an integer beyond a C int comes first of all
             dict(mode=pure.MODE_DS, n=0, j=2, ceiling=10**12, s=1),
             dict(mode=pure.MODE_DS, n=3, j=2, ceiling=5, s=1, node_budget=2**63),
-            # a pair-run cap needs a 2-sparse search; the pattern comes first
-            dict(mode=pure.MODE_PATTERN, n=3, j=1, ceiling=5, s=2, pattern=(1, 2, 2, 1)),
-            dict(mode=pure.MODE_PATTERN, n=3, j=1, ceiling=5, s=2, pattern=(0, 1)),
+            # C(60, 10) r-subsets exceed the limit; the mode data comes before the prefix
+            dict(mode=pure.MODE_FORMATION, n=60, j=2, ceiling=5, s=2, r=10),
+            dict(mode=pure.MODE_FORMATION, n=60, j=2, ceiling=5, s=2, r=10, prefix=(99,)),
         ],
     )
     def test_seq_limits_raise_everywhere(self, compiled, kw):
@@ -246,13 +245,6 @@ def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
 
 
-def _oracle_cap(pattern):
-    """The s that `oracle_pattern` passes for a two-letter pattern of ell
-    tokens in k runs when j >= 2: 2 ell - k - 2."""
-    runs = 1 + sum(a != b for a, b in zip(pattern, pattern[1:]))
-    return 2 * len(pattern) - runs - 2
-
-
 def test_backend_differential_fuzz(compiled):
     rng = random.Random(987654)
     for _ in range(150):
@@ -274,25 +266,8 @@ def test_backend_differential_fuzz(compiled):
             seen = {}
             kw["pattern"] = tuple(seen.setdefault(t, len(seen) + 1) for t in raw)
             kw["ceiling"] = rng.randint(0, 20)
-            if len(seen) == 2 and kw["j"] >= 2:
-                kw["s"] = _oracle_cap(kw["pattern"])
         if rng.random() < 0.3:
             kw["node_budget"] = rng.randint(1, rng.choice((20, 400)))
-        if rng.random() < 0.4:
-            kw["prefix"] = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
-        if rng.random() < 0.2:
-            kw["initial_best"] = rng.randint(-1, 12)
-        assert _outcome(pure.seq_search, kw) == _outcome(compiled.seq_search, kw), kw
-    # two-letter patterns under the pair-run cap, on their own; the budget
-    # keeps the searches with five letters short
-    for _ in range(60):
-        pattern = (1,) + tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 5)))
-        if 2 not in pattern:
-            pattern += (2,)
-        n = rng.randint(1, 5)
-        kw = dict(mode=pure.MODE_PATTERN, n=n, j=rng.randint(2, 4), pattern=pattern,
-                  s=_oracle_cap(pattern), ceiling=rng.randint(0, 40),
-                  node_budget=rng.randint(1, rng.choice((20, 3000))))
         if rng.random() < 0.4:
             kw["prefix"] = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3)))
         if rng.random() < 0.2:
@@ -452,14 +427,12 @@ class TestStateMatchesCheckers:
             dict(mode=pure.MODE_DS, n=3, j=1, s=2, max_blocks=2),
             dict(mode=pure.MODE_FORMATION, n=4, j=2, s=2, r=2),
             dict(mode=pure.MODE_FORMATION, n=4, j=2, s=2, r=3),
-            # two-letter patterns with the s that `oracle_pattern` derives,
-            # so every refusal by the pair-run cap is checked too
-            dict(mode=pure.MODE_PATTERN, n=4, j=2, s=1, pattern=(1, 2, 1)),
-            dict(mode=pure.MODE_PATTERN, n=3, j=2, s=3, pattern=(1, 2, 2, 1)),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 1)),
+            dict(mode=pure.MODE_PATTERN, n=3, j=2, pattern=(1, 2, 2, 1)),
             # long walks with pops: mappings whose embedding is raised, and
             # the undo of the raise, on patterns that take many tokens to embed
             dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 3, 1, 2, 3), steps=30),
-            dict(mode=pure.MODE_PATTERN, n=4, j=2, s=5, pattern=(1, 2, 1, 2, 1, 2, 1), steps=30),
+            dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 1, 2, 1, 2, 1), steps=30),
             dict(mode=pure.MODE_PATTERN, n=4, j=2, pattern=(1, 2, 3, 2, 1), steps=30),
         ],
     )
@@ -518,35 +491,44 @@ def test_alternation_budget_against_unbudgeted_search(monkeypatch):
     assert budgeted[grid.index((5, 4, 2, 0))][2] == 1_443_083
 
 
-def test_pair_run_budget_against_unbudgeted_pattern_search(monkeypatch):
-    """For a pattern of ell tokens in k runs on exactly two letters,
-    `oracle_pattern` passes s = 2 ell - k - 2 exactly when j >= 2; the cap
-    and its slack change no value, witness or exhaustion of an uncapped
-    pattern search, and never add a node."""
+def test_pattern_mode_ignores_s(compiled):
+    """Pattern mode has no pair-run cap: `s` changes neither the result nor
+    the node count, on either twin."""
+    kw = dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=54, pattern=(1, 2, 1, 1, 2, 1))
+    res = pure.seq_search(**kw)
+    assert res == tuple(compiled.seq_search(**kw)) == (14, res[1], 234, False)
+    for s in (1, 3, 5):
+        assert pure.seq_search(**kw, s=s) == tuple(compiled.seq_search(**kw, s=s)) == res, s
+
+
+def test_pattern_oracle_routes_each_pattern_to_one_kernel_call(compiled_backend, monkeypatch):
+    """`oracle_pattern` makes one kernel call per two-letter pattern: DS mode
+    of order ell - 2 for an alternation of ell tokens with j >= 2, pattern
+    mode with s = 0 for every other one. Its value, witness, node count and
+    exhaustion are that call's. An alternation's pattern-mode search, the
+    search it stands for, finds the same value and witness."""
     kernel = backends.seq_search
     calls = []
     monkeypatch.setattr(backends, "seq_search", lambda **kw: calls.append(kw) or kernel(**kw))
-    # every canonical pattern on exactly the letters 1 and 2, up to length 5
-    patterns = [(1,) + rest for k in range(2, 6) for rest in product((1, 2), repeat=k - 1)
+    # every canonical pattern on exactly the letters 1 and 2, up to length 6
+    patterns = [(1,) + rest for k in range(2, 7) for rest in product((1, 2), repeat=k - 1)
                 if 2 in rest]
-    fell = 0
     for pattern, n, j in product(patterns, range(1, 5), (1, 2, 3)):
         calls.clear()
-        res = oracles.oracle_pattern(PatternSequence(pattern), j, n)
-        runs = 1 + sum(a != b for a, b in zip(pattern, pattern[1:]))
-        assert [kw["s"] for kw in calls] == [2 * len(pattern) - runs - 2 if j >= 2 else 0]
-        best, toks, nodes, truncated = kernel(
-            mode=pure.MODE_PATTERN, n=n, j=j, ceiling=res.ceiling, pattern=pattern
-        )
+        res = oracles.oracle_pattern(PatternSequence(pattern), j, n, override_caps=True)
+        alternation = j >= 2 and all(a != b for a, b in zip(pattern, pattern[1:]))
+        route = (dict(mode=pure.MODE_DS, s=len(pattern) - 2, pattern=()) if alternation
+                 else dict(mode=pure.MODE_PATTERN, s=0, pattern=pattern))
+        direct = dict(n=n, j=j, ceiling=res.ceiling, r=0, max_blocks=0, node_budget=0, **route)
+        assert calls == [direct], (pattern, n, j)
+        best, toks, nodes, truncated = kernel(**direct)
         proven = _sparse_ceiling(n, j, 2, len(pattern), 24)[1]
         exhausted = not truncated and (proven or best < res.ceiling)
-        case = (pattern, n, j)
-        assert (res.value, res.witness.tokens, res.exhausted) == (best, tuple(toks), exhausted), case
-        assert res.nodes_explored <= nodes, case
-        fell += res.nodes_explored < nodes
-    assert fell, "the cap pruned no pattern search"
-    assert _error(kernel, mode=pure.MODE_PATTERN, n=3, j=1, ceiling=5, s=2,
-                  pattern=(1, 2, 2, 1)) == "a pair-run cap needs j >= 2"
+        assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
+            best, tuple(toks), nodes, exhausted), (pattern, n, j)
+        if alternation:
+            ref = kernel(**dict(direct, mode=pure.MODE_PATTERN, s=0, pattern=pattern))
+            assert (ref[0], ref[1]) == (best, toks), (pattern, n, j)
 
 
 def test_containment_through_the_new_cell_matches_public_checker():

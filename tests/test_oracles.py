@@ -166,8 +166,7 @@ class TestPattern:
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_alternations_run_as_ds_searches(self, request, monkeypatch, backend):
         # with j >= 2 the oracle runs an alternation of ell tokens in DS
-        # mode of order ell - 2; the pattern kernel under the same ceiling,
-        # the pair-run cap the oracle derives (s = ell - 2) and the same
+        # mode of order ell - 2; a direct DS call under the same ceiling and
         # budget must agree on the value, witness, node count and truncation
         request.getfixturevalue(f"{backend}_backend")
         kernel = backends.seq_search
@@ -179,8 +178,8 @@ class TestPattern:
             u = parse_pattern(" ".join("ab"[i % 2] for i in range(ell)))
             res = oracle_pattern(u, j, n, override_caps=True, node_budget=budget)
             best, toks, nodes, truncated = kernel(
-                mode=_kernels_py.MODE_PATTERN, n=n, j=j, ceiling=res.ceiling, s=ell - 2,
-                pattern=u.tokens, node_budget=budget,
+                mode=_kernels_py.MODE_DS, n=n, j=j, ceiling=res.ceiling, s=ell - 2,
+                node_budget=budget,
             )
             assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
                 best, tuple(toks), nodes, not truncated), (n, j, ell, budget)
