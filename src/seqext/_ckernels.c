@@ -1,10 +1,13 @@
 /*
  * Compiled search kernels: an exact mirror of `_kernels_py`.
  *
- * Same arguments, argument checks (in `_kernels_py`'s order, with its
- * `ValueError` texts), candidate order, pruning and node accounting, so both
- * twins return identical (best, witness, nodes, truncated) tuples;
- * `_kernels_py` documents the algorithm. The shape is the pure twin's as
+ * Same arguments, candidate order, pruning and node accounting, so both twins
+ * return identical (best, witness, nodes, truncated) tuples; `_kernels_py`
+ * documents the algorithm. The argument checks are `_kernels_py`'s own: each
+ * kernel first calls `check_seq_search` or `check_matrix_search` there with
+ * its own arguments and searches the arguments that it returns (ints, and
+ * tuples of ints that fit every limit), so the code below raises only for a
+ * refused prefix and on a failed allocation. The shape is the pure twin's as
  * well: each kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of
  * `SeqState` and `MatrixState`) embeds a `Search` and supplies its moves,
  * push, pop and keep; one loop, `dfs`, searches either of them on an
@@ -16,7 +19,6 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <limits.h>
 #include <string.h>
 
 typedef unsigned long long u64;
@@ -25,9 +27,6 @@ enum { MODE_DS = 0, MODE_FORMATION = 1, MODE_PATTERN = 2 };
 
 #define MAX_LETTERS 60
 #define MAX_CEILING 50000
-#define MAX_COLUMNS 62
-#define MAX_CELLS 50000
-#define MAX_SUBSETS 1000000
 /* Searches poll for Ctrl-C once every 2^20 nodes. */
 #define SIGNAL_MASK ((1LL << 20) - 1)
 
@@ -60,20 +59,18 @@ static int count_node(long long *nodes)
     return 0;
 }
 
-static int value_error(const char *msg)
-{
-    PyErr_SetString(PyExc_ValueError, msg);
-    return -1;
-}
+static PyObject *kernels_py; /* seqext._kernels_py, imported with this module */
 
-/* Arguments too large for a C int lie outside every kernel limit. */
-static PyObject *parse_failed(void)
+/* The arguments a kernel searches: `_kernels_py.<check>` called on its own
+   arguments, NULL if it raised. */
+static PyObject *checked_args(const char *check, PyObject *args, PyObject *kwargs)
 {
-    if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_ValueError, "argument out of range");
-    }
-    return NULL;
+    PyObject *fn = PyObject_GetAttrString(kernels_py, check), *checked;
+    if (fn == NULL)
+        return NULL;
+    checked = PyObject_Call(fn, args, kwargs);
+    Py_DECREF(fn);
+    return checked;
 }
 
 /* ------------------------------------------------------------------------ */
@@ -154,50 +151,23 @@ static int dfs(Search *s)
     return 0;
 }
 
-/* Force `prefix` (NULL: none), then search below it from a best of at least
-   `initial_best`. The prefix may hold at most `limit` items, each in lo..hi;
-   item v is move v, and a matrix's item 0 (a 0-cell) is its move 2. The two
-   texts are the kernel's errors for an item out of range and a refused move
-   (a format that may show the prefix as %R). */
-static int run(Search *s, PyObject *prefix, int lo, int hi, int initial_best,
-               const char *out_of_range, const char *refused)
+/* Force `prefix`, a tuple of moves that fit, then search below it from a
+   best of at least `initial_best`. Item v is move v, and a matrix's item 0
+   (a 0-cell) is its move 2; `refused` is the kernel's error for a refused
+   move, a format that may show the prefix as %R. */
+static int run(Search *s, PyObject *prefix, int initial_best, const char *refused)
 {
-    PyObject *seq = NULL;
-    Py_ssize_t plen = 0;
-    int status = -1, bad;
-    if (prefix) {
-        if (!(seq = PySequence_Fast(prefix, "prefix must be a sequence")))
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(prefix); i++) {
+        long v = PyLong_AsLong(PyTuple_GET_ITEM(prefix, i));
+        int pushed = v == -1 && PyErr_Occurred() ? -1 : s->push(s, v ? (int)v : 2);
+        if (pushed == 0)
+            PyErr_Format(PyExc_ValueError, refused, prefix);
+        if (pushed <= 0)
             return -1;
-        plen = PySequence_Fast_GET_SIZE(seq);
-        bad = plen > s->limit;
-        for (Py_ssize_t i = 0; i < plen && !bad; i++) {
-            int overflow;
-            long v = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-            if (v == -1 && PyErr_Occurred())
-                goto done;
-            bad = overflow || v < lo || v > hi;
-        }
-        if (bad) {
-            value_error(out_of_range);
-            goto done;
-        }
-        for (Py_ssize_t i = 0; i < plen; i++) {
-            int v = (int)PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-            int pushed = s->push(s, v ? v : 2);
-            if (pushed < 0)
-                goto done;
-            if (pushed == 0) {
-                PyErr_Format(PyExc_ValueError, refused, prefix);
-                goto done;
-            }
-        }
     }
     s->best = initial_best > s->value ? initial_best : s->value;
     s->keep(s);
-    status = dfs(s);
-done:
-    Py_XDECREF(seq);
-    return status;
+    return dfs(s);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -253,10 +223,8 @@ typedef struct {
        Embeddings leave only from the end, so an index slot can simply be
        cleared: every code that probed past it was added later and has
        already left. */
-    int plen;
-    int *pattern;
-    u64 *digit_pow;
-    int ru;
+    Py_ssize_t plen;
+    u64 *digit_pow; /* per position i: (n+1)^(pattern[i]-1), its letter's digit */
     Embedding *emb, *fresh;
     size_t emb_top, emb_cap, fresh_cap;
     size_t *slots, slot_mask;
@@ -267,7 +235,7 @@ static void seq_free(SeqKernel *k)
     void *bufs[] = {k->tokens, k->best_tokens, k->last_pos, k->search.next, k->undo,
                     k->log, k->alt, k->alt_last, k->sub_full, k->sub_partial,
                     k->sub_count, k->letter_sub_data, k->letter_sub_start,
-                    k->pattern, k->digit_pow, k->emb, k->fresh, k->slots};
+                    k->digit_pow, k->emb, k->fresh, k->slots};
     for (size_t i = 0; i < sizeof bufs / sizeof bufs[0]; i++)
         PyMem_Free(bufs[i]);
 }
@@ -277,14 +245,10 @@ static int formation_init(SeqKernel *k, int r)
     int n = k->n, comb[MAX_LETTERS];
     u64 nsubs = 0;
     size_t pos = 0;
-    if (r < 0)
-        return value_error("r must be non-negative");
     if (r >= 1 && r <= n) {
         nsubs = 1;
         for (int i = 0; i < r; i++)
             nsubs = nsubs * (u64)(n - i) / (u64)(i + 1);
-        if (nsubs > MAX_SUBSETS)
-            return value_error("r-subset count exceeds the 1000000 search limit");
     }
     if (!(k->sub_full = zalloc(nsubs, sizeof(u64)))
         || !(k->sub_partial = zalloc(nsubs, sizeof(u64)))
@@ -355,57 +319,20 @@ static int emb_append(SeqKernel *k, Embedding e)
     return 0;
 }
 
+/* The pattern is checked to be nonempty with letters in 1..64 and
+   (n+1)^ru * (plen+1) < 2^63 for its largest letter ru, which keeps every
+   mapping code in range. */
 static int pattern_init(SeqKernel *k, PyObject *pattern)
 {
-    const u64 limit = (u64)1 << 63, base = (u64)k->n + 1;
-    u64 ppow = 1;
-    /* an omitted pattern (NULL) is the pure twin's default, an empty one */
-    PyObject *seq = pattern ? PySequence_Fast(pattern, "pattern must be a sequence")
-                            : PyTuple_New(0);
-    Py_ssize_t plen;
-    if (seq == NULL)
+    k->plen = PyTuple_GET_SIZE(pattern);
+    if (!(k->digit_pow = zalloc(k->plen, sizeof(u64))))
         return -1;
-    plen = PySequence_Fast_GET_SIZE(seq);
-    if (plen == 0 || plen >= INT_MAX) {
-        Py_DECREF(seq);
-        return value_error(plen ? "pattern too long" : "pattern must be nonempty");
-    }
-    if (!(k->pattern = zalloc(plen, sizeof(int))) || !(k->digit_pow = zalloc(plen, sizeof(u64)))) {
-        Py_DECREF(seq);
-        return -1;
-    }
-    k->plen = (int)plen;
-    for (Py_ssize_t i = 0; i < plen; i++) {
-        int overflow;
-        long a = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-        if (a == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
+    for (Py_ssize_t i = 0; i < k->plen; i++) {
+        long a = PyLong_AsLong(PyTuple_GET_ITEM(pattern, i));
+        if (a == -1 && PyErr_Occurred())
             return -1;
-        }
-        if (overflow || a < 1 || a > 64) {
-            Py_DECREF(seq);
-            /* a = -1 on overflow; a letter above 64 fails the encoding bound anyway */
-            return value_error(a < 1 && overflow <= 0 ? "pattern letters must be positive"
-                               : "pattern alphabet too large for the state encoding");
-        }
-        k->pattern[i] = (int)a;
-        if (a > k->ru)
-            k->ru = (int)a;
-    }
-    Py_DECREF(seq);
-    /* the documented limit (n+1)^ru * (plen+1) < 2^63 keeps every mapping
-       code in range */
-    for (int i = 0; i < k->ru; i++) {
-        if (ppow > (limit - 1) / base)
-            return value_error("pattern alphabet too large for the state encoding");
-        ppow *= base;
-    }
-    if (ppow > (limit - 1) / ((u64)plen + 1))
-        return value_error("pattern alphabet too large for the state encoding");
-    for (int i = 0; i < k->plen; i++) {
-        k->digit_pow[i] = 1;
-        for (int b = 1; b < k->pattern[i]; b++)
-            k->digit_pow[i] *= base;
+        for (k->digit_pow[i] = 1; a > 1; a--)
+            k->digit_pow[i] *= (u64)k->n + 1;
     }
     if (!(k->emb = grow(NULL, &k->emb_cap, 1, sizeof *k->emb))
         || !(k->fresh = grow(NULL, &k->fresh_cap, 1, sizeof *k->fresh))
@@ -644,12 +571,6 @@ static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
 {
     size_t depth = (size_t)ceiling + 1;
     memset(k, 0, sizeof *k);
-    if (n < 1 || n > MAX_LETTERS)
-        return value_error("letter count must be in 1..60");
-    if (ceiling < 0 || ceiling > MAX_CEILING)
-        return value_error("ceiling must be in 0..50000");
-    if (max_blocks && mode != MODE_DS)
-        return value_error("block budgets only apply to DS searches");
     k->mode = mode;
     k->n = n;
     k->jeff = mode == MODE_DS && j < 2 ? 2 : j;
@@ -664,17 +585,9 @@ static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
         || !(k->undo = zalloc(depth, sizeof(Undo)))
         || !(k->last_pos = zalloc(n + 1, sizeof(int))))
         return -1;
-    switch (mode) {
-    case MODE_DS:
+    if (mode == MODE_DS)
         return pairs_init(k, (long long)s + 1);
-    case MODE_FORMATION:
-        return formation_init(k, r);
-    case MODE_PATTERN:
-        return pattern_init(k, pattern);
-    default:
-        PyErr_Format(PyExc_ValueError, "unknown mode %d", mode);
-        return -1;
-    }
+    return mode == MODE_FORMATION ? formation_init(k, r) : pattern_init(k, pattern);
 }
 
 static PyObject *int_list(const int *items, int count)
@@ -701,26 +614,26 @@ PyDoc_STRVAR(seq_search_doc,
 
 static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"mode", "n", "j", "ceiling", "s", "r", "pattern", "max_blocks",
-                             "node_budget", "prefix", "initial_best", NULL};
-    int mode, n, j, ceiling, s = 0, r = 0, max_blocks = 0, initial_best = -1;
-    long long node_budget = 0;
-    PyObject *pattern = NULL, *prefix = NULL, *result = NULL;
+    int mode, n, j, ceiling, s, r, max_blocks, initial_best;
+    long long node_budget;
+    PyObject *pattern, *prefix, *result = NULL;
+    PyObject *checked = checked_args("check_seq_search", args, kwargs);
     SeqKernel k;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiii|iiOiLOi", kwlist, &mode, &n, &j,
-                                     &ceiling, &s, &r, &pattern, &max_blocks, &node_budget,
-                                     &prefix, &initial_best))
-        return parse_failed();
+    if (!checked || !PyArg_ParseTuple(checked, "iiiiiiO!iLO!i", &mode, &n, &j, &ceiling, &s, &r,
+                                      &PyTuple_Type, &pattern, &max_blocks, &node_budget,
+                                      &PyTuple_Type, &prefix, &initial_best)) {
+        Py_XDECREF(checked);
+        return NULL;
+    }
     if (seq_init(&k, mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget) < 0
-        || run(&k.search, prefix, 1, n, initial_best,
-               "forced prefix must fit the ceiling and letter range",
-               "forced prefix %R is not admissible") < 0)
+        || run(&k.search, prefix, initial_best, "forced prefix %R is not admissible") < 0)
         goto done;
     result = Py_BuildValue("(iNLO)", k.search.best, int_list(k.best_tokens, k.best_len),
                            k.search.nodes, k.search.truncated ? Py_True : Py_False);
 done:
     seq_free(&k);
+    Py_DECREF(checked);
     return result;
 }
 
@@ -899,19 +812,13 @@ static void matrix_keep(Search *s)
     memcpy(k->best_rows, k->rows, (size_t)k->n * sizeof(u64));
 }
 
+/* P's rows and the row-bound table are tuples of ints that fit. */
 static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, int pm,
                        long long node_budget, PyObject *row_bounds)
 {
-    PyObject *seq;
-    Py_ssize_t count, i;
-    int bad = 0, fits;
+    Py_ssize_t i;
+    int fits = pn <= n && pm <= m;
     memset(k, 0, sizeof *k);
-    if (n < 1 || m < 1 || m > MAX_COLUMNS)
-        return value_error("need 1 <= n and 1 <= m <= 62");
-    if ((long long)n * m > MAX_CELLS)
-        return value_error("cell count exceeds the 50000 search limit");
-    if (pn < 0 || pm < 0)
-        return value_error("pattern dimensions must be non-negative");
     k->n = n;
     k->m = m;
     k->pn = pn;
@@ -926,51 +833,26 @@ static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, 
         || !(k->bounds = zalloc((size_t)n + 1, sizeof(long long)))
         || !(k->search.next = zalloc((size_t)n * m + 1, sizeof(int))))
         return -1;
-    if (!(seq = PySequence_Fast(p_rows, "p_rows must be a sequence")))
-        return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != pn) {
-        Py_DECREF(seq);
-        return value_error("p_rows must hold pn row masks");
-    }
     /* Only the low 64 bits of a pattern row are read: the rules and checks
        that read P's rows apply only when P fits the host, so pm <= m <= 62.
        Equal rows are decided on the whole ints, so the row-order rule fires
        exactly when the pure twin's does. */
     k->equal_rows = 1;
     for (int u = 0; u < pn; u++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, u);
-        int same = u ? PyObject_RichCompareBool(item, PySequence_Fast_GET_ITEM(seq, 0), Py_EQ) : 1;
+        PyObject *item = PyTuple_GET_ITEM(p_rows, u);
+        int same = u ? PyObject_RichCompareBool(item, PyTuple_GET_ITEM(p_rows, 0), Py_EQ) : 1;
         if (same < 0 || ((k->p_rows[u] = PyLong_AsUnsignedLongLongMask(item)) == (u64)-1
-                         && PyErr_Occurred())) {
-            Py_DECREF(seq);
+                         && PyErr_Occurred()))
             return -1;
-        }
         k->equal_rows &= same;
     }
-    Py_DECREF(seq);
-    i = 0;
-    if (row_bounds) { /* NULL: no table */
-        if (!(seq = PySequence_Fast(row_bounds, "row_bounds must be a sequence")))
+    for (i = 0; i < PyTuple_GET_SIZE(row_bounds); i++) {
+        k->bounds[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(row_bounds, i));
+        if (k->bounds[i] == -1 && PyErr_Occurred())
             return -1;
-        count = PySequence_Fast_GET_SIZE(seq);
-        bad = count > n;
-        for (; i < count && !bad; i++) {
-            int overflow;
-            long long v = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
-            if (v == -1 && PyErr_Occurred()) {
-                Py_DECREF(seq);
-                return -1;
-            }
-            bad = overflow || v < 0 || v > (long long)i * m;
-            k->bounds[i] = v;
-        }
-        Py_DECREF(seq);
-        if (bad)
-            return value_error("row_bounds must hold at most n bounds, bound k in 0..k*m");
     }
     for (; i <= n; i++)
         k->bounds[i] = (long long)i * m;
-    fits = pn <= n && pm <= m;
     k->equal_cols = fits;
     k->last = -1;
     for (int u = 0; u < pn && fits; u++) {
@@ -992,19 +874,20 @@ PyDoc_STRVAR(matrix_search_doc,
 
 static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "m", "p_rows", "pn", "pm", "node_budget", "prefix",
-                             "initial_best", "row_bounds", NULL};
-    int n, m, pn, pm, initial_best = -1;
-    long long node_budget = 0;
-    PyObject *p_rows, *prefix = NULL, *row_bounds = NULL, *rows = NULL, *result = NULL;
+    int n, m, pn, pm, initial_best;
+    long long node_budget;
+    PyObject *p_rows, *prefix, *row_bounds, *rows = NULL, *result = NULL;
+    PyObject *checked = checked_args("check_matrix_search", args, kwargs);
     MatrixKernel k;
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOii|LOiO", kwlist, &n, &m, &p_rows, &pn,
-                                     &pm, &node_budget, &prefix, &initial_best, &row_bounds))
-        return parse_failed();
+    if (!checked || !PyArg_ParseTuple(checked, "iiO!iiLO!iO!", &n, &m, &PyTuple_Type, &p_rows,
+                                      &pn, &pm, &node_budget, &PyTuple_Type, &prefix,
+                                      &initial_best, &PyTuple_Type, &row_bounds)) {
+        Py_XDECREF(checked);
+        return NULL;
+    }
     if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget, row_bounds) < 0
-        || run(&k.search, prefix, 0, 1, initial_best,
-               "forced prefix must be 0/1 bits within the cell count",
+        || run(&k.search, prefix, initial_best,
                "forced prefix contains the pattern or breaks the row or column order") < 0
         || !(rows = PyList_New(n)))
         goto done;
@@ -1019,6 +902,7 @@ static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwar
 done:
     Py_XDECREF(rows);
     matrix_free(&k);
+    Py_DECREF(checked);
     return result;
 }
 
@@ -1040,5 +924,7 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__ckernels(void)
 {
+    if (kernels_py == NULL && !(kernels_py = PyImport_ImportModule("seqext._kernels_py")))
+        return NULL;
     return PyModule_Create(&module);
 }

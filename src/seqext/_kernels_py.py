@@ -3,12 +3,11 @@
 The compiled extension `_ckernels` mirrors `seq_search` and `matrix_search`
 exactly: same arguments, same candidate order, same pruning, same node
 accounting, so both twins return identical (value, witness, nodes,
-truncated) tuples; `backends` picks one at import time. Both check their
-arguments in one order with the same `ValueError` texts: integer range (a C
-int, a C long long for the node budget), letters, ceiling or cells, pattern
-dimensions and rows, block budget, mode data item by item (formation: r,
-then at most MAX_SUBSETS r-subsets; pattern: its tokens, then its state
-encoding), forced prefix.
+truncated) tuples; `backends` picks one at import time. The argument checks
+are written once, here: each kernel of either twin first passes its own
+arguments to `check_seq_search` or `check_matrix_search` and searches what
+that returns, so both twins raise the same errors and read the same values,
+and the compiled twin reads only values that fit its buffers.
 
 Each search state offers `depth`, `value`, `limit`, `slack`, `candidates()`,
 `try_push(c)` (True if move c was admissible and made), `pop()` and
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import index
 
 MODE_DS = 0
 MODE_FORMATION = 1
@@ -38,6 +38,96 @@ MODE_PATTERN = 2
 MAX_LETTERS = 60
 MAX_CEILING = 50_000
 MAX_SUBSETS = 1_000_000  # the subset cap of `checks.max_formation_length`
+MAX_COLUMNS = 62  # a row is one 64-bit word in the compiled twin
+MAX_CELLS = 50_000
+
+
+def _c_ints(values, node_budget):
+    """`values`, then `node_budget`, as ints, as the compiled twin parses them:
+    TypeError for a non-int, then ValueError for a value beyond a C int or a
+    budget beyond a C long long."""
+    *values, node_budget = map(index, (*values, node_budget))
+    if min(values) < -(2**31) or max(values) >= 2**31 or not -(2**63) <= node_budget < 2**63:
+        raise ValueError("argument out of range")
+    return (*values, node_budget)
+
+
+def _int_tuple(items):
+    """`items` as a tuple of ints: its length first, so that a one-shot
+    iterable raises TypeError instead of being used up, then item by item,
+    each an int (else TypeError)."""
+    len(items)
+    return tuple(map(index, items))
+
+
+def check_seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, node_budget=0,
+                     prefix=(), initial_best=-1):
+    """Raise every error of `seq_search` but a refused prefix, in this order:
+    non-int scalars, scalars beyond a C int (a C long long for the node
+    budget), letters, ceiling, block budget, mode data (formation: r, then at
+    most MAX_SUBSETS r-subsets; pattern: non-int letters, emptiness, the
+    first letter outside 1..64, then the state encoding), forced prefix
+    (non-int moves, then length and letter range). Only pattern mode reads
+    `pattern`. Returns the arguments as both twins search them: ints, and
+    tuples of ints for `pattern` (() outside pattern mode) and `prefix`."""
+    mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget = _c_ints(
+        (mode, n, j, ceiling, s, r, max_blocks, initial_best), node_budget)
+    if not 1 <= n <= MAX_LETTERS:
+        raise ValueError(f"letter count must be in 1..{MAX_LETTERS}")
+    if not 0 <= ceiling <= MAX_CEILING:
+        raise ValueError(f"ceiling must be in 0..{MAX_CEILING}")
+    if max_blocks and mode != MODE_DS:
+        raise ValueError("block budgets only apply to DS searches")
+    if mode == MODE_FORMATION:
+        if r < 0:
+            raise ValueError("r must be non-negative")
+        if comb(n, r) > MAX_SUBSETS:
+            raise ValueError(f"r-subset count exceeds the {MAX_SUBSETS} search limit")
+    elif mode == MODE_PATTERN:
+        pattern = _int_tuple(pattern)
+        if not pattern:
+            raise ValueError("pattern must be nonempty")
+        bad = next((a for a in pattern if not 1 <= a <= 64), 1)  # the first one decides
+        if bad < 1:
+            raise ValueError("pattern letters must be positive")
+        # mappings are packed into 64-bit codes in the compiled twin
+        if bad > 64 or (n + 1) ** max(pattern) * (len(pattern) + 1) >= 2**63:
+            raise ValueError("pattern alphabet too large for the state encoding")
+    elif mode != MODE_DS:
+        raise ValueError(f"unknown mode {mode}")
+    prefix = _int_tuple(prefix)
+    if len(prefix) > ceiling or not all(1 <= c <= n for c in prefix):
+        raise ValueError("forced prefix must fit the ceiling and letter range")
+    pattern = pattern if mode == MODE_PATTERN else ()
+    return mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best
+
+
+def check_matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1,
+                        row_bounds=()):
+    """Raise every error of `matrix_search` but a refused prefix, in this
+    order: non-int scalars, scalars beyond a C int (a C long long for the
+    node budget), rows and columns, cells, pattern dimensions, pattern rows
+    (non-int rows, then pn of them), the row-bound table (non-int bounds,
+    then at most n, bound k in 0..k*m), forced prefix (non-int moves, then
+    length and 0/1 bits). Returns the arguments as both twins search them:
+    ints, and tuples of ints for `p_rows`, `prefix` and `row_bounds`."""
+    n, m, pn, pm, initial_best, node_budget = _c_ints((n, m, pn, pm, initial_best), node_budget)
+    if n < 1 or m < 1 or m > MAX_COLUMNS:
+        raise ValueError(f"need 1 <= n and 1 <= m <= {MAX_COLUMNS}")
+    if n * m > MAX_CELLS:
+        raise ValueError(f"cell count exceeds the {MAX_CELLS} search limit")
+    if pn < 0 or pm < 0:
+        raise ValueError("pattern dimensions must be non-negative")
+    p_rows = _int_tuple(p_rows)
+    if len(p_rows) != pn:
+        raise ValueError("p_rows must hold pn row masks")
+    row_bounds = _int_tuple(row_bounds)
+    if len(row_bounds) > n or not all(0 <= b <= k * m for k, b in enumerate(row_bounds)):
+        raise ValueError("row_bounds must hold at most n bounds, bound k in 0..k*m")
+    prefix = _int_tuple(prefix)
+    if len(prefix) > n * m or not all(0 <= c <= 1 for c in prefix):
+        raise ValueError("forced prefix must be 0/1 bits within the cell count")
+    return n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds
 
 
 class SeqState:
@@ -78,12 +168,7 @@ class SeqState:
     """
 
     def __init__(self, mode, n, j, ceiling=MAX_CEILING, s=0, r=0, pattern=(), max_blocks=0):
-        if not 1 <= n <= MAX_LETTERS:
-            raise ValueError(f"letter count must be in 1..{MAX_LETTERS}")
-        if not 0 <= ceiling <= MAX_CEILING:
-            raise ValueError(f"ceiling must be in 0..{MAX_CEILING}")
-        if max_blocks and mode != MODE_DS:
-            raise ValueError("block budgets only apply to DS searches")
+        check_seq_search(mode, n, j, ceiling, s, r, pattern, max_blocks)
         self.mode = mode
         self.n = n
         self.limit = ceiling
@@ -111,10 +196,6 @@ class SeqState:
             ]
             self.slack = self.cap * (n * (n - 1) // 2)
         elif mode == MODE_FORMATION:
-            if r < 0:
-                raise ValueError("r must be non-negative")
-            if comb(n, r) > MAX_SUBSETS:
-                raise ValueError(f"r-subset count exceeds the {MAX_SUBSETS} search limit")
             subs = list(combinations(range(1, n + 1), r))
             self.sub_full = [sum(1 << v for v in sub) for sub in subs]
             self.sub_partial = [0] * len(subs)
@@ -125,23 +206,11 @@ class SeqState:
                     self.letter_subs[v].append(idx)
         elif mode == MODE_PATTERN:
             self.pattern = tuple(pattern)
-            if not self.pattern:
-                raise ValueError("pattern must be nonempty")
-            # the first letter outside 1..64 decides, as in the compiled twin
-            bad = next((a for a in self.pattern if not 1 <= a <= 64), 1)
-            if bad < 1:
-                raise ValueError("pattern letters must be positive")
-            self.ru = max(self.pattern)
-            # mappings are packed into 64-bit codes in the compiled twin
-            if bad > 64 or (n + 1) ** self.ru * (len(self.pattern) + 1) >= 2**63:
-                raise ValueError("pattern alphabet too large for the state encoding")
             self.slot = tuple(a - 1 for a in self.pattern)  # mapping index per position
-            empty = (0,) * self.ru
+            empty = (0,) * max(self.pattern)
             self.reach = {empty: 0}
             self.waiting = [set() for _ in range(n + 1)]
             self.waiting[0].add(empty)
-        else:
-            raise ValueError(f"unknown mode {mode}")
 
     def candidates(self):
         u = self.used_max  # canonical letters 1..min(u + 1, n); min() is slow here
@@ -318,16 +387,7 @@ class MatrixState:
     prefixes obey the rules too."""
 
     def __init__(self, n, m, p_rows, pn, pm, row_bounds=()):
-        if n < 1 or m < 1 or m > 62:
-            raise ValueError("need 1 <= n and 1 <= m <= 62")
-        if n * m > 50_000:
-            raise ValueError("cell count exceeds the 50000 search limit")
-        if pn < 0 or pm < 0:
-            raise ValueError("pattern dimensions must be non-negative")
-        if len(p_rows) != pn:
-            raise ValueError("p_rows must hold pn row masks")
-        if len(row_bounds) > n or not all(0 <= b <= k * m for k, b in enumerate(row_bounds)):
-            raise ValueError("row_bounds must hold at most n bounds, bound k in 0..k*m")
+        check_matrix_search(n, m, p_rows, pn, pm, row_bounds=row_bounds)
         self.n, self.m = n, m
         self.limit = n * m
         self.equal_rows = all(r == p_rows[0] for r in p_rows)
@@ -489,37 +549,18 @@ def frontier(st, depth):
     return prefixes, best, witness, nodes
 
 
-def _c_ints(*values, node_budget=0):
-    """Refuse what the compiled twin cannot parse: C ints, a C long long budget."""
-    if not all(-(2**31) <= v < 2**31 for v in values) or not -(2**63) <= node_budget < 2**63:
-        raise ValueError("argument out of range")
-
-
-def _run(st, prefix, items, initial_best, node_budget, out_of_range, refused):
-    """Force `prefix` (at most `st.limit` moves, each in `items`) on `st`, then
-    search below it from a best of at least `initial_best`, as the compiled
-    twin's `run` does; `refused` may show the prefix as {!r}."""
-    if len(prefix) > st.limit or any(c not in items for c in prefix):
-        raise ValueError(out_of_range)
+def _run(st, prefix, initial_best, node_budget, refused):
+    """Force `prefix` on `st`, then search below it from a best of at least
+    `initial_best`, as the compiled twin's `run` does; `refused` may show the
+    prefix as {!r}."""
     for c in prefix:
         if not st.try_push(c):
             raise ValueError(refused.format(prefix))
     return _dfs(st, max(initial_best, st.value), st.snapshot(), node_budget)
 
 
-def seq_search(
-    mode,
-    n,
-    j,
-    ceiling,
-    s=0,
-    r=0,
-    pattern=(),
-    max_blocks=0,
-    node_budget=0,
-    prefix=(),
-    initial_best=-1,
-):
+def seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, node_budget=0,
+               prefix=(), initial_best=-1):
     """Depth-first maximum-length search over canonical admissible sequences.
 
     `s` is the DS order in DS mode and the formation length in formation
@@ -529,29 +570,20 @@ def seq_search(
     reaches `ceiling`, which is exact whenever the ceiling is a valid upper
     bound.
     """
-    _c_ints(mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget=node_budget)
+    (mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix,
+     initial_best) = check_seq_search(mode, n, j, ceiling, s, r, pattern, max_blocks,
+                                      node_budget, prefix, initial_best)
     st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)
-    return _run(st, prefix, range(1, n + 1), initial_best, node_budget,
-                "forced prefix must fit the ceiling and letter range",
-                "forced prefix {!r} is not admissible")
+    return _run(st, prefix, initial_best, node_budget, "forced prefix {!r} is not admissible")
 
 
-def matrix_search(
-    n,
-    m,
-    p_rows,
-    pn,
-    pm,
-    node_budget=0,
-    prefix=(),
-    initial_best=-1,
-    row_bounds=(),
-):
+def matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1,
+                  row_bounds=()):
     """Fill cells row-major, 1 before 0, pruning on containment and on
     ones-so-far + slack <= best (`MatrixState`, with `row_bounds` its
     Russian-doll table); `prefix` forces the first cells (0/1 bits). Returns
     (best, rows, nodes, truncated)."""
-    _c_ints(n, m, pn, pm, initial_best, node_budget=node_budget)
-    return _run(MatrixState(n, m, p_rows, pn, pm, row_bounds), prefix, range(2), initial_best,
-                node_budget, "forced prefix must be 0/1 bits within the cell count",
+    n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds = check_matrix_search(
+        n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds)
+    return _run(MatrixState(n, m, p_rows, pn, pm, row_bounds), prefix, initial_best, node_budget,
                 "forced prefix contains the pattern or breaks the row or column order")

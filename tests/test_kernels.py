@@ -194,6 +194,72 @@ class TestBackendEquality:
             compiled.matrix_search, *args, **extra
         )
 
+    @pytest.mark.parametrize(
+        "kernel, make",
+        [
+            ("matrix_search", lambda: ((3, 3, (3, 3), 2, 2), dict(row_bounds=(0, 1.5)))),
+            ("matrix_search", lambda: ((3, 3, (3, 3), 2, 2), dict(prefix=(1.0,)))),
+            ("seq_search", lambda: ((pure.MODE_DS, 3, 2, 5), dict(s=1, prefix=_once(1, 2)))),
+            ("matrix_search", lambda: ((3, 3, _once(3, 3), 2, 2), {})),
+            ("matrix_search", lambda: ((3, 3, (3, 3), 2, 2), dict(row_bounds=_once(0, 3)))),
+            ("seq_search", lambda: ((pure.MODE_PATTERN, 3, 2, 9), dict(pattern=_once(1, 1, 1)))),
+        ],
+        ids=["float-bound", "float-move", "one-shot-prefix", "one-shot-rows",
+             "one-shot-bounds", "one-shot-pattern"],
+    )
+    def test_sequence_arguments_raise_alike(self, compiled, kernel, make):
+        """A float item or a one-shot iterable raises the same TypeError on
+        both twins: the check reads a sequence's length before its items,
+        and each item as an int, and the kernels search what it read."""
+        raised = []
+        for twin in (pure, compiled):
+            args, kw = make()
+            with pytest.raises(TypeError) as info:
+                getattr(twin, kernel)(*args, **kw)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1]
+
+    def test_both_twins_run_the_pure_checks(self, compiled, monkeypatch):
+        """`_kernels_py` holds the only argument checks: each kernel of both
+        twins calls its check first, the compiled one with its own arguments."""
+
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kw):
+            raise Refused(args, kw)
+
+        monkeypatch.setattr(pure, "check_seq_search", refuse)
+        monkeypatch.setattr(pure, "check_matrix_search", refuse)
+        for twin in (pure, compiled):
+            with pytest.raises(Refused):
+                twin.seq_search(pure.MODE_DS, 3, 2, 9, s=2)
+            with pytest.raises(Refused):
+                twin.matrix_search(2, 2, (3, 3), 2, 2)
+        with pytest.raises(Refused) as info:
+            compiled.matrix_search(2, 2, (3, 3), 2, 2, node_budget=7)
+        assert info.value.args == ((2, 2, (3, 3), 2, 2), dict(node_budget=7))
+
+    def test_both_twins_search_what_the_check_read(self, compiled):
+        """Each kernel reads a sequence argument once, in its check, and
+        searches the tuple the check returns: a prefix that yields other
+        moves when it is read again reaches neither twin's search."""
+
+        class Drifting:
+            reads = 0
+
+            def __len__(self):
+                return 2
+
+            def __iter__(self):
+                self.reads += 1
+                return iter((1, 2) if self.reads == 1 else (3, 99))
+
+        kw = dict(mode=pure.MODE_DS, n=3, j=2, ceiling=9, s=2)
+        expect = pure.seq_search(**kw, prefix=(1, 2))
+        for twin in (pure, compiled):
+            assert tuple(twin.seq_search(**kw, prefix=Drifting())) == expect
+
     def test_limits_are_accepted(self, compiled):
         for kw in (
             dict(mode=pure.MODE_DS, n=pure.MAX_LETTERS, j=2, ceiling=3, s=1),
@@ -390,6 +456,11 @@ def _error(search, *args, **kw):
     with pytest.raises(ValueError) as info:
         search(*args, **kw)
     return str(info.value)
+
+
+def _once(*items):
+    """A one-shot iterable of `items`."""
+    return (item for item in items)
 
 
 def _outcome(search, kw):
