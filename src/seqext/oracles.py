@@ -11,17 +11,17 @@ and (s-1) n when r = 1, since a (1, s)-formation is one letter s times
 (any j-sparse sequence on fewer than j letters has length at most that
 letter count); avoiding a pattern u with r_u letters and length s_u implies
 avoiding all (r_u, s_u)-formations, since each of the s_u permutation
-groups supplies one token of u. When j < r no such ceiling exists (a cycle
-of j letters is admissible and arbitrarily long), so the search runs to a
-configurable length cap and reports exhausted=False if the cap was hit.
+groups supplies one token of u. A query with n >= j and j < r has no finite
+answer (the cycle 1..j repeated is j-sparse with fewer than r letters, so
+it avoids both at every length) and is refused before any search.
 
 Every search bound is derived here only and passed to the kernels: each
 result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
 from which the CLI's `estimated_nodes` is computed. Below the ceiling, the
 DS searches (lambda, lambda-blocks) cap the runs of every letter pair at
 s + 1, the alternation budget that the kernels track
-(`_kernels_py.SeqState`); `oracle_pattern` runs an alternation with j >= 2
-as the DS search it is.
+(`_kernels_py.SeqState`); `oracle_pattern` runs an alternation as the DS
+search it is.
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
@@ -81,8 +81,9 @@ _MATRIX_SPLIT_DEPTH = 6
 @dataclass(frozen=True)
 class ExtremalResult:
     """Outcome of an extremal search: the value, a witness achieving it, the
-    number of explored nodes, whether the search space was exhausted, and the
-    ceiling (longest sequence or most ones) the search ran under."""
+    number of explored nodes, whether the search space was exhausted (the
+    node budget held, so the value is exact), and the proven ceiling
+    (longest sequence or most ones) the search ran under."""
 
     value: int
     witness: Union[Sequence, BlockedSequence, ZeroOneMatrix]
@@ -108,15 +109,20 @@ def formation_ceiling(n: int, r: int, s: int) -> int:
     return (s - 1) * n if r == 1 else s * n**r
 
 
-def _sparse_ceiling(n: int, j: int, r: int, s: int, length_cap: int) -> tuple[int, bool]:
+def _refuse_unbounded(n: int, j: int, r: int) -> None:
+    """Refuse a query with no finite answer. The oracles call this before the
+    caps, and `_sparse_ceiling`, which computes s n^r, after them."""
+    if j <= n and j < r:
+        raise ValueError(f"unbounded for j < r (j={j}, r={r}): the cycle 1..j repeated "
+                         "is j-sparse with fewer than r letters")
+
+
+def _sparse_ceiling(n: int, j: int, r: int, s: int) -> int:
     """Search ceiling for j-sparse sequences on n letters avoiding all
-    (r, s)-formations, and whether it is proven: n when n < j,
-    `formation_ceiling` when j >= r, else `length_cap` (no ceiling exists)."""
-    if n < j:
-        return n, True
-    if j >= r:
-        return formation_ceiling(n, r, s), True
-    return length_cap, False
+    (r, s)-formations: n when n < j, `formation_ceiling` when j >= r; any
+    other query raises through `_refuse_unbounded`."""
+    _refuse_unbounded(n, j, r)
+    return n if n < j else formation_ceiling(n, r, s)
 
 
 def _check_caps(caps: dict[str, int], values: dict[str, int], override: bool) -> None:
@@ -208,13 +214,11 @@ def _seq_frontier(kw: dict, depth: int):
 
 
 def _seq_oracle(
-    kw: dict, ceiling: int, threads: int, node_budget: int, valid, proven: bool = True,
-    witness_of=Sequence,
+    kw: dict, ceiling: int, threads: int, node_budget: int, valid, witness_of=Sequence,
 ) -> ExtremalResult:
     """Run a sequence search under `ceiling`. Its witness is
     `witness_of(tokens)`, re-checked by its length and `valid(witness)`; the
-    value is exact when the budget did not run out and either the ceiling is
-    `proven` or the search stayed below it."""
+    value is exact when the budget did not run out."""
     kw = dict(kw, ceiling=ceiling, node_budget=node_budget)
     best, toks, nodes, truncated = _search(
         "seq_search", kw, threads, _seq_frontier, min(_SEQ_SPLIT_DEPTH, ceiling)
@@ -222,8 +226,7 @@ def _seq_oracle(
     witness = witness_of(tuple(toks))
     if not (len(witness) == best and valid(witness)):
         raise RuntimeError("internal error: witness failed independent re-check")
-    exhausted = not truncated and (proven or best < ceiling)
-    return ExtremalResult(best, witness, nodes, exhausted, ceiling)
+    return ExtremalResult(best, witness, nodes, not truncated, ceiling)
 
 
 def oracle_lambda(
@@ -253,23 +256,21 @@ def oracle_formation(
     s: int,
     j: int,
     *,
-    length_cap: int = 24,
     override_caps: bool = False,
     threads: int = 1,
     node_budget: int = 0,
 ) -> ExtremalResult:
     """Maximum length of a j-sparse sequence on at most n letters avoiding all
-    (r, s)-formations. For j < r no ceiling exists; the search then stops at
-    `length_cap` and reports exhausted=False if the cap was reached."""
+    (r, s)-formations. With n >= j and j < r it is infinite, and the query
+    raises ValueError before the caps and any search."""
     if n < 1 or r < 1 or s < 1 or j < 1:
         raise ValueError("need n, r, s, j >= 1")
+    _refuse_unbounded(n, j, r)
     _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s}, override_caps)
-    ceiling, proven = _sparse_ceiling(n, j, r, s, length_cap)
     kw = dict(mode=_kernels_py.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
     return _seq_oracle(
-        kw, ceiling, threads, node_budget,
+        kw, _sparse_ceiling(n, j, r, s), threads, node_budget,
         lambda w: checks.is_sparse(w, j) and checks.max_formation_length(w, r) < s,
-        proven=proven,
     )
 
 
@@ -278,7 +279,6 @@ def oracle_pattern(
     j: int,
     n: int,
     *,
-    length_cap: int = 24,
     override_caps: bool = False,
     threads: int = 1,
     node_budget: int = 0,
@@ -287,13 +287,12 @@ def oracle_pattern(
 
     A sequence avoiding u avoids every (r_u, s_u)-formation (r_u = distinct
     letters of u, s_u = length of u), which yields the search ceiling for
-    j >= r_u; below that sparsity the function is infinite and the search is
-    capped as in oracle_formation.
+    j >= r_u; with n >= j and j < r_u the function is infinite, and the
+    query is refused as in oracle_formation.
 
     An alternation 1 2 1 2 ... of ell tokens is avoided exactly when no
-    letter pair has ell runs, so with j >= 2 the search runs in DS mode of
-    order ell - 2: the same tree, without tracking pattern states. A
-    1-sparse search keeps pattern mode, since DS mode is 2-sparse."""
+    letter pair has ell runs, so the search runs in DS mode of order
+    ell - 2: the same tree, without tracking pattern states."""
     if n < 1 or j < 1:
         raise ValueError("need n, j >= 1")
     u = PatternSequence.from_sequence(u)
@@ -301,15 +300,14 @@ def oracle_pattern(
         raise ValueError("pattern must be nonempty")
     ru = len(u.alphabet)
     su = len(u)
+    _refuse_unbounded(n, j, ru)
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
-    ceiling, proven = _sparse_ceiling(n, j, ru, su, length_cap)
     kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
-    if j >= 2 and ru == 2 and all(a != b for a, b in zip(u.tokens, u.tokens[1:])):
+    if ru == 2 and all(a != b for a, b in zip(u.tokens, u.tokens[1:])):
         kw.update(mode=_kernels_py.MODE_DS, s=su - 2, pattern=())
     return _seq_oracle(
-        kw, ceiling, threads, node_budget,
+        kw, _sparse_ceiling(n, j, ru, su), threads, node_budget,
         lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),
-        proven=proven,
     )
 
 

@@ -241,6 +241,17 @@ class TestOracle:
         )
         assert code == 0 and payload["results"]["value"] == 5
 
+    @pytest.mark.parametrize("argv", [
+        ("formation", "--n", "3", "--r", "3", "--s", "2", "--j", "2"),
+        ("pattern", "--pattern", "a b c", "--n", "3", "--j", "2"),
+    ], ids=["formation", "pattern"])
+    def test_unbounded_query_exits_2(self, capsys, argv):
+        # j < r: no finite answer, so no cap to lift
+        code, out, err = run(capsys, "oracle", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: unbounded for j < r (j=2, r=3): the cycle 1..j repeated is "
+                       "j-sparse with fewer than r letters\n")
+
     def test_cap_exceeded_exits_2(self, capsys):
         code, _, err = run(
             capsys, "oracle", "lambda", "--n", "6", "--s", "1", "--j", "2"
@@ -334,7 +345,8 @@ BIG = str(10**400)
         ("construct", "formation", "--r", "2", "--q", "2", "--x", BIG, "--t", "1"),
         ("construct", "ds-sparse", "--n", BIG, "--s", "8", "--j", "3"),
         ("oracle", "ex-matrix", "--n", "2", "--m", "2", "--pattern", f"R{BIG},2"),
-        # more r-subsets than the formation search holds: j < r, and n < j
+        # no finite answer (j < r), refused before the caps; and more
+        # r-subsets than the formation search holds (n < j)
         ("oracle", "formation", "--n", "60", "--r", "10", "--s", "2", "--j", "2",
          "--override-caps"),
         ("oracle", "formation", "--n", "40", "--r", "20", "--s", "2", "--j", "41",
@@ -401,7 +413,7 @@ class TestBound:
 
     @pytest.mark.parametrize("extra", [(), ("--compare-oracle",)])
     def test_formation_ceiling_below_r_sparsity_exits_2(self, capsys, extra):
-        # s n^r bounds r-sparse sequences only; below that the oracle stops at a cap
+        # s n^r bounds r-sparse sequences only; below that the oracle refuses too
         code, out, err = run(
             capsys, "bound", "formation-ceiling", "--n", "2", "--r", "2", "--s", "1",
             "--j", "1", *extra,

@@ -13,7 +13,7 @@ from conftest import brute_ex_matrix, random_sequence
 from seqext import _kernels_py as pure
 from seqext import backends, checks, matrices, oracles
 from seqext.backends import backend_name
-from seqext.oracles import _greedy_blocks, _sparse_ceiling
+from seqext.oracles import _greedy_blocks
 from seqext.sequences import PatternSequence, Sequence
 
 SEQ_CASES = [
@@ -573,11 +573,12 @@ def test_pattern_mode_ignores_s(compiled):
 
 
 def test_pattern_oracle_routes_each_pattern_to_one_kernel_call(compiled_backend, monkeypatch):
-    """`oracle_pattern` makes one kernel call per two-letter pattern: DS mode
-    of order ell - 2 for an alternation of ell tokens with j >= 2, pattern
+    """`oracle_pattern` makes one kernel call per two-letter pattern with
+    j >= 2: DS mode of order ell - 2 for an alternation of ell tokens, pattern
     mode with s = 0 for every other one. Its value, witness, node count and
     exhaustion are that call's. An alternation's pattern-mode search, the
-    search it stands for, finds the same value and witness."""
+    search it stands for, finds the same value and witness. With j = 1 the
+    query has no finite answer and makes no call."""
     kernel = backends.seq_search
     calls = []
     monkeypatch.setattr(backends, "seq_search", lambda **kw: calls.append(kw) or kernel(**kw))
@@ -586,17 +587,20 @@ def test_pattern_oracle_routes_each_pattern_to_one_kernel_call(compiled_backend,
                 if 2 in rest]
     for pattern, n, j in product(patterns, range(1, 5), (1, 2, 3)):
         calls.clear()
+        if j == 1:
+            with pytest.raises(ValueError, match="unbounded"):
+                oracles.oracle_pattern(PatternSequence(pattern), j, n, override_caps=True)
+            assert calls == [], (pattern, n)
+            continue
         res = oracles.oracle_pattern(PatternSequence(pattern), j, n, override_caps=True)
-        alternation = j >= 2 and all(a != b for a, b in zip(pattern, pattern[1:]))
+        alternation = all(a != b for a, b in zip(pattern, pattern[1:]))
         route = (dict(mode=pure.MODE_DS, s=len(pattern) - 2, pattern=()) if alternation
                  else dict(mode=pure.MODE_PATTERN, s=0, pattern=pattern))
         direct = dict(n=n, j=j, ceiling=res.ceiling, r=0, max_blocks=0, node_budget=0, **route)
         assert calls == [direct], (pattern, n, j)
         best, toks, nodes, truncated = kernel(**direct)
-        proven = _sparse_ceiling(n, j, 2, len(pattern), 24)[1]
-        exhausted = not truncated and (proven or best < res.ceiling)
         assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
-            best, tuple(toks), nodes, exhausted), (pattern, n, j)
+            best, tuple(toks), nodes, not truncated), (pattern, n, j)
         if alternation:
             ref = kernel(**dict(direct, mode=pure.MODE_PATTERN, s=0, pattern=pattern))
             assert (ref[0], ref[1]) == (best, toks), (pattern, n, j)

@@ -22,7 +22,7 @@ from seqext.oracles import (
     oracle_lambda_prime,
     oracle_pattern,
 )
-from seqext.sequences import BlockedSequence, Sequence, flatten, parse_pattern
+from seqext.sequences import BlockedSequence, PatternSequence, Sequence, flatten, parse_pattern
 
 
 def enum_max_length(n, max_len, admissible):
@@ -115,11 +115,10 @@ class TestFormation:
         assert res.value <= formation_ceiling(3, 2, 2)
         assert res.exhausted
 
-    def test_unbounded_below_r_sparsity_hits_cap(self):
-        res = oracle_formation(2, 3, 1, 2, length_cap=24)
-        assert res.value == 24 and not res.exhausted
-        res2 = oracle_formation(3, 3, 1, 2, length_cap=10)
-        assert res2.value == 10 and not res2.exhausted
+    def test_unbounded_below_r_sparsity_is_refused(self):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=r"^unbounded for j < r \(j=2, r=3\)"):
+                oracle_formation(n, 3, 1, 2)
 
     def test_sparser_than_alphabet(self):
         # j > n forces all-distinct letters
@@ -192,11 +191,13 @@ class TestPattern:
             for budget in range(1, agree(n, j, ell) + 2):
                 agree(n, j, ell, budget)
         assert set(modes) == {_kernels_py.MODE_DS}
-        # 1-sparse alternations and other two-letter patterns keep pattern mode
+        # a 1-sparse alternation is refused unsearched; other two-letter
+        # patterns keep pattern mode
         modes.clear()
-        oracle_pattern(parse_pattern("a b a"), 1, 3, length_cap=6)
+        with pytest.raises(ValueError, match="unbounded"):
+            oracle_pattern(parse_pattern("a b a"), 1, 3)
         oracle_pattern(parse_pattern("a b b a"), 2, 3)
-        assert modes == [_kernels_py.MODE_PATTERN] * 2
+        assert modes == [_kernels_py.MODE_PATTERN]
 
     def test_enumeration_cross_check(self):
         for (text, j, n) in [("a b a", 2, 2), ("a a", 2, 3), ("a b a b", 2, 3), ("a b b a", 2, 3)]:
@@ -210,9 +211,9 @@ class TestPattern:
     def test_single_letter_pattern(self):
         assert oracle_pattern(parse_pattern("a"), 2, 3).value == 0
 
-    def test_unembeddable_pattern_hits_cap(self):
-        res = oracle_pattern(parse_pattern("a b c d e"), 2, 3, length_cap=12)
-        assert res.value == 12 and not res.exhausted
+    def test_unembeddable_pattern_is_refused(self):
+        with pytest.raises(ValueError, match=r"^unbounded for j < r \(j=2, r=5\)"):
+            oracle_pattern(parse_pattern("a b c d e"), 2, 3)
 
 
 class TestNodeCounts:
@@ -603,12 +604,13 @@ class TestCeiling:
     def test_sparse_oracles(self):
         assert oracle_formation(3, 2, 2, 2).ceiling == formation_ceiling(3, 2, 2)
         assert oracle_formation(2, 2, 2, 3).ceiling == 2  # n < j
-        res = oracle_formation(2, 3, 2, 2, length_cap=7)  # j < r: no ceiling
-        assert (res.ceiling, res.exhausted) == (7, False)
+        with pytest.raises(ValueError, match="unbounded"):  # j < r: no ceiling
+            oracle_formation(2, 3, 2, 2)
         u = Sequence((1, 2, 1))
         assert oracle_pattern(u, 2, 3).ceiling == formation_ceiling(3, 2, 3)
         assert oracle_pattern(u, 3, 2).ceiling == 2  # n < j
-        assert oracle_pattern(u, 1, 3, length_cap=5).ceiling == 5  # j < r_u
+        with pytest.raises(ValueError, match="unbounded"):  # j < r_u
+            oracle_pattern(u, 1, 3)
 
     def test_one_letter_ceiling_is_exact(self):
         # a (1, s)-formation is one letter s times, and (1..n)^(s-1) is
@@ -622,3 +624,54 @@ class TestCeiling:
     def test_ex_matrix(self):
         assert oracle_ex_matrix(3, 4, all_ones(2, 2)).ceiling == 12
 
+
+def canonical_patterns(max_len):
+    """Every pattern of at most `max_len` tokens with letters in order of
+    first occurrence (1 first, each new letter one above the largest so far)."""
+    out = [(1,)]
+    for u in out:
+        if len(u) < max_len:
+            out.extend(u + (c,) for c in range(1, max(u) + 2))
+    return out
+
+
+class TestUnbounded:
+    """With n >= j and j < r the cycle 1..j repeated is j-sparse with fewer
+    than r letters, so it avoids every (r, s)-formation and every pattern on
+    r letters at every length: the query is refused before any search."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def fail(*args, **kw):
+            raise AssertionError("a refused query reached a kernel or the pool")
+
+        monkeypatch.setattr(backends, "seq_search", fail)
+        monkeypatch.setattr(oracles, "ProcessPoolExecutor", fail)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_refused_unsearched(self, no_search, threads):
+        queries = [
+            (oracle_formation, (n, r, s, j), j, r)
+            for n, r, s in product(range(1, 5), range(2, 5), range(1, 4))
+            for j in range(1, min(r - 1, n) + 1)
+        ]
+        queries += [
+            (oracle_pattern, (PatternSequence(u), j, n), j, max(u))
+            for u in canonical_patterns(5) for n in range(1, 5)
+            for j in range(1, min(max(u) - 1, n) + 1)
+        ]
+        assert len(queries) == 60 + 437
+        for oracle, args, j, r in queries:
+            with pytest.raises(ValueError) as info:
+                oracle(*args, threads=threads)
+            assert str(info.value) == (
+                f"unbounded for j < r (j={j}, r={r}): the cycle 1..j repeated is j-sparse "
+                "with fewer than r letters"
+            ), args
+
+    def test_refused_before_the_caps(self, no_search):
+        # over every cap, without override: the refusal, not CapExceededError
+        with pytest.raises(ValueError, match="unbounded"):
+            oracle_formation(9, 5, 9, 2)
+        with pytest.raises(ValueError, match="unbounded"):
+            oracle_pattern(parse_pattern("a b c a b c a b c"), 2, 9)
