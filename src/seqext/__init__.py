@@ -3,10 +3,11 @@
 constructions that realize the matching lower bounds and brute-force
 oracles that certify them on small instances.
 
-`import seqext` loads the sequences, checks, matrices, oracles, errors and
-backends modules. The construction names (`construct`, `coloring` and the
-names below taken from them) load on first use, so an oracle or verify run
-never compiles them.
+`import seqext` loads the sequences, matrices, oracles, errors and backends
+modules, and no `dataclasses` or `typing`. The predicates (`checks`) and the
+constructions (`construct`, `coloring`) load on first use, as do the names
+below taken from them: a matrix oracle run never compiles `checks`, and an
+oracle or verify run never compiles the constructions.
 """
 
 from importlib import import_module as _import_module
@@ -20,17 +21,6 @@ from .sequences import (
     parse_pattern,
     parse_sequence,
     render,
-)
-from .checks import (
-    alternation_length,
-    avoids_all_formations,
-    brute_formation_length,
-    contains_pattern,
-    formation_length,
-    is_ds,
-    is_sparse,
-    max_alternation,
-    max_formation_length,
 )
 from .matrices import (
     MatrixPattern,
@@ -60,6 +50,15 @@ __version__ = "0.1.0"
 
 # name -> the submodule that defines it, imported by __getattr__ on first use
 _LAZY = {
+    "alternation_length": "checks",
+    "avoids_all_formations": "checks",
+    "brute_formation_length": "checks",
+    "contains_pattern": "checks",
+    "formation_length": "checks",
+    "is_ds": "checks",
+    "is_sparse": "checks",
+    "max_alternation": "checks",
+    "max_formation_length": "checks",
     "EdgeColoring": "coloring",
     "Hypergraph": "coloring",
     "greedy_edge_coloring": "coloring",
@@ -82,9 +81,6 @@ __all__ = [
     # sequences
     "BlockedSequence", "PatternSequence", "Sequence", "flatten", "normalize", "parse_pattern",
     "parse_sequence", "render",
-    # checks
-    "alternation_length", "avoids_all_formations", "brute_formation_length", "contains_pattern",
-    "formation_length", "is_ds", "is_sparse", "max_alternation", "max_formation_length",
     # matrices
     "MatrixPattern", "ZeroOneMatrix", "all_ones", "blocked_to_matrix", "kst_bound",
     "matrix_contains", "matrix_to_blocked", "pair_block_cooccurrence", "parse_matrix",
@@ -94,15 +90,15 @@ __all__ = [
     "oracle_lambda_blocks", "oracle_lambda_prime", "oracle_pattern",
     # errors and backends
     "CapExceededError", "InfeasibleError", "backend_name",
-    # coloring and construct, loaded on first use
+    # checks, coloring and construct, loaded on first use
     *_LAZY,
 ]
 
 
 def __getattr__(name: str):
-    """Import `coloring` or `construct` (PEP 562) when one of them, or a name
-    taken from it, is first looked up on the package."""
-    if name in ("coloring", "construct"):
+    """Import `checks`, `coloring` or `construct` (PEP 562) when one of them,
+    or a name taken from it, is first looked up on the package."""
+    if name in ("checks", "coloring", "construct"):
         return _import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

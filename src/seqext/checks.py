@@ -24,10 +24,10 @@ subset or pair, and miss nothing:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
+from collections.abc import Iterable
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Optional
 
 from .errors import CapExceededError
 from .sequences import Sequence, normalize
@@ -186,7 +186,7 @@ def max_formation_length(
     seq: Sequence,
     r: int,
     subset_cap: int = 10**6,
-    record: Optional[list] = None,
+    record: list | None = None,
 ) -> int:
     """Max of formation_length over all r-subsets of the alphabet (0 if alphabet < r).
 
@@ -230,9 +230,14 @@ def max_formation_length(
 
 
 def avoids_all_formations(seq: Sequence, r: int, s: int) -> bool:
-    """True iff seq contains no concatenation of s permutations of any r distinct letters."""
+    """True iff seq contains no concatenation of s permutations of any r distinct letters.
+
+    Each of those r letters occurs s times in it, so when fewer than r
+    letters occur s times the answer is True without a subset scan."""
     if s < 1:
         raise ValueError("s must be >= 1")
+    if sum(count >= s for count in Counter(seq.tokens).values()) < r:
+        return True
     return max_formation_length(seq, r) < s
 
 
@@ -254,8 +259,11 @@ def contains_pattern(seq: Sequence, u: Sequence) -> bool:
     letters = sorted(positions)
     if len(set(utoks)) > len(letters):
         return False
+    # an embedding takes u's most frequent letter to one occurring as often
+    if max(map(utoks.count, utoks)) > max(map(len, positions.values())):
+        return False
 
-    def first_at_or_after(letter: int, i: int) -> Optional[int]:
+    def first_at_or_after(letter: int, i: int) -> int | None:
         lst = positions[letter]
         k = bisect_left(lst, i)
         return lst[k] if k < len(lst) else None

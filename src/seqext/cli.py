@@ -18,7 +18,7 @@ import sys
 import time
 from math import comb, factorial
 
-from . import checks, matrices, oracles
+from . import matrices, oracles
 from .errors import CapExceededError, InfeasibleError
 from .matrices import MatrixPattern, all_ones, parse_matrix, render_matrix
 from .sequences import (
@@ -58,6 +58,7 @@ class Report:
         return any(not c["pass"] for c in self.checks)
 
     def emit(self, as_json: bool) -> int:
+        """Print the report whole, or nothing when some value cannot be printed."""
         wall_ms = int((time.monotonic() - self.t0) * 1000)
         if as_json:
             payload = {
@@ -70,18 +71,19 @@ class Report:
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
             args = " ".join(f"{k}={v}" for k, v in self.params.items() if v is not None)
-            print(f"{self.command}  {args}".rstrip())
+            lines = [f"{self.command}  {args}".rstrip()]
             for key, val in self.results.items():
                 text = val
                 if isinstance(val, str) and "\n" in val:
                     text = "\n" + val
-                print(f"{key}: {text}")
+                lines.append(f"{key}: {text}")
             for c in self.checks:
                 verdict = "pass" if c["pass"] else "FAIL"
                 parts = [f"{k} {c[k]}" for k in ("measured", "bound") if k in c]
                 detail = f" ({', '.join(parts)})" if parts else ""
-                print(f"check {c['name']}: {verdict}{detail}")
-            print(f"wall_time_ms: {wall_ms}")
+                lines.append(f"check {c['name']}: {verdict}{detail}")
+            lines.append(f"wall_time_ms: {wall_ms}")
+            print("\n".join(lines))
         return 1 if self.failed else 0
 
 
@@ -127,7 +129,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_construct(args) -> int:
-    from . import construct  # imported here, so that other commands never load it
+    from . import checks, construct  # imported here, so that other commands never load them
 
     kind = args.kind
     report = Report(f"construct {kind}", {})
@@ -177,6 +179,8 @@ def _cmd_construct(args) -> int:
 
 def _check_ds(report: Report, seq: Sequence, s: int) -> None:
     """The ds:S check, passing iff `checks.is_ds(seq, s)`, from one alternation scan."""
+    from . import checks
+
     if s < 1:
         raise ValueError("order must be >= 1")
     alt = checks.max_alternation(seq)
@@ -185,7 +189,7 @@ def _check_ds(report: Report, seq: Sequence, s: int) -> None:
 
 def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
     """Re-verify every construction postcondition through the checkers."""
-    from . import coloring, construct
+    from . import checks, coloring, construct
 
     r, q, x, t = trace.r, trace.q, trace.x, trace.t
     report.check("length", len(seq) == q * t * comb(x, r), len(seq), q * t * comb(x, r))
@@ -214,6 +218,8 @@ def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     with open(args.file) as fh:
         obj = parse_sequence(fh.read())
     if isinstance(obj, BlockedSequence):

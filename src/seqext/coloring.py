@@ -16,10 +16,11 @@ against all-pairs references.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain, combinations
 from math import factorial
-from typing import Iterator
+
+from .sequences import Frozen
 
 __all__ = [
     "Hypergraph",
@@ -30,27 +31,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Frozen):
     """k-uniform hypergraph on vertices 1..vertex_count."""
 
-    vertex_count: int
-    uniformity: int
-    edges: tuple[frozenset[int], ...]
+    _fields = ("vertex_count", "uniformity", "edges")
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __init__(
+        self, vertex_count: int, uniformity: int, edges: tuple[frozenset[int], ...]
+    ) -> None:
+        if vertex_count < 1:
             raise ValueError("vertex count must be >= 1")
-        if not 1 <= self.uniformity <= self.vertex_count:
+        if not 1 <= uniformity <= vertex_count:
             raise ValueError("uniformity must be between 1 and the vertex count")
-        edges = tuple(frozenset(e) for e in self.edges)
+        edges = tuple(frozenset(e) for e in edges)
         for e in edges:
-            if len(e) != self.uniformity:
-                raise ValueError(f"edge {sorted(e)} is not {self.uniformity}-uniform")
+            if len(e) != uniformity:
+                raise ValueError(f"edge {sorted(e)} is not {uniformity}-uniform")
             for v in e:
-                if not 1 <= v <= self.vertex_count:
+                if not 1 <= v <= vertex_count:
                     raise ValueError(f"vertex {v} out of range")
-        object.__setattr__(self, "edges", edges)
+        self._init(vertex_count, uniformity, edges)
 
     def max_pairwise_intersection(self) -> int:
         """Largest intersection of two edges; 0 if no two edges meet."""
@@ -76,13 +76,13 @@ def _earlier_neighbours(
             index.setdefault(key, []).append(i)
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Frozen):
     """Color per edge index; colors are 1..color_count."""
 
-    y: int
-    colors: tuple[int, ...]
-    color_count: int
+    _fields = ("y", "colors", "color_count")
+
+    def __init__(self, y: int, colors: tuple[int, ...], color_count: int) -> None:
+        self._init(y, colors, color_count)
 
 
 def within_color_budget(count: int, k: int, y: int, n: int) -> bool:

@@ -21,13 +21,12 @@ blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, floor
 
 from .coloring import EdgeColoring, Hypergraph, greedy_edge_coloring
 from .errors import InfeasibleError
-from .sequences import BlockedSequence, Sequence
+from .sequences import BlockedSequence, Frozen, Sequence
 
 __all__ = [
     "Troop",
@@ -50,43 +49,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Troop:
+class Troop(Frozen):
     """One repeated group: `repetitions` copies of the letters in `support` order."""
 
-    support: tuple[int, ...]
-    repetitions: int
+    _fields = ("support", "repetitions")
 
-    def __post_init__(self) -> None:
-        if len(set(self.support)) != len(self.support):
+    def __init__(self, support: tuple[int, ...], repetitions: int) -> None:
+        if len(set(support)) != len(support):
             raise ValueError("troop support letters must be distinct")
-        if self.repetitions < 1:
+        if repetitions < 1:
             raise ValueError("troop repetitions must be >= 1")
+        self._init(support, repetitions)
 
 
-@dataclass(frozen=True)
-class TroopRow:
+class TroopRow(Frozen):
     """Maximal run of troops sharing their first r-1 base letters."""
 
-    prefix: tuple[int, ...]
-    troops: tuple[Troop, ...]
+    _fields = ("prefix", "troops")
+
+    def __init__(self, prefix: tuple[int, ...], troops: tuple[Troop, ...]) -> None:
+        self._init(prefix, troops)
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(Frozen):
     """Troop-level structure of a built witness, enough to verify and lift it.
 
     Letters are always 1..letter_count; level q introduced the letters in
     color_letters_per_level[q] (base letters 1..x live at level r).
     """
 
-    r: int
-    q: int
-    x: int
-    t: int
-    troops: tuple[Troop, ...]
-    letter_count: int
-    color_letters_per_level: dict[int, tuple[int, ...]]
+    _fields = ("r", "q", "x", "t", "troops", "letter_count", "color_letters_per_level")
+
+    def __init__(
+        self,
+        r: int,
+        q: int,
+        x: int,
+        t: int,
+        troops: tuple[Troop, ...],
+        letter_count: int,
+        color_letters_per_level: dict[int, tuple[int, ...]],
+    ) -> None:
+        self._init(r, q, x, t, troops, letter_count, color_letters_per_level)
 
     @property
     def troop_count(self) -> int:

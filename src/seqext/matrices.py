@@ -8,11 +8,9 @@ characters, all lines equal length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
-from .sequences import BlockedSequence
+from .sequences import BlockedSequence, Frozen
 
 __all__ = [
     "ZeroOneMatrix",
@@ -30,24 +28,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZeroOneMatrix:
+class ZeroOneMatrix(Frozen):
     """n x m 0-1 matrix; rows[i] is the bitmask of row i."""
 
-    n: int
-    m: int
-    rows: tuple[int, ...]
+    _fields = ("n", "m", "rows")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int, rows: tuple[int, ...]) -> None:
+        if n < 1 or m < 1:
             raise ValueError("matrix dimensions must be >= 1")
-        rows = tuple(self.rows)
-        if len(rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(rows)}")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
         for mask in rows:
-            if not isinstance(mask, int) or mask < 0 or mask >> self.m:
-                raise ValueError(f"row mask {mask!r} out of range for {self.m} columns")
-        object.__setattr__(self, "rows", rows)
+            if not isinstance(mask, int) or mask < 0 or mask >> m:
+                raise ValueError(f"row mask {mask!r} out of range for {m} columns")
+        self._init(n, m, rows)
 
     @classmethod
     def from_lists(cls, entries: list[list[int]]) -> "ZeroOneMatrix":
@@ -76,12 +71,11 @@ class ZeroOneMatrix:
         return render_matrix(self)
 
 
-@dataclass(frozen=True)
 class MatrixPattern(ZeroOneMatrix):
     """Forbidden 0-1 pattern; must have at least one 1-entry."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, n: int, m: int, rows: tuple[int, ...]) -> None:
+        super().__init__(n, m, rows)
         if all(mask == 0 for mask in self.rows):
             raise ValueError("pattern needs at least one 1-entry")
 
@@ -146,7 +140,7 @@ def kst_bound(n: int, m: int, a: int, b: int) -> float:
     return (b - 1) ** (1.0 / a) * (n - a + 1) * m ** (1.0 - 1.0 / a) + (a - 1) * m
 
 
-def blocked_to_matrix(bseq: BlockedSequence, rows: Optional[int] = None) -> ZeroOneMatrix:
+def blocked_to_matrix(bseq: BlockedSequence, rows: int | None = None) -> ZeroOneMatrix:
     """Incidence matrix: entry (i, j) = 1 iff letter i occurs in block j.
 
     Row count defaults to the largest letter id; pass `rows` explicitly to

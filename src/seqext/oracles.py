@@ -7,13 +7,18 @@ ceiling, re-checks its own witness through the independent predicates in
 
 Search ceilings: DS sequences never exceed s C(n,2) + 1; a j-sparse
 sequence avoiding all (r, s)-formations never exceeds s n^r when j >= r,
-and (s-1) n when r = 1, since a (1, s)-formation is one letter s times
-(any j-sparse sequence on fewer than j letters has length at most that
-letter count); avoiding a pattern u with r_u letters and length s_u implies
-avoiding all (r_u, s_u)-formations, since each of the s_u permutation
-groups supplies one token of u. A query with n >= j and j < r has no finite
-answer (the cycle 1..j repeated is j-sparse with fewer than r letters, so
-it avoids both at every length) and is refused before any search.
+and (s-1) n when r = 1, since a (1, s)-formation is one letter s times;
+avoiding a pattern u with r_u letters and length s_u implies avoiding all
+(r_u, s_u)-formations, since each of the s_u permutation groups supplies
+one token of u. A query with n >= j and j < r has no finite answer (the
+cycle 1..j repeated is j-sparse with fewer than r letters, so it avoids
+both at every length) and is refused before any search.
+
+On n < j letters no search runs: a letter occurring twice, j or more tokens
+apart, would start j pairwise-distinct tokens, so every token is distinct.
+An (r, s)-formation with s >= 2, or a pattern that repeats a letter, then
+never occurs, and otherwise r (or r_u) distinct tokens are one; the value
+is n or r - 1 (r_u - 1) letters at most, and 1..value attains it.
 
 Every search bound is derived here only and passed to the kernels: each
 result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
@@ -46,14 +51,12 @@ No cap bounds j: a sparser search is only smaller.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import comb
-from typing import Union
 
-from . import backends, _kernels_py, checks, matrices
+from . import backends, _kernels_py, matrices
 from .errors import CapExceededError
 from .matrices import MatrixPattern, ZeroOneMatrix
-from .sequences import BlockedSequence, PatternSequence, Sequence, flatten
+from .sequences import BlockedSequence, Frozen, PatternSequence, Sequence, flatten
 
 __all__ = [
     "ExtremalResult",
@@ -74,22 +77,31 @@ PATTERN_CAPS = {"n": 4, "pattern length": 6}
 LAMBDA_BLOCKS_CAPS = {"n": 4, "s": 4, "m": 4}
 EX_MATRIX_CAPS = {"n*m": 30}
 
+# a ceiling of 10,000 bits (3,011 decimal digits) still prints under Python's
+# default 4,300-digit limit; every search stops far below it
+FORMATION_CEILING_BITS = 10_000
+
 _SEQ_SPLIT_DEPTH = 4
 _MATRIX_SPLIT_DEPTH = 6
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(Frozen):
     """Outcome of an extremal search: the value, a witness achieving it, the
     number of explored nodes, whether the search space was exhausted (the
     node budget held, so the value is exact), and the proven ceiling
     (longest sequence or most ones) the search ran under."""
 
-    value: int
-    witness: Union[Sequence, BlockedSequence, ZeroOneMatrix]
-    nodes_explored: int
-    exhausted: bool
-    ceiling: int
+    _fields = ("value", "witness", "nodes_explored", "exhausted", "ceiling")
+
+    def __init__(
+        self,
+        value: int,
+        witness: Sequence | BlockedSequence | ZeroOneMatrix,
+        nodes_explored: int,
+        exhausted: bool,
+        ceiling: int,
+    ) -> None:
+        self._init(value, witness, nodes_explored, exhausted, ceiling)
 
 
 def lambda_ceiling(n: int, s: int) -> int:
@@ -103,26 +115,39 @@ def formation_ceiling(n: int, r: int, s: int) -> int:
     """Every r-sparse sequence on n >= r letters avoiding all (r, s)-formations
     has length at most s n^r. For r = 1 the exact value is (s-1) n: a
     (1, s)-formation is one letter s times, so each letter occurs at most
-    s-1 times, and (1..n)^(s-1) attains it."""
+    s-1 times, and (1..n)^(s-1) attains it. An s n^r of more than
+    FORMATION_CEILING_BITS bits raises ValueError, unbuilt when n^r alone is
+    that long."""
     if n < 1 or r < 1 or s < 1:
         raise ValueError("need n, r, s >= 1")
-    return (s - 1) * n if r == 1 else s * n**r
+    if r == 1:
+        return (s - 1) * n
+    # n^r >= 2^(r (b - 1)) for b = n.bit_length()
+    if r * (n.bit_length() - 1) < FORMATION_CEILING_BITS:
+        ceiling = s * n**r
+        if ceiling.bit_length() <= FORMATION_CEILING_BITS:
+            return ceiling
+    raise ValueError(f"formation ceiling s n^r exceeds {FORMATION_CEILING_BITS} bits")
 
 
-def _refuse_unbounded(n: int, j: int, r: int) -> None:
-    """Refuse a query with no finite answer. The oracles call this before the
-    caps, and `_sparse_ceiling`, which computes s n^r, after them."""
-    if j <= n and j < r:
+def _refuse_unbounded(j: int, r: int) -> None:
+    """Refuse a query on n >= j letters with no finite answer, before the caps."""
+    if j < r:
         raise ValueError(f"unbounded for j < r (j={j}, r={r}): the cycle 1..j repeated "
                          "is j-sparse with fewer than r letters")
 
 
-def _sparse_ceiling(n: int, j: int, r: int, s: int) -> int:
-    """Search ceiling for j-sparse sequences on n letters avoiding all
-    (r, s)-formations: n when n < j, `formation_ceiling` when j >= r; any
-    other query raises through `_refuse_unbounded`."""
-    _refuse_unbounded(n, j, r)
-    return n if n < j else formation_ceiling(n, r, s)
+def _distinct_answer(n: int, value: int, valid, threads: int) -> ExtremalResult:
+    """The answer on n < j letters, where every token is distinct: the
+    letters 1..value, re-checked by `valid`, with no node explored and the
+    ceiling n. An n beyond the kernels' letter range raises as they do."""
+    _check_threads(threads)
+    if n > _kernels_py.MAX_LETTERS:
+        raise ValueError(f"letter count must be in 1..{_kernels_py.MAX_LETTERS}")
+    witness = Sequence(tuple(range(1, value + 1)))
+    if not valid(witness):
+        raise RuntimeError("internal error: witness failed independent re-check")
+    return ExtremalResult(value, witness, 0, True, n)
 
 
 def _check_caps(caps: dict[str, int], values: dict[str, int], override: bool) -> None:
@@ -242,6 +267,7 @@ def oracle_lambda(
     if n < 1 or s < 1 or j < 1:
         raise ValueError("need n, s, j >= 1")
     _check_caps(LAMBDA_CAPS, {"n": n, "s": s}, override_caps)
+    from . import checks  # loaded here, so that a matrix search never compiles it
     ceiling = lambda_ceiling(n, s)
     kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=s, r=0, pattern=(), max_blocks=0)
     return _seq_oracle(
@@ -261,21 +287,24 @@ def oracle_formation(
     node_budget: int = 0,
 ) -> ExtremalResult:
     """Maximum length of a j-sparse sequence on at most n letters avoiding all
-    (r, s)-formations. With n >= j and j < r it is infinite, and the query
-    raises ValueError before the caps and any search."""
+    (r, s)-formations. With n < j it is n for s >= 2 and min(n, r - 1) for
+    s = 1, answered before the caps without a search; with j < r it is
+    infinite, and the query raises ValueError before the caps."""
     if n < 1 or r < 1 or s < 1 or j < 1:
         raise ValueError("need n, r, s, j >= 1")
-    _refuse_unbounded(n, j, r)
+    from . import checks
+
+    valid = lambda w: checks.is_sparse(w, j) and checks.avoids_all_formations(w, r, s)
+    if n < j:
+        return _distinct_answer(n, n if s >= 2 else min(n, r - 1), valid, threads)
+    _refuse_unbounded(j, r)
     _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s}, override_caps)
     kw = dict(mode=_kernels_py.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
-    return _seq_oracle(
-        kw, _sparse_ceiling(n, j, r, s), threads, node_budget,
-        lambda w: checks.is_sparse(w, j) and checks.max_formation_length(w, r) < s,
-    )
+    return _seq_oracle(kw, formation_ceiling(n, r, s), threads, node_budget, valid)
 
 
 def oracle_pattern(
-    u: Union[Sequence, PatternSequence],
+    u: Sequence | PatternSequence,
     j: int,
     n: int,
     *,
@@ -287,8 +316,9 @@ def oracle_pattern(
 
     A sequence avoiding u avoids every (r_u, s_u)-formation (r_u = distinct
     letters of u, s_u = length of u), which yields the search ceiling for
-    j >= r_u; with n >= j and j < r_u the function is infinite, and the
-    query is refused as in oracle_formation.
+    j >= r_u. With n < j the value is n when u repeats a letter and
+    min(n, r_u - 1) otherwise; with j < r_u the function is infinite. Both
+    are settled as in oracle_formation.
 
     An alternation 1 2 1 2 ... of ell tokens is avoided exactly when no
     letter pair has ell runs, so the search runs in DS mode of order
@@ -300,15 +330,17 @@ def oracle_pattern(
         raise ValueError("pattern must be nonempty")
     ru = len(u.alphabet)
     su = len(u)
-    _refuse_unbounded(n, j, ru)
+    from . import checks
+
+    valid = lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u)
+    if n < j:
+        return _distinct_answer(n, n if su > ru else min(n, ru - 1), valid, threads)
+    _refuse_unbounded(j, ru)
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
     kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
     if ru == 2 and all(a != b for a, b in zip(u.tokens, u.tokens[1:])):
         kw.update(mode=_kernels_py.MODE_DS, s=su - 2, pattern=())
-    return _seq_oracle(
-        kw, _sparse_ceiling(n, j, ru, su), threads, node_budget,
-        lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u),
-    )
+    return _seq_oracle(kw, formation_ceiling(n, ru, su), threads, node_budget, valid)
 
 
 def _greedy_blocks(tokens: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -346,6 +378,7 @@ def oracle_lambda_blocks(
     if n < 1 or s < 1 or m < 1:
         raise ValueError("need n, s, m >= 1")
     _check_caps(LAMBDA_BLOCKS_CAPS, {"n": n, "s": s, "m": m}, override_caps)
+    from . import checks
     ceiling = min(n * m, lambda_ceiling(n, s))
     kw = dict(mode=_kernels_py.MODE_DS, n=n, j=1, s=s, r=0, pattern=(), max_blocks=m)
     return _seq_oracle(

@@ -12,8 +12,8 @@ assigned ids 1,2,... by first occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+# Annotations are never evaluated, so `collections.abc` is named in one but
+# not imported: `import seqext` loads neither it nor `collections`.
 
 __all__ = [
     "Sequence",
@@ -27,7 +27,42 @@ __all__ = [
 ]
 
 
-def _as_letter_tuple(tokens: Iterable[int]) -> tuple[int, ...]:
+class Frozen:
+    """Immutable value, as a frozen dataclass would make it: a subclass names
+    its fields in `_fields` and sets them once, in its `__init__`, through
+    `_init`. Instances equal only instances of the same class with equal
+    fields, hash and print as a frozen dataclass does, and refuse
+    assignment and deletion. They keep a `__dict__` (no `__slots__`), which
+    `copy` and `pickle` restore without calling `__setattr__`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _as_letter_tuple(tokens: collections.abc.Iterable[int]) -> tuple[int, ...]:
     out = tuple(tokens)
     for tok in out:
         if not isinstance(tok, int) or isinstance(tok, bool) or tok < 1:
@@ -35,14 +70,13 @@ def _as_letter_tuple(tokens: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Frozen):
     """Immutable sequence of letters."""
 
-    tokens: tuple[int, ...] = ()
+    _fields = ("tokens",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", _as_letter_tuple(self.tokens))
+    def __init__(self, tokens: tuple[int, ...] = ()) -> None:
+        self._init(_as_letter_tuple(tokens))
 
     @property
     def length(self) -> int:
@@ -62,18 +96,17 @@ class Sequence:
         return render(self)
 
 
-@dataclass(frozen=True)
-class BlockedSequence:
+class BlockedSequence(Frozen):
     """Sequence partitioned into blocks of pairwise-distinct letters."""
 
-    blocks: tuple[tuple[int, ...], ...] = ()
+    _fields = ("blocks",)
 
-    def __post_init__(self) -> None:
-        blocks = tuple(_as_letter_tuple(block) for block in self.blocks)
+    def __init__(self, blocks: tuple[tuple[int, ...], ...] = ()) -> None:
+        blocks = tuple(_as_letter_tuple(block) for block in blocks)
         for block in blocks:
             if len(set(block)) != len(block):
                 raise ValueError(f"repeated letter inside a block: {block}")
-        object.__setattr__(self, "blocks", blocks)
+        self._init(blocks)
 
     @property
     def length(self) -> int:
@@ -94,12 +127,11 @@ class BlockedSequence:
         return render(self)
 
 
-@dataclass(frozen=True)
 class PatternSequence(Sequence):
     """Forbidden pattern: a sequence in normalized form (ids 1..r by first occurrence)."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, tokens: tuple[int, ...] = ()) -> None:
+        super().__init__(tokens)
         if self.tokens != normalize(Sequence(self.tokens)).tokens:
             raise ValueError("pattern must be normalized (ids 1..r by first occurrence)")
 
@@ -143,7 +175,7 @@ def _map_tokens(raw: list[str]) -> dict[str, int]:
     return mapping
 
 
-def parse_sequence(text: str) -> Union[Sequence, BlockedSequence]:
+def parse_sequence(text: str) -> Sequence | BlockedSequence:
     """Parse sequence text; returns a BlockedSequence iff the text contains `|`."""
     if text.strip() == "":
         raise ValueError("empty input where a sequence is required")
@@ -167,7 +199,7 @@ def parse_pattern(text: str) -> PatternSequence:
     return PatternSequence.from_sequence(seq)
 
 
-def render(obj: Union[Sequence, BlockedSequence]) -> str:
+def render(obj: Sequence | BlockedSequence) -> str:
     """Inverse of parse_sequence for integer-token texts, up to whitespace."""
     if isinstance(obj, BlockedSequence):
         parts: list[str] = []

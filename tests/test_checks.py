@@ -17,7 +17,13 @@ from seqext.checks import (
     max_formation_length,
 )
 from seqext.errors import CapExceededError
-from seqext.sequences import PatternSequence, Sequence, parse_pattern, parse_sequence
+from seqext.sequences import (
+    PatternSequence,
+    Sequence,
+    normalize,
+    parse_pattern,
+    parse_sequence,
+)
 
 T232 = parse_sequence("1 2 1 2 1 3 1 3 2 3 2 3")  # the r=2, x=3, t=2 base witness
 
@@ -40,6 +46,17 @@ def reference_max_formation(s, r):
         (formation_length(s, combo) for combo in combinations(sorted(s.alphabet), r)),
         default=0,
     )
+
+
+def reference_contains(s, u):
+    """Containment by trying every injective map of u's letters into s's."""
+    letters = sorted(set(u.tokens))
+    for image in permutations(sorted(s.alphabet), len(letters)):
+        relabel = dict(zip(letters, image))
+        it = iter(s.tokens)
+        if all(relabel[a] in it for a in u.tokens):
+            return True
+    return False
 
 
 def padded_sequences(rng, count):
@@ -197,6 +214,22 @@ class TestMaxFormation:
         assert avoids_all_formations(T232, 2, 7)
         assert not avoids_all_formations(T232, 2, 3)
 
+    def test_avoids_all_formations_matches_the_maximum(self, grid_builds):
+        rng = random.Random(43)
+        for s, r in differential_inputs(grid_builds, rng):
+            best = reference_max_formation(s, r)
+            for k in (1, 2, 3, 4, best, best + 1):
+                if k >= 1:
+                    assert avoids_all_formations(s, r, k) == (best < k), (s, r, k)
+
+    def test_too_few_repeated_letters_need_no_scan(self):
+        # an (r, s)-formation takes s occurrences of each of its r letters;
+        # the maximum itself still refuses C(40, 20) subsets
+        distinct = Sequence(tuple(range(1, 41)))
+        assert avoids_all_formations(distinct, 20, 2)
+        with pytest.raises(CapExceededError):
+            max_formation_length(distinct, 20)
+
     def test_prune_matches_full_scan(self, grid_builds):
         rng = random.Random(29)
         for s, r in differential_inputs(grid_builds, rng):
@@ -232,6 +265,21 @@ class TestContainsPattern:
         for blocks in product(list(permutations((1, 2))), repeat=4):
             formation = Sequence(tuple(tok for block in blocks for tok in block))
             assert contains_pattern(formation, abab)
+
+    def test_matches_every_injective_relabeling(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            s = random_sequence(rng, max_alpha=4, max_len=9)
+            u = normalize(random_sequence(rng, max_alpha=3, max_len=5))
+            if not u.tokens:
+                continue
+            assert contains_pattern(s, u) == reference_contains(s, u), (s, u)
+
+    def test_a_repeat_absent_from_the_sequence_needs_no_search(self):
+        # u's most frequent letter must map to a letter occurring as often
+        distinct = Sequence(tuple(range(1, 61)))
+        assert not contains_pattern(distinct, parse_pattern("1 2 3 4 5 6 7 8 1"))
+        assert contains_pattern(distinct, parse_pattern("1 2 3 4 5 6 7 8"))
 
     def test_alternation_pattern_iff_max_alternation(self):
         rng = random.Random(31)

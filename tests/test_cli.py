@@ -345,15 +345,20 @@ BIG = str(10**400)
         ("construct", "formation", "--r", "2", "--q", "2", "--x", BIG, "--t", "1"),
         ("construct", "ds-sparse", "--n", BIG, "--s", "8", "--j", "3"),
         ("oracle", "ex-matrix", "--n", "2", "--m", "2", "--pattern", f"R{BIG},2"),
-        # no finite answer (j < r), refused before the caps; and more
-        # r-subsets than the formation search holds (n < j)
+        # no finite answer (j < r), refused before the caps; more letters
+        # than any sequence oracle holds (n < j); a ceiling s n^r of more
+        # than FORMATION_CEILING_BITS bits, refused before it is computed
         ("oracle", "formation", "--n", "60", "--r", "10", "--s", "2", "--j", "2",
          "--override-caps"),
-        ("oracle", "formation", "--n", "40", "--r", "20", "--s", "2", "--j", "41",
+        ("oracle", "formation", "--n", "61", "--r", "20", "--s", "2", "--j", "62",
          "--override-caps"),
+        ("oracle", "formation", "--n", "1000000", "--r", "1000000", "--s", "2",
+         "--j", "1000000", "--override-caps"),
+        ("bound", "formation-ceiling", "--n", "1000000", "--r", "1000000", "--s", "2"),
     ],
     ids=["kst-m", "kst-n", "block", "formation", "ds-sparse", "ex-matrix",
-         "oracle-formation", "oracle-formation-n-below-j"],
+         "oracle-formation", "oracle-formation-n-below-j", "oracle-formation-ceiling-bits",
+         "bound-formation-ceiling-bits"],
 )
 def test_sizes_beyond_reach_exit_2(capsys, request, backend, argv):
     request.getfixturevalue(f"{backend}_backend")
@@ -435,6 +440,26 @@ class TestBound:
     def test_ceiling_parameters_below_one_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, "bound", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unprintable_result_prints_no_report(self, capsys, monkeypatch):
+        # as a too-long int does: the text report is built whole before it is
+        # printed, so stdout stays empty, as with --json
+        class Unprintable:
+            def __format__(self, spec):
+                raise ValueError("cannot print this bound")
+
+        monkeypatch.setattr(oracles, "lambda_ceiling", lambda n, s: Unprintable())
+        code, out, err = run(capsys, "bound", "ds-ceiling", "--n", "3", "--s", "1")
+        assert (code, out, err) == (2, "", "error: cannot print this bound\n")
+
+    def test_formation_ceiling_bit_limit(self, capsys):
+        bits = oracles.FORMATION_CEILING_BITS
+        code, payload, _ = run_json(
+            capsys, "bound", "formation-ceiling", "--n", "2", "--r", str(bits - 1), "--s", "1")
+        assert code == 0 and payload["results"]["bound"] == 2 ** (bits - 1)
+        code, out, err = run(
+            capsys, "bound", "formation-ceiling", "--n", "2", "--r", str(bits), "--s", "1")
+        assert (code, out, err) == (2, "", f"error: formation ceiling s n^r exceeds {bits} bits\n")
 
     def test_kst_compare(self, capsys):
         code, payload, _ = run_json(

@@ -2,6 +2,7 @@
 against plain product-enumeration (a second, dumber exhaustive path)."""
 
 import hashlib
+import time
 from itertools import product
 from math import comb
 
@@ -13,6 +14,7 @@ from seqext.construct import build_block_witness
 from seqext.errors import CapExceededError
 from seqext.matrices import all_ones
 from seqext.oracles import (
+    FORMATION_CEILING_BITS,
     formation_ceiling,
     lambda_ceiling,
     oracle_ex_matrix,
@@ -159,8 +161,9 @@ class TestPattern:
             alt = parse_pattern(" ".join("ab"[i % 2] for i in range(s + 2)))
             pat = oracle_pattern(alt, j, n, override_caps=True)
             ds = oracle_lambda(n, s, j)
-            assert (pat.value, pat.witness, pat.nodes_explored) == (
-                ds.value, ds.witness, ds.nodes_explored), (n, s, j)
+            assert (pat.value, pat.witness) == (ds.value, ds.witness), (n, s, j)
+            # below j letters the pattern oracle answers without a search
+            assert pat.nodes_explored == (0 if n < j else ds.nodes_explored), (n, s, j)
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_alternations_run_as_ds_searches(self, request, monkeypatch, backend):
@@ -180,6 +183,8 @@ class TestPattern:
                 mode=_kernels_py.MODE_DS, n=n, j=j, ceiling=res.ceiling, s=ell - 2,
                 node_budget=budget,
             )
+            if n < j:  # answered without a search
+                nodes, truncated = 0, False
             assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
                 best, tuple(toks), nodes, not truncated), (n, j, ell, budget)
             return nodes
@@ -557,9 +562,10 @@ class TestPoolSize:
         assert res == reference
 
     def test_empty_frontier(self, pool_sizes):
-        # the ceiling is n = 1 (n < j), and every 1-letter prefix completes a
-        # (1, 1)-formation: no tasks at all
-        assert oracle_formation(1, 1, 1, 2, threads=4) == oracle_formation(1, 1, 1, 2)
+        # the ceiling is 1 * 2^2 = 4, and any two distinct letters make a
+        # (2, 1)-formation, so no 2-sparse prefix reaches the depth of 4:
+        # no tasks at all
+        assert oracle_formation(2, 2, 1, 2, threads=4) == oracle_formation(2, 2, 1, 2)
         assert pool_sizes == [1]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -625,6 +631,51 @@ class TestCeiling:
         assert oracle_ex_matrix(3, 4, all_ones(2, 2)).ceiling == 12
 
 
+class TestFormationCeilingLimit:
+    """s n^r of more than FORMATION_CEILING_BITS bits is refused, before the
+    power is computed when n^r alone has that many."""
+
+    BITS = FORMATION_CEILING_BITS
+
+    def refused(self, n, r, s):
+        message = f"^formation ceiling s n\\^r exceeds {self.BITS} bits$"
+        with pytest.raises(ValueError, match=message):
+            formation_ceiling(n, r, s)
+
+    def test_powers_of_two_at_the_edge(self):
+        assert formation_ceiling(2, self.BITS - 1, 1) == 2 ** (self.BITS - 1)
+        self.refused(2, self.BITS, 1)
+        assert formation_ceiling(2, 2, 2 ** (self.BITS - 3)) == 2 ** (self.BITS - 1)
+        assert formation_ceiling(2, 2, 2 ** (self.BITS - 2) - 1).bit_length() == self.BITS
+        self.refused(2, 2, 2 ** (self.BITS - 2))
+
+    def test_edge_found_after_the_power(self):
+        # 3^r passes the test before the power for every r < BITS, so the
+        # edge near r = BITS / log2(3) is found on the computed value
+        r = max(k for k in range(1, self.BITS) if (3**k).bit_length() <= self.BITS)
+        assert formation_ceiling(3, r, 1) == 3**r
+        self.refused(3, r + 1, 1)
+        assert formation_ceiling(1, 10**12, 5) == 5  # 1^r needs no bits
+
+    def test_one_letter_ceiling_has_no_limit(self):
+        assert formation_ceiling(2**self.BITS, 1, 3) == 2 ** (self.BITS + 1)
+
+    def test_huge_powers_are_refused_unbuilt(self):
+        t0 = time.perf_counter()
+        for e in (10**6, 10**7, 10**100):
+            self.refused(e, e, 2)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_oracle_formation_at_the_edge(self):
+        # n = r = j: the ceiling n^n fits for n = 1002 and not for 1003;
+        # below the limit the kernels refuse it (it is no C int)
+        assert (1002**1002).bit_length() <= self.BITS < (1003**1003).bit_length()
+        with pytest.raises(ValueError, match="^argument out of range$"):
+            oracle_formation(1002, 1002, 1, 1002, override_caps=True)
+        with pytest.raises(ValueError, match="bits$"):
+            oracle_formation(1003, 1003, 1, 1003, override_caps=True)
+
+
 def canonical_patterns(max_len):
     """Every pattern of at most `max_len` tokens with letters in order of
     first occurrence (1 first, each new letter one above the largest so far)."""
@@ -675,3 +726,76 @@ class TestUnbounded:
             oracle_formation(9, 5, 9, 2)
         with pytest.raises(ValueError, match="unbounded"):
             oracle_pattern(parse_pattern("a b c a b c a b c"), 2, 9)
+
+
+class TestFewerLettersThanJ:
+    """With n < j every token is distinct, so the value is known: n, or
+    r - 1 (r_u - 1) letters when one permutation (u itself) is forbidden. It
+    is answered before the caps without a search, with the letters 1..value."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(backends, "seq_search", lambda **kw: calls.append(kw))
+        monkeypatch.setattr(oracles, "ProcessPoolExecutor", lambda **kw: calls.append(kw))
+        return calls
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_matches_the_kernel_search(self, request, monkeypatch, backend):
+        request.getfixturevalue(f"{backend}_backend")
+        kernel = backends.seq_search
+        calls = []
+        monkeypatch.setattr(backends, "seq_search", lambda **kw: calls.append(kw))
+        queries = [
+            (oracle_formation, (n, r, s, j),
+             dict(mode=_kernels_py.MODE_FORMATION, n=n, j=j, ceiling=n, s=s, r=r))
+            for j in range(2, 6) for n in range(1, j) for r in range(1, 5) for s in range(1, 4)
+        ]
+        queries += [
+            (oracle_pattern, (PatternSequence(u), j, n),
+             dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, ceiling=n, pattern=u))
+            for u in canonical_patterns(5) for j in range(2, 6) for n in range(1, j)
+        ]
+        assert len(queries) == 120 + 750
+        for oracle, args, search in queries:
+            res = oracle(*args, override_caps=True, threads=2)
+            best, toks, _nodes, truncated = kernel(**search)
+            assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted,
+                    res.ceiling) == (best, tuple(toks), 0, True, search["n"]), args
+            assert not truncated
+        assert calls == []
+
+    def test_values(self, kernel_calls):
+        # without override_caps: n < j is answered before the caps
+        assert oracle_formation(40, 20, 2, 41).witness == Sequence(tuple(range(1, 41)))
+        assert oracle_formation(40, 20, 1, 41).value == 19
+        assert oracle_formation(5, 6, 1, 9).value == 5
+        res = oracle_pattern(parse_pattern("1 2 3 4 5 6 7 1"), 61, 60)
+        assert (res.value, res.nodes_explored, res.exhausted, res.ceiling) == (60, 0, True, 60)
+        assert oracle_pattern(parse_pattern("1 2 3 4 5 6 7"), 61, 60).value == 6
+        assert kernel_calls == []
+
+    def test_budget_and_threads(self, kernel_calls):
+        expected = oracle_formation(3, 2, 2, 4)
+        assert oracle_formation(3, 2, 2, 4, node_budget=1, threads=3) == expected
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            oracle_formation(3, 2, 2, 4, threads=0)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            oracle_pattern(parse_pattern("a b a"), 4, 3, threads=0)
+        assert kernel_calls == []
+
+    def test_letter_range_is_the_kernels(self, kernel_calls):
+        assert oracle_formation(_kernels_py.MAX_LETTERS, 2, 2, 99).value == _kernels_py.MAX_LETTERS
+        for n in (_kernels_py.MAX_LETTERS + 1, 10**9):
+            with pytest.raises(ValueError, match=r"^letter count must be in 1\.\.60$"):
+                oracle_formation(n, 2, 2, n + 1)
+            with pytest.raises(ValueError, match=r"^letter count must be in 1\.\.60$"):
+                oracle_pattern(parse_pattern("a b a"), n + 1, n, override_caps=True)
+        assert kernel_calls == []
+
+    def test_witness_is_rechecked(self, kernel_calls, monkeypatch):
+        monkeypatch.setattr(checks, "is_sparse", lambda seq, j: False)
+        for call in (lambda: oracle_formation(3, 2, 2, 4),
+                     lambda: oracle_pattern(parse_pattern("a b a"), 4, 3)):
+            with pytest.raises(RuntimeError, match="witness failed independent re-check"):
+                call()

@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # modules an oracle or verify run never needs; they load on first use
 ON_FIRST_USE = ("concurrent.futures", "multiprocessing", "seqext.construct", "seqext.coloring")
+# modules no seqext process needs
+NEVER = ("dataclasses", "inspect", "typing")
 
 # `from seqext import *` before the package had an __all__
 OLD_EXPORTS = {
@@ -38,9 +40,10 @@ OLD_EXPORTS = {
 
 def fresh(code: str) -> list:
     """Run `code` in a new interpreter on this checkout's sources and return
-    the Python literal its last output line prints."""
+    the Python literal its last output line prints. The interpreter runs
+    with -S, so that no site hook preloads modules (`typing`, say)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
@@ -53,7 +56,8 @@ def loaded(names) -> str:
 
 class TestImports:
     def test_import_seqext(self):
-        got = fresh(f"import sys, seqext; print({loaded(ON_FIRST_USE + ('seqext.oracles',))})")
+        names = ON_FIRST_USE + NEVER + ("seqext.checks", "seqext.oracles")
+        got = fresh(f"import sys, seqext; print({loaded(names)})")
         assert got == ["seqext.oracles"]
 
     @pytest.mark.parametrize("argv", [
@@ -61,14 +65,27 @@ class TestImports:
         ["oracle", "lambda", "--n", "4", "--s", "2"],
         ["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4", "pattern:(ab)^3",
          "lambda-prime:4"],
+        ["construct", "block", "--n", "4", "--s", "3"],
     ])
     def test_cli_run(self, tmp_path, argv):
+        """No run loads NEVER, an oracle or verify run none of ON_FIRST_USE,
+        and a matrix oracle run no `checks`."""
+        unloaded = NEVER
+        if argv[0] != "construct":
+            unloaded += ON_FIRST_USE
+        if argv[1] == "ex-matrix":
+            unloaded += ("seqext.checks",)
         witness = tmp_path / "w.seq"
         witness.write_text("1 2 | 1 3 | 1\n")
         argv = [str(witness) if a == "WITNESS" else a for a in argv]
         code = (f"import sys; from seqext import cli; code = cli.main({argv!r}); "
-                f"print((code, {loaded(ON_FIRST_USE)}))")
+                f"print((code, {loaded(unloaded)}))")
         assert fresh(code) == (0, [])
+
+    def test_checks_names_load_on_first_use(self):
+        code = ("import sys, seqext; before = 'seqext.checks' in sys.modules; "
+                "f = seqext.is_ds; print((before, f is sys.modules['seqext.checks'].is_ds))")
+        assert fresh(code) == (False, True)
 
     def test_threads_load_the_pool(self):
         code = ("import sys; from seqext import oracles; "
