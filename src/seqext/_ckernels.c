@@ -3,12 +3,15 @@
  *
  * Same arguments, candidate order, pruning and node accounting, so both twins
  * return identical (best, witness, nodes, truncated) tuples; `_kernels_py`
- * documents the algorithm. The argument checks are `_kernels_py`'s own: each
- * kernel first calls `check_seq_search` or `check_matrix_search` there with
- * its own arguments and searches the arguments that it returns (ints, and
- * tuples of ints that fit every limit), so the code below raises only for a
- * refused prefix and on a failed allocation. The shape is the pure twin's as
- * well: each kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of
+ * documents the algorithm. The argument checks and every value derived from
+ * the arguments are `_kernels_py`'s own: each kernel first calls
+ * `check_seq_search` or `check_matrix_search` there with its own arguments
+ * and searches what it returns (ints, and tuples of ints that fit every
+ * limit): the checked arguments, then the derived values, which it reads
+ * and never computes. So the code below raises only for a refused prefix and
+ * on a failed allocation, and holds only the search states, their push and
+ * pop, and the search loop. The shape is the pure twin's as well: each
+ * kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of
  * `SeqState` and `MatrixState`) embeds a `Search` and supplies its moves,
  * push, pop and keep; one loop, `dfs`, searches either of them on an
  * explicit stack, as `_kernels_py._dfs` does, so the depth (up to the 50,000
@@ -26,7 +29,6 @@ typedef unsigned long long u64;
 enum { MODE_DS = 0, MODE_FORMATION = 1, MODE_PATTERN = 2 };
 
 #define MAX_LETTERS 60
-#define MAX_CEILING 50000
 /* Searches poll for Ctrl-C once every 2^20 nodes. */
 #define SIGNAL_MASK ((1LL << 20) - 1)
 
@@ -197,8 +199,8 @@ typedef struct {
 } Embedding;
 
 /* The counterpart of `SeqState`: depth and value are the length, limit is
-   the ceiling and last is min(used_max + 1, n); slack is, in DS mode, the
-   runs the letter pairs can still take (see `SeqState`), else MAX_CEILING. */
+   the ceiling and last is min(used_max + 1, n); slack starts at the checked
+   value and, in DS mode, tracks the runs the letter pairs can still take. */
 typedef struct {
     Search search;
     int mode, n, jeff, s, max_blocks;
@@ -355,18 +357,6 @@ static Change *log_reserve(SeqKernel *k, size_t need)
         k->log = log;
     }
     return log;
-}
-
-/* The alternation budget of `SeqState`, with each pair capped at `cap` runs. */
-static int pairs_init(SeqKernel *k, long long cap)
-{
-    const int n = k->n;
-    k->cap = cap;
-    k->search.slack = cap * (n * (n - 1) / 2);
-    if (!(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
-        || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
-        return -1;
-    return 0;
 }
 
 /* Each *_push appends c to its part of the state if the sequence stays
@@ -566,28 +556,29 @@ static void seq_keep(Search *s)
     k->best_len = s->depth;
 }
 
-static int seq_init(SeqKernel *k, int mode, int n, int j, int ceiling, int s,
-                    int r, PyObject *pattern, int max_blocks, long long node_budget)
+/* The buffers of a kernel whose checked fields are set; `cap` is the checked
+   run cap, an int in DS mode. */
+static int seq_init(SeqKernel *k, int r, PyObject *pattern, PyObject *cap)
 {
-    size_t depth = (size_t)ceiling + 1;
-    memset(k, 0, sizeof *k);
-    k->mode = mode;
-    k->n = n;
-    k->jeff = mode == MODE_DS && j < 2 ? 2 : j;
-    k->s = s;
-    k->max_blocks = max_blocks;
-    k->search = (Search){.limit = ceiling, .last = 1, .slack = MAX_CEILING,
-                         .node_budget = node_budget, .push = seq_push, .pop = seq_pop,
-                         .keep = seq_keep};
+    const int n = k->n;
+    size_t depth = (size_t)k->search.limit + 1;
+    k->search.last = 1;
+    k->search.push = seq_push;
+    k->search.pop = seq_pop;
+    k->search.keep = seq_keep;
     if (!(k->tokens = zalloc(depth, sizeof(int)))
         || !(k->best_tokens = zalloc(depth, sizeof(int)))
         || !(k->search.next = zalloc(depth, sizeof(int)))
         || !(k->undo = zalloc(depth, sizeof(Undo)))
         || !(k->last_pos = zalloc(n + 1, sizeof(int))))
         return -1;
-    if (mode == MODE_DS)
-        return pairs_init(k, (long long)s + 1);
-    return mode == MODE_FORMATION ? formation_init(k, r) : pattern_init(k, pattern);
+    if (k->mode != MODE_DS)
+        return k->mode == MODE_FORMATION ? formation_init(k, r) : pattern_init(k, pattern);
+    if (((k->cap = PyLong_AsLongLong(cap)) == -1 && PyErr_Occurred())
+        || !(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
+        || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
+        return -1;
+    return 0;
 }
 
 static PyObject *int_list(const int *items, int count)
@@ -614,26 +605,25 @@ PyDoc_STRVAR(seq_search_doc,
 
 static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    int mode, n, j, ceiling, s, r, max_blocks, initial_best;
-    long long node_budget;
-    PyObject *pattern, *prefix, *result = NULL;
+    int j, r, initial_best; /* the search reads jeff, not j */
+    PyObject *pattern, *prefix, *cap, *result = NULL;
     PyObject *checked = checked_args("check_seq_search", args, kwargs);
     SeqKernel k;
     (void)self;
-    if (!checked || !PyArg_ParseTuple(checked, "iiiiiiO!iLO!i", &mode, &n, &j, &ceiling, &s, &r,
-                                      &PyTuple_Type, &pattern, &max_blocks, &node_budget,
-                                      &PyTuple_Type, &prefix, &initial_best)) {
-        Py_XDECREF(checked);
-        return NULL;
-    }
-    if (seq_init(&k, mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget) < 0
+    memset(&k, 0, sizeof k);
+    if (!checked
+        || !PyArg_ParseTuple(checked, "iiiiiiO!iLO!iiOL", &k.mode, &k.n, &j, &k.search.limit,
+                             &k.s, &r, &PyTuple_Type, &pattern, &k.max_blocks,
+                             &k.search.node_budget, &PyTuple_Type, &prefix, &initial_best,
+                             &k.jeff, &cap, &k.search.slack)
+        || seq_init(&k, r, pattern, cap) < 0
         || run(&k.search, prefix, initial_best, "forced prefix %R is not admissible") < 0)
         goto done;
     result = Py_BuildValue("(iNLO)", k.search.best, int_list(k.best_tokens, k.best_len),
                            k.search.nodes, k.search.truncated ? Py_True : Py_False);
 done:
     seq_free(&k);
-    Py_DECREF(checked);
+    Py_XDECREF(checked);
     return result;
 }
 
@@ -644,7 +634,8 @@ done:
    value the ones among them, limit the cell count. Its moves are 1 and 2,
    in the order of `MatrixState.candidates`: move 1 sets the next cell to 1,
    move 2 to 0. After each move, slack is `MatrixState`'s Russian-doll slack
-   over `bounds` (bounds[k] for k = 0..n: the table, then k m). */
+   over `bounds`, the checked table padded to n + 1 bounds. P's rows as
+   searched, last, equal_rows and equal_cols are the checked values too. */
 typedef struct {
     Search search;
     int n, m, pn, pm;
@@ -812,56 +803,32 @@ static void matrix_keep(Search *s)
     memcpy(k->best_rows, k->rows, (size_t)k->n * sizeof(u64));
 }
 
-/* P's rows and the row-bound table are tuples of ints that fit. */
-static int matrix_init(MatrixKernel *k, int n, int m, PyObject *p_rows, int pn, int pm,
-                       long long node_budget, PyObject *row_bounds)
+/* The buffers of a kernel whose checked fields are set: `p_rows`, P's pn
+   rows as searched (below 2^62), and `bounds`, the n + 1 padded bounds. */
+static int matrix_init(MatrixKernel *k, PyObject *p_rows, PyObject *bounds)
 {
-    Py_ssize_t i;
-    int fits = pn <= n && pm <= m;
-    memset(k, 0, sizeof *k);
-    k->n = n;
-    k->m = m;
-    k->pn = pn;
-    k->pm = pm;
+    const int n = k->n, m = k->m;
     k->full = ((u64)1 << m) - 1;
-    k->search = (Search){.limit = n * m, .slack = n * m, .node_budget = node_budget,
-                         .last = 2, .push = matrix_push, .pop = matrix_pop,
-                         .keep = matrix_keep};
+    k->search.limit = n * m;
+    k->search.slack = n * m;
+    k->search.last = 2;
+    k->search.push = matrix_push;
+    k->search.pop = matrix_pop;
+    k->search.keep = matrix_keep;
     if (!(k->rows = zalloc(n, sizeof(u64))) || !(k->best_rows = zalloc(n, sizeof(u64)))
-        || !(k->p_rows = zalloc(pn, sizeof(u64))) || !(k->sel = zalloc(pn, sizeof(int)))
+        || !(k->p_rows = zalloc(k->pn, sizeof(u64))) || !(k->sel = zalloc(k->pn, sizeof(int)))
         || !(k->tie = zalloc(n, sizeof(u64)))
         || !(k->bounds = zalloc((size_t)n + 1, sizeof(long long)))
         || !(k->search.next = zalloc((size_t)n * m + 1, sizeof(int))))
         return -1;
-    /* Only the low 64 bits of a pattern row are read: the rules and checks
-       that read P's rows apply only when P fits the host, so pm <= m <= 62.
-       Equal rows are decided on the whole ints, so the row-order rule fires
-       exactly when the pure twin's does. */
-    k->equal_rows = 1;
-    for (int u = 0; u < pn; u++) {
-        PyObject *item = PyTuple_GET_ITEM(p_rows, u);
-        int same = u ? PyObject_RichCompareBool(item, PyTuple_GET_ITEM(p_rows, 0), Py_EQ) : 1;
-        if (same < 0 || ((k->p_rows[u] = PyLong_AsUnsignedLongLongMask(item)) == (u64)-1
-                         && PyErr_Occurred()))
+    for (int u = 0; u < k->pn; u++)
+        if ((k->p_rows[u] = PyLong_AsUnsignedLongLong(PyTuple_GET_ITEM(p_rows, u))) == (u64)-1
+            && PyErr_Occurred())
             return -1;
-        k->equal_rows &= same;
-    }
-    for (i = 0; i < PyTuple_GET_SIZE(row_bounds); i++) {
-        k->bounds[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(row_bounds, i));
-        if (k->bounds[i] == -1 && PyErr_Occurred())
+    for (int i = 0; i <= n; i++)
+        if ((k->bounds[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(bounds, i))) == -1
+            && PyErr_Occurred())
             return -1;
-    }
-    for (; i <= n; i++)
-        k->bounds[i] = (long long)i * m;
-    k->equal_cols = fits;
-    k->last = -1;
-    for (int u = 0; u < pn && fits; u++) {
-        const u64 row = k->p_rows[u] & (((u64)1 << pm) - 1);
-        k->p_rows[u] = row;
-        k->equal_cols &= row == 0 || row == (((u64)1 << pm) - 1);
-        if (row)
-            k->last = u;
-    }
     k->tie[0] = k->full;
     return 0;
 }
@@ -874,24 +841,25 @@ PyDoc_STRVAR(matrix_search_doc,
 
 static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    int n, m, pn, pm, initial_best;
-    long long node_budget;
-    PyObject *p_rows, *prefix, *row_bounds, *rows = NULL, *result = NULL;
+    int initial_best;
+    /* given: P's rows and the row table as passed; the kernel reads the
+       searched rows and the padded table */
+    PyObject *given, *p_rows, *prefix, *bounds, *rows = NULL, *result = NULL;
     PyObject *checked = checked_args("check_matrix_search", args, kwargs);
     MatrixKernel k;
     (void)self;
-    if (!checked || !PyArg_ParseTuple(checked, "iiO!iiLO!iO!", &n, &m, &PyTuple_Type, &p_rows,
-                                      &pn, &pm, &node_budget, &PyTuple_Type, &prefix,
-                                      &initial_best, &PyTuple_Type, &row_bounds)) {
-        Py_XDECREF(checked);
-        return NULL;
-    }
-    if (matrix_init(&k, n, m, p_rows, pn, pm, node_budget, row_bounds) < 0
+    memset(&k, 0, sizeof k);
+    if (!checked
+        || !PyArg_ParseTuple(checked, "iiOiiLO!iOO!ippO!", &k.n, &k.m, &given, &k.pn, &k.pm,
+                             &k.search.node_budget, &PyTuple_Type, &prefix, &initial_best,
+                             &given, &PyTuple_Type, &p_rows, &k.last, &k.equal_rows,
+                             &k.equal_cols, &PyTuple_Type, &bounds)
+        || matrix_init(&k, p_rows, bounds) < 0
         || run(&k.search, prefix, initial_best,
                "forced prefix contains the pattern or breaks the row or column order") < 0
-        || !(rows = PyList_New(n)))
+        || !(rows = PyList_New(k.n)))
         goto done;
-    for (int i = 0; i < n; i++) {
+    for (int i = 0; i < k.n; i++) {
         PyObject *item = PyLong_FromUnsignedLongLong(k.best_rows[i]);
         if (item == NULL)
             goto done;
@@ -902,7 +870,7 @@ static PyObject *py_matrix_search(PyObject *self, PyObject *args, PyObject *kwar
 done:
     Py_XDECREF(rows);
     matrix_free(&k);
-    Py_DECREF(checked);
+    Py_XDECREF(checked);
     return result;
 }
 

@@ -3,11 +3,12 @@
 The compiled extension `_ckernels` mirrors `seq_search` and `matrix_search`
 exactly: same arguments, same candidate order, same pruning, same node
 accounting, so both twins return identical (value, witness, nodes,
-truncated) tuples; `backends` picks one at import time. The argument checks
-are written once, here: each kernel of either twin first passes its own
-arguments to `check_seq_search` or `check_matrix_search` and searches what
-that returns, so both twins raise the same errors and read the same values,
-and the compiled twin reads only values that fit its buffers.
+truncated) tuples; `backends` picks one at import time. The kernel
+specification is written once, here: each kernel of either twin first
+passes its own arguments to `check_seq_search` or `check_matrix_search`
+and searches what that returns, the checked arguments and every value
+derived from them, so both twins raise the same errors and read the same
+values, and the compiled twin reads only values that fit its buffers.
 
 Each search state offers `depth`, `value`, `limit`, `slack`, `candidates()`,
 `try_push(c)` (True if move c was admissible and made), `pop()` and
@@ -37,7 +38,7 @@ MODE_PATTERN = 2
 
 MAX_LETTERS = 60
 MAX_CEILING = 50_000
-MAX_SUBSETS = 1_000_000  # the subset cap of `checks.max_formation_length`
+MAX_SUBSETS = 1_000_000  # r-subsets: formation searches and `checks.max_formation_length`
 MAX_COLUMNS = 62  # a row is one 64-bit word in the compiled twin
 MAX_CELLS = 50_000
 
@@ -69,7 +70,10 @@ def check_seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, no
     first letter outside 1..64, then the state encoding), forced prefix
     (non-int moves, then length and letter range). Only pattern mode reads
     `pattern`. Returns the arguments as both twins search them: ints, and
-    tuples of ints for `pattern` (() outside pattern mode) and `prefix`."""
+    tuples of ints for `pattern` (() outside pattern mode) and `prefix`;
+    then the values derived once for both: the sparsity searched (max(j, 2)
+    in DS mode, else j), the runs each letter pair may take (s + 1 in DS
+    mode, else None) and the starting slack (see `SeqState`)."""
     mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget = _c_ints(
         (mode, n, j, ceiling, s, r, max_blocks, initial_best), node_budget)
     if not 1 <= n <= MAX_LETTERS:
@@ -99,7 +103,10 @@ def check_seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, no
     if len(prefix) > ceiling or not all(1 <= c <= n for c in prefix):
         raise ValueError("forced prefix must fit the ceiling and letter range")
     pattern = pattern if mode == MODE_PATTERN else ()
-    return mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best
+    derived = ((max(j, 2), s + 1, (s + 1) * comb(n, 2)) if mode == MODE_DS
+               else (j, None, MAX_CEILING))
+    return (mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best,
+            *derived)
 
 
 def check_matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1,
@@ -110,7 +117,10 @@ def check_matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_
     (non-int rows, then pn of them), the row-bound table (non-int bounds,
     then at most n, bound k in 0..k*m), forced prefix (non-int moves, then
     length and 0/1 bits). Returns the arguments as both twins search them:
-    ints, and tuples of ints for `p_rows`, `prefix` and `row_bounds`."""
+    ints, and tuples of ints for `p_rows`, `prefix` and `row_bounds`; then
+    the values derived once for both (see `MatrixState`): P's rows as
+    searched (masked to pm columns; all 0 if P does not fit the host),
+    `last`, `equal_rows`, `equal_cols` and the row table padded to n + 1."""
     n, m, pn, pm, initial_best, node_budget = _c_ints((n, m, pn, pm, initial_best), node_budget)
     if n < 1 or m < 1 or m > MAX_COLUMNS:
         raise ValueError(f"need 1 <= n and 1 <= m <= {MAX_COLUMNS}")
@@ -127,7 +137,13 @@ def check_matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_
     prefix = _int_tuple(prefix)
     if len(prefix) > n * m or not all(0 <= c <= 1 for c in prefix):
         raise ValueError("forced prefix must be 0/1 bits within the cell count")
-    return n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds
+    fits = pn <= n and pm <= m
+    rows = tuple(r & ((1 << pm) - 1) for r in p_rows) if fits else (0,) * pn
+    last = max((u for u, r in enumerate(rows) if r), default=-1)
+    equal_cols = fits and all(r in (0, (1 << pm) - 1) for r in rows)
+    bounds = row_bounds + tuple(k * m for k in range(len(row_bounds), n + 1))
+    return (n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds, rows, last,
+            all(r == p_rows[0] for r in p_rows), equal_cols, bounds)
 
 
 class SeqState:
@@ -168,11 +184,11 @@ class SeqState:
     """
 
     def __init__(self, mode, n, j, ceiling=MAX_CEILING, s=0, r=0, pattern=(), max_blocks=0):
-        check_seq_search(mode, n, j, ceiling, s, r, pattern, max_blocks)
+        *_, self.jeff, self.cap, self.slack = check_seq_search(
+            mode, n, j, ceiling, s, r, pattern, max_blocks)
         self.mode = mode
         self.n = n
         self.limit = ceiling
-        self.jeff = max(j, 2) if mode == MODE_DS else j
         self.s = s
         self.tokens = []
         self.depth = self.value = 0
@@ -182,10 +198,7 @@ class SeqState:
         self.max_blocks = max_blocks
         self.block_mask = 0
         self.blocks_used = 0
-        self.slack = MAX_CEILING
-        self.cap = None  # the runs each letter pair may take; None: no budget
         if mode == MODE_DS:
-            self.cap = s + 1
             size = (n + 1) * (n + 1)
             self.alt = [0] * size
             self.alt_last = [0] * size
@@ -194,7 +207,6 @@ class SeqState:
                 [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
                 for c in range(n + 1)
             ]
-            self.slack = self.cap * (n * (n - 1) // 2)
         elif mode == MODE_FORMATION:
             subs = list(combinations(range(1, n + 1), r))
             self.sub_full = [sum(1 << v for v in sub) for sub in subs]
@@ -340,6 +352,8 @@ class MatrixState:
     `p_rows`, pn x pm): each move sets the next cell, 1 before 0, and a 1
     that makes the matrix contain P is refused. `row_bounds[k]`, for k < n,
     bounds the ones of a P-free k x m matrix; a missing entry counts as k m.
+    P's rows as searched, `last`, the rule flags and the padded table are
+    `check_matrix_search`'s, which both twins read.
 
     Containment through the new cell: the matrix was P-free before the
     push, so an occurrence after it uses the new 1 at (i, c), which an entry
@@ -387,26 +401,20 @@ class MatrixState:
     prefixes obey the rules too."""
 
     def __init__(self, n, m, p_rows, pn, pm, row_bounds=()):
-        check_matrix_search(n, m, p_rows, pn, pm, row_bounds=row_bounds)
+        *_, rows, self.last, self.equal_rows, self.equal_cols, rd = check_matrix_search(
+            n, m, p_rows, pn, pm, row_bounds=row_bounds)
         self.n, self.m = n, m
         self.limit = n * m
-        self.equal_rows = all(r == p_rows[0] for r in p_rows)
-        # P fits the host only if pn <= n and pm <= m; otherwise no 1 is refused for it
-        fits = pn <= n and pm <= m
-        masked = [r & ((1 << pm) - 1) for r in p_rows] if fits else [0] * pn
-        self.equal_cols = fits and all(r in (0, (1 << pm) - 1) for r in masked)
-        self.last = max((u for u, r in enumerate(masked) if r), default=-1)
         # row i can take P's last nonempty row when i >= last and the rows below suffice
         self.checked = [0 <= self.last <= i <= n - pn + self.last for i in range(n)]
-        # per P column: the P rows up to `last` with a 1 in it
-        self.col_rows = [tuple(u for u in range(self.last + 1) if (masked[u] >> v) & 1)
-                         for v in range(pm if fits else 0)]
+        # per P column: the P rows up to `last` with a 1 in it; none unless P fits
+        self.col_rows = [tuple(u for u in range(self.last + 1) if (rows[u] >> v) & 1)
+                         for v in range(pm if self.last >= 0 else 0)]
         self.full = (1 << m) - 1
         self.rows = [0] * (n + 1)  # row n stays 0: the row of the cell past the last
         self.tie = [self.full] * n
         self.bits = []
         self.depth = self.value = 0
-        rd = list(row_bounds) + [k * m for k in range(len(row_bounds), n + 1)]
         # after a move to depth d, the next cell is (i, c) = divmod(d, m)
         self.cell = [divmod(d, m) for d in range(n * m + 1)]
         self.cap_cells = [(m - c) + rd[n - i - 1] if i < n else 0 for i, c in self.cell]
@@ -570,9 +578,9 @@ def seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, node_bud
     reaches `ceiling`, which is exact whenever the ceiling is a valid upper
     bound.
     """
-    (mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix,
-     initial_best) = check_seq_search(mode, n, j, ceiling, s, r, pattern, max_blocks,
-                                      node_budget, prefix, initial_best)
+    (mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best,
+     *_) = check_seq_search(mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix,
+                            initial_best)
     st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)
     return _run(st, prefix, initial_best, node_budget, "forced prefix {!r} is not admissible")
 
@@ -583,7 +591,7 @@ def matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-
     ones-so-far + slack <= best (`MatrixState`, with `row_bounds` its
     Russian-doll table); `prefix` forces the first cells (0/1 bits). Returns
     (best, rows, nodes, truncated)."""
-    n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds = check_matrix_search(
+    n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds, *_ = check_matrix_search(
         n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds)
     return _run(MatrixState(n, m, p_rows, pn, pm, row_bounds), prefix, initial_best, node_budget,
                 "forced prefix contains the pattern or breaks the row or column order")

@@ -29,6 +29,7 @@ from collections.abc import Iterable
 from itertools import chain, combinations
 from math import comb
 
+from ._kernels_py import MAX_SUBSETS
 from .errors import CapExceededError
 from .sequences import Sequence, normalize
 
@@ -185,7 +186,7 @@ def brute_formation_length(seq: Sequence, letters: Iterable[int], cap: int = 24)
 def max_formation_length(
     seq: Sequence,
     r: int,
-    subset_cap: int = 10**6,
+    subset_cap: int = MAX_SUBSETS,
     record: list | None = None,
 ) -> int:
     """Max of formation_length over all r-subsets of the alphabet (0 if alphabet < r).

@@ -34,6 +34,15 @@ from .sequences import (
 _ALTERNATION_RE = re.compile(r"^\(ab\)\^(\d+)$")
 _ALLONES_RE = re.compile(r"^R(\d+),(\d+)$")
 
+# The options each kind of a command reads, in order; "?" marks an optional one.
+_READS = {
+    "construct": {"formation": "r q x t", "ds-sparse": "n s j c?", "block": "n s"},
+    "oracle": {"lambda": "n s j?", "formation": "n r s j", "pattern": "pattern n j",
+               "lambda-blocks": "n s m", "lambda-prime": "n s m", "ex-matrix": "pattern n m"},
+    "bound": {"kst": "n m a b", "ds-ceiling": "n s j?", "formation-ceiling": "n r s j?"},
+    "convert": {"blocks-to-matrix": "n?", "matrix-to-blocks": ""},
+}
+
 
 class Report:
     """Accumulates parameters, results, and named pass/fail checks."""
@@ -87,14 +96,19 @@ class Report:
         return 1 if self.failed else 0
 
 
-def _require(args, names: list[str]) -> list:
-    out = []
-    for name in names:
-        val = getattr(args, name, None)
-        if val is None:
+def _options(args, command: str, kind: str) -> list:
+    """The values of the options `kind` reads, None for an optional one not
+    passed. Raises for the first passed option of `command` that `kind`
+    does not read, then for the first required one missing (or empty)."""
+    reads = {spec.rstrip("?"): spec.endswith("?") for spec in _READS[command][kind].split()}
+    options = {spec.rstrip("?") for specs in _READS[command].values() for spec in specs.split()}
+    for name, val in vars(args).items():  # in the parser's order
+        if val is not None and name in options and name not in reads:
+            raise ValueError(f"{command} {kind} does not take --{name}")
+    for name, optional in reads.items():
+        if getattr(args, name) in (None, "") and not optional:
             raise ValueError(f"missing required option --{name}")
-        out.append(val)
-    return out
+    return [getattr(args, name) for name in reads]
 
 
 def _resolve_seq_pattern(spec: str) -> PatternSequence:
@@ -134,7 +148,7 @@ def _cmd_construct(args) -> int:
     kind = args.kind
     report = Report(f"construct {kind}", {})
     if kind == "formation":
-        r, q, x, t = _require(args, ["r", "q", "x", "t"])
+        r, q, x, t = _options(args, "construct", kind)
         report.params = {"r": r, "q": q, "x": x, "t": t}
         seq, trace = construct.build_formation_witness(r, q, x, t)
         _verify_formation_witness(report, seq, trace)
@@ -144,9 +158,10 @@ def _cmd_construct(args) -> int:
             _write(args.out + ".trace", construct.trace_report(trace))
             report.results["files"] = f"{args.out}.seq {args.out}.trace"
     elif kind == "ds-sparse":
-        n, s, j = _require(args, ["n", "s", "j"])
-        report.params = {"n": n, "s": s, "j": j, "c": args.c}
-        seq = construct.build_ds_sparse_witness(n, s, j, args.c)
+        n, s, j, c = _options(args, "construct", kind)
+        c = c if c is not None else 1.0
+        report.params = {"n": n, "s": s, "j": j, "c": c}
+        seq = construct.build_ds_sparse_witness(n, s, j, c)
         report.check("letters", len(seq.alphabet) == n, len(seq.alphabet), n)
         report.check(f"sparse:{j}", checks.is_sparse(seq, j))
         _check_ds(report, seq, s)
@@ -155,7 +170,7 @@ def _cmd_construct(args) -> int:
             _write(args.out + ".seq", render(seq))
             report.results["files"] = f"{args.out}.seq"
     else:  # block
-        n, s = _require(args, ["n", "s"])
+        n, s = _options(args, "construct", kind)
         report.params = {"n": n, "s": s}
         bseq = construct.build_block_witness(n, s)
         flat = flatten(bseq)
@@ -262,39 +277,36 @@ def _cmd_oracle(args) -> int:
     over = args.override_caps
     report = Report(f"oracle {fn}", {})
     if fn == "lambda":
-        n, s = _require(args, ["n", "s"])
-        j = args.j if args.j is not None else 2
+        n, s, j = _options(args, "oracle", fn)
+        j = j if j is not None else 2
         report.params = {"n": n, "s": s, "j": j}
         res = oracles.oracle_lambda(n, s, j, override_caps=over, threads=threads)
     elif fn == "formation":
-        n, r, s, j = _require(args, ["n", "r", "s", "j"])
+        n, r, s, j = _options(args, "oracle", fn)
         report.params = {"n": n, "r": r, "s": s, "j": j}
         res = oracles.oracle_formation(n, r, s, j, override_caps=over, threads=threads)
     elif fn == "pattern":
-        if not args.pattern:
-            raise ValueError("missing required option --pattern")
-        n, j = _require(args, ["n", "j"])
-        u = _resolve_seq_pattern(args.pattern)
+        spec, n, j = _options(args, "oracle", fn)
+        u = _resolve_seq_pattern(spec)
         report.params = {"pattern": render(u), "j": j, "n": n}
         res = oracles.oracle_pattern(u, j, n, override_caps=over, threads=threads)
     elif fn == "lambda-blocks":
-        n, s, m = _require(args, ["n", "s", "m"])
+        n, s, m = _options(args, "oracle", fn)
         report.params = {"n": n, "s": s, "m": m}
         res = oracles.oracle_lambda_blocks(n, s, m, override_caps=over, threads=threads)
     elif fn == "lambda-prime":
-        n, s, m = _require(args, ["n", "s", "m"])
+        n, s, m = _options(args, "oracle", fn)
         report.params = {"n": n, "s": s, "m": m}
         res = oracles.oracle_lambda_prime(n, s, m, override_caps=over, threads=threads)
     else:  # ex-matrix
-        if not args.pattern:
-            raise ValueError("missing required option --pattern")
-        n, m = _require(args, ["n", "m"])
-        P = _resolve_matrix_pattern(args.pattern)
+        spec, n, m = _options(args, "oracle", fn)
+        P = _resolve_matrix_pattern(spec)
         report.params = {"n": n, "m": m, "pattern": render_matrix(P).replace("\n", "/")}
         res = oracles.oracle_ex_matrix(n, m, P, override_caps=over, threads=threads)
-    if over:
+    if over:  # an answer that explored no node, n < j say, searched no tree
         kind = "matrix" if fn in ("ex-matrix", "lambda-prime") else "seq"
-        report.results["estimated_nodes"] = oracles.estimate_nodes(kind, n, res.ceiling)
+        estimate = oracles.estimate_nodes(kind, n, res.ceiling) if res.nodes_explored else 0.0
+        report.results["estimated_nodes"] = estimate
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
@@ -310,21 +322,21 @@ def _cmd_bound(args) -> int:
     report = Report(f"bound {kind}", {})
     limits = dict(override_caps=args.override_caps, threads=args.threads)
     if kind == "kst":
-        n, m, a, b = _require(args, ["n", "m", "a", "b"])
+        n, m, a, b = _options(args, "bound", kind)
         report.params = {"n": n, "m": m, "a": a, "b": b}
         bound = matrices.kst_bound(n, m, a, b)
         oracle = lambda: oracles.oracle_ex_matrix(n, m, all_ones(a, b), **limits)
     elif kind == "ds-ceiling":
-        n, s = _require(args, ["n", "s"])
-        j = args.j if args.j is not None else 2
+        n, s, j = _options(args, "bound", kind)
+        j = j if j is not None else 2
         report.params = {"n": n, "s": s, "j": j}
         bound = oracles.lambda_ceiling(n, s)
         if j < 1:
             raise ValueError("need n, s, j >= 1")
         oracle = lambda: oracles.oracle_lambda(n, s, j, **limits)
     else:  # formation-ceiling
-        n, r, s = _require(args, ["n", "r", "s"])
-        j = args.j if args.j is not None else r
+        n, r, s, j = _options(args, "bound", kind)
+        j = j if j is not None else r
         if j < r:  # below r-sparsity no ceiling exists
             raise ValueError("formation ceiling needs j >= r")
         report.params = {"n": n, "r": r, "s": s, "j": j}
@@ -339,6 +351,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    _options(args, "convert", args.direction)
     with open(args.file) as fh:
         text = fh.read()
     report = Report(f"convert {args.direction}", {"file": args.file})
@@ -377,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("kind", choices=["formation", "ds-sparse", "block"])
     for flag in ("n", "s", "r", "q", "x", "t", "j"):
         pc.add_argument(f"--{flag}", type=int)
-    pc.add_argument("--c", type=float, default=1.0)
+    pc.add_argument("--c", type=float, help="ds-sparse constant (default 1.0)")
     pc.add_argument("--out", help="file prefix for the witness (and trace)")
     common(pc)
 

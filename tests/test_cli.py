@@ -56,6 +56,13 @@ class TestConstruct:
         )
         assert code == 0
         assert all(c["pass"] for c in payload["checks"])
+        assert payload["params"]["c"] == 1.0
+
+    def test_ds_sparse_reads_c(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2", "--c", "1.0"
+        )
+        assert code == 0 and payload["params"]["c"] == 1.0
 
     def test_missing_params_exit_2(self, capsys):
         code, _, err = run(capsys, "construct", "formation", "--r", "2")
@@ -286,12 +293,13 @@ class TestOracle:
         assert serial["results"]["witness"] == par["results"]["witness"]
 
     def test_estimate_uses_the_search_ceiling(self, capsys):
-        # n < j: no 3-sparse sequence on 2 letters is longer than 2
+        # n < j: the answer 2 needs no search, so no tree is left to estimate
         code, payload, _ = run_json(
             capsys, "oracle", "formation",
             "--n", "2", "--r", "2", "--s", "2", "--j", "3", "--override-caps",
         )
-        assert code == 0 and payload["results"]["estimated_nodes"] == 6.0
+        assert code == 0 and payload["results"]["estimated_nodes"] == 0
+        assert payload["results"]["nodes_explored"] == 0
         # lambda-prime searches the n x m matrix: 2^(n m + 1)
         code, payload, _ = run_json(
             capsys, "oracle", "lambda-prime",
@@ -510,6 +518,59 @@ class TestConvert:
         out = tmp_path / "m.txt"
         code, _, _ = run(capsys, "convert", "blocks-to-matrix", str(f), "--out", str(out))
         assert code == 0 and out.read_text() == "11\n11\n"
+
+
+# one complete command line per kind: (command, kind, required options)
+FULL_LINES = [
+    ("construct", "formation", {"r": "2", "q": "3", "x": "3", "t": "2"}),
+    ("construct", "ds-sparse", {"n": "48", "s": "24", "j": "2"}),
+    ("construct", "block", {"n": "4", "s": "3"}),
+    ("oracle", "lambda", {"n": "3", "s": "2"}),
+    ("oracle", "formation", {"n": "3", "r": "2", "s": "2", "j": "2"}),
+    ("oracle", "pattern", {"pattern": "1 2 1", "n": "3", "j": "2"}),
+    ("oracle", "lambda-blocks", {"n": "3", "s": "2", "m": "2"}),
+    ("oracle", "lambda-prime", {"n": "3", "s": "1", "m": "3"}),
+    ("oracle", "ex-matrix", {"n": "3", "m": "3", "pattern": "R2,2"}),
+    ("bound", "kst", {"n": "3", "m": "3", "a": "2", "b": "2"}),
+    ("bound", "ds-ceiling", {"n": "3", "s": "2"}),
+    ("bound", "formation-ceiling", {"n": "3", "r": "2", "s": "2"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, kind, options, left_out",
+    [(c, k, opts, name) for c, k, opts in FULL_LINES for name in opts],
+    ids=[f"{c}-{k}-{name}" for c, k, opts in FULL_LINES for name in opts],
+)
+def test_missing_required_option_exits_2(capsys, command, kind, options, left_out):
+    argv = [command, kind]
+    for name, value in options.items():
+        if name != left_out:
+            argv += [f"--{name}", value]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: missing required option --{left_out}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "lambda", "--n", "4", "--s", "3", "--m", "2", "--r", "9", "--pattern", "1 2 1"),
+     "oracle lambda does not take --m"),
+    (("oracle", "ex-matrix", "--n", "3", "--m", "3", "--pattern", "R2,2", "--j", "2"),
+     "oracle ex-matrix does not take --j"),
+    (("construct", "block", "--n", "4", "--s", "3", "--x", "99"),
+     "construct block does not take --x"),
+    (("construct", "formation", "--r", "2", "--q", "3", "--x", "3", "--t", "2", "--c", "2"),
+     "construct formation does not take --c"),
+    (("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--s", "5", "--j", "9"),
+     "bound kst does not take --s"),
+    (("bound", "ds-ceiling", "--n", "3", "--s", "2", "--r", "2"),
+     "bound ds-ceiling does not take --r"),
+    (("convert", "matrix-to-blocks", "m.txt", "--n", "3"),
+     "convert matrix-to-blocks does not take --n"),
+])
+def test_option_the_kind_does_not_read_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestJsonStability:

@@ -55,6 +55,8 @@ MATRIX_CASES = [
     (5, 5, (7, 7), 2, 3),
     # rows wider than 64 bits: P is wider than the host, so it never occurs
     (2, 2, ((1 << 65) - 1,) * 2, 2, 65),
+    # rows equal only on the pm = 2 searched columns
+    (3, 4, (3, 7), 2, 2),
 ]
 
 
@@ -305,6 +307,25 @@ def test_pure_kernels_at_documented_limits(monkeypatch):
     best, rows, nodes, truncated = pure.matrix_search(40, 50, (1,) * 41, 41, 1)
     assert (best, nodes, truncated) == (2000, 2000, False)
     assert rows == [(1 << 50) - 1] * 40
+
+
+def test_checks_return_the_derived_inputs():
+    """Each check returns its arguments as searched, then the values both
+    twins derive from them; fed its own arguments it returns the same tuple."""
+    # rows 3 and 7 are equal only on the pm = 2 searched columns, and equal
+    # rows are decided on the whole ints; the table is padded with k m
+    checked = pure.check_matrix_search(3, 4, (3, 7), 2, 2, row_bounds=(0, 3))
+    assert checked[9:] == ((3, 3), 1, False, True, (0, 3, 8, 12))
+    assert pure.check_matrix_search(*checked[:9]) == checked
+    # P taller than the host: no row of it is searched, so no 1 is refused
+    checked = pure.check_matrix_search(2, 4, (1, 1, 1), 3, 1)
+    assert checked[9:] == ((0, 0, 0), -1, True, False, (0, 4, 8))
+    # DS mode: 2-sparse, s + 1 runs per letter pair, slack (s + 1) C(n, 2)
+    checked = pure.check_seq_search(pure.MODE_DS, 4, 1, 9, s=2)
+    assert checked[11:] == (2, 3, 18)
+    assert pure.check_seq_search(*checked[:11]) == checked
+    checked = pure.check_seq_search(pure.MODE_PATTERN, 4, 1, 9, pattern=(1, 2, 1))
+    assert checked[11:] == (1, None, pure.MAX_CEILING)
 
 
 def test_backend_name_known():
