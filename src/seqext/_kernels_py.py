@@ -143,7 +143,7 @@ def check_matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_
     equal_cols = fits and all(r in (0, (1 << pm) - 1) for r in rows)
     bounds = row_bounds + tuple(k * m for k in range(len(row_bounds), n + 1))
     return (n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds, rows, last,
-            all(r == p_rows[0] for r in p_rows), equal_cols, bounds)
+            all(r == rows[0] for r in rows), equal_cols, bounds)
 
 
 class SeqState:
@@ -373,10 +373,11 @@ class MatrixState:
     `slack` after the move. It bounds every P-free completion, whatever the
     order rules below refuse. With no table it is the cells left.
 
-    Row-order rule: when every row of P is equal, a 1 at cell (i, c) is also
-    refused if row i-1 has a 0 at column c and row i equals row i-1 on the
-    columns before c, so the rows stay non-increasing in the row-major,
-    1-before-0 order.
+    Row-order rule: when every row of P is equal as searched (on its pm
+    columns; all 0 when P does not fit, so no host contains it), a 1 at
+    cell (i, c) is also refused if row i-1 has a 0 at column c and row i
+    equals row i-1 on the columns before c, so the rows stay non-increasing
+    in the row-major, 1-before-0 order.
 
     Column rule: when every column of P is equal (each P row is empty or
     full), a 1 at (i, c) is refused if cell (i, c-1) is 0 and columns c-1 and

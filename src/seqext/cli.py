@@ -5,7 +5,8 @@ Exit status contract: 0 = all checks pass, 1 = a mathematical check failed
 (including an oracle witness that fails its independent re-check), 2 =
 usage/parse/infeasible-parameter/cap errors or an interrupt. Reports are
 line-oriented text by default and stable JSON with --json (byte-identical for
-identical inputs modulo the wall_time_ms field).
+identical inputs modulo the wall_time_ms field). `_READS` is the one
+declaration of each command's kinds and of the options each kind reads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from math import comb, factorial
 
 from . import matrices, oracles
-from .errors import CapExceededError, InfeasibleError
+from .errors import CapExceededError
 from .matrices import MatrixPattern, all_ones, parse_matrix, render_matrix
 from .sequences import (
     BlockedSequence,
@@ -34,13 +35,25 @@ from .sequences import (
 _ALTERNATION_RE = re.compile(r"^\(ab\)\^(\d+)$")
 _ALLONES_RE = re.compile(r"^R(\d+),(\d+)$")
 
-# The options each kind of a command reads, in order; "?" marks an optional one.
+# Each command's kinds and the options each reads, in the order of its report
+# header and of the arguments of the function it calls; "?" marks an optional
+# one. The parser, the option checks, the report params and the oracle calls
+# all read this table.
 _READS = {
     "construct": {"formation": "r q x t", "ds-sparse": "n s j c?", "block": "n s"},
-    "oracle": {"lambda": "n s j?", "formation": "n r s j", "pattern": "pattern n j",
-               "lambda-blocks": "n s m", "lambda-prime": "n s m", "ex-matrix": "pattern n m"},
+    "oracle": {"lambda": "n s j?", "formation": "n r s j", "pattern": "pattern j n",
+               "lambda-blocks": "n s m", "lambda-prime": "n s m", "ex-matrix": "n m pattern"},
     "bound": {"kst": "n m a b", "ds-ceiling": "n s j?", "formation-ceiling": "n r s j?"},
     "convert": {"blocks-to-matrix": "n?", "matrix-to-blocks": ""},
+}
+
+# Each option's type and its help text by the command that shows one; every
+# command adds the options its kinds read in this order.
+_FLAGS = {
+    "n": (int, {"convert": "row count override for blocks-to-matrix"}),
+    **{name: (int, {}) for name in "m a b s r q x t j".split()},
+    "c": (float, {"construct": "ds-sparse constant (default 1.0)"}),
+    "pattern": (str, {"oracle": "pattern: Ra,b | (ab)^s | file | inline text"}),
 }
 
 
@@ -96,19 +109,24 @@ class Report:
         return 1 if self.failed else 0
 
 
-def _options(args, command: str, kind: str) -> list:
-    """The values of the options `kind` reads, None for an optional one not
-    passed. Raises for the first passed option of `command` that `kind`
+def _reads(command: str, kind: str) -> dict:
+    """The options `kind` reads, in order, each mapped to whether it is optional."""
+    return {spec.rstrip("?"): spec.endswith("?") for spec in _READS[command][kind].split()}
+
+
+def _options(args, command: str, kind: str) -> dict:
+    """The options `kind` reads mapped to their values, in order, None for an
+    optional one not passed. Raises for the first passed option that `kind`
     does not read, then for the first required one missing (or empty)."""
-    reads = {spec.rstrip("?"): spec.endswith("?") for spec in _READS[command][kind].split()}
-    options = {spec.rstrip("?") for specs in _READS[command].values() for spec in specs.split()}
+    reads = _reads(command, kind)
     for name, val in vars(args).items():  # in the parser's order
-        if val is not None and name in options and name not in reads:
+        if val is not None and name in _FLAGS and name not in reads:
             raise ValueError(f"{command} {kind} does not take --{name}")
+    values = {name: getattr(args, name) for name in reads}
     for name, optional in reads.items():
-        if getattr(args, name) in (None, "") and not optional:
+        if values[name] in (None, "") and not optional:
             raise ValueError(f"missing required option --{name}")
-    return [getattr(args, name) for name in reads]
+    return values
 
 
 def _resolve_seq_pattern(spec: str) -> PatternSequence:
@@ -146,11 +164,10 @@ def _cmd_construct(args) -> int:
     from . import checks, construct  # imported here, so that other commands never load them
 
     kind = args.kind
-    report = Report(f"construct {kind}", {})
+    report = Report(f"construct {kind}", _options(args, "construct", kind))
+    params = report.params
     if kind == "formation":
-        r, q, x, t = _options(args, "construct", kind)
-        report.params = {"r": r, "q": q, "x": x, "t": t}
-        seq, trace = construct.build_formation_witness(r, q, x, t)
+        seq, trace = construct.build_formation_witness(*params.values())
         _verify_formation_witness(report, seq, trace)
         report.results["witness"] = render(seq)
         if args.out:
@@ -158,9 +175,9 @@ def _cmd_construct(args) -> int:
             _write(args.out + ".trace", construct.trace_report(trace))
             report.results["files"] = f"{args.out}.seq {args.out}.trace"
     elif kind == "ds-sparse":
-        n, s, j, c = _options(args, "construct", kind)
-        c = c if c is not None else 1.0
-        report.params = {"n": n, "s": s, "j": j, "c": c}
+        if params["c"] is None:
+            params["c"] = 1.0
+        n, s, j, c = params.values()
         seq = construct.build_ds_sparse_witness(n, s, j, c)
         report.check("letters", len(seq.alphabet) == n, len(seq.alphabet), n)
         report.check(f"sparse:{j}", checks.is_sparse(seq, j))
@@ -170,8 +187,7 @@ def _cmd_construct(args) -> int:
             _write(args.out + ".seq", render(seq))
             report.results["files"] = f"{args.out}.seq"
     else:  # block
-        n, s = _options(args, "construct", kind)
-        report.params = {"n": n, "s": s}
+        n, s = params.values()
         bseq = construct.build_block_witness(n, s)
         flat = flatten(bseq)
         full = min(s, n)
@@ -273,40 +289,23 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     fn = args.function
-    threads = args.threads
-    over = args.override_caps
-    report = Report(f"oracle {fn}", {})
-    if fn == "lambda":
-        n, s, j = _options(args, "oracle", fn)
-        j = j if j is not None else 2
-        report.params = {"n": n, "s": s, "j": j}
-        res = oracles.oracle_lambda(n, s, j, override_caps=over, threads=threads)
-    elif fn == "formation":
-        n, r, s, j = _options(args, "oracle", fn)
-        report.params = {"n": n, "r": r, "s": s, "j": j}
-        res = oracles.oracle_formation(n, r, s, j, override_caps=over, threads=threads)
-    elif fn == "pattern":
-        spec, n, j = _options(args, "oracle", fn)
-        u = _resolve_seq_pattern(spec)
-        report.params = {"pattern": render(u), "j": j, "n": n}
-        res = oracles.oracle_pattern(u, j, n, override_caps=over, threads=threads)
-    elif fn == "lambda-blocks":
-        n, s, m = _options(args, "oracle", fn)
-        report.params = {"n": n, "s": s, "m": m}
-        res = oracles.oracle_lambda_blocks(n, s, m, override_caps=over, threads=threads)
-    elif fn == "lambda-prime":
-        n, s, m = _options(args, "oracle", fn)
-        report.params = {"n": n, "s": s, "m": m}
-        res = oracles.oracle_lambda_prime(n, s, m, override_caps=over, threads=threads)
-    else:  # ex-matrix
-        spec, n, m = _options(args, "oracle", fn)
-        P = _resolve_matrix_pattern(spec)
-        report.params = {"n": n, "m": m, "pattern": render_matrix(P).replace("\n", "/")}
-        res = oracles.oracle_ex_matrix(n, m, P, override_caps=over, threads=threads)
-    if over:  # an answer that explored no node, n < j say, searched no tree
+    report = Report(f"oracle {fn}", _options(args, "oracle", fn))
+    params = report.params
+    if fn == "lambda" and params["j"] is None:
+        params["j"] = 2
+    values = dict(params)  # the report shows a pattern as it renders
+    if fn == "pattern":
+        values["pattern"] = u = _resolve_seq_pattern(params["pattern"])
+        params["pattern"] = render(u)
+    elif fn == "ex-matrix":
+        values["pattern"] = P = _resolve_matrix_pattern(params["pattern"])
+        params["pattern"] = render_matrix(P).replace("\n", "/")
+    oracle = getattr(oracles, "oracle_" + fn.replace("-", "_"))
+    res = oracle(*values.values(), override_caps=args.override_caps, threads=args.threads)
+    if args.override_caps:  # an answer that explored no node, n < j say, searched no tree
         kind = "matrix" if fn in ("ex-matrix", "lambda-prime") else "seq"
-        estimate = oracles.estimate_nodes(kind, n, res.ceiling) if res.nodes_explored else 0.0
-        report.results["estimated_nodes"] = estimate
+        report.results["estimated_nodes"] = (
+            oracles.estimate_nodes(kind, params["n"], res.ceiling) if res.nodes_explored else 0.0)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
@@ -319,27 +318,27 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bound(args) -> int:
     kind = args.kind
-    report = Report(f"bound {kind}", {})
+    report = Report(f"bound {kind}", _options(args, "bound", kind))
+    params = report.params
     limits = dict(override_caps=args.override_caps, threads=args.threads)
     if kind == "kst":
-        n, m, a, b = _options(args, "bound", kind)
-        report.params = {"n": n, "m": m, "a": a, "b": b}
+        n, m, a, b = params.values()
         bound = matrices.kst_bound(n, m, a, b)
         oracle = lambda: oracles.oracle_ex_matrix(n, m, all_ones(a, b), **limits)
     elif kind == "ds-ceiling":
-        n, s, j = _options(args, "bound", kind)
-        j = j if j is not None else 2
-        report.params = {"n": n, "s": s, "j": j}
+        if params["j"] is None:
+            params["j"] = 2
+        n, s, j = params.values()
         bound = oracles.lambda_ceiling(n, s)
         if j < 1:
             raise ValueError("need n, s, j >= 1")
         oracle = lambda: oracles.oracle_lambda(n, s, j, **limits)
     else:  # formation-ceiling
-        n, r, s, j = _options(args, "bound", kind)
-        j = j if j is not None else r
+        if params["j"] is None:
+            params["j"] = params["r"]
+        n, r, s, j = params.values()
         if j < r:  # below r-sparsity no ceiling exists
             raise ValueError("formation ceiling needs j >= r")
-        report.params = {"n": n, "r": r, "s": s, "j": j}
         bound = oracles.formation_ceiling(n, r, s)
         oracle = lambda: oracles.oracle_formation(n, r, s, j, **limits)
     report.results["bound"] = bound
@@ -386,11 +385,17 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--threads", type=int, default=1,
                             help="worker processes for oracle search (results are schedule-independent)")
 
-    pc = sub.add_parser("construct", help="build a lower-bound witness and re-verify it")
-    pc.add_argument("kind", choices=["formation", "ds-sparse", "block"])
-    for flag in ("n", "s", "r", "q", "x", "t", "j"):
-        pc.add_argument(f"--{flag}", type=int)
-    pc.add_argument("--c", type=float, help="ds-sparse constant (default 1.0)")
+    def kinds(command, dest, help):
+        """The parser of a command of _READS: its kind, then the options they read."""
+        sp = sub.add_parser(command, help=help)
+        sp.add_argument(dest, choices=list(_READS[command]))
+        names = {name for kind in _READS[command] for name in _reads(command, kind)}
+        for name, (type_, helps) in _FLAGS.items():
+            if name in names:
+                sp.add_argument(f"--{name}", type=type_, help=helps.get(command))
+        return sp
+
+    pc = kinds("construct", "kind", "build a lower-bound witness and re-verify it")
     pc.add_argument("--out", help="file prefix for the witness (and trace)")
     common(pc)
 
@@ -400,27 +405,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="sparse:J ds:S formation:R:S pattern:SPEC lambda-prime:S")
     common(pv)
 
-    po = sub.add_parser("oracle", help="exact extremal value by exhaustive search")
-    po.add_argument("function", choices=[
-        "lambda", "formation", "pattern", "lambda-blocks", "lambda-prime", "ex-matrix",
-    ])
-    for flag in ("n", "m", "s", "r", "j"):
-        po.add_argument(f"--{flag}", type=int)
-    po.add_argument("--pattern", help="pattern: Ra,b | (ab)^s | file | inline text")
-    common(po, search=True)
+    common(kinds("oracle", "function", "exact extremal value by exhaustive search"), search=True)
 
-    pb = sub.add_parser("bound", help="evaluate an upper-bound formula")
-    pb.add_argument("kind", choices=["kst", "ds-ceiling", "formation-ceiling"])
-    for flag in ("n", "m", "a", "b", "s", "r", "j"):
-        pb.add_argument(f"--{flag}", type=int)
+    pb = kinds("bound", "kind", "evaluate an upper-bound formula")
     pb.add_argument("--compare-oracle", action="store_true",
                     help="also run the oracle and check value <= bound")
     common(pb, search=True)
 
-    pcv = sub.add_parser("convert", help="blocked sequence <-> incidence matrix")
-    pcv.add_argument("direction", choices=["blocks-to-matrix", "matrix-to-blocks"])
+    pcv = kinds("convert", "direction", "blocked sequence <-> incidence matrix")
     pcv.add_argument("file")
-    pcv.add_argument("--n", type=int, help="row count override for blocks-to-matrix")
     pcv.add_argument("--out", help="output file")
     common(pcv)
     return p
@@ -443,7 +436,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc.text('--override-caps')}", file=sys.stderr)
         return 2
-    except (ValueError, InfeasibleError, OSError, OverflowError, MemoryError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         # a parameter too large to hold is a usage error, not a failed check
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -520,27 +520,40 @@ class TestConvert:
         assert code == 0 and out.read_text() == "11\n11\n"
 
 
-# one complete command line per kind: (command, kind, required options)
+# one complete command line per kind: (command, kind, required options, the
+# first line of its text report)
 FULL_LINES = [
-    ("construct", "formation", {"r": "2", "q": "3", "x": "3", "t": "2"}),
-    ("construct", "ds-sparse", {"n": "48", "s": "24", "j": "2"}),
-    ("construct", "block", {"n": "4", "s": "3"}),
-    ("oracle", "lambda", {"n": "3", "s": "2"}),
-    ("oracle", "formation", {"n": "3", "r": "2", "s": "2", "j": "2"}),
-    ("oracle", "pattern", {"pattern": "1 2 1", "n": "3", "j": "2"}),
-    ("oracle", "lambda-blocks", {"n": "3", "s": "2", "m": "2"}),
-    ("oracle", "lambda-prime", {"n": "3", "s": "1", "m": "3"}),
-    ("oracle", "ex-matrix", {"n": "3", "m": "3", "pattern": "R2,2"}),
-    ("bound", "kst", {"n": "3", "m": "3", "a": "2", "b": "2"}),
-    ("bound", "ds-ceiling", {"n": "3", "s": "2"}),
-    ("bound", "formation-ceiling", {"n": "3", "r": "2", "s": "2"}),
+    ("construct", "formation", {"r": "2", "q": "3", "x": "3", "t": "2"},
+     "construct formation  r=2 q=3 x=3 t=2"),
+    ("construct", "ds-sparse", {"n": "48", "s": "24", "j": "2"},
+     "construct ds-sparse  n=48 s=24 j=2 c=1.0"),
+    ("construct", "block", {"n": "4", "s": "3"},
+     "construct block  n=4 s=3"),
+    ("oracle", "lambda", {"n": "3", "s": "2"},
+     "oracle lambda  n=3 s=2 j=2"),
+    ("oracle", "formation", {"n": "3", "r": "2", "s": "2", "j": "2"},
+     "oracle formation  n=3 r=2 s=2 j=2"),
+    ("oracle", "pattern", {"pattern": "1 2 1", "n": "3", "j": "2"},
+     "oracle pattern  pattern=1 2 1 j=2 n=3"),
+    ("oracle", "lambda-blocks", {"n": "3", "s": "2", "m": "2"},
+     "oracle lambda-blocks  n=3 s=2 m=2"),
+    ("oracle", "lambda-prime", {"n": "3", "s": "1", "m": "3"},
+     "oracle lambda-prime  n=3 s=1 m=3"),
+    ("oracle", "ex-matrix", {"n": "3", "m": "3", "pattern": "R2,2"},
+     "oracle ex-matrix  n=3 m=3 pattern=11/11"),
+    ("bound", "kst", {"n": "3", "m": "3", "a": "2", "b": "2"},
+     "bound kst  n=3 m=3 a=2 b=2"),
+    ("bound", "ds-ceiling", {"n": "3", "s": "2"},
+     "bound ds-ceiling  n=3 s=2 j=2"),
+    ("bound", "formation-ceiling", {"n": "3", "r": "2", "s": "2"},
+     "bound formation-ceiling  n=3 r=2 s=2 j=2"),
 ]
 
 
 @pytest.mark.parametrize(
     "command, kind, options, left_out",
-    [(c, k, opts, name) for c, k, opts in FULL_LINES for name in opts],
-    ids=[f"{c}-{k}-{name}" for c, k, opts in FULL_LINES for name in opts],
+    [(c, k, opts, name) for c, k, opts, _ in FULL_LINES for name in opts],
+    ids=[f"{c}-{k}-{name}" for c, k, opts, _ in FULL_LINES for name in opts],
 )
 def test_missing_required_option_exits_2(capsys, command, kind, options, left_out):
     argv = [command, kind]
@@ -550,6 +563,14 @@ def test_missing_required_option_exits_2(capsys, command, kind, options, left_ou
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: missing required option --{left_out}\n"
+
+
+@pytest.mark.parametrize("command, kind, options, header", FULL_LINES,
+                         ids=[f"{c}-{k}" for c, k, *_ in FULL_LINES])
+def test_report_header(capsys, command, kind, options, header):
+    flags = [word for name, value in options.items() for word in (f"--{name}", value)]
+    code, out, _ = run(capsys, command, kind, *flags)
+    assert (code, out.splitlines()[0]) == (0, header)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -312,10 +312,10 @@ def test_pure_kernels_at_documented_limits(monkeypatch):
 def test_checks_return_the_derived_inputs():
     """Each check returns its arguments as searched, then the values both
     twins derive from them; fed its own arguments it returns the same tuple."""
-    # rows 3 and 7 are equal only on the pm = 2 searched columns, and equal
-    # rows are decided on the whole ints; the table is padded with k m
+    # rows 3 and 7 are equal on the pm = 2 searched columns, and equal rows
+    # are decided on the rows as searched; the table is padded with k m
     checked = pure.check_matrix_search(3, 4, (3, 7), 2, 2, row_bounds=(0, 3))
-    assert checked[9:] == ((3, 3), 1, False, True, (0, 3, 8, 12))
+    assert checked[9:] == ((3, 3), 1, True, True, (0, 3, 8, 12))
     assert pure.check_matrix_search(*checked[:9]) == checked
     # P taller than the host: no row of it is searched, so no 1 is refused
     checked = pure.check_matrix_search(2, 4, (1, 1, 1), 3, 1)
@@ -453,6 +453,14 @@ class TestRowOrderRule:
         res = pure.matrix_search(4, 4, (1, 2), 2, 2)
         assert res == (7, [15, 1, 1, 1], 1796, False)
         assert tuple(compiled.matrix_search(4, 4, (1, 2), 2, 2)) == res
+
+    def test_rows_equal_on_the_searched_columns(self, compiled):
+        # 3 and 7 agree on the pm = 2 columns searched, so the row rule fires
+        # and the search is the one of (3, 3), node count included
+        res = pure.matrix_search(4, 4, (3, 7), 2, 2)
+        assert res == pure.matrix_search(4, 4, (3, 3), 2, 2)
+        assert res[0] == 9 and res[2] == 235
+        assert tuple(compiled.matrix_search(4, 4, (3, 7), 2, 2)) == res
 
     def test_r22_5x5_node_count_pinned(self, compiled):
         # both rules: 2,059 nodes (25,222 with the row rule alone); with the

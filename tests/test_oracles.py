@@ -185,11 +185,14 @@ class TestPattern:
             )
             if n < j:  # answered without a search
                 nodes, truncated = 0, False
+            elif ell == 2 and not budget:  # (ab)^1 as order 0: the pattern search's value
+                assert best == kernel(mode=_kernels_py.MODE_PATTERN, n=n, j=j,
+                                      ceiling=res.ceiling, pattern=(1, 2))[0] == 1
             assert (res.value, res.witness.tokens, res.nodes_explored, res.exhausted) == (
                 best, tuple(toks), nodes, not truncated), (n, j, ell, budget)
             return nodes
 
-        for n, j, ell in product(range(1, 5), (2, 3), range(3, 9)):
+        for n, j, ell in product(range(1, 5), (2, 3), range(2, 9)):
             if n < 4 or ell < 8:
                 agree(n, j, ell)
         for n, j, ell in ((3, 2, 5), (4, 2, 4), (4, 3, 6)):

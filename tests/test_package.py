@@ -1,10 +1,12 @@
 """The package surface: what `import seqext` loads, what a CLI run loads,
-the exported names, and the README's library quick tour as a doctest."""
+the exported names, the README's library quick tour as a doctest, and the
+README's CLI examples."""
 
 import ast
 import doctest
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import seqext
+from seqext import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,3 +124,14 @@ class TestExports:
         out: list[str] = []
         result = doctest.DocTestRunner().run(test, out=out.append)
         assert result.attempted > 0 and result.failed == 0, "".join(out)
+
+    def test_readme_cli_examples(self, capsys):
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"## CLI\n\n```text\n(.*?)```", text, re.S)
+        assert block, "README has no CLI examples"
+        examples = re.findall(r"^\$ seqext (.*)\n((?:.+\n)*)", block.group(1), re.M)
+        assert examples
+        for argv, expected in examples:
+            assert cli.main(shlex.split(argv)) == 0
+            out = capsys.readouterr().out
+            assert re.sub(r"(?m)^wall_time_ms: \d+$", "wall_time_ms: 0", out) == expected, argv
