@@ -370,69 +370,71 @@ def _cmd_convert(args) -> int:
     return report.emit(args.json)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command's handler and help text, in the order `seqext --help` lists them.
+_COMMANDS = {
+    "construct": (_cmd_construct, "build a lower-bound witness and re-verify it"),
+    "verify": (_cmd_verify, "run predicates against a sequence file"),
+    "oracle": (_cmd_oracle, "exact extremal value by exhaustive search"),
+    "bound": (_cmd_bound, "evaluate an upper-bound formula"),
+    "convert": (_cmd_convert, "blocked sequence <-> incidence matrix"),
+}
+
+
+def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
+    """The arguments of `command`'s parser: its kind and the options its
+    kinds read (its file and checks, for verify), then the rest."""
+    if command == "verify":
+        sp.add_argument("file")
+        sp.add_argument("checks", nargs="+", metavar="CHECK",
+                        help="sparse:J ds:S formation:R:S pattern:SPEC lambda-prime:S")
+    else:
+        sp.add_argument({"oracle": "function", "convert": "direction"}.get(command, "kind"),
+                        choices=list(_READS[command]))
+        names = {name for kind in _READS[command] for name in _reads(command, kind)}
+        for name, (type_, helps) in _FLAGS.items():
+            if name in names:
+                sp.add_argument(f"--{name}", type=type_, help=helps.get(command))
+    if command == "construct":
+        sp.add_argument("--out", help="file prefix for the witness (and trace)")
+    elif command == "bound":
+        sp.add_argument("--compare-oracle", action="store_true",
+                        help="also run the oracle and check value <= bound")
+    elif command == "convert":
+        sp.add_argument("file")
+        sp.add_argument("--out", help="output file")
+    sp.add_argument("--json", action="store_true", help="emit a stable JSON report")
+    if command in ("oracle", "bound"):
+        sp.add_argument("--override-caps", action="store_true",
+                        help="lift the default search-size caps")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="processes for oracle search, this one included; the eldest "
+                             "subtree seeds the rest (results are schedule-independent)")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `argv`. Only the command that argv names (its first
+    argument that is no option) gets its arguments; the others keep their
+    names and help texts, which is all `seqext --help` and a top-level usage
+    error print."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     p = argparse.ArgumentParser(
         prog="seqext",
         description="Extremal sequence/matrix constructions, checkers, bounds, and exact oracles.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, search=False):
-        sp.add_argument("--json", action="store_true", help="emit a stable JSON report")
-        if search:
-            sp.add_argument("--override-caps", action="store_true",
-                            help="lift the default search-size caps")
-            sp.add_argument("--threads", type=int, default=1,
-                            help="worker processes for oracle search (results are schedule-independent)")
-
-    def kinds(command, dest, help):
-        """The parser of a command of _READS: its kind, then the options they read."""
-        sp = sub.add_parser(command, help=help)
-        sp.add_argument(dest, choices=list(_READS[command]))
-        names = {name for kind in _READS[command] for name in _reads(command, kind)}
-        for name, (type_, helps) in _FLAGS.items():
-            if name in names:
-                sp.add_argument(f"--{name}", type=type_, help=helps.get(command))
-        return sp
-
-    pc = kinds("construct", "kind", "build a lower-bound witness and re-verify it")
-    pc.add_argument("--out", help="file prefix for the witness (and trace)")
-    common(pc)
-
-    pv = sub.add_parser("verify", help="run predicates against a sequence file")
-    pv.add_argument("file")
-    pv.add_argument("checks", nargs="+", metavar="CHECK",
-                    help="sparse:J ds:S formation:R:S pattern:SPEC lambda-prime:S")
-    common(pv)
-
-    common(kinds("oracle", "function", "exact extremal value by exhaustive search"), search=True)
-
-    pb = kinds("bound", "kind", "evaluate an upper-bound formula")
-    pb.add_argument("--compare-oracle", action="store_true",
-                    help="also run the oracle and check value <= bound")
-    common(pb, search=True)
-
-    pcv = kinds("convert", "direction", "blocked sequence <-> incidence matrix")
-    pcv.add_argument("file")
-    pcv.add_argument("--out", help="output file")
-    common(pcv)
+    for command, (_handler, text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if command == named:
+            _add_arguments(sp, command)
     return p
 
 
-_DISPATCH = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-    "bound": _cmd_bound,
-    "convert": _cmd_convert,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         oracles._check_threads(getattr(args, "threads", 1))
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except CapExceededError as exc:
         print(f"error: {exc.text('--override-caps')}", file=sys.stderr)
         return 2

@@ -30,8 +30,14 @@ search it is.
 
 Every kernel search runs through `_search`: serially on one kernel call,
 or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
-over the kernel's own search state) into prefix tasks for a process pool,
-whose results merge to the same value and witness. A node budget is a
+over the kernel's own search state) into prefixes. The eldest prefix is
+searched first, in this process; the others run on a fork pool
+(`_forkpool`, K - 1 children with this process as the K-th worker), each
+seeded with the eldest's value when it beats the frontier's. The merge
+keeps the first result that beats the running best, so value and witness
+are the serial ones: a search seeded below the final value still meets
+the first state of that value in DFS order, and one seeded at it adds
+nothing the eldest or the frontier had not met first. A node budget is a
 total: a budgeted search always runs in one process. A node is one
 accepted move of the kernel: a letter or a matrix cell. Lambda-prime is
 ex(n, m, R_{2,s+1}) and runs as that matrix search.
@@ -179,25 +185,29 @@ def estimate_nodes(kind: str, n: int, ceiling: int) -> float:
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > 1 and not hasattr(os, "fork"):
+        raise ValueError("threads > 1 needs os.fork, which this platform lacks")
 
 
 def _pool_size(threads: int, tasks: list) -> int:
-    """Workers for a split search: no more than the tasks or the CPUs (the
-    split and the values do not depend on it)."""
-    return max(1, min(threads, len(tasks), os.cpu_count() or 1))
+    """Processes for a split search, this one included: no more than the
+    tasks or the CPUs this process may run on (the split and the values do
+    not depend on it)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(threads, len(tasks), cpus))
 
 
 def ProcessPoolExecutor(max_workers: int):
-    """The pool of a split search: a `concurrent.futures.ProcessPoolExecutor`,
-    imported on the first split search, so a serial run never loads
-    multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor as pool_class
+    """The pool of a split search: a `_forkpool.ForkPool`, whose module
+    loads on the first split search, so a serial run never compiles it."""
+    from ._forkpool import ForkPool
 
-    return pool_class(max_workers=max_workers)
+    return ForkPool(max_workers)
 
 
 def _run_task(task: tuple[str, dict]):
-    """Pool worker: one kernel call, looked up on `backends` in the worker."""
+    """One kernel call, looked up on `backends` at call time."""
     kernel, kw = task
     return getattr(backends, kernel)(**kw)
 
@@ -206,10 +216,18 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
     """Run `backends.<kernel>(**kw)` and return (best, witness, nodes, truncated).
 
     With threads > 1, `frontier(kw, depth)` enumerates the admissible prefixes
-    of the given depth, each a move tuple for the kernel's `prefix`, and the
-    searches below them run as pool tasks seeded with the frontier's best
-    value; the merge keeps the first task that beats it, so the value and
-    witness do not depend on the schedule. A search with a node budget runs
+    of the given depth, each a move tuple for the kernel's `prefix`, in DFS
+    order. The eldest prefix is searched here first, seeded with the
+    frontier's best value; every other prefix becomes a pool task seeded
+    with the larger of that and the eldest's best, so it prunes from the
+    start what the eldest would have let it prune serially. The merge keeps
+    the first result that beats the running best. That is the serial
+    witness: a search returns the first state, in DFS order, of the largest
+    value it meets above its seed, and a seed below the final value hides no
+    state of that value, so the first task to reach it holds its first
+    state; a sibling seeded at the final value reports nothing, as the
+    eldest or the frontier met that value first. Seeds, and so node counts,
+    do not depend on the schedule. A search with a node budget runs
     serially, so the budget bounds the total node count. Kernels, frontiers
     and `ProcessPoolExecutor` are looked up at call time, so they can be
     patched on their modules."""
@@ -217,15 +235,21 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
     if threads == 1 or kw["node_budget"] or depth < 1:
         return getattr(backends, kernel)(**kw)
     prefixes, best, witness, nodes = frontier(kw, depth)
-    tasks = [(kernel, dict(kw, initial_best=best, prefix=p)) for p in prefixes]
+    results = []
+    if prefixes:
+        results.append(_run_task((kernel, dict(kw, initial_best=best, prefix=prefixes[0]))))
+        seed = max(best, results[0][0])
+        tasks = [(kernel, dict(kw, initial_best=seed, prefix=p)) for p in prefixes[1:]]
+        if tasks:
+            with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
+                results += pool.map(_run_task, tasks)
     truncated = False
-    with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
-        for b, w, nd, tr in pool.map(_run_task, tasks):
-            nodes += nd
-            truncated = truncated or tr
-            if b > best:
-                best = b
-                witness = w
+    for b, w, nd, tr in results:
+        nodes += nd
+        truncated = truncated or tr
+        if b > best:
+            best = b
+            witness = w
     return best, witness, nodes, truncated
 
 

@@ -320,6 +320,11 @@ class TestOracle:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "threads must be >= 1" in err
 
+    def test_threads_without_fork_exit_2(self, capsys, monkeypatch):
+        monkeypatch.delattr(oracles.os, "fork")
+        assert run(capsys, "oracle", "lambda", "--n", "3", "--s", "2", "--threads", "2") == (
+            2, "", "error: threads > 1 needs os.fork, which this platform lacks\n")
+
     @pytest.mark.parametrize(
         "exc, code, message",
         [
@@ -618,3 +623,25 @@ def test_search_options_only_on_searches(capsys, argv):
             main([*argv, option])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("construct", ["{formation,ds-sparse,block}", "--c C", "ds-sparse constant", "--out OUT"]),
+    ("verify", ["file", "CHECK [CHECK ...]", "sparse:J ds:S"]),
+    ("oracle", ["--pattern PATTERN", "--override-caps", "--threads THREADS"]),
+    ("bound", ["{kst,ds-ceiling,formation-ceiling}", "--compare-oracle", "--threads THREADS"]),
+    ("convert", ["{blocks-to-matrix,matrix-to-blocks} file", "row count override"]),
+])
+def test_help_of_each_command(capsys, monkeypatch, command, shown):
+    """Only the command argv names gets its arguments, and every command
+    keeps its help line in `seqext --help`."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    top = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: seqext {command} [-h]")
+    assert all(text in out for text in shown + ["--json"]), out
+    assert re.search(rf"^    {command} +\w", top, re.M) and "{construct,verify,oracle,bound,convert}" in top

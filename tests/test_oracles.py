@@ -2,6 +2,8 @@
 against plain product-enumeration (a second, dumber exhaustive path)."""
 
 import hashlib
+import os
+import signal
 import time
 from itertools import product
 from math import comb
@@ -539,15 +541,29 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def patch_cpus(monkeypatch, cpus):
+    """Let this process run on `cpus` of the machine's 64 CPUs; with None,
+    neither count is known."""
+    if cpus is None:
+        monkeypatch.delattr(oracles.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(oracles.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: 64)
+
+
 class TestPoolSize:
-    """The pool never exceeds the task count or the CPU count; the split, and
-    so the value, witness and node count, do not depend on its size."""
+    """The pool never exceeds the task count or the CPUs this process may
+    run on; the split, and so the value, witness and node count, do not
+    depend on its size. The eldest prefix runs before the pool, so it is no
+    task."""
 
     @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
     def test_lambda(self, pool_sizes, monkeypatch, cpus):
         kw = dict(mode=_kernels_py.MODE_DS, n=4, j=2, s=2, r=0, pattern=(), max_blocks=0)
-        tasks = len(oracles._seq_frontier(kw, oracles._SEQ_SPLIT_DEPTH)[0])
-        monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
+        tasks = len(oracles._seq_frontier(kw, oracles._SEQ_SPLIT_DEPTH)[0]) - 1
+        patch_cpus(monkeypatch, cpus)
         reference = oracle_lambda(4, 2, threads=2)
         res = oracle_lambda(4, 2, threads=10**6)
         assert pool_sizes == [min(2, tasks, cpus or 1), min(tasks, cpus or 1)]
@@ -557,19 +573,24 @@ class TestPoolSize:
     def test_ex_matrix(self, pool_sizes, monkeypatch, cpus):
         P = all_ones(2, 2)
         kw = dict(n=4, m=4, p_rows=P.rows, pn=2, pm=2)
-        tasks = len(oracles._matrix_frontier(kw, oracles._MATRIX_SPLIT_DEPTH)[0])
-        monkeypatch.setattr(oracles.os, "cpu_count", lambda: cpus)
+        tasks = len(oracles._matrix_frontier(kw, oracles._MATRIX_SPLIT_DEPTH)[0]) - 1
+        patch_cpus(monkeypatch, cpus)
         reference = oracle_ex_matrix(4, 4, P, threads=2)
         res = oracle_ex_matrix(4, 4, P, threads=10**6)
         assert pool_sizes == [min(2, cpus), min(tasks, cpus)]
         assert res == reference
 
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(oracles.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(oracles.os, "cpu_count", lambda: 3)
+        assert oracles._pool_size(8, [()] * 5) == 3
+
     def test_empty_frontier(self, pool_sizes):
         # the ceiling is 1 * 2^2 = 4, and any two distinct letters make a
         # (2, 1)-formation, so no 2-sparse prefix reaches the depth of 4:
-        # no tasks at all
+        # no tasks at all, and no pool
         assert oracle_formation(2, 2, 1, 2, threads=4) == oracle_formation(2, 2, 1, 2)
-        assert pool_sizes == [1]
+        assert pool_sizes == []
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_search_calls_through_module_attributes(self, pool_sizes, monkeypatch, threads):
@@ -599,6 +620,123 @@ class TestPoolSize:
             assert calls[0] == "_seq_frontier" and set(calls[1:k - 1]) == {"seq_search"}
             assert calls[k - 1] == "matrix_search"  # the table, serially
             assert set(calls[k + 1:]) == {"matrix_search"} and len(pool_sizes) == 2
+
+
+# the instances of the benchmark's oracle-parallel workload, its tiny list
+# first, and one lambda-prime search
+SPLIT_INSTANCES = {
+    "lambda-3-3": (oracle_lambda, (3, 3)),
+    "ex-3x3-R22": (oracle_ex_matrix, (3, 3, all_ones(2, 2))),
+    "lambda-4-5": (oracle_lambda, (4, 5)),
+    "lambda-5-3": (oracle_lambda, (5, 3)),
+    "pattern-alt6-4": (oracle_pattern, (PatternSequence((1, 2) * 3), 2, 4)),
+    "formation-4-2-3-2": (oracle_formation, (4, 2, 3, 2)),
+    "blocks-4-4-4": (oracle_lambda_blocks, (4, 4, 4)),
+    "ex-4x5-R22": (oracle_ex_matrix, (4, 5, all_ones(2, 2))),
+    "ex-5x4-R22": (oracle_ex_matrix, (5, 4, all_ones(2, 2))),
+    "lambda-prime-5-1-5": (oracle_lambda_prime, (5, 1, 5)),
+}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def in_a_child(monkeypatch, tmp_path):
+    """Make the first pool child to take a task run `act()` in its kernel
+    call; the parent's first pool task waits for that child to start."""
+
+    def install(act):
+        parent, real, calls = os.getpid(), backends.seq_search, []
+        started = tmp_path / "child-started"
+
+        def kernel(**kw):
+            if os.getpid() != parent:
+                started.touch()
+                act()
+            else:
+                calls.append(kw)
+                if len(calls) == 2:  # the eldest prefix ran before the pool
+                    deadline = time.monotonic() + 60
+                    while not started.exists() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+            return real(**kw)
+
+        monkeypatch.setattr(backends, "seq_search", kernel)
+        return calls
+
+    return install
+
+
+def raise_zero_division():
+    raise ZeroDivisionError("raised in a pool process")
+
+
+class TestForkPool:
+    """A split search runs the eldest prefix first, then the others on K - 1
+    forked children and this process; no process outlives the call."""
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("name", list(SPLIT_INSTANCES))
+    def test_threads_give_the_serial_answer(self, request, backend, name):
+        request.getfixturevalue(f"{backend}_backend")
+        oracle, args = SPLIT_INSTANCES[name]
+        serial = oracle(*args, override_caps=True)
+        for threads in (2, 3):
+            res = oracle(*args, override_caps=True, threads=threads)
+            assert (res.value, res.witness, res.exhausted) == (
+                serial.value, serial.witness, serial.exhausted), threads
+        assert_no_child_left()
+
+    def test_eldest_prefix_seeds_its_siblings(self):
+        # seeded from the frontier's best (4) alone, the split walked 62,156
+        assert oracle_lambda(4, 5, override_caps=True, threads=2).nodes_explored == 35119
+
+    def test_map_keeps_task_order(self):
+        from seqext._forkpool import ForkPool
+
+        with ForkPool(3) as pool:
+            assert pool.map(lambda k: (k, k * k), range(256)) == [(k, k * k) for k in range(256)]
+        assert_no_child_left()
+
+    def test_child_error_is_raised_in_the_parent(self, in_a_child):
+        in_a_child(raise_zero_division)
+        with pytest.raises(ZeroDivisionError, match="^raised in a pool process$"):
+            oracle_lambda(4, 2, threads=2)
+        assert_no_child_left()
+
+    def test_killed_child_raises_runtime_error(self, in_a_child):
+        in_a_child(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="ended without sending its results"):
+            oracle_lambda(4, 2, threads=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, KeyboardInterrupt])
+    def test_parent_error_kills_the_children(self, in_a_child, monkeypatch, exc):
+        """The child sleeps longer than the test allows: only a kill ends it in time."""
+        calls = in_a_child(lambda: time.sleep(120))
+        waiting = backends.seq_search
+
+        def kernel(**kw):
+            result = waiting(**kw)
+            if len(calls) == 2:
+                raise exc("raised in the parent")
+            return result
+
+        monkeypatch.setattr(backends, "seq_search", kernel)
+        t0 = time.monotonic()
+        with pytest.raises(exc, match="raised in the parent"):
+            oracle_lambda(4, 2, threads=2)
+        assert time.monotonic() - t0 < 60
+        assert_no_child_left()
+
+    def test_threads_need_fork(self, monkeypatch):
+        monkeypatch.delattr(oracles.os, "fork")
+        with pytest.raises(ValueError, match="os.fork"):
+            oracle_lambda(3, 2, threads=2)
+        assert oracle_lambda(3, 2).value == 5
 
 
 class TestCeiling:

@@ -19,9 +19,9 @@ from seqext import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 # modules an oracle or verify run never needs; they load on first use
-ON_FIRST_USE = ("concurrent.futures", "multiprocessing", "seqext.construct", "seqext.coloring")
+ON_FIRST_USE = ("seqext._forkpool", "seqext.construct", "seqext.coloring")
 # modules no seqext process needs
-NEVER = ("dataclasses", "inspect", "typing")
+NEVER = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "typing")
 
 # `from seqext import *` before the package had an __all__
 OLD_EXPORTS = {
@@ -91,13 +91,18 @@ class TestImports:
         assert fresh(code) == (False, True)
 
     def test_threads_load_the_pool(self):
+        """A split search loads the fork pool, and neither `concurrent.futures`
+        nor `multiprocessing`."""
         code = ("import sys; from seqext import oracles; "
                 "a = oracles.oracle_ex_matrix(4, 4, oracles.matrices.all_ones(2, 2)); "
+                "before = 'seqext._forkpool' in sys.modules; "
                 "b = oracles.oracle_ex_matrix(4, 4, oracles.matrices.all_ones(2, 2), threads=2); "
-                "print(((a.value, a.witness.rows), (b.value, b.witness.rows), "
-                "'concurrent.futures' in sys.modules))")
-        serial, threaded, pool_loaded = fresh(code)
-        assert serial == threaded and serial[0] == 9 and pool_loaded
+                "print(((a.value, a.witness.rows), (b.value, b.witness.rows), before, "
+                "'seqext._forkpool' in sys.modules, "
+                f"{loaded(('concurrent.futures', 'multiprocessing'))}))")
+        serial, threaded, before, after, pool_modules = fresh(code)
+        assert serial == threaded and serial[0] == 9
+        assert (before, after, pool_modules) == (False, True, [])
 
 
 class TestExports:
