@@ -71,7 +71,12 @@ class ForkPool:
 
     def _fork(self, fn, tasks: list, tasks_fd: int) -> None:
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:  # EAGAIN or ENOMEM: no child holds the pipe
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             try:
                 os.close(read_fd)

@@ -4,21 +4,24 @@ The compiled extension `_ckernels` mirrors `seq_search` and `matrix_search`
 exactly: same arguments, same candidate order, same pruning, same node
 accounting, so both twins return identical (value, witness, nodes,
 truncated) tuples; `backends` picks one at import time. The kernel
-specification is written once, here: each kernel of either twin first
-passes its own arguments to `check_seq_search` or `check_matrix_search`
-and searches what that returns, the checked arguments and every value
-derived from them, so both twins raise the same errors and read the same
-values, and the compiled twin reads only values that fit its buffers.
+specification is written once, here: each kernel of either twin passes
+its own arguments once to `check_seq_search` or `check_matrix_search` (here
+through the state it builds) and searches what that returns, the checked
+arguments and every value derived from them, so both twins raise the same
+errors and read the same values, and the compiled twin reads only values
+that fit its buffers.
 
-Each search state offers `depth`, `value`, `limit`, `slack`, `candidates()`,
-`try_push(c)` (True if move c was admissible and made), `pop()` and
-`snapshot()` (a copy of the witness). A move adds at least as much depth as
-value, so value + (limit - depth) bounds every extension; after the first
-move, value + slack bounds it too. `_run` forces a prefix of moves and
-`_dfs` searches below it on an explicit stack; `frontier` splits a state
-into such prefixes for the parallel search. A node is one accepted move: a
-letter or a cell. The compiled twin has the same shape: two states with
-these operations, one entry, its `run`, and one loop, its `dfs`.
+Each search state takes its kernel's arguments and offers the checked
+`prefix`, `initial_best` and `node_budget`, and `depth`, `value`, `limit`,
+`slack`, `candidates()`, `try_push(c)` (True if move c was admissible and
+made), `pop()` and `snapshot()` (a copy of the witness). A move adds at
+least as much depth as value, so value + (limit - depth) bounds every
+extension; after the first move, value + slack bounds it too. `_run`
+forces the prefix and `_dfs` searches below it on an explicit stack;
+`frontier` splits a state into such prefixes for the parallel search. A
+node is one accepted move: a letter or a cell. The compiled twin has the
+same shape: two states with these operations, one entry, its `run`, and
+one loop, its `dfs`.
 
 Sequence searches walk canonical sequences only (letter k+1 may appear only
 after letters 1..k), which collapses letter-relabeling symmetry without
@@ -183,9 +186,11 @@ class SeqState:
     to c.
     """
 
-    def __init__(self, mode, n, j, ceiling=MAX_CEILING, s=0, r=0, pattern=(), max_blocks=0):
-        *_, self.jeff, self.cap, self.slack = check_seq_search(
-            mode, n, j, ceiling, s, r, pattern, max_blocks)
+    def __init__(self, mode, n, j, ceiling=MAX_CEILING, s=0, r=0, pattern=(), max_blocks=0,
+                 node_budget=0, prefix=(), initial_best=-1):
+        (mode, n, j, ceiling, s, r, pattern, max_blocks, self.node_budget, self.prefix,
+         self.initial_best, self.jeff, self.cap, self.slack) = check_seq_search(
+            mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best)
         self.mode = mode
         self.n = n
         self.limit = ceiling
@@ -401,9 +406,11 @@ class MatrixState:
     Only node counts fall; the split frontier uses this state, so its
     prefixes obey the rules too."""
 
-    def __init__(self, n, m, p_rows, pn, pm, row_bounds=()):
-        *_, rows, self.last, self.equal_rows, self.equal_cols, rd = check_matrix_search(
-            n, m, p_rows, pn, pm, row_bounds=row_bounds)
+    def __init__(self, n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1,
+                 row_bounds=()):
+        (n, m, _, pn, pm, self.node_budget, self.prefix, self.initial_best, _, rows, self.last,
+         self.equal_rows, self.equal_cols, rd) = check_matrix_search(
+            n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds)
         self.n, self.m = n, m
         self.limit = n * m
         # row i can take P's last nonempty row when i >= last and the rows below suffice
@@ -532,12 +539,14 @@ def _dfs(st, best, witness, node_budget):
 
 
 def frontier(st, depth):
-    """The admissible move tuples of length `depth` >= 1 from `st`, each the
-    `prefix` that forces its state, with the best value met on the way, its
-    witness and the nodes: (prefixes, best, witness, nodes)."""
+    """The admissible move tuples of length min(`depth`, `st.limit`) from
+    `st`, each the `prefix` that forces its state, with the best value met
+    on the way, its witness and the nodes: (prefixes, best, witness, nodes).
+    A length of 0 gives no prefix."""
+    depth = min(depth, st.limit)
     prefixes, path = [], []  # path: the moves down to the current state
     best, witness, nodes = st.value, st.snapshot(), 0
-    stack = [iter(st.candidates())]
+    stack = [iter(st.candidates())] if depth > 0 else []
     while stack:
         for c in stack[-1]:
             if not st.try_push(c):
@@ -558,14 +567,14 @@ def frontier(st, depth):
     return prefixes, best, witness, nodes
 
 
-def _run(st, prefix, initial_best, node_budget, refused):
-    """Force `prefix` on `st`, then search below it from a best of at least
-    `initial_best`, as the compiled twin's `run` does; `refused` may show the
-    prefix as {!r}."""
-    for c in prefix:
+def _run(st, refused):
+    """Force the state's `prefix`, then search below it from a best of at
+    least its `initial_best` under its `node_budget`, as the compiled twin's
+    `run` does; `refused` may show the prefix as {!r}."""
+    for c in st.prefix:
         if not st.try_push(c):
-            raise ValueError(refused.format(prefix))
-    return _dfs(st, max(initial_best, st.value), st.snapshot(), node_budget)
+            raise ValueError(refused.format(st.prefix))
+    return _dfs(st, max(st.initial_best, st.value), st.snapshot(), st.node_budget)
 
 
 def seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, node_budget=0,
@@ -579,11 +588,8 @@ def seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, node_bud
     reaches `ceiling`, which is exact whenever the ceiling is a valid upper
     bound.
     """
-    (mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best,
-     *_) = check_seq_search(mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix,
-                            initial_best)
-    st = SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks)
-    return _run(st, prefix, initial_best, node_budget, "forced prefix {!r} is not admissible")
+    return _run(SeqState(mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix,
+                         initial_best), "forced prefix {!r} is not admissible")
 
 
 def matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-1,
@@ -592,7 +598,5 @@ def matrix_search(n, m, p_rows, pn, pm, node_budget=0, prefix=(), initial_best=-
     ones-so-far + slack <= best (`MatrixState`, with `row_bounds` its
     Russian-doll table); `prefix` forces the first cells (0/1 bits). Returns
     (best, rows, nodes, truncated)."""
-    n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds, *_ = check_matrix_search(
-        n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds)
-    return _run(MatrixState(n, m, p_rows, pn, pm, row_bounds), prefix, initial_best, node_budget,
+    return _run(MatrixState(n, m, p_rows, pn, pm, node_budget, prefix, initial_best, row_bounds),
                 "forced prefix contains the pattern or breaks the row or column order")

@@ -28,19 +28,21 @@ s + 1, the alternation budget that the kernels track
 (`_kernels_py.SeqState`); `oracle_pattern` runs an alternation as the DS
 search it is.
 
-Every kernel search runs through `_search`: serially on one kernel call,
-or, with threads > 1, split at a shallow frontier (`_kernels_py.frontier`
-over the kernel's own search state) into prefixes. The eldest prefix is
-searched first, in this process; the others run on a fork pool
-(`_forkpool`, K - 1 children with this process as the K-th worker), each
-seeded with the eldest's value when it beats the frontier's. The merge
-keeps the first result that beats the running best, so value and witness
-are the serial ones: a search seeded below the final value still meets
-the first state of that value in DFS order, and one seeded at it adds
-nothing the eldest or the frontier had not met first. A node budget is a
-total: a budgeted search always runs in one process. A node is one
-accepted move of the kernel: a letter or a matrix cell. Lambda-prime is
-ex(n, m, R_{2,s+1}) and runs as that matrix search.
+Every kernel search runs through `_search`, which takes the kernel its
+caller looked up on `backends`: serially on one kernel call, or, with
+threads > 1, split at a shallow frontier into prefixes. The frontier
+(`_kernels_py.frontier`) enumerates the search state of the very call it
+splits, built from the same keywords, ceiling and row table included. The
+eldest prefix is searched first, in this process; the others run on a
+fork pool (`_forkpool`, K - 1 children with this process as the K-th
+worker), each seeded with the eldest's value when it beats the
+frontier's. The merge keeps the first result that beats the running
+best, so value and witness are the serial ones: a search seeded below the
+final value still meets the first state of that value in DFS order, and
+one seeded at it adds nothing the eldest or the frontier had not met
+first. A node budget is a total: a budgeted search always runs in one
+process. A node is one accepted move of the kernel: a letter or a matrix
+cell. Lambda-prime is ex(n, m, R_{2,s+1}) and runs as that matrix search.
 
 `oracle_ex_matrix` solves ex(k, m, P) for k = 1..n in one loop, each
 search on the table of the answers before it, so the last answer is the
@@ -206,17 +208,13 @@ def ProcessPoolExecutor(max_workers: int):
     return ForkPool(max_workers)
 
 
-def _run_task(task: tuple[str, dict]):
-    """One kernel call, looked up on `backends` at call time."""
-    kernel, kw = task
-    return getattr(backends, kernel)(**kw)
+def _search(search, kw: dict, threads: int, frontier):
+    """Run `search(**kw)`, a kernel the caller looked up on `backends`, and
+    return (best, witness, nodes, truncated).
 
-
-def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
-    """Run `backends.<kernel>(**kw)` and return (best, witness, nodes, truncated).
-
-    With threads > 1, `frontier(kw, depth)` enumerates the admissible prefixes
-    of the given depth, each a move tuple for the kernel's `prefix`, in DFS
+    With threads > 1, `frontier(kw)` builds the state of that very call and
+    enumerates its admissible prefixes of the split depth (no deeper than
+    the state's limit), each a move tuple for the kernel's `prefix`, in DFS
     order. The eldest prefix is searched here first, seeded with the
     frontier's best value; every other prefix becomes a pool task seeded
     with the larger of that and the eldest's best, so it prunes from the
@@ -228,21 +226,21 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
     state; a sibling seeded at the final value reports nothing, as the
     eldest or the frontier met that value first. Seeds, and so node counts,
     do not depend on the schedule. A search with a node budget runs
-    serially, so the budget bounds the total node count. Kernels, frontiers
-    and `ProcessPoolExecutor` are looked up at call time, so they can be
-    patched on their modules."""
+    serially, so the budget bounds the total node count. Frontiers and
+    `ProcessPoolExecutor` are looked up at call time, so they can be
+    patched on this module."""
     _check_threads(threads)
-    if threads == 1 or kw["node_budget"] or depth < 1:
-        return getattr(backends, kernel)(**kw)
-    prefixes, best, witness, nodes = frontier(kw, depth)
+    if threads == 1 or kw["node_budget"]:
+        return search(**kw)
+    prefixes, best, witness, nodes = frontier(kw)
     results = []
     if prefixes:
-        results.append(_run_task((kernel, dict(kw, initial_best=best, prefix=prefixes[0]))))
+        results.append(search(**kw, initial_best=best, prefix=prefixes[0]))
         seed = max(best, results[0][0])
-        tasks = [(kernel, dict(kw, initial_best=seed, prefix=p)) for p in prefixes[1:]]
-        if tasks:
-            with ProcessPoolExecutor(max_workers=_pool_size(threads, tasks)) as pool:
-                results += pool.map(_run_task, tasks)
+        siblings = prefixes[1:]
+        if siblings:
+            with ProcessPoolExecutor(max_workers=_pool_size(threads, siblings)) as pool:
+                results += pool.map(lambda p: search(**kw, initial_best=seed, prefix=p), siblings)
     truncated = False
     for b, w, nd, tr in results:
         nodes += nd
@@ -253,13 +251,9 @@ def _search(kernel: str, kw: dict, threads: int, frontier, depth: int):
     return best, witness, nodes, truncated
 
 
-def _seq_frontier(kw: dict, depth: int):
-    """Admissible canonical prefixes of the given depth, as letter tuples."""
-    st = _kernels_py.SeqState(
-        kw["mode"], kw["n"], kw["j"], s=kw["s"], r=kw["r"],
-        pattern=kw["pattern"], max_blocks=kw["max_blocks"],
-    )
-    return _kernels_py.frontier(st, depth)
+def _seq_frontier(kw: dict, depth: int = _SEQ_SPLIT_DEPTH):
+    """Admissible canonical prefixes of a `seq_search(**kw)` call, as letter tuples."""
+    return _kernels_py.frontier(_kernels_py.SeqState(**kw), depth)
 
 
 def _seq_oracle(
@@ -269,9 +263,7 @@ def _seq_oracle(
     `witness_of(tokens)`, re-checked by its length and `valid(witness)`; the
     value is exact when the budget did not run out."""
     kw = dict(kw, ceiling=ceiling, node_budget=node_budget)
-    best, toks, nodes, truncated = _search(
-        "seq_search", kw, threads, _seq_frontier, min(_SEQ_SPLIT_DEPTH, ceiling)
-    )
+    best, toks, nodes, truncated = _search(backends.seq_search, kw, threads, _seq_frontier)
     witness = witness_of(tuple(toks))
     if not (len(witness) == best and valid(witness)):
         raise RuntimeError("internal error: witness failed independent re-check")
@@ -293,7 +285,7 @@ def oracle_lambda(
     _check_caps(LAMBDA_CAPS, {"n": n, "s": s}, override_caps)
     from . import checks  # loaded here, so that a matrix search never compiles it
     ceiling = lambda_ceiling(n, s)
-    kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=s, r=0, pattern=(), max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=s)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: checks.is_ds(w, s) and checks.is_sparse(w, j),
@@ -323,7 +315,7 @@ def oracle_formation(
         return _distinct_answer(n, n if s >= 2 else min(n, r - 1), valid, threads)
     _refuse_unbounded(j, r)
     _check_caps(FORMATION_CAPS, {"n": n, "r": r, "s": s}, override_caps)
-    kw = dict(mode=_kernels_py.MODE_FORMATION, n=n, j=j, s=s, r=r, pattern=(), max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_FORMATION, n=n, j=j, s=s, r=r)
     return _seq_oracle(kw, formation_ceiling(n, r, s), threads, node_budget, valid)
 
 
@@ -361,9 +353,9 @@ def oracle_pattern(
         return _distinct_answer(n, n if su > ru else min(n, ru - 1), valid, threads)
     _refuse_unbounded(j, ru)
     _check_caps(PATTERN_CAPS, {"n": n, "pattern length": su}, override_caps)
-    kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, s=0, r=0, pattern=u.tokens, max_blocks=0)
+    kw = dict(mode=_kernels_py.MODE_PATTERN, n=n, j=j, pattern=u.tokens)
     if ru == 2 and all(a != b for a, b in zip(u.tokens, u.tokens[1:])):
-        kw.update(mode=_kernels_py.MODE_DS, s=su - 2, pattern=())
+        kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=su - 2)
     return _seq_oracle(kw, formation_ceiling(n, ru, su), threads, node_budget, valid)
 
 
@@ -404,7 +396,7 @@ def oracle_lambda_blocks(
     _check_caps(LAMBDA_BLOCKS_CAPS, {"n": n, "s": s, "m": m}, override_caps)
     from . import checks
     ceiling = min(n * m, lambda_ceiling(n, s))
-    kw = dict(mode=_kernels_py.MODE_DS, n=n, j=1, s=s, r=0, pattern=(), max_blocks=m)
+    kw = dict(mode=_kernels_py.MODE_DS, n=n, j=1, s=s, max_blocks=m)
     return _seq_oracle(
         kw, ceiling, threads, node_budget,
         lambda w: w.block_count <= m and checks.is_ds(flatten(w), s),
@@ -412,10 +404,9 @@ def oracle_lambda_blocks(
     )
 
 
-def _matrix_frontier(kw: dict, depth: int):
-    """Admissible fillings of the first `depth` cells, as 0/1 tuples."""
-    st = _kernels_py.MatrixState(kw["n"], kw["m"], kw["p_rows"], kw["pn"], kw["pm"])
-    return _kernels_py.frontier(st, depth)
+def _matrix_frontier(kw: dict, depth: int = _MATRIX_SPLIT_DEPTH):
+    """Admissible fillings of the first cells of a `matrix_search(**kw)` call, as 0/1 tuples."""
+    return _kernels_py.frontier(_kernels_py.MatrixState(**kw), depth)
 
 
 def oracle_ex_matrix(
@@ -448,8 +439,7 @@ def oracle_ex_matrix(
         kw = dict(n=k, m=m, p_rows=P.rows, pn=P.n, pm=P.m, row_bounds=tuple(table),
                   node_budget=node_budget - nodes if node_budget else 0)
         best, wit_rows, nd, truncated = _search(
-            "matrix_search", kw, threads if k == n else 1, _matrix_frontier,
-            min(_MATRIX_SPLIT_DEPTH, k * m),
+            backends.matrix_search, kw, threads if k == n else 1, _matrix_frontier
         )
         nodes += nd
         if truncated or (k < n and node_budget and nodes >= node_budget):

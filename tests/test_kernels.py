@@ -328,6 +328,23 @@ def test_checks_return_the_derived_inputs():
     assert checked[11:] == (1, None, pure.MAX_CEILING)
 
 
+def test_one_argument_check_per_pure_kernel_call(monkeypatch):
+    """A pure kernel call checks its arguments once: its state makes the
+    check, with every argument, and the search reads what it returned."""
+    counts = {"check_seq_search": 0, "check_matrix_search": 0}
+    for name in counts:
+
+        def counting(*args, name=name, real=getattr(pure, name), **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pure, name, counting)
+    assert pure.seq_search(pure.MODE_DS, 3, 2, 7, s=2, prefix=(1, 2), initial_best=4)[0] == 5
+    assert counts == {"check_seq_search": 1, "check_matrix_search": 0}
+    assert pure.matrix_search(3, 3, (3, 3), 2, 2, prefix=(1, 1), row_bounds=(0, 3))[0] == 6
+    assert counts == {"check_seq_search": 1, "check_matrix_search": 1}
+
+
 def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
 
@@ -604,12 +621,12 @@ def test_pattern_mode_ignores_s(compiled):
 def test_pattern_oracle_routes_each_pattern_to_one_kernel_call(compiled_backend, monkeypatch):
     """`oracle_pattern` makes one kernel call per two-letter pattern with
     j >= 2: DS mode of order ell - 2 for an alternation of ell tokens, pattern
-    mode with s = 0 for every other one. Its value, witness, node count and
-    exhaustion are that call's. An alternation's pattern-mode search, the
-    search it stands for, finds the same value and witness. With j = 1 the
-    query has no finite answer, and with n < j it is answered without a
-    search: neither makes a call, and the second finds that call's value
-    and witness."""
+    mode for every other one, its keywords naming only what differs from the
+    kernel's defaults. Its value, witness, node count and exhaustion are
+    that call's. An alternation's pattern-mode search, the search it stands
+    for, finds the same value and witness. With j = 1 the query has no
+    finite answer, and with n < j it is answered without a search: neither
+    makes a call, and the second finds that call's value and witness."""
     kernel = backends.seq_search
     calls = []
     monkeypatch.setattr(backends, "seq_search", lambda **kw: calls.append(kw) or kernel(**kw))
@@ -625,9 +642,9 @@ def test_pattern_oracle_routes_each_pattern_to_one_kernel_call(compiled_backend,
             continue
         res = oracles.oracle_pattern(PatternSequence(pattern), j, n, override_caps=True)
         alternation = all(a != b for a, b in zip(pattern, pattern[1:]))
-        route = (dict(mode=pure.MODE_DS, s=len(pattern) - 2, pattern=()) if alternation
-                 else dict(mode=pure.MODE_PATTERN, s=0, pattern=pattern))
-        direct = dict(n=n, j=j, ceiling=res.ceiling, r=0, max_blocks=0, node_budget=0, **route)
+        route = (dict(mode=pure.MODE_DS, s=len(pattern) - 2) if alternation
+                 else dict(mode=pure.MODE_PATTERN, pattern=pattern))
+        direct = dict(n=n, j=j, ceiling=res.ceiling, node_budget=0, **route)
         assert calls == ([] if n < j else [direct]), (pattern, n, j)
         best, toks, nodes, truncated = kernel(**direct)
         if n < j:

@@ -592,6 +592,21 @@ class TestPoolSize:
         assert oracle_formation(2, 2, 1, 2, threads=4) == oracle_formation(2, 2, 1, 2)
         assert pool_sizes == []
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("oracle, args", [
+        (oracle_pattern, (PatternSequence((1,)), 1, 3)),  # ceiling 0
+        (oracle_lambda, (1, 1)),  # ceiling 1
+        (oracle_ex_matrix, (1, 1, all_ones(1, 1))),  # one cell
+    ])
+    def test_search_no_deeper_than_the_split_depth(self, request, pool_sizes, backend,
+                                                   oracle, args):
+        """The frontier stops at a ceiling or cell count below the split
+        depth: threads=2 gives the serial result, nodes included, and with
+        no sibling prefix no pool."""
+        request.getfixturevalue(f"{backend}_backend")
+        assert oracle(*args, threads=2) == oracle(*args)
+        assert pool_sizes == []
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_search_calls_through_module_attributes(self, pool_sizes, monkeypatch, threads):
         """Frontiers and kernels are looked up on their modules at call time,
@@ -699,6 +714,28 @@ class TestForkPool:
 
         with ForkPool(3) as pool:
             assert pool.map(lambda k: (k, k * k), range(256)) == [(k, k * k) for k in range(256)]
+        assert_no_child_left()
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        from seqext._forkpool import ForkPool
+
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        def fds():  # nothing to compare where /proc is missing
+            return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+        before = fds()
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError) as raised:
+            ForkPool(3).map(abs, range(-5, 0))
+        assert raised.value.errno == 11 and len(forks) == 2
+        assert fds() == before
         assert_no_child_left()
 
     def test_child_error_is_raised_in_the_parent(self, in_a_child):
