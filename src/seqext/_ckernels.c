@@ -17,7 +17,9 @@
  * explicit stack, as `_kernels_py._dfs` does, so the depth (up to the 50,000
  * ceiling or cell limit) never touches the C stack; and one entry, `run`,
  * forces a prefix and starts `dfs` below it, as `_kernels_py._run` does. The
- * module exports the two kernels only. Build in place with
+ * DS searches keep a table of relabeled states; the `SeqState` docstring in
+ * `_kernels_py` holds its proof, and `seq_key` its 64-bit code. The module
+ * exports the two kernels only. Build in place with
  * `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
@@ -54,6 +56,31 @@ static void *grow(void *buf, size_t *cap, size_t need, size_t size)
     return buf;
 }
 
+static int bit_count(u64 x)
+{
+#if defined(__GNUC__)
+    return __builtin_popcountll(x);
+#else
+    int count = 0;
+    for (; x; x &= x - 1)
+        count++;
+    return count;
+#endif
+}
+
+/* The index of the lowest set bit of x != 0. */
+static int lowest_bit(u64 x)
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(x);
+#else
+    int i = 0;
+    for (; !(x & 1); x >>= 1)
+        i++;
+    return i;
+#endif
+}
+
 static int count_node(long long *nodes)
 {
     if ((++*nodes & SIGNAL_MASK) == 0 && PyErr_CheckSignals() < 0)
@@ -81,12 +108,14 @@ static PyObject *checked_args(const char *check, PyObject *args, PyObject *kwarg
 /* A search state, embedded as the first member of each kernel. The moves
    at the current state are 1..last; push(s, c) makes move c if it is
    admissible (1 made, 0 refused with the state untouched, -1 on error) and
-   pop(s) undoes the newest move, both keeping `last` up to date; keep(s)
-   copies the current state into the witness. These are the counterparts of
-   `candidates()`, `try_push`, `pop` and `snapshot()`; `last` is a field
-   because `dfs` reads it before every candidate. A move adds at least as
-   much depth as value, so value + (limit - depth) bounds every extension;
-   after the first move, value + slack bounds it too. */
+   pop(s) undoes the newest move, both keeping `last` up to date; leave(s)
+   undoes the newest move once every move below it was tried (0, or -1 on
+   error); keep(s) copies the current state into the witness. These are the
+   counterparts of `candidates()`, `try_push`, `pop`, `leave` and
+   `snapshot()`; `last` is a field because `dfs` reads it before every
+   candidate. A move adds at least as much depth as value, so
+   value + (limit - depth) bounds every extension; after the first move,
+   value + slack bounds it too. */
 typedef struct Search Search;
 struct Search {
     int depth, value, limit, last, best, truncated;
@@ -94,6 +123,7 @@ struct Search {
     int *next; /* next[d]: the next move to try at depth d */
     int (*push)(Search *, int);
     void (*pop)(Search *);
+    int (*leave)(Search *);
     void (*keep)(Search *);
 };
 
@@ -118,7 +148,8 @@ static int dfs(Search *s)
                 break;
             if (pending)
                 s->keep(s), pending = 0;
-            s->pop(s);
+            if (s->leave(s) < 0)
+                return -1;
             continue;
         }
         if (s->node_budget && s->nodes >= s->node_budget) {
@@ -185,10 +216,18 @@ typedef struct {
 /* A push logs its letter-pair changes, then its mode's changes. */
 typedef struct {
     int last_pos, used_max, blocks_used;
+    int rank; /* with a table: the letter's rank before, or the used count if new */
     u64 block_mask;
+    long long slack;
     size_t mark;  /* height of the change log before the push */
     size_t pairs; /* height after the letter-pair changes */
 } Undo;
+
+/* A table entry: a state key, never 0, and the bound on the tokens to come. */
+typedef struct {
+    u64 key;
+    long long bound;
+} Entry;
 
 /* Pattern mode: one partial embedding per mapping, as in `SeqState.reach`. */
 typedef struct {
@@ -200,7 +239,8 @@ typedef struct {
 
 /* The counterpart of `SeqState`: depth and value are the length, limit is
    the ceiling and last is min(used_max + 1, n); slack starts at the checked
-   value and, in DS mode, tracks the runs the letter pairs can still take. */
+   value and, in DS mode, is the runs the letter pairs can still take,
+   `runs_left`, tightened by the table. */
 typedef struct {
     Search search;
     int mode, n, jeff, s, max_blocks;
@@ -214,6 +254,17 @@ typedef struct {
     /* alternation budget: run count and last letter per letter pair, NULL
        outside DS mode */
     int *alt, *alt_last;
+    long long runs_left;
+    /* the table of relabeled states, if `states` > 0: the `used` letters,
+       most recent first; per depth the node's key and the largest 1 + bound
+       of its children so far; at most `states` entries, in an
+       open-addressing table (key 0 empty; linear probing) that is at most
+       half full and grows with use */
+    size_t states, table_used, table_cap;
+    int used, *order;
+    u64 *keys;
+    long long *acc;
+    Entry *table;
     /* formation: per r-subset its letter mask, greedy progress and completed
        copies; per letter the subsets containing it */
     u64 *sub_full, *sub_partial;
@@ -235,9 +286,9 @@ typedef struct {
 static void seq_free(SeqKernel *k)
 {
     void *bufs[] = {k->tokens, k->best_tokens, k->last_pos, k->search.next, k->undo,
-                    k->log, k->alt, k->alt_last, k->sub_full, k->sub_partial,
-                    k->sub_count, k->letter_sub_data, k->letter_sub_start,
-                    k->digit_pow, k->emb, k->fresh, k->slots};
+                    k->log, k->alt, k->alt_last, k->order, k->keys, k->acc, k->table,
+                    k->sub_full, k->sub_partial, k->sub_count, k->letter_sub_data,
+                    k->letter_sub_start, k->digit_pow, k->emb, k->fresh, k->slots};
     for (size_t i = 0; i < sizeof bufs / sizeof bufs[0]; i++)
         PyMem_Free(bufs[i]);
 }
@@ -383,7 +434,7 @@ static int pairs_push(SeqKernel *k, int c)
         alt[log[i].idx]++;
         alt_last[log[i].idx] = c;
     }
-    k->search.slack -= (long long)(top - k->log_top);
+    k->runs_left -= (long long)(top - k->log_top);
     k->log_top = top;
     return 1;
 }
@@ -395,7 +446,7 @@ static void pairs_pop(SeqKernel *k, size_t from, size_t to)
         k->alt[k->log[i].idx]--;
         k->alt_last[k->log[i].idx] = (int)k->log[i].old;
     }
-    k->search.slack += (long long)(to - from);
+    k->runs_left += (long long)(to - from);
 }
 
 static int formation_push(SeqKernel *k, int c)
@@ -474,6 +525,77 @@ static int pattern_push(SeqKernel *k, int c)
     return 1;
 }
 
+/* The key of the current state (`SeqState`), in mixed radix: the used
+   count, then alt - 1 of each pair of used letters in rank order, in base
+   s + 1, then, with a block budget, the blocks left + 1 if they are fewer
+   than runs_left (else 0) and then the block size (else 0). The check
+   gives `states` = 0 unless every such code is below 2^64, and the used
+   count makes it nonzero. */
+static u64 seq_key(const SeqKernel *k)
+{
+    const int n = k->n, u = k->used;
+    u64 key = (u64)u;
+    for (int a = 0; a < u; a++)
+        for (int b = a + 1; b < u; b++) {
+            int x = k->order[a], y = k->order[b];
+            key = key * (u64)k->cap + (u64)(k->alt[x < y ? x * (n + 1) + y : y * (n + 1) + x] - 1);
+        }
+    if (k->max_blocks) {
+        const long long left = k->max_blocks - k->blocks_used;
+        const int fresh = left < k->runs_left;
+        key = key * ((u64)k->max_blocks + 2) + (fresh ? (u64)left + 1 : 0);
+        key = key * ((u64)n + 1) + (fresh ? (u64)bit_count(k->block_mask) : 0);
+    }
+    return key;
+}
+
+/* The table slot holding `key`, or the empty slot where it would go. */
+static size_t entry_of(const SeqKernel *k, u64 key)
+{
+    const size_t mask = k->table_cap - 1;
+    size_t i = (size_t)((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    while (k->table[i].key && k->table[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+/* Add a key that is not in the table; a larger table is refilled first,
+   so that it stays at most half full. */
+static int table_add(SeqKernel *k, u64 key, long long bound)
+{
+    if (2 * (k->table_used + 1) > k->table_cap) {
+        Entry *old = k->table;
+        size_t old_cap = k->table_cap;
+        if (!(k->table = zalloc(old_cap ? 2 * old_cap : 64, sizeof(Entry)))) {
+            k->table = old;
+            return -1;
+        }
+        k->table_cap = old_cap ? 2 * old_cap : 64;
+        for (size_t i = 0; i < old_cap; i++)
+            if (old[i].key)
+                k->table[entry_of(k, old[i].key)] = old[i];
+        PyMem_Free(old);
+    }
+    k->table[entry_of(k, key)] = (Entry){key, bound};
+    k->table_used++;
+    return 0;
+}
+
+/* Put c first among the used letters; its rank before, or the used count
+   before if c is new (`lp` 0). */
+static int to_front(SeqKernel *k, int c, int lp)
+{
+    int rank = k->used;
+    if (lp)
+        for (rank = 0; k->order[rank] != c; rank++)
+            ;
+    else
+        k->used++;
+    memmove(k->order + 1, k->order, (size_t)rank * sizeof(int));
+    k->order[0] = c;
+    return rank;
+}
+
 /* The letters 1..min(used_max + 1, n); mirrors `SeqState.candidates`. */
 static int seq_last(const SeqKernel *k)
 {
@@ -484,7 +606,7 @@ static int seq_last(const SeqKernel *k)
 static int seq_push(Search *s, int c)
 {
     SeqKernel *k = (SeqKernel *)s;
-    int d = s->depth, lp = k->last_pos[c], pushed;
+    int d = s->depth, lp = k->last_pos[c], pushed, rank;
     int new_block = k->max_blocks && (k->block_mask == 0 || (k->block_mask >> c) & 1);
     size_t mark = k->log_top, pairs;
     if ((lp && d + 1 - lp < k->jeff) || (new_block && k->blocks_used + 1 > k->max_blocks))
@@ -503,7 +625,9 @@ static int seq_push(Search *s, int c)
         k->log_top = mark;
         return pushed;
     }
-    k->undo[d] = (Undo){lp, k->used_max, k->blocks_used, k->block_mask, mark, pairs};
+    rank = k->states ? to_front(k, c, lp) : 0;
+    k->undo[d] = (Undo){lp, k->used_max, k->blocks_used, rank, k->block_mask, s->slack, mark,
+                        pairs};
     if (new_block) {
         k->blocks_used++;
         k->block_mask = (u64)1 << c;
@@ -516,6 +640,17 @@ static int seq_push(Search *s, int c)
     k->tokens[d] = c;
     s->depth = s->value = d + 1;
     s->last = seq_last(k);
+    if (k->alt)
+        s->slack = k->runs_left;
+    if (k->states) {
+        const u64 key = k->keys[d + 1] = seq_key(k);
+        k->acc[d + 1] = 0;
+        if (k->table) {
+            const Entry *e = &k->table[entry_of(k, key)];
+            if (e->key) /* an entry is below runs_left */
+                s->slack = e->bound;
+        }
+    }
     return 1;
 }
 
@@ -546,6 +681,35 @@ static void seq_pop(Search *s)
     }
     pairs_pop(k, u->mark, u->pairs);
     k->log_top = u->mark;
+    if (k->states) { /* the node gives 1 + its slack to its parent's bound */
+        if (s->slack + 1 > k->acc[d])
+            k->acc[d] = s->slack + 1;
+        memmove(k->order, k->order + 1, (size_t)u->rank * sizeof(int));
+        if (u->last_pos)
+            k->order[u->rank] = c;
+        else
+            k->used--;
+    }
+    s->slack = u->slack;
+}
+
+/* Back out of the newest move once every move below it was tried: store
+   its bound, the smaller of its slack and its children's, then pop;
+   mirrors `SeqState.leave`. */
+static int seq_leave(Search *s)
+{
+    SeqKernel *k = (SeqKernel *)s;
+    const int d = s->depth;
+    if (k->states && k->acc[d] < s->slack) {
+        /* an entry is below runs_left, so a smaller slack is the key's entry */
+        if (s->slack < k->runs_left)
+            k->table[entry_of(k, k->keys[d])].bound = k->acc[d];
+        else if (k->table_used < k->states && table_add(k, k->keys[d], k->acc[d]) < 0)
+            return -1;
+        s->slack = k->acc[d];
+    }
+    seq_pop(s);
+    return 0;
 }
 
 /* Copy the current prefix into the witness. */
@@ -565,6 +729,7 @@ static int seq_init(SeqKernel *k, int r, PyObject *pattern, PyObject *cap)
     k->search.last = 1;
     k->search.push = seq_push;
     k->search.pop = seq_pop;
+    k->search.leave = seq_leave;
     k->search.keep = seq_keep;
     if (!(k->tokens = zalloc(depth, sizeof(int)))
         || !(k->best_tokens = zalloc(depth, sizeof(int)))
@@ -574,9 +739,14 @@ static int seq_init(SeqKernel *k, int r, PyObject *pattern, PyObject *cap)
         return -1;
     if (k->mode != MODE_DS)
         return k->mode == MODE_FORMATION ? formation_init(k, r) : pattern_init(k, pattern);
+    k->runs_left = k->search.slack;
     if (((k->cap = PyLong_AsLongLong(cap)) == -1 && PyErr_Occurred())
         || !(k->alt = zalloc((n + 1) * (n + 1), sizeof(int)))
         || !(k->alt_last = zalloc((n + 1) * (n + 1), sizeof(int))))
+        return -1;
+    if (k->states
+        && (!(k->order = zalloc(n, sizeof(int))) || !(k->keys = zalloc(depth, sizeof(u64)))
+            || !(k->acc = zalloc(depth, sizeof(long long)))))
         return -1;
     return 0;
 }
@@ -606,17 +776,18 @@ PyDoc_STRVAR(seq_search_doc,
 static PyObject *py_seq_search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     int j, r, initial_best; /* the search reads jeff, not j */
+    Py_ssize_t states;
     PyObject *pattern, *prefix, *cap, *result = NULL;
     PyObject *checked = checked_args("check_seq_search", args, kwargs);
     SeqKernel k;
     (void)self;
     memset(&k, 0, sizeof k);
     if (!checked
-        || !PyArg_ParseTuple(checked, "iiiiiiO!iLO!iiOL", &k.mode, &k.n, &j, &k.search.limit,
+        || !PyArg_ParseTuple(checked, "iiiiiiO!iLO!iiOLn", &k.mode, &k.n, &j, &k.search.limit,
                              &k.s, &r, &PyTuple_Type, &pattern, &k.max_blocks,
                              &k.search.node_budget, &PyTuple_Type, &prefix, &initial_best,
-                             &k.jeff, &cap, &k.search.slack)
-        || seq_init(&k, r, pattern, cap) < 0
+                             &k.jeff, &cap, &k.search.slack, &states)
+        || (k.states = (size_t)states, seq_init(&k, r, pattern, cap) < 0)
         || run(&k.search, prefix, initial_best, "forced prefix %R is not admissible") < 0)
         goto done;
     result = Py_BuildValue("(iNLO)", k.search.best, int_list(k.best_tokens, k.best_len),
@@ -659,31 +830,6 @@ static void matrix_free(MatrixKernel *k)
     PyMem_Free(k->bounds);
     PyMem_Free(k->sel);
     PyMem_Free(k->search.next);
-}
-
-static int bit_count(u64 x)
-{
-#if defined(__GNUC__)
-    return __builtin_popcountll(x);
-#else
-    int count = 0;
-    for (; x; x &= x - 1)
-        count++;
-    return count;
-#endif
-}
-
-/* The index of the lowest set bit of x != 0. */
-static int lowest_bit(u64 x)
-{
-#if defined(__GNUC__)
-    return __builtin_ctzll(x);
-#else
-    int i = 0;
-    for (; !(x & 1); x >>= 1)
-        i++;
-    return i;
-#endif
 }
 
 /* The order rules of `MatrixState`, for a 1 at (row, col) (the cells from
@@ -797,6 +943,12 @@ static void matrix_pop(Search *s)
     }
 }
 
+static int matrix_leave(Search *s)
+{
+    matrix_pop(s);
+    return 0;
+}
+
 static void matrix_keep(Search *s)
 {
     MatrixKernel *k = (MatrixKernel *)s;
@@ -814,6 +966,7 @@ static int matrix_init(MatrixKernel *k, PyObject *p_rows, PyObject *bounds)
     k->search.last = 2;
     k->search.push = matrix_push;
     k->search.pop = matrix_pop;
+    k->search.leave = matrix_leave;
     k->search.keep = matrix_keep;
     if (!(k->rows = zalloc(n, sizeof(u64))) || !(k->best_rows = zalloc(n, sizeof(u64)))
         || !(k->p_rows = zalloc(k->pn, sizeof(u64))) || !(k->sel = zalloc(k->pn, sizeof(int)))

@@ -14,9 +14,11 @@ that fit its buffers.
 Each search state takes its kernel's arguments and offers the checked
 `prefix`, `initial_best` and `node_budget`, and `depth`, `value`, `limit`,
 `slack`, `candidates()`, `try_push(c)` (True if move c was admissible and
-made), `pop()` and `snapshot()` (a copy of the witness). A move adds at
-least as much depth as value, so value + (limit - depth) bounds every
-extension; after the first move, value + slack bounds it too. `_run`
+made), `pop()`, `leave()` (a pop once every move below was tried, where a
+DS state stores what it learned in its table of relabeled states) and
+`snapshot()` (a copy of the witness). A move adds at least as much depth as
+value, so value + (limit - depth) bounds every extension; after the first
+move, value + slack bounds it too. `_run`
 forces the prefix and `_dfs` searches below it on an explicit stack;
 `frontier` splits a state into such prefixes for the parallel search. A
 node is one accepted move: a letter or a cell. The compiled twin has the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from operator import index
+from operator import index, itemgetter
 
 MODE_DS = 0
 MODE_FORMATION = 1
@@ -44,6 +46,7 @@ MAX_CEILING = 50_000
 MAX_SUBSETS = 1_000_000  # r-subsets: formation searches and `checks.max_formation_length`
 MAX_COLUMNS = 62  # a row is one 64-bit word in the compiled twin
 MAX_CELLS = 50_000
+MAX_STATES = 1 << 22  # relabeled DS states a sequence search keeps (see `SeqState`)
 
 
 def _c_ints(values, node_budget):
@@ -76,7 +79,10 @@ def check_seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, no
     tuples of ints for `pattern` (() outside pattern mode) and `prefix`;
     then the values derived once for both: the sparsity searched (max(j, 2)
     in DS mode, else j), the runs each letter pair may take (s + 1 in DS
-    mode, else None) and the starting slack (see `SeqState`)."""
+    mode, else None), the starting slack and the most entries of the table
+    of relabeled states: MAX_STATES in DS mode with s >= 0 when every state
+    key fits the compiled twin's 64-bit code, else 0, no table (see
+    `SeqState`)."""
     mode, n, j, ceiling, s, r, max_blocks, initial_best, node_budget = _c_ints(
         (mode, n, j, ceiling, s, r, max_blocks, initial_best), node_budget)
     if not 1 <= n <= MAX_LETTERS:
@@ -106,8 +112,14 @@ def check_seq_search(mode, n, j, ceiling, s=0, r=0, pattern=(), max_blocks=0, no
     if len(prefix) > ceiling or not all(1 <= c <= n for c in prefix):
         raise ValueError("forced prefix must fit the ceiling and letter range")
     pattern = pattern if mode == MODE_PATTERN else ()
-    derived = ((max(j, 2), s + 1, (s + 1) * comb(n, 2)) if mode == MODE_DS
-               else (j, None, MAX_CEILING))
+    if mode == MODE_DS:
+        # the key's digits: the used letters, a run count per pair of them and,
+        # under a block budget, the blocks left (or none) and the block size
+        codes = (n + 1) * (s + 1) ** comb(n, 2) * ((max_blocks + 2) * (n + 1) if max_blocks else 1)
+        states = MAX_STATES if s >= 0 and codes < 2**64 else 0
+        derived = (max(j, 2), s + 1, (s + 1) * comb(n, 2), states)
+    else:
+        derived = (j, None, MAX_CEILING, 0)
     return (mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best,
             *derived)
 
@@ -161,15 +173,60 @@ class SeqState:
     Alternation budget (DS mode): `alt` counts the runs of each letter
     pair's restriction (the sequence with every other letter deleted), and
     a push that would give some pair more than cap = s + 1 runs is refused,
-    the definition of order s. `slack` is cap C(n,2) minus the sum of `alt`
-    over all letter pairs, so it is what the pairs can still take before
-    each reaches its cap. It bounds the tokens still to come once the
+    the definition of order s. `runs_left` is cap C(n,2) minus the sum of
+    `alt` over all letter pairs, so it is what the pairs can still take
+    before each reaches its cap. It bounds the tokens still to come once the
     sequence is nonempty: since jeff >= 2, every token after the first
     differs from its predecessor p, and the pair {p, c} last saw p, so the
     token starts a new run of {p, c} and raises its `alt` by one. Block
     budgets only refuse more tokens, so the bound holds with them too.
+    After a push, `slack` is `runs_left`, tightened by the table below.
     Formation and pattern searches have no such budget; their slack is
     MAX_CEILING, which no search can exceed.
+
+    Table of relabeled states (DS mode, when `states` > 0). Rank the u used
+    letters by last occurrence, the most recent 0. The key of a nonempty
+    state is u, the `alt` of each pair of used letters in rank order and,
+    with a block budget whose blocks left are fewer than `runs_left`, the
+    blocks left and the size of the current block. Two states with one key
+    have the same extensions, up to the relabeling that maps equal ranks to
+    each other and new letters to new letters:
+    - sparsity: the last jeff - 1 tokens of a jeff-sparse sequence are
+      distinct, so they are its jeff - 1 most recent letters (all of them
+      while it is shorter): a used letter may come next iff its rank is at
+      least min(u, jeff - 1), and a new letter always may;
+    - pair runs: c raises the runs of {b, c} iff b occurred after c, which
+      the ranks say; a pair with an unused letter holds 1 run (0 if both
+      are unused), which u says, so the pairs never need a key digit;
+    - new letters: every unused letter is alike, and the canonical next one
+      (u + 1; the smallest unused one after a forced prefix with gaps) is
+      among the candidates, so the longest extension is searched;
+    - blocks: the current block is the suffix of distinct letters, so its
+      letters are ranks 0..size - 1, and a push starts a block iff its
+      letter is in it. Once the blocks left are at least `runs_left`, no
+      push below can be refused by the budget (each token to come takes a
+      pair run and starts at most one block), so the plain key applies.
+    So `table[key]` bounds the tokens still to come below every state with
+    that key. After a push, slack = min(runs_left, table[key]), and `_dfs`
+    cuts on value + min(limit - depth, slack) <= best as before. When `_dfs`
+    backs out of a node whose moves were all tried (`leave`), the node's
+    bound is the largest 1 + bound over its accepted children: for a child
+    it expanded, what that child stored, and for a child it cut, the
+    child's slack; a refused move adds nothing. The node stores min(old
+    entry, that bound), when it is below `runs_left` (an entry no tighter
+    cuts nothing). No entry uses limit - depth, and a child cut by the
+    ceiling or by the best gives its slack, not 0, so every entry bounds
+    the untruncated subtree and holds under any ceiling, best or
+    `initial_best`. A cut removes only states that cannot beat the best,
+    and `_dfs` keeps only strict improvements, so the first state of the
+    final value in DFS order is still met: values, witnesses and
+    `truncated` are those of the search without the table, and only node
+    counts fall. The table keeps at most `states` keys; once full it takes
+    no new key, but stored entries still tighten. Both twins store the same
+    keys in the same order, so their tables and node counts agree whatever
+    hash each uses. The compiled twin codes a key in 64 bits (u, then
+    alt - 1 per pair in base s + 1, then the block digits), so
+    `check_seq_search` gives `states` = 0 when a code may not fit.
 
     Pattern embeddings (pattern mode): `reach` maps each partial mapping mp
     (mp[a-1] the image of pattern letter a, 0 if unmapped) to the greatest
@@ -189,8 +246,9 @@ class SeqState:
     def __init__(self, mode, n, j, ceiling=MAX_CEILING, s=0, r=0, pattern=(), max_blocks=0,
                  node_budget=0, prefix=(), initial_best=-1):
         (mode, n, j, ceiling, s, r, pattern, max_blocks, self.node_budget, self.prefix,
-         self.initial_best, self.jeff, self.cap, self.slack) = check_seq_search(
+         self.initial_best, self.jeff, self.cap, self.slack, self.states) = check_seq_search(
             mode, n, j, ceiling, s, r, pattern, max_blocks, node_budget, prefix, initial_best)
+        self.runs_left = self.slack
         self.mode = mode
         self.n = n
         self.limit = ceiling
@@ -212,7 +270,18 @@ class SeqState:
                 [min(b, c) * (n + 1) + max(b, c) for b in range(1, n + 1) if b != c]
                 for c in range(n + 1)
             ]
-        elif mode == MODE_FORMATION:
+        # the table of relabeled states; without one, backing out is a pop
+        self.table = {} if self.states else None
+        if self.table is None:
+            self.leave = self.pop
+        else:
+            # per depth: the used letters, most recent first, the key, and the
+            # largest 1 + bound of the node's children so far
+            self.orders = [()] * (ceiling + 1)
+            self.keys = [None] * (ceiling + 1)
+            self.acc = [0] * (ceiling + 1)
+            self.readers = {}  # per order: its pairs' `alt` in rank order
+        if mode == MODE_FORMATION:
             subs = list(combinations(range(1, n + 1), r))
             self.sub_full = [sum(1 << v for v in sub) for sub in subs]
             self.sub_partial = [0] * len(subs)
@@ -304,25 +373,61 @@ class SeqState:
             for idx, _old in bumps:
                 alt[idx] += 1
                 alt_last[idx] = c
-            self.slack -= len(bumps)
+            self.runs_left -= len(bumps)
         if self.max_blocks:
             if prev_mask == 0 or (prev_mask >> c) & 1:
                 self.blocks_used = prev_used + 1
                 self.block_mask = 1 << c
             else:
                 self.block_mask = prev_mask | (1 << c)
-        self.undo.append((c, lp, self.used_max, prev_mask, prev_used, bumps, extra))
+        self.undo.append((c, lp, self.used_max, prev_mask, prev_used, bumps, extra, self.slack))
         self.last_pos[c] = pos
         if c > self.used_max:
             self.used_max = c
         self.tokens.append(c)
         self.depth = self.value = pos
+        if bumps is not None:
+            if self.table is None:
+                self.slack = self.runs_left
+            else:  # an entry is below runs_left
+                self.slack = self.table.get(self._key(c, lp, pos), self.runs_left)
         return True
 
+    def _key(self, c, lp, pos):
+        """The key of the state just made by pushing c at `pos` (`lp`: c's
+        last position before), kept with the order of its used letters: the
+        tuple of the used pairs' `alt` in rank order, whose length C(u, 2)
+        gives u >= 1, then with a block part, (that tuple, blocks left, block
+        size)."""
+        order = self.orders[pos - 1]
+        if lp:
+            i = order.index(c)
+            order = (c,) + order[:i] + order[i + 1:]
+        else:
+            order = (c,) + order
+        self.orders[pos] = order
+        read = self.readers.get(order)
+        if read is None:
+            n1 = self.n + 1
+            slots = [min(a, b) * n1 + max(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+            # itemgetter gives a tuple for two items or more
+            read = itemgetter(*slots) if len(slots) > 1 else lambda alt: tuple(alt[i] for i in slots)
+            self.readers[order] = read
+        key = read(self.alt)
+        if self.max_blocks:
+            left = self.max_blocks - self.blocks_used
+            if left < self.runs_left:
+                key = (key, left, self.block_mask.bit_count())
+        self.keys[pos] = key
+        self.acc[pos] = 0
+        return key
+
     def pop(self):
-        c, lp, prev_umax, prev_mask, prev_used, bumps, extra = self.undo.pop()
+        """Undo the newest move; with a table, the node gives 1 + its slack
+        to its parent's bound."""
+        c, lp, prev_umax, prev_mask, prev_used, bumps, extra, slack = self.undo.pop()
         self.tokens.pop()
-        self.depth = self.value = len(self.tokens)
+        d = self.depth = self.value = len(self.tokens)
         self.last_pos[c] = lp
         self.used_max = prev_umax
         self.block_mask = prev_mask
@@ -331,7 +436,12 @@ class SeqState:
             for idx, old in bumps:
                 self.alt[idx] -= 1
                 self.alt_last[idx] = old
-            self.slack += len(bumps)
+            self.runs_left += len(bumps)
+            if self.table is not None:
+                bound = self.slack + 1
+                if bound > self.acc[d]:
+                    self.acc[d] = bound
+            self.slack = slack
         mode = self.mode
         if mode == MODE_FORMATION:
             for si, pm, completed in extra:
@@ -347,6 +457,19 @@ class SeqState:
                 else:
                     reach[mp] = old
                     waiting[mp[slot[old]]].add(mp)
+
+    def leave(self):
+        """Back out of the newest move after all moves below it were tried:
+        store its bound, the smaller of its slack and its children's, in
+        the table, then pop. Without a table this is `pop`."""
+        d = self.depth
+        bound = self.acc[d]
+        if bound < self.slack:
+            # an entry is below runs_left, so a smaller slack is the key's entry
+            if self.slack < self.runs_left or len(self.table) < self.states:
+                self.table[self.keys[d]] = bound
+            self.slack = bound
+        self.pop()
 
     def snapshot(self):
         return list(self.tokens)
@@ -488,6 +611,8 @@ class MatrixState:
             self.rows[i] ^= 1 << c
             self.value -= 1
 
+    leave = pop
+
     def snapshot(self):
         return self.rows[:self.n]
 
@@ -498,7 +623,8 @@ def _dfs(st, best, witness, node_budget):
 
     Subtrees where value + (limit - depth) <= best are skipped, and so are
     those below a move where value + slack <= best (the state's own bound,
-    which holds once a move is made); the search stops once best reaches
+    which holds once a move is made). It backs out of a cut move by `pop`
+    and out of a searched one by `leave`; the search stops once best reaches
     `limit` and sets `truncated` only when `node_budget` (0: none) runs out,
     checked before every candidate.
 
@@ -508,7 +634,7 @@ def _dfs(st, best, witness, node_budget):
     straight path of any depth costs one copy.
     """
     nodes, limit = 0, st.limit
-    push, pop, candidates = st.try_push, st.pop, st.candidates
+    push, pop, leave, candidates = st.try_push, st.pop, st.leave, st.candidates
     stack = [iter(candidates())] if st.value + (limit - st.depth) > best else []
     while stack:  # witness None: the current state is a best not yet copied
         for c in stack[-1]:
@@ -534,7 +660,7 @@ def _dfs(st, best, witness, node_budget):
             if stack:
                 if witness is None:
                     witness = st.snapshot()
-                pop()
+                leave()
     return best, witness, nodes, False
 
 

@@ -24,7 +24,8 @@ Every search bound is derived here only and passed to the kernels: each
 result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
 from which the CLI's `estimated_nodes` is computed. Below the ceiling, the
 DS searches (lambda, lambda-blocks) cap the runs of every letter pair at
-s + 1, the alternation budget that the kernels track
+s + 1, the alternation budget that the kernels track, and bound each
+state by a table of relabeled states that each kernel call keeps
 (`_kernels_py.SeqState`); `oracle_pattern` runs an alternation as the DS
 search it is.
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the construction grid, random-instance generators, the
-brute-force matrix oracle, the compiled kernel twin built from this
-checkout, and fixtures that route the oracles through either twin."""
+brute-force matrix oracle, the exact DP over relabeled DS states, the
+compiled kernel twin built from this checkout, and fixtures that route the
+oracles through either twin."""
 
 import importlib.util
 import os
@@ -9,7 +10,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,38 @@ def brute_ex_matrix(n, m, P):
         if not matrix_contains_brute(M, P):
             best = max(best, M.ones_count)
     return best
+
+
+def ds_longest(n, s, j):
+    """The longest j-sparse DS sequence of order s >= 1 on n letters, by a
+    DP over relabeled states with no bound: the search kernels' table key
+    (`_kernels_py.SeqState`), computed here on its own. A state is the used
+    count u and the runs of each pair of used letters by recency rank (0 the
+    most recent), pairs in the order (0, 1), (0, 2), ..., (u-2, u-1). A used
+    letter of rank r may come next iff r >= min(u, j - 1), with j at least 2;
+    it starts a run with each more recent letter, and a new letter has 2
+    runs with each used one. The pushed letter takes rank 0."""
+    jeff, memo = max(j, 2), {}
+
+    def longest(u, runs):
+        if (u, runs) not in memo:
+            pairs = dict(zip(combinations(range(u), 2), runs))
+            best = 0
+            for r in range(min(u, jeff - 1), u + (u < n)):  # rank u: a new letter
+                moved = lambda a: 0 if a == r else a + (a < r)  # the rank after the push
+                after = {}
+                for (a, b), k in pairs.items():
+                    after[tuple(sorted((moved(a), moved(b))))] = k + (b == r)
+                for a in range(u) if r == u else ():
+                    after[0, moved(a)] = 2
+                if all(k <= s + 1 for k in after.values()):
+                    size = u + (r == u)
+                    child = tuple(after[p] for p in combinations(range(size), 2))
+                    best = max(best, 1 + longest(size, child))
+            memo[u, runs] = best
+        return memo[u, runs]
+
+    return longest(0, ())
 
 
 ROOT = Path(__file__).resolve().parents[1]

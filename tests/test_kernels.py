@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from conftest import brute_ex_matrix, random_sequence
+from conftest import brute_ex_matrix, ds_longest, random_sequence
 from seqext import _kernels_py as pure
 from seqext import backends, checks, matrices, oracles
 from seqext.backends import backend_name
@@ -43,6 +43,9 @@ SEQ_CASES = [
     dict(mode=pure.MODE_PATTERN, n=3, j=2, ceiling=27, pattern=(2, 1, 2)),
 ]
 
+# the capacity of the table of relabeled states, before any test patches it
+STATES = pure.MAX_STATES
+
 MATRIX_CASES = [
     (2, 2, (3, 3), 2, 2),
     (3, 3, (3, 3), 2, 2),
@@ -72,6 +75,14 @@ class TestBackendEquality:
             compiled.matrix_search(n, m, p_rows, pn, pm)
         )
 
+    @pytest.mark.parametrize("states", [0, 1, 5, 50, STATES])
+    def test_table_capacities_identical(self, compiled, monkeypatch, states):
+        # a table that fills stores its first keys only, in both twins alike
+        monkeypatch.setattr(pure, "MAX_STATES", states)
+        for kw in SEQ_CASES:
+            if kw["mode"] == pure.MODE_DS:
+                assert pure.seq_search(**kw) == tuple(compiled.seq_search(**kw)), kw
+
     def test_prefix_and_budget_identical(self, compiled):
         kw = dict(mode=pure.MODE_DS, n=4, j=2, ceiling=19, s=3)
         for extra in (
@@ -83,7 +94,7 @@ class TestBackendEquality:
                 compiled.seq_search(**kw, **extra)
             )
         for search, args, budget in (
-            ("seq_search", (pure.MODE_DS, 5, 2, 31), dict(s=3, node_budget=5000)),
+            ("seq_search", (pure.MODE_DS, 5, 2, 31), dict(s=3, node_budget=1000)),
             ("matrix_search", (4, 4, (3, 3), 2, 2), dict(node_budget=100)),
         ):
             res = getattr(pure, search)(*args, **budget)
@@ -320,12 +331,21 @@ def test_checks_return_the_derived_inputs():
     # P taller than the host: no row of it is searched, so no 1 is refused
     checked = pure.check_matrix_search(2, 4, (1, 1, 1), 3, 1)
     assert checked[9:] == ((0, 0, 0), -1, True, False, (0, 4, 8))
-    # DS mode: 2-sparse, s + 1 runs per letter pair, slack (s + 1) C(n, 2)
+    # DS mode: 2-sparse, s + 1 runs per letter pair, slack (s + 1) C(n, 2),
+    # a table of MAX_STATES relabeled states
     checked = pure.check_seq_search(pure.MODE_DS, 4, 1, 9, s=2)
-    assert checked[11:] == (2, 3, 18)
+    assert checked[11:] == (2, 3, 18, pure.MAX_STATES)
     assert pure.check_seq_search(*checked[:11]) == checked
     checked = pure.check_seq_search(pure.MODE_PATTERN, 4, 1, 9, pattern=(1, 2, 1))
-    assert checked[11:] == (1, None, pure.MAX_CEILING)
+    assert checked[11:] == (1, None, pure.MAX_CEILING, 0)
+    assert pure.check_seq_search(pure.MODE_FORMATION, 4, 2, 9, s=2, r=2)[14] == 0
+    # no table when a state key may not fit 64 bits: (n + 1) (s + 1)^C(n, 2),
+    # times (m + 2) (n + 1) with a block budget m, must stay below 2^64
+    for n, s, m, fits in ((11, 1, 0, True), (12, 1, 0, False), (8, 3, 0, True),
+                          (9, 3, 0, False), (7, 3, 2**31 - 1, False), (7, 3, 64, True),
+                          (60, 0, 0, True), (3, -1, 0, False)):
+        states = pure.check_seq_search(pure.MODE_DS, n, 2, 9, s=s, max_blocks=m)[14]
+        assert states == (pure.MAX_STATES if fits else 0), (n, s, m)
 
 
 def test_one_argument_check_per_pure_kernel_call(monkeypatch):
@@ -349,7 +369,10 @@ def test_backend_name_known():
     assert backend_name() in ("pure", "compiled")
 
 
-def test_backend_differential_fuzz(compiled):
+def test_backend_differential_fuzz(compiled, monkeypatch):
+    """Both twins return the same tuple, node count included, on random
+    searches; DS searches draw the table's capacity: whole, a few entries
+    (full), or none. Both twins read it through `check_seq_search`."""
     rng = random.Random(987654)
     for _ in range(150):
         mode = rng.choice([pure.MODE_DS, pure.MODE_DS, pure.MODE_FORMATION, pure.MODE_PATTERN])
@@ -360,6 +383,7 @@ def test_backend_differential_fuzz(compiled):
             kw["ceiling"] = rng.randint(0, 18)
             if rng.random() < 0.4:
                 kw["max_blocks"] = rng.randint(1, 4)
+            monkeypatch.setattr(pure, "MAX_STATES", rng.choice((STATES, rng.randint(1, 6), 0)))
         elif mode == pure.MODE_FORMATION:
             kw["r"] = rng.randint(1, 4)
             kw["s"] = rng.randint(1, 3)
@@ -575,37 +599,106 @@ class TestStateMatchesCheckers:
 
 class _NoBudget(pure.SeqState):
     """A sequence state whose alternation budget never prunes: its slack is
-    MAX_CEILING."""
+    MAX_CEILING. Run with the table off, it is the search without either."""
 
     slack = property(lambda self: pure.MAX_CEILING, lambda self, value: None)
 
 
+# lambda_4(5) = 22 and the witness every search of it finds
+LAMBDA_4_5 = (22, [1, 2, 1, 2, 3, 2, 4, 2, 4, 3, 4, 1, 4, 5, 4, 5, 1, 5, 3, 5, 3, 1])
+# (n, s, j, blocks): DS searches on every n <= 5, s <= 4, j in {2, 3}, up to 3 blocks
+BUDGET_GRID = list(product(range(1, 6), range(1, 5), (2, 3), range(4)))
+
+
+def _grid_kw(n, s, j, blocks):
+    """The DS search of a `BUDGET_GRID` case under the oracles' ceiling."""
+    ceiling = s * comb(n, 2) + 1
+    if blocks:
+        ceiling = min(ceiling, n * blocks)
+    return dict(mode=pure.MODE_DS, n=n, j=j, ceiling=ceiling, s=s, max_blocks=blocks)
+
+
 def test_alternation_budget_against_unbudgeted_search(monkeypatch):
-    """The budget changes no value, witness or truncation flag of a DS
-    search, with or without a block budget, and never adds a node."""
-
-    def search(n, s, j, blocks):
-        ceiling = s * comb(n, 2) + 1
-        if blocks:
-            ceiling = min(ceiling, n * blocks)
-        return pure.seq_search(pure.MODE_DS, n, j, ceiling, s=s, max_blocks=blocks)
-
+    """The budget and the table of relabeled states change no value,
+    witness or truncation flag of a DS search, with or without a block
+    budget, and never add a node."""
     # DS searches are at least 2-sparse, so j = 1 is the j = 2 search
     assert pure.SeqState(pure.MODE_DS, 3, 1).jeff == pure.SeqState(pure.MODE_DS, 3, 2).jeff
-    grid = list(product(range(1, 6), range(1, 5), (2, 3), range(4)))
-    budgeted = [search(*case) for case in grid]
+    budgeted = [pure.seq_search(**_grid_kw(*case)) for case in BUDGET_GRID]
+    monkeypatch.setattr(pure, "MAX_STATES", 0)
     monkeypatch.setattr(pure, "SeqState", _NoBudget)
-    for case, res in zip(grid, budgeted):
+    for case, res in zip(BUDGET_GRID, budgeted):
         if case == (5, 4, 2, 0):
-            # lambda_4(5) without the budget: 1,633,625 nodes, about 10 s on
-            # the pure twin, so that search's result is pinned, not rerun
-            ref = (22, [1, 2, 1, 2, 3, 2, 4, 2, 4, 3, 4, 1, 4, 5, 4, 5, 1, 5, 3, 5, 3, 1],
-                   1_633_625, False)
+            # lambda_4(5) without the budget or the table: 1,633,625 nodes,
+            # about 10 s on the pure twin, so that search's result is pinned
+            ref = (*LAMBDA_4_5, 1_633_625, False)
         else:
-            ref = search(*case)
+            ref = pure.seq_search(**_grid_kw(*case))
         assert (res[0], res[1], res[3]) == (ref[0], ref[1], ref[3]), case
         assert res[2] <= ref[2], case
-    assert budgeted[grid.index((5, 4, 2, 0))][2] == 1_443_083
+    assert budgeted[BUDGET_GRID.index((5, 4, 2, 0))] == (*LAMBDA_4_5, 33_988, False)
+
+
+def _table_sizes(monkeypatch, kw, sizes=(STATES, 4, 0)):
+    """The pure search of `kw` with the table of relabeled states at each
+    capacity of `sizes`: whole, full after a few entries, and off."""
+    outcomes = []
+    for states in sizes:
+        monkeypatch.setattr(pure, "MAX_STATES", states)
+        outcomes.append(_outcome(pure.seq_search, kw))
+    return outcomes
+
+
+def _same_search(on, off, what):
+    """`on` finds the value, witness and truncation flag of `off`, in no more nodes."""
+    assert on == off == "ValueError" or (on[:2], on[3]) == (off[:2], off[3]), what
+    assert on == "ValueError" or on[2] <= off[2], what
+
+
+def test_table_against_no_table(monkeypatch):
+    """The table of relabeled states, whole or full, changes no value,
+    witness or truncation flag of a DS search and never adds a node: on the
+    budget grid and on random searches with ceilings below the maximum,
+    block budgets, forced prefixes and seeds."""
+    for case in BUDGET_GRID:
+        kw = _grid_kw(*case)
+        if case == (5, 4, 2, 0):
+            # without the table: 1,443,083 nodes, about 8 s, so pinned
+            on, = _table_sizes(monkeypatch, kw, (STATES,))
+            _same_search(on, (*LAMBDA_4_5, 1_443_083, False), case)
+            continue
+        on, full, off = _table_sizes(monkeypatch, kw)
+        _same_search(on, off, case)
+        _same_search(full, off, case)
+    rng = random.Random(2024)
+    for _ in range(300):
+        n, s = rng.choice([(n, s) for n in range(1, 6) for s in range(1, 5) if (n, s) != (5, 4)])
+        kw = dict(mode=pure.MODE_DS, n=n, j=rng.randint(1, 3), s=s,
+                  ceiling=rng.randint(0, s * comb(n, 2) + 1))
+        if rng.random() < 0.4:
+            kw["max_blocks"] = rng.randint(1, 6)
+        if rng.random() < 0.4:
+            kw["prefix"] = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.3:
+            kw["initial_best"] = rng.randint(-1, 15)
+        on, full, off = _table_sizes(monkeypatch, kw)
+        _same_search(on, off, kw)
+        _same_search(full, off, kw)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_twins_match_the_relabeled_state_dp(compiled, n):
+    """Both twins find the exact DP's value for every s <= 4 and j <= 3."""
+    for s, j in product(range(1, 5), (1, 2, 3)):
+        kw = dict(mode=pure.MODE_DS, n=n, j=j, ceiling=s * comb(n, 2) + 1, s=s)
+        res = pure.seq_search(**kw)
+        assert (res[0], res[3]) == (ds_longest(n, s, j), False), (s, j)
+        assert tuple(compiled.seq_search(**kw)) == res, (s, j)
+
+
+def test_relabeled_state_dp_matches_oeis():
+    # OEIS A002004: lambda_3(n), the longest DS sequence of order 3
+    assert [ds_longest(n, 3, 2) for n in range(1, 7)] == [1, 4, 8, 12, 17, 22]
 
 
 def test_pattern_mode_ignores_s(compiled):
