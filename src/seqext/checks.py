@@ -11,22 +11,25 @@ The maxima cost about the size of their answer, not one whole scan per
 subset or pair, and miss nothing:
 
 * `max_formation_length` lists each letter's positions once. The greedy scan
-  for one r-subset only ever looks at that subset's own letters, so walking
-  their merged positions visits exactly the tokens a whole-sequence scan
-  would act on, in the same order.
-* `max_alternation` counts runs in one recency scan. A token a opens a new
-  run of the pair {a, b} exactly when b occurred since the previous a, so
-  crediting one run to each such pair counts every run once; a pair whose
-  second letter has just appeared has two runs and needs no entry until it
-  switches again.
+  for one r-subset completes a permutation exactly at the latest of its
+  letters' first occurrences after the previous completion, and it ends when
+  some letter has none left. So one `bisect_right` per letter finds each
+  completion, and the scan never walks the tokens between two of them.
+* `max_alternation` counts switches in one recency scan. A repeated token a
+  opens a new run of the pair {a, b} exactly when b occurred since the
+  previous a, so it credits into[a][b] for each b after a in recency order.
+  The first occurrences of a and b open the pair's first two runs, and every
+  later run is opened by such a repeat, of a or of b. So a pair of letters
+  that both occur has 2 + into[a][b] + into[b][a] runs, and only the final
+  pass over the rows looks at pairs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from ._kernels_py import MAX_SUBSETS
@@ -82,25 +85,30 @@ def max_alternation(seq: Sequence) -> int:
 
     `recent` holds the letters by last occurrence, oldest first; the letters
     after tok in it are those seen since tok's previous occurrence.
+    `into[a][b]` counts the runs of {a, b} that a opened after the first two.
     """
     recent: dict[int, None] = {}
-    runs: dict[tuple[int, int], int] = {}  # pairs with 3 or more runs
-    best = 0
+    into: dict[int, dict[int, int]] = {}
     for tok in seq.tokens:
         if tok in recent:
+            row = into[tok]
             for b in reversed(recent):
                 if b == tok:
                     break
-                pair = (tok, b) if tok < b else (b, tok)
-                count = runs.get(pair, 2) + 1
-                runs[pair] = count
-                if count > best:
-                    best = count
+                row[b] = row.get(b, 0) + 1
             del recent[tok]
-        elif recent and best < 2:
-            best = 2
+        else:
+            into[tok] = {}
         recent[tok] = None
-    return best
+    if len(recent) < 2:
+        return 0
+    best = 0
+    for a, row in into.items():
+        for b, count in row.items():
+            count += into[b].get(a, 0)
+            if count > best:
+                best = count
+    return 2 + best
 
 
 def is_ds(seq: Sequence, s: int) -> bool:
@@ -193,15 +201,14 @@ def max_formation_length(
 
     Subsets whose least-frequent letter occurs no more often than the best
     value found so far cannot improve it (each permutation uses every letter
-    once), so they are skipped without scanning. Each scanned subset walks
-    only the merged positions of its own letters. `record` collects the
-    (letters, value) pairs actually scanned.
+    once), so they are skipped without scanning. Each scanned subset jumps
+    from one completed permutation to the next through its letters'
+    positions. `record` collects the (letters, value) pairs actually scanned.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    toks = seq.tokens
     positions: dict[int, list[int]] = defaultdict(list)
-    for i, tok in enumerate(toks):
+    for i, tok in enumerate(seq.tokens):
         positions[tok].append(i)
     letters = sorted(positions, key=lambda tok: (-len(positions[tok]), tok))
     if len(letters) < r:
@@ -214,20 +221,30 @@ def max_formation_length(
     for combo in combinations(letters, r):
         if len(positions[combo[-1]]) <= best:  # letters ordered by occurrence count
             continue
-        seen: set[int] = set()  # formation_length's greedy scan, on combo's tokens only
-        val = 0
-        for i in sorted(chain.from_iterable(positions[tok] for tok in combo)):
-            tok = toks[i]
-            if tok not in seen:
-                seen.add(tok)
-                if len(seen) == r:
-                    val += 1
-                    seen.clear()
+        val = _greedy_formations([positions[tok] for tok in combo])
         if record is not None:
             record.append((combo, val))
         if val > best:
             best = val
     return best
+
+
+def _greedy_formations(lists: list[list[int]]) -> int:
+    """formation_length's greedy count, from each letter's sorted positions:
+    the next permutation completes at the latest first occurrence after the
+    previous completion, and none does once some letter has no such
+    occurrence."""
+    val, end = 0, -1
+    while True:
+        nxt = end
+        for lst in lists:
+            k = bisect_right(lst, end)
+            if k == len(lst):
+                return val
+            if lst[k] > nxt:
+                nxt = lst[k]
+        val += 1
+        end = nxt
 
 
 def avoids_all_formations(seq: Sequence, r: int, s: int) -> bool:

@@ -236,7 +236,7 @@ def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
     ok_color = True
     for level in range(r, q + 1):
         H = construct.level_hypergraph(trace, level)
-        if H.max_pairwise_intersection() > r - 1:
+        if H.meets_in(r):
             ok_inter = False
         if level < q:
             col = construct.level_coloring(trace, level)
@@ -279,6 +279,11 @@ def _cmd_verify(args) -> int:
             s = int(rest)
             if s < 1:
                 raise ValueError("s must be >= 1")
+            if blocked is None and len(flat.alphabet) < len(flat):
+                raise ValueError(
+                    f"{spec} needs a blocked file ('|' between blocks): "
+                    "this file has no blocks and repeats a letter"
+                )
             target = blocked if blocked is not None else BlockedSequence((flat.tokens,))
             cooc = matrices.max_pair_cooccurrence(target)
             report.check(f"lambda-prime:{s}", cooc <= s, cooc, s)

@@ -5,17 +5,25 @@ With n vertices the greedy coloring needs at most k^y n / y! colors: each
 edge meets at most floor((n-k)/(k-y)) earlier edges at each of its C(k, y)
 y-subsets, and C(k, y) (n-k)/(k-y) < k^y n / y! for all 1 <= y < k.
 
-Two edges that meet in y or more vertices share a y-subset. So one index
-that lists every edge under each of its y-subsets finds, for each edge, every
-earlier edge it could conflict with or over-intersect, and the coloring, its
-validation and the pairwise-intersection maximum look only at those pairs
-(with y = 1 that is every pair that meets at all). The tests check all three
-against all-pairs references.
+Two edges that meet in y or more vertices share C(|e & f|, y) y-subsets,
+which is 1 exactly when they meet in y vertices. So one index that lists
+every edge under each of its y-subsets finds, for each edge, every earlier
+edge it could conflict with or over-intersect, and the greedy coloring and
+the pairwise-intersection maximum look only at those pairs (with y = 1 that
+is every pair that meets at all).
+
+The witness checkers ask less. `validate_coloring` keys its index by
+(color, y-subset), so it meets only the same-colored pairs that share a
+y-subset: every pair that could break the coloring, and in a valid witness
+almost no other. `Hypergraph.meets_in(r)` asks only whether two edges meet in
+r or more vertices. Two edges do exactly when some r-subset lies in both, so
+an index of r-subsets answers at its first repeated key and lists no pair.
+The tests check all of these against all-pairs references.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterator
 from itertools import chain, combinations
 from math import factorial
@@ -59,6 +67,16 @@ class Hypergraph(Frozen):
             if shared:
                 best = max(best, max(shared.values()))
         return best
+
+    def meets_in(self, r: int) -> bool:
+        """True iff two edges meet in r or more vertices."""
+        seen: set[tuple[int, ...]] = set()
+        for edge in self.edges:
+            for key in combinations(sorted(edge), r):
+                if key in seen:
+                    return True
+                seen.add(key)
+        return False
 
 
 def _earlier_neighbours(
@@ -122,10 +140,14 @@ def greedy_edge_coloring(H: Hypergraph, y: int) -> EdgeColoring:
 
 def validate_coloring(H: Hypergraph, coloring: EdgeColoring) -> bool:
     """True iff no two edges with intersection exactly y share a color."""
-    y, colors = coloring.y, coloring.colors
-    for i, shared in _earlier_neighbours(H.edges, y):
-        color = colors[i]
-        for k in shared:
-            if colors[k] == color and len(H.edges[i] & H.edges[k]) == y:
-                return False
+    y = coloring.y
+    index: dict[int, dict[tuple[int, ...], list[frozenset[int]]]] = defaultdict(dict)
+    for i, edge in enumerate(H.edges):
+        same_color = index[coloring.colors[i]]
+        for key in combinations(sorted(edge), y):
+            earlier = same_color.setdefault(key, [])
+            for f in earlier:
+                if len(edge & f) == y:
+                    return False
+            earlier.append(edge)
     return True

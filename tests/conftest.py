@@ -47,15 +47,19 @@ def random_sequence(rng: random.Random, max_alpha: int = 5, max_len: int = 20) -
     return Sequence(tuple(rng.randint(1, alpha) for _ in range(length)))
 
 
-def random_hypergraph(rng: random.Random, max_k: int = 5, max_n: int = 12):
-    """A k-uniform hypergraph with pairwise intersections <= y, plus its y."""
+def random_hypergraph(
+    rng: random.Random, max_k: int = 5, max_n: int = 12, max_y: int | None = None,
+    bounded: bool = True,
+):
+    """A k-uniform hypergraph plus a y < k (at most max_y); when bounded, its
+    pairwise intersections are <= y."""
     k = rng.randint(2, max_k)
-    y = rng.randint(1, k - 1)
+    y = rng.randint(1, k - 1 if max_y is None else min(max_y, k - 1))
     n = rng.randint(k, max_n)
     edges: list[frozenset] = []
     for _ in range(rng.randint(1, 3 * n)):
         e = frozenset(rng.sample(range(1, n + 1), k))
-        if all(len(e & f) <= y for f in edges):
+        if not bounded or all(len(e & f) <= y for f in edges):
             edges.append(e)
     return Hypergraph(n, k, tuple(edges)), y
 

@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from conftest import random_sequence
-from seqext.construct import pad_to_alphabet
+from seqext.construct import build_block_witness, pad_to_alphabet
 from seqext.checks import (
     alternation_length,
     avoids_all_formations,
@@ -20,6 +20,7 @@ from seqext.errors import CapExceededError
 from seqext.sequences import (
     PatternSequence,
     Sequence,
+    flatten,
     normalize,
     parse_pattern,
     parse_sequence,
@@ -125,6 +126,62 @@ class TestAlternation:
         padded = pad_to_alphabet(base, 600)
         assert max_alternation(padded) == max_alternation(base) == 4
         assert max_alternation(pad_to_alphabet(seq("1"), 600)) == 2
+
+
+def reference_is_ds(s, order):
+    """The definition: no two equal adjacent letters, no alternation of length order + 2."""
+    toks = s.tokens
+    no_repeat = all(a != b for a, b in zip(toks, toks[1:]))
+    return no_repeat and reference_max_alternation(s) < order + 2
+
+
+def one_way_switches(rng, count):
+    """Random sequences cut so that one letter occurs only once: each pair with
+    it switches in one direction only."""
+    for _ in range(count):
+        s = random_sequence(rng, max_alpha=6, max_len=30)
+        if len(s.alphabet) < 2:
+            continue
+        lone = rng.choice(sorted(s.alphabet))
+        toks = list(s.tokens)
+        keep = toks.index(lone) if rng.random() < 0.5 else len(toks) - 1 - toks[::-1].index(lone)
+        yield Sequence(tuple(t for i, t in enumerate(toks) if t != lone or i == keep))
+
+
+def wide_inputs(rng):
+    """Inputs outside `differential_inputs`' small alphabets."""
+    for n in range(2, 31):
+        for s in sorted({1, 2, n}):
+            yield flatten(build_block_witness(n, s))
+    for _ in range(12):
+        ids = rng.sample(range(1, 10**9 + 1), rng.randint(20, 60))
+        yield Sequence(tuple(rng.choice(ids) for _ in range(rng.randint(20, 200))))
+    for length in (1999, 2000, 3001):
+        a, b = rng.sample(range(1, 10**9 + 1), 2)
+        yield Sequence(((a, b) * length)[:length])
+        toks = [a, b] * (length // 2)
+        for i in sorted(rng.sample(range(len(toks)), 20), reverse=True):  # repeats add no run
+            toks.insert(i, toks[i])
+        yield Sequence(tuple(toks) + (7,))
+    for _ in range(40):
+        s = random_sequence(rng, max_alpha=8, max_len=40)
+        yield pad_to_alphabet(s, len(s.alphabet) + rng.randint(20, 50))
+    yield from one_way_switches(rng, 100)
+
+
+class TestAlternationBeyondTheFuzz:
+    def test_one_way_examples(self):
+        assert max_alternation(seq("1 2 1")) == 3
+        assert max_alternation(seq("1 2 2 2 1 1")) == 3
+        assert max_alternation(seq("2 1 3 1 3 1")) == 5
+
+    def test_against_the_pairwise_scan_and_the_definition(self):
+        rng = random.Random(2025)
+        for s in wide_inputs(rng):
+            expect = reference_max_alternation(s)
+            assert max_alternation(s) == expect
+            for order in {1, 2, 3, max(1, expect - 2), max(1, expect - 1)}:
+                assert is_ds(s, order) == reference_is_ds(s, order)
 
 
 class TestDs:

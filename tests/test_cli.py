@@ -88,6 +88,25 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(f), "ds:3", "lambda-prime:3")
         assert code == 0
 
+    def test_lambda_prime_on_an_unblocked_file(self, capsys, tmp_path):
+        f = tmp_path / "flat.seq"
+        f.write_text("1 2 1 3 2\n")
+        code, out, err = run(capsys, "verify", str(f), "lambda-prime:2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: lambda-prime:2 needs a blocked file ('|' between blocks): "
+            "this file has no blocks and repeats a letter\n"
+        )
+        f.write_text(" ".join(["1 2"] * 50_000) + "\n")  # no tokens are echoed
+        code, _, err = run(capsys, "verify", str(f), "lambda-prime:2")
+        assert code == 2 and len(err) < 120
+        f.write_text("1 2 3\n")  # without a repeat it is one block, as before
+        code, payload, _ = run_json(capsys, "verify", str(f), "lambda-prime:2")
+        assert code == 0
+        assert payload["checks"] == [
+            {"name": "lambda-prime:2", "pass": True, "measured": 1, "bound": 2}
+        ]
+
     def test_pattern_check(self, capsys, tmp_path):
         f = tmp_path / "s.seq"
         f.write_text("1 2 1 3 1\n")  # max alternation 3: avoids (ab)^2

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import random_hypergraph
+from seqext.cli import Report, _verify_formation_witness
 from seqext.coloring import (
     EdgeColoring,
     Hypergraph,
@@ -10,7 +12,13 @@ from seqext.coloring import (
     validate_coloring,
     within_color_budget,
 )
-from seqext.construct import level_coloring, level_hypergraph
+from seqext.construct import (
+    ConstructionTrace,
+    Troop,
+    level_coloring,
+    level_hypergraph,
+    sequence_from_trace,
+)
 
 
 def H(n, k, *edges):
@@ -165,3 +173,114 @@ class TestIndexedAgainstAllPairs:
             assert_matches_references(g, y, EdgeColoring(y, colors, len(set(colors))))
             with pytest.raises(ValueError, match="intersect in"):
                 greedy_edge_coloring(g, y)
+
+
+def with_coloring_conflict(g, coloring, rng):
+    """The coloring with one pair of edges that meet in exactly y vertices
+    recolored alike; None when no pair meets in y."""
+    pairs = [
+        (i, k) for i, k in combinations(range(len(g.edges)), 2)
+        if len(g.edges[i] & g.edges[k]) == coloring.y
+    ]
+    if not pairs:
+        return None
+    i, k = rng.choice(pairs)
+    colors = list(coloring.colors)
+    colors[k] = colors[i]
+    return EdgeColoring(coloring.y, tuple(colors), len(set(colors)))
+
+
+def merged_over_y(g, y):
+    """A valid coloring that gives edges meeting in more than y vertices one
+    color wherever the all-pairs reference allows it."""
+    colors = list(range(1, len(g.edges) + 1))
+    for i, k in combinations(range(len(g.edges)), 2):
+        if len(g.edges[i] & g.edges[k]) > y:
+            trial = colors[:k] + [colors[i]] + colors[k + 1:]
+            if reference_validate(g, EdgeColoring(y, tuple(trial), len(set(trial)))):
+                colors = trial
+    return EdgeColoring(y, tuple(colors), len(set(colors)))
+
+
+class TestWitnessCheckersAgainstAllPairs:
+    def test_validate_on_three_kinds_of_coloring(self):
+        rng = random.Random(53)
+        conflicts = shared_over_y = 0
+        for _ in range(300):
+            g, y = random_hypergraph(rng, max_n=10, max_y=3)
+            valid = greedy_edge_coloring(g, y)
+            assert validate_coloring(g, valid) and reference_validate(g, valid)
+            bad = with_coloring_conflict(g, valid, rng)
+            if bad is not None:
+                assert not validate_coloring(g, bad) and not reference_validate(g, bad)
+                conflicts += 1
+            g, y = random_hypergraph(rng, max_n=10, max_y=3, bounded=False)
+            merged = merged_over_y(g, y)
+            assert validate_coloring(g, merged) and reference_validate(g, merged)
+            shared_over_y += any(
+                merged.colors[i] == merged.colors[k] and len(g.edges[i] & g.edges[k]) > y
+                for i, k in combinations(range(len(g.edges)), 2)
+            )
+        assert conflicts > 100 and shared_over_y > 100
+
+    def test_subset_predicate(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            g, _y = random_hypergraph(rng, max_n=10, bounded=rng.random() < 0.5)
+            top = reference_max_intersection(g)
+            for r in range(1, g.uniformity + 2):
+                assert g.meets_in(r) == (top >= r)
+
+
+def troop_checks(trace):
+    """The troop-intersections and level-colorings results of the CLI's witness check."""
+    report = Report("construct formation", {})
+    _verify_formation_witness(report, sequence_from_trace(trace), trace)
+    passed = {c["name"]: c["pass"] for c in report.checks}
+    return passed["troop-intersections"], passed["level-colorings"]
+
+
+def reference_troop_checks(trace):
+    r, q = trace.r, trace.q
+    graphs = {level: level_hypergraph(trace, level) for level in range(r, q + 1)}
+    inter = all(reference_max_intersection(g) <= r - 1 for g in graphs.values())
+    colorings = True
+    for level in range(r, q):
+        g, col = graphs[level], level_coloring(trace, level)
+        colorings &= reference_validate(g, col) and within_color_budget(
+            col.color_count, level, r - 1, g.vertex_count
+        )
+    return inter, colorings
+
+
+class TestFormationWitnessCheck:
+    def test_r3_witnesses_pass(self, grid_builds):
+        for (r, _q, _x, _t), _seq, trace in grid_builds:
+            if r == 3:
+                assert troop_checks(trace) == reference_troop_checks(trace) == (True, True)
+
+    def test_corrupted_traces(self):
+        overlapping = ConstructionTrace(  # two troops on the letters 1 2
+            r=2, q=3, x=3, t=1,
+            troops=(Troop((1, 2, 3), 1), Troop((1, 2, 4), 1)),
+            letter_count=4, color_letters_per_level={3: (4,)},
+        )
+        # troops (1,2) and (1,3) meet in r-1 = 1 letter yet both got color letter 5
+        miscolored = ConstructionTrace(
+            r=2, q=3, x=3, t=1,
+            troops=(Troop((1, 2, 5), 1), Troop((1, 3, 5), 1), Troop((2, 3, 4), 1)),
+            letter_count=5, color_letters_per_level={3: (4, 5)},
+        )
+        # a color per troop: 15 colors on 6 letters, over the budget 2^1 6 / 1! = 12
+        pairs = list(combinations(range(1, 7), 2))
+        over_budget = ConstructionTrace(
+            r=2, q=3, x=6, t=1,
+            troops=tuple(Troop(p + (7 + i,), 1) for i, p in enumerate(pairs)),
+            letter_count=21, color_letters_per_level={3: tuple(range(7, 22))},
+        )
+        for trace, expect in (
+            (overlapping, (False, True)),
+            (miscolored, (False, False)),
+            (over_budget, (True, False)),
+        ):
+            assert troop_checks(trace) == reference_troop_checks(trace) == expect
