@@ -318,6 +318,7 @@ def _cmd_oracle(args) -> int:
         report.results["witness"] = render_matrix(res.witness)
     report.results["nodes_explored"] = res.nodes_explored
     report.results["exhausted"] = res.exhausted
+    report.results["threads_used"] = res.threads_used
     return report.emit(args.json)
 
 
@@ -412,8 +413,9 @@ def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
         sp.add_argument("--override-caps", action="store_true",
                         help="lift the default search-size caps")
         sp.add_argument("--threads", type=int, default=1,
-                        help="processes for oracle search, this one included; the eldest "
-                             "subtree seeds the rest (results are schedule-independent)")
+                        help="processes for oracle search, this one included; a search "
+                             "splits only when it outruns a serial probe (results are "
+                             "the serial ones; threads_used reports the processes used)")
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:

@@ -31,18 +31,17 @@ search it is.
 
 Every kernel search runs through `_search`, which takes the kernel its
 caller looked up on `backends`: serially on one kernel call, or, with
-threads > 1, split at a shallow frontier into prefixes. The frontier
-(`_kernels_py.frontier`) enumerates the search state of the very call it
-splits, built from the same keywords, ceiling and row table included. The
-eldest prefix is searched first, in this process; the others run on a
-fork pool (`_forkpool`, K - 1 children with this process as the K-th
-worker), each seeded with the eldest's value when it beats the
-frontier's. The merge keeps the first result that beats the running
-best, so value and witness are the serial ones: a search seeded below the
-final value still meets the first state of that value in DFS order, and
-one seeded at it adds nothing the eldest or the frontier had not met
-first. A node budget is a total: a budgeted search always runs in one
-process. A node is one accepted move of the kernel: a letter or a matrix
+threads > 1, serial first. A probe of `_SPLIT_PROBE_NODES` nodes that
+finishes is the answer, and no process is forked: each kernel call keeps
+its own table of relabeled states, so a split walks more nodes than the
+serial search and pays only on a long one. A search past the probe is
+split at a shallow frontier (`_kernels_py.frontier`, on the state of the
+very call it splits) into prefixes, searched on a fork pool (`_forkpool`)
+with the eldest first, in this process; value and witness are the serial
+ones whatever the schedule (the argument is in `_search`), and
+`ExtremalResult.threads_used` says how many processes searched. A node
+budget is a total: a budgeted search always runs in one process, with no
+probe. A node is one accepted move of the kernel: a letter or a matrix
 cell. Lambda-prime is ex(n, m, R_{2,s+1}) and runs as that matrix search.
 
 `oracle_ex_matrix` solves ex(k, m, P) for k = 1..n in one loop, each
@@ -92,15 +91,20 @@ FORMATION_CEILING_BITS = 10_000
 
 _SEQ_SPLIT_DEPTH = 4
 _MATRIX_SPLIT_DEPTH = 6
+# the nodes a threads > 1 search walks serially before it splits: about
+# 0.1 s on the pure twin and a few ms compiled; 0 would mean no budget
+_SPLIT_PROBE_NODES = 2**15
 
 
 class ExtremalResult(Frozen):
     """Outcome of an extremal search: the value, a witness achieving it, the
     number of explored nodes, whether the search space was exhausted (the
-    node budget held, so the value is exact), and the proven ceiling
-    (longest sequence or most ones) the search ran under."""
+    node budget held, so the value is exact), the proven ceiling (longest
+    sequence or most ones) the search ran under, and the processes that
+    searched (1 unless a threads > 1 search ran past its serial probe and
+    split)."""
 
-    _fields = ("value", "witness", "nodes_explored", "exhausted", "ceiling")
+    _fields = ("value", "witness", "nodes_explored", "exhausted", "ceiling", "threads_used")
 
     def __init__(
         self,
@@ -109,8 +113,9 @@ class ExtremalResult(Frozen):
         nodes_explored: int,
         exhausted: bool,
         ceiling: int,
+        threads_used: int = 1,
     ) -> None:
-        self._init(value, witness, nodes_explored, exhausted, ceiling)
+        self._init(value, witness, nodes_explored, exhausted, ceiling, threads_used)
 
 
 def lambda_ceiling(n: int, s: int) -> int:
@@ -211,36 +216,50 @@ def ProcessPoolExecutor(max_workers: int):
 
 def _search(search, kw: dict, threads: int, frontier):
     """Run `search(**kw)`, a kernel the caller looked up on `backends`, and
-    return (best, witness, nodes, truncated).
+    return (best, witness, nodes, truncated, processes).
 
-    With threads > 1, `frontier(kw)` builds the state of that very call and
-    enumerates its admissible prefixes of the split depth (no deeper than
-    the state's limit), each a move tuple for the kernel's `prefix`, in DFS
-    order. The eldest prefix is searched here first, seeded with the
-    frontier's best value; every other prefix becomes a pool task seeded
-    with the larger of that and the eldest's best, so it prunes from the
-    start what the eldest would have let it prune serially. The merge keeps
-    the first result that beats the running best. That is the serial
-    witness: a search returns the first state, in DFS order, of the largest
-    value it meets above its seed, and a seed below the final value hides no
-    state of that value, so the first task to reach it holds its first
-    state; a sibling seeded at the final value reports nothing, as the
-    eldest or the frontier met that value first. Seeds, and so node counts,
-    do not depend on the schedule. A search with a node budget runs
-    serially, so the budget bounds the total node count. Frontiers and
-    `ProcessPoolExecutor` are looked up at call time, so they can be
-    patched on this module."""
+    With threads > 1 the call first runs as a probe under a budget of
+    `_SPLIT_PROBE_NODES` nodes; a probe that finishes is returned as the
+    serial answer on one process. Otherwise `frontier(kw)` builds the state
+    of that very call and enumerates its admissible prefixes of the split
+    depth (no deeper than the state's limit), each a move tuple for the
+    kernel's `prefix`, in DFS order. The running best starts at the larger
+    of the probe's and the frontier's; on a tie the probe's witness wins,
+    as it is the first state of its value in serial DFS order (before it,
+    the probe cut only subtrees bounded below that value). The eldest
+    prefix is searched here first, seeded with that best; every other
+    prefix becomes a pool task seeded with the larger of that and the
+    eldest's best, so it prunes from the start what the eldest would have
+    let it prune serially. The merge keeps the first result that beats the running best. That is
+    the serial witness: a search returns the first state, in DFS order, of
+    the largest value it meets above its seed, and a seed below the final
+    value hides no state of that value, so the first task to reach it holds
+    its first state; a sibling seeded at the final value reports nothing,
+    as the probe, the eldest or the frontier met that value first. Seeds,
+    and so node counts, do not depend on the schedule; the nodes are the
+    probe's, the frontier's and the prefixes'. A search with a node budget
+    runs serially with no probe, so the budget bounds the total node count.
+    The probe budget, frontiers and `ProcessPoolExecutor` are looked up at
+    call time, so they can be patched on this module."""
     _check_threads(threads)
     if threads == 1 or kw["node_budget"]:
-        return search(**kw)
+        return (*search(**kw), 1)
+    probe_best, probe_witness, probe_nodes, truncated = search(
+        **dict(kw, node_budget=_SPLIT_PROBE_NODES))
+    if not truncated:
+        return probe_best, probe_witness, probe_nodes, False, 1
     prefixes, best, witness, nodes = frontier(kw)
-    results = []
+    if probe_best >= best:
+        best, witness = probe_best, probe_witness
+    nodes += probe_nodes
+    results, processes = [], 1
     if prefixes:
         results.append(search(**kw, initial_best=best, prefix=prefixes[0]))
         seed = max(best, results[0][0])
         siblings = prefixes[1:]
         if siblings:
-            with ProcessPoolExecutor(max_workers=_pool_size(threads, siblings)) as pool:
+            processes = _pool_size(threads, siblings)
+            with ProcessPoolExecutor(max_workers=processes) as pool:
                 results += pool.map(lambda p: search(**kw, initial_best=seed, prefix=p), siblings)
     truncated = False
     for b, w, nd, tr in results:
@@ -249,7 +268,7 @@ def _search(search, kw: dict, threads: int, frontier):
         if b > best:
             best = b
             witness = w
-    return best, witness, nodes, truncated
+    return best, witness, nodes, truncated, processes
 
 
 def _seq_frontier(kw: dict, depth: int = _SEQ_SPLIT_DEPTH):
@@ -264,11 +283,11 @@ def _seq_oracle(
     `witness_of(tokens)`, re-checked by its length and `valid(witness)`; the
     value is exact when the budget did not run out."""
     kw = dict(kw, ceiling=ceiling, node_budget=node_budget)
-    best, toks, nodes, truncated = _search(backends.seq_search, kw, threads, _seq_frontier)
+    best, toks, nodes, truncated, used = _search(backends.seq_search, kw, threads, _seq_frontier)
     witness = witness_of(tuple(toks))
     if not (len(witness) == best and valid(witness)):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated, ceiling)
+    return ExtremalResult(best, witness, nodes, not truncated, ceiling, used)
 
 
 def oracle_lambda(
@@ -439,7 +458,7 @@ def oracle_ex_matrix(
             continue
         kw = dict(n=k, m=m, p_rows=P.rows, pn=P.n, pm=P.m, row_bounds=tuple(table),
                   node_budget=node_budget - nodes if node_budget else 0)
-        best, wit_rows, nd, truncated = _search(
+        best, wit_rows, nd, truncated, used = _search(
             backends.matrix_search, kw, threads if k == n else 1, _matrix_frontier
         )
         nodes += nd
@@ -450,7 +469,7 @@ def oracle_ex_matrix(
     witness = ZeroOneMatrix(n, m, tuple(wit_rows) + (0,) * (n - k))
     if not (witness.ones_count == best and not matrices.matrix_contains(witness, P)):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(best, witness, nodes, not truncated, n * m)
+    return ExtremalResult(best, witness, nodes, not truncated, n * m, used)
 
 
 def oracle_lambda_prime(
@@ -479,4 +498,5 @@ def oracle_lambda_prime(
     bw = BlockedSequence(tuple(b for b in matrices.matrix_to_blocked(res.witness).blocks if b))
     if not (len(bw) == res.value and matrices.max_pair_cooccurrence(bw) <= s):
         raise RuntimeError("internal error: witness failed independent re-check")
-    return ExtremalResult(res.value, bw, res.nodes_explored, res.exhausted, res.ceiling)
+    return ExtremalResult(res.value, bw, res.nodes_explored, res.exhausted, res.ceiling,
+                          res.threads_used)

@@ -17,6 +17,7 @@ from seqext.errors import CapExceededError
 from seqext.matrices import all_ones
 from seqext.oracles import (
     FORMATION_CEILING_BITS,
+    ExtremalResult,
     formation_ceiling,
     lambda_ceiling,
     oracle_ex_matrix,
@@ -542,6 +543,18 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def split_always(monkeypatch):
+    """A serial probe of one node, so that every threads > 1 search of more
+    than one node splits, however small."""
+    monkeypatch.setattr(oracles, "_SPLIT_PROBE_NODES", 1)
+
+
+def answer(res):
+    """A result's fields but for the processes that searched."""
+    return res.value, res.witness, res.nodes_explored, res.exhausted, res.ceiling
+
+
 def patch_cpus(monkeypatch, cpus):
     """Let this process run on `cpus` of the machine's 64 CPUs; with None,
     neither count is known."""
@@ -554,11 +567,12 @@ def patch_cpus(monkeypatch, cpus):
         monkeypatch.setattr(oracles.os, "cpu_count", lambda: 64)
 
 
+@pytest.mark.usefixtures("split_always")
 class TestPoolSize:
     """The pool never exceeds the task count or the CPUs this process may
     run on; the split, and so the value, witness and node count, do not
-    depend on its size. The eldest prefix runs before the pool, so it is no
-    task."""
+    depend on its size, and `threads_used` is its size. The eldest prefix
+    runs before the pool, so it is no task."""
 
     @pytest.mark.parametrize("cpus", [None, 1, 2, 64])
     def test_lambda(self, pool_sizes, monkeypatch, cpus):
@@ -568,7 +582,8 @@ class TestPoolSize:
         reference = oracle_lambda(4, 2, threads=2)
         res = oracle_lambda(4, 2, threads=10**6)
         assert pool_sizes == [min(2, tasks, cpus or 1), min(tasks, cpus or 1)]
-        assert res == reference
+        assert [reference.threads_used, res.threads_used] == pool_sizes
+        assert answer(res) == answer(reference)
 
     @pytest.mark.parametrize("cpus", [1, 64])
     def test_ex_matrix(self, pool_sizes, monkeypatch, cpus):
@@ -579,7 +594,8 @@ class TestPoolSize:
         reference = oracle_ex_matrix(4, 4, P, threads=2)
         res = oracle_ex_matrix(4, 4, P, threads=10**6)
         assert pool_sizes == [min(2, cpus), min(tasks, cpus)]
-        assert res == reference
+        assert [reference.threads_used, res.threads_used] == pool_sizes
+        assert answer(res) == answer(reference)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(oracles.os, "sched_getaffinity", raising=False)
@@ -589,8 +605,12 @@ class TestPoolSize:
     def test_empty_frontier(self, pool_sizes):
         # the ceiling is 1 * 2^2 = 4, and any two distinct letters make a
         # (2, 1)-formation, so no 2-sparse prefix reaches the depth of 4:
-        # no tasks at all, and no pool
-        assert oracle_formation(2, 2, 1, 2, threads=4) == oracle_formation(2, 2, 1, 2)
+        # no tasks at all, and no pool. The one-node probe stops before its
+        # second candidate, and the frontier walks the whole tree again
+        serial = oracle_formation(2, 2, 1, 2)
+        res = oracle_formation(2, 2, 1, 2, threads=4)
+        assert res == ExtremalResult(serial.value, serial.witness, serial.nodes_explored + 1,
+                                     True, serial.ceiling)
         assert pool_sizes == []
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
@@ -608,10 +628,20 @@ class TestPoolSize:
         assert oracle(*args, threads=2) == oracle(*args)
         assert pool_sizes == []
 
+    def test_frontier_stops_at_the_limit(self, pool_sizes):
+        """The trees above end inside the probe; lambda_1(2) with j = 1 has
+        the ceiling 2, so its frontier stops at depth 2 with one prefix."""
+        kw = dict(mode=_kernels_py.MODE_DS, n=2, j=1, s=1, ceiling=2)
+        assert oracles._seq_frontier(kw)[0] == [(1, 2)]
+        res = oracle_lambda(2, 1, 1, threads=2)
+        assert (res.value, res.witness, res.threads_used) == (2, Sequence((1, 2)), 1)
+        assert res.nodes_explored > oracle_lambda(2, 1, 1).nodes_explored and pool_sizes == []
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_search_calls_through_module_attributes(self, pool_sizes, monkeypatch, threads):
         """Frontiers and kernels are looked up on their modules at call time,
-        so wrappers patched onto them (as by an external tracer) see every call."""
+        so wrappers patched onto them (as by an external tracer) see every
+        call: with threads > 1 the probe, then the split."""
         calls = []
 
         def counting(owner, name):
@@ -633,8 +663,9 @@ class TestPoolSize:
             assert calls == ["seq_search", "matrix_search", "matrix_search"] and pool_sizes == []
         else:
             k = calls.index("_matrix_frontier")
-            assert calls[0] == "_seq_frontier" and set(calls[1:k - 1]) == {"seq_search"}
-            assert calls[k - 1] == "matrix_search"  # the table, serially
+            assert calls[:2] == ["seq_search", "_seq_frontier"]
+            assert set(calls[2:k - 2]) == {"seq_search"}
+            assert calls[k - 2:k] == ["matrix_search"] * 2  # the table, serially, then the probe
             assert set(calls[k + 1:]) == {"matrix_search"} and len(pool_sizes) == 2
 
 
@@ -674,7 +705,7 @@ def in_a_child(monkeypatch, tmp_path):
                 act()
             else:
                 calls.append(kw)
-                if len(calls) == 2:  # the eldest prefix ran before the pool
+                if len(calls) == 3:  # the probe and the eldest prefix ran before the pool
                     deadline = time.monotonic() + 60
                     while not started.exists() and time.monotonic() < deadline:
                         time.sleep(0.01)
@@ -690,9 +721,11 @@ def raise_zero_division():
     raise ZeroDivisionError("raised in a pool process")
 
 
+@pytest.mark.usefixtures("split_always")
 class TestForkPool:
     """A split search runs the eldest prefix first, then the others on K - 1
-    forked children and this process; no process outlives the call."""
+    forked children and this process; no process outlives the call. The
+    probe budget is one node, so that these instances split."""
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     @pytest.mark.parametrize("name", list(SPLIT_INSTANCES))
@@ -706,10 +739,29 @@ class TestForkPool:
                 serial.value, serial.witness, serial.exhausted), threads
         assert_no_child_left()
 
+    @pytest.mark.parametrize("budget", [7, 64, 1000])
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("name", list(SPLIT_INSTANCES))
+    def test_every_probe_budget_gives_the_serial_answer(self, request, monkeypatch, backend,
+                                                        name, budget):
+        """The probe seeds the split with the first state of its value; the
+        budget of one node is the class's own, in the test above."""
+        request.getfixturevalue(f"{backend}_backend")
+        monkeypatch.setattr(oracles, "_SPLIT_PROBE_NODES", budget)
+        oracle, args = SPLIT_INSTANCES[name]
+        serial = oracle(*args, override_caps=True)
+        for threads in (2, 3):
+            res = oracle(*args, override_caps=True, threads=threads)
+            assert (res.value, res.witness, res.exhausted) == (
+                serial.value, serial.witness, serial.exhausted), threads
+        assert_no_child_left()
+
     def test_eldest_prefix_seeds_its_siblings(self):
         # each kernel call keeps its own table of relabeled states, so the
-        # split walks more than the serial 5,799
-        assert oracle_lambda(4, 5, override_caps=True, threads=2).nodes_explored == 11_276
+        # split walks more than the serial 5,799: the one-node probe, then
+        # the 11,276 nodes of the frontier and the prefixes
+        res = oracle_lambda(4, 5, override_caps=True, threads=2)
+        assert (res.nodes_explored, res.threads_used) == (11_277, 2)
 
     def test_map_keeps_task_order(self):
         from seqext._forkpool import ForkPool
@@ -760,7 +812,7 @@ class TestForkPool:
 
         def kernel(**kw):
             result = waiting(**kw)
-            if len(calls) == 2:
+            if len(calls) == 3:
                 raise exc("raised in the parent")
             return result
 
@@ -776,6 +828,47 @@ class TestForkPool:
         with pytest.raises(ValueError, match="os.fork"):
             oracle_lambda(3, 2, threads=2)
         assert oracle_lambda(3, 2).value == 5
+
+
+class TestSerialFirst:
+    """At the default probe budget a threads > 1 search that finishes in
+    its probe is the serial search, node for node, on one process."""
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("name", list(SPLIT_INSTANCES))
+    def test_split_instances_run_serially(self, request, pool_sizes, backend, name):
+        request.getfixturevalue(f"{backend}_backend")
+        oracle, args = SPLIT_INSTANCES[name]
+        serial = oracle(*args, override_caps=True)
+        res = oracle(*args, override_caps=True, threads=2)
+        assert res == serial and res.threads_used == 1 and pool_sizes == []
+
+    @pytest.mark.parametrize("oracle, args, kernel", [
+        (oracle_lambda, (5, 4), "seq_search"),
+        (oracle_ex_matrix, (2, 12, all_ones(2, 2)), "matrix_search"),  # one row count searched
+    ])
+    def test_a_node_budget_makes_one_kernel_call(self, monkeypatch, pool_sizes, oracle, args,
+                                                 kernel):
+        calls, real = [], getattr(backends, kernel)
+        monkeypatch.setattr(backends, kernel, lambda **kw: calls.append(kw) or real(**kw))
+        monkeypatch.setattr(oracles, "_SPLIT_PROBE_NODES", 1)
+        res = oracle(*args, override_caps=True, threads=2, node_budget=100)
+        assert [kw["node_budget"] for kw in calls] == [100] and "prefix" not in calls[0]
+        assert (res.nodes_explored, res.exhausted, res.threads_used) == (100, False, 1)
+        assert pool_sizes == []
+
+    def test_a_search_past_the_probe_splits(self, compiled_backend):
+        """Past 2^15 nodes the split runs, probe included in the node count."""
+        M = matrices.parse_matrix("10\n11")
+        args = (5, 5, matrices.MatrixPattern(M.n, M.m, M.rows))
+        serial = oracle_ex_matrix(*args, override_caps=True)
+        res = oracle_ex_matrix(*args, override_caps=True, threads=2)
+        assert (res.value, res.witness, res.exhausted) == (
+            serial.value, serial.witness, serial.exhausted)
+        assert serial.nodes_explored > oracles._SPLIT_PROBE_NODES
+        assert res.nodes_explored > serial.nodes_explored
+        assert res.threads_used == oracles._pool_size(2, [(), ()])
+        assert_no_child_left()
 
 
 class TestCeiling:

@@ -92,17 +92,20 @@ class TestImports:
 
     def test_threads_load_the_pool(self):
         """A split search loads the fork pool, and neither `concurrent.futures`
-        nor `multiprocessing`."""
-        code = ("import sys; from seqext import oracles; "
-                "a = oracles.oracle_ex_matrix(4, 4, oracles.matrices.all_ones(2, 2)); "
+        nor `multiprocessing`; a threads=2 search that finishes in its serial
+        probe loads none of them. A one-node probe makes this one split."""
+        code = ("import sys; from seqext import oracles; P = oracles.matrices.all_ones(2, 2); "
+                "a = oracles.oracle_ex_matrix(4, 4, P); "
+                "b = oracles.oracle_ex_matrix(4, 4, P, threads=2); "
                 "before = 'seqext._forkpool' in sys.modules; "
-                "b = oracles.oracle_ex_matrix(4, 4, oracles.matrices.all_ones(2, 2), threads=2); "
-                "print(((a.value, a.witness.rows), (b.value, b.witness.rows), before, "
+                "oracles._SPLIT_PROBE_NODES = 1; "
+                "c = oracles.oracle_ex_matrix(4, 4, P, threads=2); "
+                "print(([(r.value, r.witness.rows) for r in (a, b, c)], b == a, before, "
                 "'seqext._forkpool' in sys.modules, "
                 f"{loaded(('concurrent.futures', 'multiprocessing'))}))")
-        serial, threaded, before, after, pool_modules = fresh(code)
-        assert serial == threaded and serial[0] == 9
-        assert (before, after, pool_modules) == (False, True, [])
+        answers, probe_is_serial, before, after, pool_modules = fresh(code)
+        assert answers[0] == answers[1] == answers[2] and answers[0][0] == 9
+        assert (probe_is_serial, before, after, pool_modules) == (True, False, True, [])
 
 
 class TestExports:

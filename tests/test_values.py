@@ -25,11 +25,11 @@ VALUES = [
      "ZeroOneMatrix(n=2, m=2, rows=(1, 3))"),
     (MatrixPattern, (1, 2, (2,)), {"n": 1, "m": 2, "rows": (2,)},
      "MatrixPattern(n=1, m=2, rows=(2,))"),
-    (ExtremalResult, (3, Sequence((1, 2, 1)), 5, True, 7),
+    (ExtremalResult, (3, Sequence((1, 2, 1)), 5, True, 7, 2),
      {"value": 3, "witness": Sequence((1, 2, 1)), "nodes_explored": 5, "exhausted": True,
-      "ceiling": 7},
+      "ceiling": 7, "threads_used": 2},
      "ExtremalResult(value=3, witness=Sequence(tokens=(1, 2, 1)), nodes_explored=5, "
-     "exhausted=True, ceiling=7)"),
+     "exhausted=True, ceiling=7, threads_used=2)"),
     (Hypergraph, (3, 2, (frozenset({1, 2}),)),
      {"vertex_count": 3, "uniformity": 2, "edges": (frozenset({1, 2}),)},
      "Hypergraph(vertex_count=3, uniformity=2, edges=(frozenset({1, 2}),))"),
