@@ -30,7 +30,6 @@ typedef unsigned long long u64;
 
 enum { MODE_DS = 0, MODE_FORMATION = 1, MODE_PATTERN = 2 };
 
-#define MAX_LETTERS 60
 /* Searches poll for Ctrl-C once every 2^20 nodes. */
 #define SIGNAL_MASK ((1LL << 20) - 1)
 
@@ -295,7 +294,7 @@ static void seq_free(SeqKernel *k)
 
 static int formation_init(SeqKernel *k, int r)
 {
-    int n = k->n, comb[MAX_LETTERS];
+    int n = k->n, comb[64]; /* an r-subset of letters, each a bit of a u64 mask */
     u64 nsubs = 0;
     size_t pos = 0;
     if (r >= 1 && r <= n) {

@@ -40,7 +40,7 @@ _ALLONES_RE = re.compile(r"^R(\d+),(\d+)$")
 # one. The parser, the option checks, the report params and the oracle calls
 # all read this table.
 _READS = {
-    "construct": {"formation": "r q x t", "ds-sparse": "n s j c?", "block": "n s"},
+    "construct": {"formation": "r q x t", "ds-sparse": "n s j", "block": "n s"},
     "oracle": {"lambda": "n s j?", "formation": "n r s j", "pattern": "pattern j n",
                "lambda-blocks": "n s m", "lambda-prime": "n s m", "ex-matrix": "n m pattern"},
     "bound": {"kst": "n m a b", "ds-ceiling": "n s j?", "formation-ceiling": "n r s j?"},
@@ -52,7 +52,6 @@ _READS = {
 _FLAGS = {
     "n": (int, {"convert": "row count override for blocks-to-matrix"}),
     **{name: (int, {}) for name in "m a b s r q x t j".split()},
-    "c": (float, {"construct": "ds-sparse constant (default 1.0)"}),
     "pattern": (str, {"oracle": "pattern: Ra,b | (ab)^s | file | inline text"}),
 }
 
@@ -175,10 +174,8 @@ def _cmd_construct(args) -> int:
             _write(args.out + ".trace", construct.trace_report(trace))
             report.results["files"] = f"{args.out}.seq {args.out}.trace"
     elif kind == "ds-sparse":
-        if params["c"] is None:
-            params["c"] = 1.0
-        n, s, j, c = params.values()
-        seq = construct.build_ds_sparse_witness(n, s, j, c)
+        n, s, j = params.values()
+        seq = construct.build_ds_sparse_witness(n, s, j)
         report.check("letters", len(seq.alphabet) == n, len(seq.alphabet), n)
         report.check(f"sparse:{j}", checks.is_sparse(seq, j))
         _check_ds(report, seq, s)
@@ -307,16 +304,13 @@ def _cmd_oracle(args) -> int:
         params["pattern"] = render_matrix(P).replace("\n", "/")
     oracle = getattr(oracles, "oracle_" + fn.replace("-", "_"))
     res = oracle(*values.values(), override_caps=args.override_caps, threads=args.threads)
-    if args.override_caps:  # an answer that explored no node, n < j say, searched no tree
-        kind = "matrix" if fn in ("ex-matrix", "lambda-prime") else "seq"
-        report.results["estimated_nodes"] = (
-            oracles.estimate_nodes(kind, params["n"], res.ceiling) if res.nodes_explored else 0.0)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
     else:
         report.results["witness"] = render_matrix(res.witness)
     report.results["nodes_explored"] = res.nodes_explored
+    report.results["ceiling"] = res.ceiling
     report.results["exhausted"] = res.exhausted
     report.results["threads_used"] = res.threads_used
     return report.emit(args.json)

@@ -22,7 +22,7 @@ blocks.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, factorial, floor
+from math import comb, factorial
 
 from .coloring import EdgeColoring, Hypergraph, greedy_edge_coloring
 from .errors import InfeasibleError
@@ -232,24 +232,22 @@ def pad_to_alphabet(seq: Sequence, n: int) -> Sequence:
     return Sequence(seq.tokens + extra)
 
 
-def choose_params(n: int, s: int, c: float, r: int, q: int) -> tuple[int, int]:
-    """Pick (x, t) with x ~ c n / (4 (q!)^(r-1)) and t = floor(s/2) - 1, then
+def choose_params(n: int, s: int, r: int, q: int) -> tuple[int, int]:
+    """Pick (x, t) with x ~ n / (4 (q!)^(r-1)) and t = floor(s/2) - 1, then
     enforce the two witness requirements by adjusting x:
 
       2 C(x-1, r-1) + t + 1 <= s   (the witness avoids all (r, s)-formations)
       (q!)^(r-1) x <= n            (letter budget fits the target alphabet)
 
-    x is raised to r when the rounded value falls below it, and lowered while
-    the requirements fail. Raises InfeasibleError when no x in [r, ...] works.
+    x starts at a quarter of what the letter budget allows, but at most s/2:
+    an x > r has C(x-1, r-1) >= x-1, so above s/2 it fails the first
+    requirement. It is raised to r when below it, and lowered while the
+    requirements fail. Raises InfeasibleError when no x in [r, ...] works.
     """
-    if not 0 < c <= 1:
-        raise ValueError("c must lie in (0, 1]")
     if q < r or r < 2:
         raise ValueError("need q >= r >= 2")
     budget = factorial(q) ** (r - 1)
-    x = floor(c * n / (4 * budget))
-    if x < r:
-        x = r
+    x = max(min(n // (4 * budget), s // 2), r)
     t = s // 2 - 1
     if t < 1:
         raise InfeasibleError(f"t = floor({s}/2) - 1 < 1")
@@ -258,27 +256,25 @@ def choose_params(n: int, s: int, c: float, r: int, q: int) -> tuple[int, int]:
     ):
         x -= 1
     if x < r:
-        raise InfeasibleError(
-            f"no feasible x >= {r} for n={n} s={s} c={c} r={r} q={q}"
-        )
+        raise InfeasibleError(f"no feasible x >= {r} for n={n} s={s} r={r} q={q}")
     return x, t
 
 
-def ds_sparse_params(n: int, s: int, j: int, c: float = 1.0) -> tuple[int, int]:
+def ds_sparse_params(n: int, s: int, j: int) -> tuple[int, int]:
     """Parameters for a j-sparse order-s witness.
 
     An alternation of length s+2 contains floor((s+2)/2) full permutations of
     its two letters, so avoiding all (2, floor(s/2)+1)-formations caps the
     alternation at s+1; the formation target is floor(s/2)+1, not s.
     """
-    return choose_params(n, s // 2 + 1, c, 2, j)
+    return choose_params(n, s // 2 + 1, 2, j)
 
 
-def build_ds_sparse_witness(n: int, s: int, j: int, c: float = 1.0) -> Sequence:
+def build_ds_sparse_witness(n: int, s: int, j: int) -> Sequence:
     """A j-sparse order-s Davenport-Schinzel sequence on exactly n letters."""
     if j < 2:
         raise ValueError("need j >= 2")
-    x, t = ds_sparse_params(n, s, j, c)
+    x, t = ds_sparse_params(n, s, j)
     seq, _trace = build_formation_witness(2, j, x, t)
     return pad_to_alphabet(seq, n)
 

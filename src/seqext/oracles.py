@@ -22,12 +22,11 @@ is n or r - 1 (r_u - 1) letters at most, and 1..value attains it.
 
 Every search bound is derived here only and passed to the kernels: each
 result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
-from which the CLI's `estimated_nodes` is computed. Below the ceiling, the
-DS searches (lambda, lambda-blocks) cap the runs of every letter pair at
-s + 1, the alternation budget that the kernels track, and bound each
-state by a table of relabeled states that each kernel call keeps
-(`_kernels_py.SeqState`); `oracle_pattern` runs an alternation as the DS
-search it is.
+which every CLI `oracle` report prints. Below the ceiling, the DS searches
+(lambda, lambda-blocks) cap the runs of every letter pair at s + 1, the
+alternation budget that the kernels track, and bound each state by a table
+of relabeled states that each kernel call keeps (`_kernels_py.SeqState`);
+`oracle_pattern` runs an alternation as the DS search it is.
 
 Every kernel search runs through `_search`, which takes the kernel its
 caller looked up on `backends`: serially on one kernel call, or, with
@@ -76,7 +75,6 @@ __all__ = [
     "oracle_ex_matrix",
     "lambda_ceiling",
     "formation_ceiling",
-    "estimate_nodes",
 ]
 
 LAMBDA_CAPS = {"n": 5, "s": 4}
@@ -102,7 +100,10 @@ class ExtremalResult(Frozen):
     node budget held, so the value is exact), the proven ceiling (longest
     sequence or most ones) the search ran under, and the processes that
     searched (1 unless a threads > 1 search ran past its serial probe and
-    split)."""
+    split). The ceiling is `lambda_ceiling` for lambda (capped at n m for
+    lambda-blocks), `formation_ceiling` for formation and pattern, the n m
+    cells for ex-matrix and lambda-prime, and n for an answer on n < j
+    letters; a CLI `oracle` report prints it beside `nodes_explored`."""
 
     _fields = ("value", "witness", "nodes_explored", "exhausted", "ceiling", "threads_used")
 
@@ -172,22 +173,6 @@ def _check_caps(caps: dict[str, int], values: dict[str, int], override: bool) ->
             raise CapExceededError(
                 f"{name}={values[name]} exceeds default cap {cap}", "override_caps=True"
             )
-
-
-def estimate_nodes(kind: str, n: int, ceiling: int) -> float:
-    """Crude upper estimate of search-tree size, for cap-override warnings:
-    a "matrix" search has `ceiling` binary cells, a "seq" search draws up to
-    `ceiling` tokens from n letters."""
-    if kind == "matrix":
-        return 2.0 ** min(ceiling + 1, 1000)
-    total = 0.0
-    width = 1.0
-    for _ in range(ceiling):
-        width *= n
-        total += width
-        if total > 1e300:
-            break
-    return total
 
 
 def _check_threads(threads: int) -> None:

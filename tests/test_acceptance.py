@@ -171,7 +171,7 @@ def test_criterion_10_choose_params_soundness():
         for n in (24, 48):
             s = n
             for q in (2, 3):
-                x, t = choose_params(n, s, 1.0, 2, q)
+                x, t = choose_params(n, s, 2, q)
                 assert 2 * comb(x - 1, 1) + t + 1 <= s
                 assert factorial(q) * x <= n
                 seq, trace = build_formation_witness(2, q, x, t)

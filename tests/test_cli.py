@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit-status contract, file IO, JSON stability."""
 
+import hashlib
 import json
 import random
 import re
@@ -10,7 +11,8 @@ from conftest import random_sequence
 from seqext import checks, oracles
 from seqext.cli import main
 from seqext.errors import CapExceededError
-from seqext.sequences import render
+from seqext.matrices import all_ones
+from seqext.sequences import parse_pattern, render
 
 
 def run(capsys, *argv):
@@ -56,13 +58,29 @@ class TestConstruct:
         )
         assert code == 0
         assert all(c["pass"] for c in payload["checks"])
-        assert payload["params"]["c"] == 1.0
+        assert payload["params"] == {"n": 48, "s": 24, "j": 2}
 
-    def test_ds_sparse_reads_c(self, capsys):
+    # sha256 of the rendered witness, first 16 hex digits
+    @pytest.mark.parametrize("n, s, j, tokens, digest", [
+        (48, 24, 2, 104, "a56a9eab89c19f27"),
+        (600, 8, 3, 600, "d3f579513eb8dba6"),
+        (100, 1000, 3, 4575, "77a4a11bbc4be80e"),
+        (5, 6, 2, 5, "2deb4db564eb7bf6"),
+    ])
+    def test_ds_sparse_witness_pinned(self, capsys, n, s, j, tokens, digest):
         code, payload, _ = run_json(
-            capsys, "construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2", "--c", "1.0"
+            capsys, "construct", "ds-sparse", "--n", str(n), "--s", str(s), "--j", str(j)
         )
-        assert code == 0 and payload["params"]["c"] == 1.0
+        witness = payload["results"]["witness"]
+        assert (code, len(witness.split())) == (0, tokens)
+        assert hashlib.sha256(witness.encode()).hexdigest()[:16] == digest
+
+    def test_ds_sparse_takes_no_c(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2", "--c", "1.0"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --c 1.0" in captured.err
 
     def test_missing_params_exit_2(self, capsys):
         code, _, err = run(capsys, "construct", "formation", "--r", "2")
@@ -291,14 +309,15 @@ class TestOracle:
         assert code == 2
         assert err == "error: n=6 exceeds default cap 5; pass --override-caps to force the search\n"
 
-    def test_override_caps_reports_estimate(self, capsys):
+    def test_override_caps_reports_the_ceiling(self, capsys):
         code, payload, _ = run_json(
             capsys, "oracle", "lambda",
             "--n", "6", "--s", "1", "--j", "2", "--override-caps",
         )
         assert code == 0
         assert payload["results"]["value"] == 6
-        assert payload["results"]["estimated_nodes"] > 0
+        # s C(n, 2) + 1, as without the flag
+        assert payload["results"]["ceiling"] == 16 == oracles.lambda_ceiling(6, 1)
 
     def test_threads_match_serial(self, capsys):
         _, serial, _ = run_json(
@@ -311,20 +330,32 @@ class TestOracle:
         assert serial["results"]["value"] == par["results"]["value"]
         assert serial["results"]["witness"] == par["results"]["witness"]
 
-    def test_estimate_uses_the_search_ceiling(self, capsys):
-        # n < j: the answer 2 needs no search, so no tree is left to estimate
-        code, payload, _ = run_json(
-            capsys, "oracle", "formation",
-            "--n", "2", "--r", "2", "--s", "2", "--j", "3", "--override-caps",
-        )
-        assert code == 0 and payload["results"]["estimated_nodes"] == 0
-        assert payload["results"]["nodes_explored"] == 0
-        # lambda-prime searches the n x m matrix: 2^(n m + 1)
-        code, payload, _ = run_json(
-            capsys, "oracle", "lambda-prime",
-            "--n", "3", "--s", "1", "--m", "3", "--override-caps",
-        )
-        assert code == 0 and payload["results"]["estimated_nodes"] == 2.0**10
+    @pytest.mark.parametrize("kind, options, args, ceiling", [
+        ("lambda", {"n": "3", "s": "2"}, (3, 2), 7),
+        ("formation", {"n": "3", "r": "2", "s": "2", "j": "2"}, (3, 2, 2, 2), 18),
+        # n < j: the answer 2 needs no search, and its ceiling is n
+        ("formation", {"n": "2", "r": "2", "s": "2", "j": "3"}, (2, 2, 2, 3), 2),
+        ("pattern", {"pattern": "1 2 1", "n": "3", "j": "2"}, (parse_pattern("1 2 1"), 2, 3), 27),
+        ("lambda-blocks", {"n": "3", "s": "2", "m": "2"}, (3, 2, 2), 6),
+        # lambda-prime searches the n x m matrix
+        ("lambda-prime", {"n": "3", "s": "1", "m": "3"}, (3, 1, 3), 9),
+        ("ex-matrix", {"n": "3", "m": "3", "pattern": "R2,2"}, (3, 3, all_ones(2, 2)), 9),
+    ], ids=["lambda", "formation", "formation-n-below-j", "pattern", "lambda-blocks",
+            "lambda-prime", "ex-matrix"])
+    def test_report_carries_the_search_ceiling(self, capsys, kind, options, args, ceiling):
+        """Every oracle report has the same keys with and without
+        --override-caps, and its ceiling and node count are the library's."""
+        flags = [word for name, value in options.items() for word in (f"--{name}", value)]
+        code, plain, _ = run_json(capsys, "oracle", kind, *flags)
+        lifted_code, lifted, _ = run_json(capsys, "oracle", kind, *flags, "--override-caps")
+        assert (code, lifted_code) == (0, 0)
+        assert sorted(plain["results"]) == sorted(lifted["results"]) == [
+            "ceiling", "exhausted", "nodes_explored", "threads_used", "value", "witness"]
+        res = getattr(oracles, "oracle_" + kind.replace("-", "_"))(*args)
+        assert plain["results"]["ceiling"] == lifted["results"]["ceiling"] == res.ceiling == ceiling
+        assert plain["results"]["nodes_explored"] == res.nodes_explored
+        if args == (2, 2, 2, 3):  # n < j: answered without a search
+            assert res.nodes_explored == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -376,6 +407,8 @@ BIG = str(10**400)
         ("construct", "block", "--n", BIG, "--s", "1"),
         ("construct", "formation", "--r", "2", "--q", "2", "--x", BIG, "--t", "1"),
         ("construct", "ds-sparse", "--n", BIG, "--s", "8", "--j", "3"),
+        # past 2^53 but within a float's range: x starts at most at s/2
+        ("construct", "ds-sparse", "--n", str(10**300), "--s", "8", "--j", "3"),
         ("oracle", "ex-matrix", "--n", "2", "--m", "2", "--pattern", f"R{BIG},2"),
         # no finite answer (j < r), refused before the caps; more letters
         # than any sequence oracle holds (n < j); a ceiling s n^r of more
@@ -388,7 +421,7 @@ BIG = str(10**400)
          "--j", "1000000", "--override-caps"),
         ("bound", "formation-ceiling", "--n", "1000000", "--r", "1000000", "--s", "2"),
     ],
-    ids=["kst-m", "kst-n", "block", "formation", "ds-sparse", "ex-matrix",
+    ids=["kst-m", "kst-n", "block", "formation", "ds-sparse", "ds-sparse-float-range", "ex-matrix",
          "oracle-formation", "oracle-formation-n-below-j", "oracle-formation-ceiling-bits",
          "bound-formation-ceiling-bits"],
 )
@@ -550,7 +583,7 @@ FULL_LINES = [
     ("construct", "formation", {"r": "2", "q": "3", "x": "3", "t": "2"},
      "construct formation  r=2 q=3 x=3 t=2"),
     ("construct", "ds-sparse", {"n": "48", "s": "24", "j": "2"},
-     "construct ds-sparse  n=48 s=24 j=2 c=1.0"),
+     "construct ds-sparse  n=48 s=24 j=2"),
     ("construct", "block", {"n": "4", "s": "3"},
      "construct block  n=4 s=3"),
     ("oracle", "lambda", {"n": "3", "s": "2"},
@@ -604,8 +637,8 @@ def test_report_header(capsys, command, kind, options, header):
      "oracle ex-matrix does not take --j"),
     (("construct", "block", "--n", "4", "--s", "3", "--x", "99"),
      "construct block does not take --x"),
-    (("construct", "formation", "--r", "2", "--q", "3", "--x", "3", "--t", "2", "--c", "2"),
-     "construct formation does not take --c"),
+    (("construct", "formation", "--r", "2", "--q", "3", "--x", "3", "--t", "2", "--j", "2"),
+     "construct formation does not take --j"),
     (("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--s", "5", "--j", "9"),
      "bound kst does not take --s"),
     (("bound", "ds-ceiling", "--n", "3", "--s", "2", "--r", "2"),
@@ -645,7 +678,7 @@ def test_search_options_only_on_searches(capsys, argv):
 
 
 @pytest.mark.parametrize("command, shown", [
-    ("construct", ["{formation,ds-sparse,block}", "--c C", "ds-sparse constant", "--out OUT"]),
+    ("construct", ["{formation,ds-sparse,block}", "--j J", "--out OUT"]),
     ("verify", ["file", "CHECK [CHECK ...]", "sparse:J ds:S"]),
     ("oracle", ["--pattern PATTERN", "--override-caps", "--threads THREADS"]),
     ("bound", ["{kst,ds-ceiling,formation-ceiling}", "--compare-oracle", "--threads THREADS"]),

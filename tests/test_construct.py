@@ -193,29 +193,35 @@ class TestPad:
 
 class TestChooseParams:
     def test_examples(self):
-        assert choose_params(48, 24, 1, 2, 2) == (6, 11)
-        assert choose_params(48, 24, 1, 2, 3) == (2, 11)
+        assert choose_params(48, 24, 2, 2) == (6, 11)
+        assert choose_params(48, 24, 2, 3) == (2, 11)
         with pytest.raises(InfeasibleError):
-            choose_params(4, 4, 1, 2, 3)
+            choose_params(4, 4, 2, 3)
 
     def test_rounded_x_is_raised_to_r_when_viable(self):
-        x, t = choose_params(24, 24, 1, 2, 3)
+        x, t = choose_params(24, 24, 2, 3)
         assert (x, t) == (2, 11)
         assert 2 * comb(x - 1, 1) + t + 1 <= 24
         assert factorial(3) * x <= 24
 
     def test_guarantees_hold(self):
-        for (n, s, c, r, q) in [(48, 24, 1.0, 2, 2), (40, 30, 0.9, 2, 3), (120, 40, 1.0, 3, 3)]:
-            x, t = choose_params(n, s, c, r, q)
+        for (n, s, r, q) in [(48, 24, 2, 2), (40, 30, 2, 3), (120, 40, 3, 3)]:
+            x, t = choose_params(n, s, r, q)
             assert x >= r and t >= 1
             assert 2 * comb(x - 1, r - 1) + t + 1 <= s
             assert factorial(q) ** (r - 1) * x <= n
 
-    def test_c_validation(self):
-        with pytest.raises(ValueError):
-            choose_params(48, 24, 0.0, 2, 2)
-        with pytest.raises(ValueError):
-            choose_params(48, 24, 1.5, 2, 2)
+    def test_x_starts_at_the_exact_quarter(self):
+        # (2^60 - 1) // 8 = 2^57 - 1, where the float quotient rounds up to
+        # 2^57, which would also meet both requirements
+        n, s = 2**60 - 1, 2**59 + 8
+        assert choose_params(n, s, 2, 2) == (2**57 - 1, 2**58 + 3)
+        assert 2 * (2**57 - 1) + (2**58 + 3) + 1 <= s and 2 * 2**57 <= n
+
+    def test_x_starts_at_most_at_half_s(self):
+        # a huge alphabet with a small order: the start is s/2, not n/4
+        assert choose_params(10**400, 8, 2, 2) == (3, 3)
+        assert choose_params(10**400, 200, 3, 3) == (11, 99)
 
 
 class TestDsSparseWitness:

@@ -284,6 +284,14 @@ class TestBackendEquality:
         )
 
 
+def test_letter_limit_fits_a_u64_mask():
+    """The compiled twin keeps a letter as a bit of a 64-bit mask, and sizes
+    its r-subset buffer (`comb[64]` in `formation_init`) by that width; it
+    reads the one letter limit, through the shared check, from here. Letters
+    are 1..n, so n must stay below 64."""
+    assert pure.MAX_LETTERS <= 63
+
+
 def test_compiled_seq_search_at_ceiling_limit(compiled):
     """No r-subset exists on 2 letters for r=3, so every 2-sparse sequence is
     admissible: the search walks straight down to depth 50,000."""

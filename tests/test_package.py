@@ -108,6 +108,19 @@ class TestImports:
         assert (probe_is_serial, before, after, pool_modules) == (True, False, True, [])
 
 
+def run_readme_doctest(pattern: str, adjust=lambda example: None) -> None:
+    """Run the README `pycon` block that `pattern` captures as a doctest,
+    each example first passed to `adjust`."""
+    block = re.search(pattern, (ROOT / "README.md").read_text(), re.S)
+    assert block, f"README has no block matching {pattern!r}"
+    test = doctest.DocTestParser().get_doctest(block.group(1), {}, "README", "README.md", 0)
+    for example in test.examples:
+        adjust(example)
+    out: list[str] = []
+    result = doctest.DocTestRunner().run(test, out=out.append)
+    assert result.attempted > 0 and result.failed == 0, "".join(out)
+
+
 class TestExports:
     def test_every_name_resolves(self):
         assert len(set(seqext.__all__)) == len(seqext.__all__)
@@ -124,14 +137,17 @@ class TestExports:
             seqext.no_such_name
 
     def test_readme_quick_tour(self):
-        text = (ROOT / "README.md").read_text()
-        block = re.search(r"## Library quick tour\n\n```pycon\n(.*?)```", text, re.S)
-        assert block, "README has no library quick tour"
-        test = doctest.DocTestParser().get_doctest(
-            block.group(1), {}, "README quick tour", "README.md", 0)
-        out: list[str] = []
-        result = doctest.DocTestRunner().run(test, out=out.append)
-        assert result.attempted > 0 and result.failed == 0, "".join(out)
+        run_readme_doctest(r"## Library quick tour\n\n```pycon\n(.*?)```")
+
+    def test_readme_install_block(self):
+        """The install block's `backend_name()` may print either twin's name."""
+
+        def either_twin(example):
+            if example.source == "seqext.backend_name()\n":
+                assert example.want in ("'pure'\n", "'compiled'\n")
+                example.want = repr(seqext.backend_name()) + "\n"
+
+        run_readme_doctest(r"## Install\n.*?```pycon\n(.*?)```", either_twin)
 
     def test_readme_cli_examples(self, capsys):
         text = (ROOT / "README.md").read_text()
