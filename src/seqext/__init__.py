@@ -3,11 +3,17 @@
 constructions that realize the matching lower bounds and brute-force
 oracles that certify them on small instances.
 
-`import seqext` loads the sequences, matrices, oracles, errors and backends
-modules, and no `dataclasses` or `typing`. The predicates (`checks`) and the
-constructions (`construct`, `coloring`) load on first use, as do the names
-below taken from them: a matrix oracle run never compiles `checks`, and an
-oracle or verify run never compiles the constructions.
+`import seqext` loads `sequences`, `errors` and `oracles` only, and no
+`dataclasses` or `typing`; `oracles` imports the kernels (`backends`) and
+`matrices` inside the functions that use them. Every other submodule loads
+on first use: when the package attribute of its name, or a name `_LAZY`
+takes from it, is first looked up, or when a function that needs it first
+runs. So each CLI process compiles only the modules its command runs: a
+`construct` or `verify` run no kernel twin and no `matrices` (unless it
+checks lambda-prime), a sequence oracle run no `matrices`, a matrix oracle
+run no `checks`, and an oracle or verify run no construction code. Where
+`PYTHONDONTWRITEBYTECODE` is set, as in the benchmark, every process
+compiles each module it imports from source, which is why imports count.
 """
 
 from importlib import import_module as _import_module
@@ -22,18 +28,6 @@ from .sequences import (
     parse_sequence,
     render,
 )
-from .matrices import (
-    MatrixPattern,
-    ZeroOneMatrix,
-    all_ones,
-    blocked_to_matrix,
-    kst_bound,
-    matrix_contains,
-    matrix_to_blocked,
-    pair_block_cooccurrence,
-    parse_matrix,
-    render_matrix,
-)
 from .oracles import (
     ExtremalResult,
     oracle_ex_matrix,
@@ -44,12 +38,22 @@ from .oracles import (
     oracle_pattern,
 )
 from .errors import CapExceededError, InfeasibleError
-from .backends import backend_name
 
 __version__ = "0.1.0"
 
 # name -> the submodule that defines it, imported by __getattr__ on first use
 _LAZY = {
+    "MatrixPattern": "matrices",
+    "ZeroOneMatrix": "matrices",
+    "all_ones": "matrices",
+    "blocked_to_matrix": "matrices",
+    "kst_bound": "matrices",
+    "matrix_contains": "matrices",
+    "matrix_to_blocked": "matrices",
+    "pair_block_cooccurrence": "matrices",
+    "parse_matrix": "matrices",
+    "render_matrix": "matrices",
+    "backend_name": "backends",
     "alternation_length": "checks",
     "avoids_all_formations": "checks",
     "brute_formation_length": "checks",
@@ -81,24 +85,20 @@ __all__ = [
     # sequences
     "BlockedSequence", "PatternSequence", "Sequence", "flatten", "normalize", "parse_pattern",
     "parse_sequence", "render",
-    # matrices
-    "MatrixPattern", "ZeroOneMatrix", "all_ones", "blocked_to_matrix", "kst_bound",
-    "matrix_contains", "matrix_to_blocked", "pair_block_cooccurrence", "parse_matrix",
-    "render_matrix",
     # oracles
     "ExtremalResult", "oracle_ex_matrix", "oracle_formation", "oracle_lambda",
     "oracle_lambda_blocks", "oracle_lambda_prime", "oracle_pattern",
-    # errors and backends
-    "CapExceededError", "InfeasibleError", "backend_name",
-    # checks, coloring and construct, loaded on first use
+    # errors
+    "CapExceededError", "InfeasibleError",
+    # matrices, backends, checks, coloring and construct, loaded on first use
     *_LAZY,
 ]
 
 
 def __getattr__(name: str):
-    """Import `checks`, `coloring` or `construct` (PEP 562) when one of them,
-    or a name taken from it, is first looked up on the package."""
-    if name in ("checks", "coloring", "construct"):
+    """Import a submodule that `_LAZY` names (PEP 562) when it, or a name
+    taken from it, is first looked up on the package."""
+    if name in _LAZY.values():
         return _import_module(f".{name}", __name__)
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

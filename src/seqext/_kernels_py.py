@@ -37,13 +37,14 @@ from itertools import combinations
 from math import comb
 from operator import index, itemgetter
 
+from .errors import MAX_SUBSETS  # shared with `checks.max_formation_length`
+
 MODE_DS = 0
 MODE_FORMATION = 1
 MODE_PATTERN = 2
 
 MAX_LETTERS = 60
 MAX_CEILING = 50_000
-MAX_SUBSETS = 1_000_000  # r-subsets: formation searches and `checks.max_formation_length`
 MAX_COLUMNS = 62  # a row is one 64-bit word in the compiled twin
 MAX_CELLS = 50_000
 MAX_STATES = 1 << 22  # relabeled DS states a sequence search keeps (see `SeqState`)

@@ -32,8 +32,7 @@ from collections.abc import Iterable
 from itertools import combinations
 from math import comb
 
-from ._kernels_py import MAX_SUBSETS
-from .errors import CapExceededError
+from .errors import MAX_SUBSETS, CapExceededError
 from .sequences import Sequence, normalize
 
 __all__ = [

@@ -7,6 +7,8 @@ usage/parse/infeasible-parameter/cap errors or an interrupt. Reports are
 line-oriented text by default and stable JSON with --json (byte-identical for
 identical inputs modulo the wall_time_ms field). `_READS` is the one
 declaration of each command's kinds and of the options each kind reads.
+The handlers import `matrices`, `checks` and the constructions themselves,
+so a run compiles only what its command uses.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import sys
 import time
 from math import comb, factorial
 
-from . import matrices, oracles
+from . import oracles
 from .errors import CapExceededError
-from .matrices import MatrixPattern, all_ones, parse_matrix, render_matrix
 from .sequences import (
     BlockedSequence,
     PatternSequence,
@@ -142,6 +143,8 @@ def _resolve_seq_pattern(spec: str) -> PatternSequence:
 
 
 def _resolve_matrix_pattern(spec: str) -> MatrixPattern:
+    from .matrices import MatrixPattern, all_ones, parse_matrix
+
     m = _ALLONES_RE.match(spec)
     if m:
         return all_ones(int(m.group(1)), int(m.group(2)))
@@ -273,6 +276,8 @@ def _cmd_verify(args) -> int:
             u = _resolve_seq_pattern(rest)
             report.check(f"pattern:{rest}", not checks.contains_pattern(flat, u))
         elif name == "lambda-prime":
+            from . import matrices
+
             s = int(rest)
             if s < 1:
                 raise ValueError("s must be >= 1")
@@ -299,16 +304,16 @@ def _cmd_oracle(args) -> int:
     if fn == "pattern":
         values["pattern"] = u = _resolve_seq_pattern(params["pattern"])
         params["pattern"] = render(u)
-    elif fn == "ex-matrix":
+    elif fn == "ex-matrix":  # a matrix prints as `matrices.render_matrix` renders it
         values["pattern"] = P = _resolve_matrix_pattern(params["pattern"])
-        params["pattern"] = render_matrix(P).replace("\n", "/")
+        params["pattern"] = str(P).replace("\n", "/")
     oracle = getattr(oracles, "oracle_" + fn.replace("-", "_"))
     res = oracle(*values.values(), override_caps=args.override_caps, threads=args.threads)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
     else:
-        report.results["witness"] = render_matrix(res.witness)
+        report.results["witness"] = str(res.witness)
     report.results["nodes_explored"] = res.nodes_explored
     report.results["ceiling"] = res.ceiling
     report.results["exhausted"] = res.exhausted
@@ -322,9 +327,11 @@ def _cmd_bound(args) -> int:
     params = report.params
     limits = dict(override_caps=args.override_caps, threads=args.threads)
     if kind == "kst":
+        from . import matrices
+
         n, m, a, b = params.values()
         bound = matrices.kst_bound(n, m, a, b)
-        oracle = lambda: oracles.oracle_ex_matrix(n, m, all_ones(a, b), **limits)
+        oracle = lambda: oracles.oracle_ex_matrix(n, m, matrices.all_ones(a, b), **limits)
     elif kind == "ds-ceiling":
         if params["j"] is None:
             params["j"] = 2
@@ -350,6 +357,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from . import matrices
+
     _options(args, "convert", args.direction)
     with open(args.file) as fh:
         text = fh.read()
@@ -359,9 +368,9 @@ def _cmd_convert(args) -> int:
         if isinstance(obj, Sequence):
             obj = BlockedSequence((obj.tokens,))
         M = matrices.blocked_to_matrix(obj, rows=args.n)
-        out = render_matrix(M)
+        out = matrices.render_matrix(M)
     else:
-        M = parse_matrix(text)
+        M = matrices.parse_matrix(text)
         out = render(matrices.matrix_to_blocked(M))
     report.results["output"] = out
     if args.out:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size limit that
+both the checkers and the kernels enforce (kept here, which both import, so
+that a construction run never loads a kernel twin)."""
+
+MAX_SUBSETS = 1_000_000  # r-subsets: formation searches and `checks.max_formation_length`
 
 
 class CapExceededError(RuntimeError):

@@ -87,7 +87,7 @@ def all_ones(a: int, b: int) -> MatrixPattern:
     return MatrixPattern(a, b, tuple([(1 << b) - 1] * a))
 
 
-def _cols_embed(row_masks: list[int], p_rows: tuple[int, ...], pm: int, m: int) -> bool:
+def _cols_embed(row_masks: tuple[int, ...], p_rows: tuple[int, ...], pm: int, m: int) -> bool:
     """Greedy left-to-right column matching for a fixed row selection."""
     j = 0
     for v in range(pm):
@@ -106,12 +106,16 @@ def matrix_contains(A: ZeroOneMatrix, P: ZeroOneMatrix) -> bool:
     """True iff some submatrix of A can be turned into P by changing ones to zeroes.
 
     Equivalently: rows i_1<...<i_a and columns j_1<...<j_b exist with
-    P[u][v]=1 implying A[i_u][j_v]=1.
+    P[u][v]=1 implying A[i_u][j_v]=1. A host row with fewer ones than the
+    lightest row of P holds no row of P, so the rows are chosen from the
+    others only (from all of them when P has an empty row).
     """
     if P.n > A.n or P.m > A.m:
         return False
-    for rowsel in combinations(range(A.n), P.n):
-        if _cols_embed([A.rows[i] for i in rowsel], P.rows, P.m, A.m):
+    least = min(mask.bit_count() for mask in P.rows)
+    rows = [mask for mask in A.rows if mask.bit_count() >= least]
+    for rowsel in combinations(rows, P.n):
+        if _cols_embed(rowsel, P.rows, P.m, A.m):
             return True
     return False
 

@@ -53,6 +53,11 @@ a budget that runs out below n leaves the result not exhausted.
 Default size caps keep casual calls off exponential cliffs, and
 `_check_caps` raises every cap error; pass override_caps=True to lift them.
 No cap bounds j: a sparser search is only smaller.
+
+`import seqext` loads this module, so it imports the kernels (`backends`,
+`_kernels_py`) and `matrices` only inside the functions that search or
+re-check with them: a construct or verify run compiles none of them, and a
+sequence oracle run no `matrices`.
 """
 
 from __future__ import annotations
@@ -60,9 +65,7 @@ from __future__ import annotations
 import os
 from math import comb
 
-from . import backends, _kernels_py, matrices
 from .errors import CapExceededError
-from .matrices import MatrixPattern, ZeroOneMatrix
 from .sequences import BlockedSequence, Frozen, PatternSequence, Sequence, flatten
 
 __all__ = [
@@ -156,6 +159,8 @@ def _distinct_answer(n: int, value: int, valid, threads: int) -> ExtremalResult:
     """The answer on n < j letters, where every token is distinct: the
     letters 1..value, re-checked by `valid`, with no node explored and the
     ceiling n. An n beyond the kernels' letter range raises as they do."""
+    from . import _kernels_py
+
     _check_threads(threads)
     if n > _kernels_py.MAX_LETTERS:
         raise ValueError(f"letter count must be in 1..{_kernels_py.MAX_LETTERS}")
@@ -258,6 +263,8 @@ def _search(search, kw: dict, threads: int, frontier):
 
 def _seq_frontier(kw: dict, depth: int = _SEQ_SPLIT_DEPTH):
     """Admissible canonical prefixes of a `seq_search(**kw)` call, as letter tuples."""
+    from . import _kernels_py
+
     return _kernels_py.frontier(_kernels_py.SeqState(**kw), depth)
 
 
@@ -267,6 +274,8 @@ def _seq_oracle(
     """Run a sequence search under `ceiling`. Its witness is
     `witness_of(tokens)`, re-checked by its length and `valid(witness)`; the
     value is exact when the budget did not run out."""
+    from . import backends
+
     kw = dict(kw, ceiling=ceiling, node_budget=node_budget)
     best, toks, nodes, truncated, used = _search(backends.seq_search, kw, threads, _seq_frontier)
     witness = witness_of(tuple(toks))
@@ -288,7 +297,8 @@ def oracle_lambda(
     if n < 1 or s < 1 or j < 1:
         raise ValueError("need n, s, j >= 1")
     _check_caps(LAMBDA_CAPS, {"n": n, "s": s}, override_caps)
-    from . import checks  # loaded here, so that a matrix search never compiles it
+    from . import _kernels_py, checks  # loaded here, so that a matrix search never compiles checks
+
     ceiling = lambda_ceiling(n, s)
     kw = dict(mode=_kernels_py.MODE_DS, n=n, j=j, s=s)
     return _seq_oracle(
@@ -313,7 +323,7 @@ def oracle_formation(
     infinite, and the query raises ValueError before the caps."""
     if n < 1 or r < 1 or s < 1 or j < 1:
         raise ValueError("need n, r, s, j >= 1")
-    from . import checks
+    from . import _kernels_py, checks
 
     valid = lambda w: checks.is_sparse(w, j) and checks.avoids_all_formations(w, r, s)
     if n < j:
@@ -351,7 +361,7 @@ def oracle_pattern(
         raise ValueError("pattern must be nonempty")
     ru = len(u.alphabet)
     su = len(u)
-    from . import checks
+    from . import _kernels_py, checks
 
     valid = lambda w: checks.is_sparse(w, j) and not checks.contains_pattern(w, u)
     if n < j:
@@ -399,7 +409,8 @@ def oracle_lambda_blocks(
     if n < 1 or s < 1 or m < 1:
         raise ValueError("need n, s, m >= 1")
     _check_caps(LAMBDA_BLOCKS_CAPS, {"n": n, "s": s, "m": m}, override_caps)
-    from . import checks
+    from . import _kernels_py, checks
+
     ceiling = min(n * m, lambda_ceiling(n, s))
     kw = dict(mode=_kernels_py.MODE_DS, n=n, j=1, s=s, max_blocks=m)
     return _seq_oracle(
@@ -411,6 +422,8 @@ def oracle_lambda_blocks(
 
 def _matrix_frontier(kw: dict, depth: int = _MATRIX_SPLIT_DEPTH):
     """Admissible fillings of the first cells of a `matrix_search(**kw)` call, as 0/1 tuples."""
+    from . import _kernels_py
+
     return _kernels_py.frontier(_kernels_py.MatrixState(**kw), depth)
 
 
@@ -428,9 +441,11 @@ def oracle_ex_matrix(
     the ones before it (k m, unsearched, when k < n and P does not fit k
     rows or m columns). When the node budget runs out before k = n, the
     result is the stopped search's matrix, padded with zero rows."""
+    from . import backends, matrices
+
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    if not isinstance(P, ZeroOneMatrix):
+    if not isinstance(P, matrices.ZeroOneMatrix):
         raise ValueError("P must be a matrix pattern")
     if all(mask == 0 for mask in P.rows):
         raise ValueError("pattern needs at least one 1-entry")
@@ -451,7 +466,7 @@ def oracle_ex_matrix(
             truncated = True
             break
         table.append(best)
-    witness = ZeroOneMatrix(n, m, tuple(wit_rows) + (0,) * (n - k))
+    witness = matrices.ZeroOneMatrix(n, m, tuple(wit_rows) + (0,) * (n - k))
     if not (witness.ones_count == best and not matrices.matrix_contains(witness, P)):
         raise RuntimeError("internal error: witness failed independent re-check")
     return ExtremalResult(best, witness, nodes, not truncated, n * m, used)
@@ -474,6 +489,8 @@ def oracle_lambda_prime(
     than the host never occurs, so its width is clamped to m + 1. Capped,
     searched and split like `oracle_ex_matrix`; empty blocks are dropped
     from the witness."""
+    from . import matrices
+
     if n < 1 or s < 1 or m < 1:
         raise ValueError("need n, s, m >= 1")
     res = oracle_ex_matrix(

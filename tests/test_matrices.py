@@ -100,6 +100,35 @@ class TestContainment:
             P = MatrixPattern(pn, pm, rows)
             assert matrix_contains(A, P) == matrix_contains_brute(A, P)
 
+    @pytest.mark.parametrize("empty_row", [False, True])
+    def test_light_rows_skipped_match_brute(self, empty_row):
+        """Host rows lighter than the pattern's lightest row are skipped; hosts
+        with many zero and one-entry rows still agree with the brute force,
+        for patterns with and without an empty row."""
+        rng = random.Random(47 + empty_row)
+        tried = found = 0
+        while tried < 300:
+            n, m = rng.randint(2, 7), rng.randint(2, 5)
+            light = [0] + [1 << j for j in range(m)]
+            A = ZeroOneMatrix(n, m, tuple(
+                rng.choice(light) if rng.random() < 0.6 else rng.randrange(1 << m)
+                for _ in range(n)))
+            pn, pm = rng.randint(2, min(3, n)), rng.randint(1, min(3, m))
+            rows = [rng.randrange(1, 1 << pm) for _ in range(pn)]
+            if empty_row:
+                rows[rng.randrange(pn)] = 0
+            P = MatrixPattern(pn, pm, tuple(rows))
+            tried += 1
+            found += matrix_contains_brute(A, P)
+            assert matrix_contains(A, P) == matrix_contains_brute(A, P), (A.rows, P.rows)
+        assert 30 < found < 270  # both answers occur often
+
+    def test_zero_rows_of_a_large_host_cost_nothing(self):
+        """C(400, 3) row choices would take minutes; the three nonzero rows are one."""
+        A = ZeroOneMatrix(400, 10, (1023, 1023, 1) + (0,) * 397)
+        assert not matrix_contains(A, mat("11\n10\n01"))
+        assert matrix_contains(A, mat("11\n10\n10"))
+
 
 class TestKst:
     def test_examples(self):

@@ -18,10 +18,13 @@ from seqext import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# modules an oracle or verify run never needs; they load on first use
-ON_FIRST_USE = ("seqext._forkpool", "seqext.construct", "seqext.coloring")
+# modules that load on first use, each only in the runs whose command needs it
+ON_FIRST_USE = ("seqext.backends", "seqext._kernels_py", "seqext.matrices", "seqext.checks",
+                "seqext.construct", "seqext.coloring", "seqext._forkpool")
 # modules no seqext process needs
 NEVER = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "typing")
+KERNELS = ("seqext._kernels_py", "seqext.backends")
+CONSTRUCTIONS = ("seqext.checks", "seqext.coloring", "seqext.construct")
 
 # `from seqext import *` before the package had an __all__
 OLD_EXPORTS = {
@@ -59,42 +62,72 @@ def loaded(names) -> str:
 
 class TestImports:
     def test_import_seqext(self):
-        names = ON_FIRST_USE + NEVER + ("seqext.checks", "seqext.oracles")
-        got = fresh(f"import sys, seqext; print({loaded(names)})")
-        assert got == ["seqext.oracles"]
+        """`import seqext` loads `oracles` but none of what its searches use."""
+        names = ON_FIRST_USE + NEVER + ("seqext.oracles",)
+        assert fresh(f"import sys, seqext; print({loaded(names)})") == ["seqext.oracles"]
 
-    @pytest.mark.parametrize("argv", [
-        ["oracle", "ex-matrix", "--n", "4", "--m", "4", "--pattern", "R2,2"],
-        ["oracle", "lambda", "--n", "4", "--s", "2"],
-        ["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4", "pattern:(ab)^3",
-         "lambda-prime:4"],
-        ["construct", "block", "--n", "4", "--s", "3"],
+    @pytest.mark.parametrize("argv, loads", [
+        (["construct", "formation", "--r", "2", "--q", "2", "--x", "3", "--t", "1"],
+         CONSTRUCTIONS),
+        (["construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2"], CONSTRUCTIONS),
+        (["construct", "block", "--n", "4", "--s", "3"], CONSTRUCTIONS),
+        (["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4", "pattern:(ab)^3"],
+         ("seqext.checks",)),
+        (["verify", "WITNESS", "lambda-prime:4"], ("seqext.checks", "seqext.matrices")),
+        (["convert", "blocks-to-matrix", "WITNESS"], ("seqext.matrices",)),
+        (["oracle", "lambda", "--n", "4", "--s", "2"], KERNELS + ("seqext.checks",)),
+        (["oracle", "ex-matrix", "--n", "4", "--m", "4", "--pattern", "R2,2"],
+         KERNELS + ("seqext.matrices",)),
     ])
-    def test_cli_run(self, tmp_path, argv):
-        """No run loads NEVER, an oracle or verify run none of ON_FIRST_USE,
-        and a matrix oracle run no `checks`."""
-        unloaded = NEVER
-        if argv[0] != "construct":
-            unloaded += ON_FIRST_USE
-        if argv[1] == "ex-matrix":
-            unloaded += ("seqext.checks",)
+    def test_cli_run(self, tmp_path, argv, loads):
+        """A run loads, of the modules that load on first use, exactly those
+        its command needs: no construct or verify run a kernel twin, only
+        lambda-prime checks and conversions `matrices`, no sequence oracle
+        `matrices`, no matrix oracle `checks`; and no run any of NEVER."""
         witness = tmp_path / "w.seq"
         witness.write_text("1 2 | 1 3 | 1\n")
         argv = [str(witness) if a == "WITNESS" else a for a in argv]
         code = (f"import sys; from seqext import cli; code = cli.main({argv!r}); "
-                f"print((code, {loaded(unloaded)}))")
-        assert fresh(code) == (0, [])
+                f"print((code, {loaded(ON_FIRST_USE + NEVER)}))")
+        assert fresh(code) == (0, sorted(loads))
 
-    def test_checks_names_load_on_first_use(self):
-        code = ("import sys, seqext; before = 'seqext.checks' in sys.modules; "
-                "f = seqext.is_ds; print((before, f is sys.modules['seqext.checks'].is_ds))")
+    @pytest.mark.parametrize("argv, loads", [
+        (["construct", "block", "--n", "4", "--s", "3"], CONSTRUCTIONS),
+        (["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4"], ("seqext.checks",)),
+    ])
+    def test_entry_point_run(self, tmp_path, argv, loads):
+        """`python -S -m seqext`, as users and the benchmark run it, loads
+        the package surface, `cli` and what the command needs. `-X
+        importtime` cannot show this, as it omits a submodule loaded by
+        `from . import name`, so `-i` keeps the process alive past
+        `sys.exit` and reads `sys.modules` from standard input."""
+        witness = tmp_path / "w.seq"
+        witness.write_text("1 2 1 3 1\n")
+        argv = [str(witness) if a == "WITNESS" else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        ask = f"import sys; print({loaded(ON_FIRST_USE + NEVER + ('seqext.cli',))})\n"
+        proc = subprocess.run([sys.executable, "-S", "-i", "-m", "seqext", *argv], input=ask,
+                              env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert "SystemExit: 0" in proc.stderr, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith(f"{argv[0]} ") and lines[-2].startswith("wall_time_ms: ")
+        assert ast.literal_eval(lines[-1]) == sorted(loads + ("seqext.cli",))
+
+    @pytest.mark.parametrize("name, module", [
+        ("is_ds", "checks"), ("all_ones", "matrices"), ("backend_name", "backends"),
+        ("matrices", "matrices"),
+    ])
+    def test_names_load_on_first_use(self, name, module):
+        code = (f"import sys, seqext; before = 'seqext.{module}' in sys.modules; "
+                f"f = seqext.{name}; m = sys.modules['seqext.{module}']; "
+                f"print((before, f is getattr(m, {name!r}, m)))")
         assert fresh(code) == (False, True)
 
     def test_threads_load_the_pool(self):
         """A split search loads the fork pool, and neither `concurrent.futures`
         nor `multiprocessing`; a threads=2 search that finishes in its serial
         probe loads none of them. A one-node probe makes this one split."""
-        code = ("import sys; from seqext import oracles; P = oracles.matrices.all_ones(2, 2); "
+        code = ("import sys; from seqext import matrices, oracles; P = matrices.all_ones(2, 2); "
                 "a = oracles.oracle_ex_matrix(4, 4, P); "
                 "b = oracles.oracle_ex_matrix(4, 4, P, threads=2); "
                 "before = 'seqext._forkpool' in sys.modules; "
