@@ -14,7 +14,11 @@ subset or pair, and miss nothing:
   for one r-subset completes a permutation exactly at the latest of its
   letters' first occurrences after the previous completion, and it ends when
   some letter has none left. So one `bisect_right` per letter finds each
-  completion, and the scan never walks the tokens between two of them.
+  completion, and the scan never walks the tokens between two of them. The
+  subsets come grouped by their rarest letter, in falling order of its
+  count, and the enumeration stops at the first rarest letter that occurs
+  no more often than the best value so far: a permutation uses each of its
+  letters once, so no later subset can beat it.
 * `max_alternation` counts switches in one recency scan. A repeated token a
   opens a new run of the pair {a, b} exactly when b occurred since the
   previous a, so it credits into[a][b] for each b after a in recency order.
@@ -198,11 +202,17 @@ def max_formation_length(
 ) -> int:
     """Max of formation_length over all r-subsets of the alphabet (0 if alphabet < r).
 
-    Subsets whose least-frequent letter occurs no more often than the best
-    value found so far cannot improve it (each permutation uses every letter
-    once), so they are skipped without scanning. Each scanned subset jumps
-    from one completed permutation to the next through its letters'
-    positions. `record` collects the (letters, value) pairs actually scanned.
+    Letters are ordered by (-count, id), and the r-subsets are enumerated by
+    their rarest letter: for k = r-1, r, ..., letters[k] with every
+    (r-1)-subset of letters[:k]. Each subset has exactly one rarest index, so
+    it is scanned at most once. A subset's value is at most its rarest
+    letter's count, since each permutation uses every letter once, and the
+    counts only fall with k; so the loop stops at the first k whose letter
+    occurs no more often than the best value so far. Each scanned subset
+    jumps from one completed permutation to the next through its letters'
+    positions. `record` collects the (letters, value) pairs actually
+    scanned, in that order: by rarest index, then lexicographically in the
+    letter order, each tuple listed in the letter order.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -217,14 +227,16 @@ def max_formation_length(
             f"C({len(letters)},{r}) subsets exceed cap {subset_cap}"
         )
     best = 0
-    for combo in combinations(letters, r):
-        if len(positions[combo[-1]]) <= best:  # letters ordered by occurrence count
-            continue
-        val = _greedy_formations([positions[tok] for tok in combo])
-        if record is not None:
-            record.append((combo, val))
-        if val > best:
-            best = val
+    for k in range(r - 1, len(letters)):
+        rare = positions[letters[k]]
+        if len(rare) <= best:  # so does every later letter
+            break
+        for head in combinations(letters[:k], r - 1):
+            val = _greedy_formations([positions[tok] for tok in head] + [rare])
+            if record is not None:
+                record.append((head + (letters[k],), val))
+            if val > best:
+                best = val
     return best
 
 

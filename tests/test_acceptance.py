@@ -5,10 +5,12 @@
 import random
 import time
 from contextlib import contextmanager
+from itertools import combinations
 from math import comb, factorial
 
 from conftest import GRID_PARAMS, random_hypergraph
 from seqext.checks import (
+    _greedy_formations,
     brute_formation_length,
     formation_length,
     is_ds,
@@ -91,16 +93,16 @@ def test_criterion_04_greedy_formation_exact(grid_builds):
                 continue
             query = tuple(rng.sample(letters, rng.randint(1, len(letters))))
             assert formation_length(seq, query) == brute_formation_length(seq, query)
-        # every restriction the formation checker scanned over the grid
+        # the checker's jump scan on every r-subset of every grid witness
+        # whose restriction brute force can take, scanned by the checker or not
         for (r, _q, _x, _t), seq, _trace in grid_builds:
-            scanned = []
-            max_formation_length(seq, r, record=scanned)
-            occ = {}
-            for tok in seq.tokens:
-                occ[tok] = occ.get(tok, 0) + 1
-            for combo, greedy_val in scanned:
-                if sum(occ[c] for c in combo) <= 24:
-                    assert greedy_val == brute_formation_length(seq, combo)
+            positions = {}
+            for i, tok in enumerate(seq.tokens):
+                positions.setdefault(tok, []).append(i)
+            for combo in combinations(sorted(positions), r):
+                lists = [positions[tok] for tok in combo]
+                if sum(map(len, lists)) <= 24:
+                    assert _greedy_formations(lists) == brute_formation_length(seq, combo)
 
 
 def test_criterion_05_coloring_validity_and_budget(grid_builds):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import random_sequence
-from seqext.construct import build_block_witness, pad_to_alphabet
+from seqext.construct import build_block_witness, build_formation_witness, pad_to_alphabet
 from seqext.checks import (
     alternation_length,
     avoids_all_formations,
@@ -291,6 +292,23 @@ class TestMaxFormation:
         rng = random.Random(29)
         for s, r in differential_inputs(grid_builds, rng):
             assert max_formation_length(s, r) == reference_max_formation(s, r)
+
+    def test_scan_stops_at_the_first_letter_too_rare_to_win(self, grid_builds):
+        # the scanned subsets are all r-subsets of the m most frequent letters,
+        # and the next letter occurs too rarely to beat the best value
+        t2_4_40_3 = build_formation_witness(2, 4, 40, 3)[0]
+        cases = [(s, r) for (r, *_), s, _trace in grid_builds] + [(t2_4_40_3, 2)]
+        for s, r in cases:
+            scanned = []
+            best = max_formation_length(s, r, record=scanned)
+            counts = Counter(s.tokens)
+            order = sorted(counts, key=lambda tok: (-counts[tok], tok))
+            m = 1 + max(order.index(tok) for combo, _val in scanned for tok in combo)
+            assert m >= r
+            assert sorted(combo for combo, _val in scanned) == sorted(combinations(order[:m], r))
+            assert m == len(order) or counts[order[m]] <= best
+            assert all(formation_length(s, combo) == val for combo, val in scanned)
+        assert (len(scanned), best) == (780, 78)  # T_{2,4}(40, 3)
 
     def test_recorded_values_match_whole_sequence_scans(self, grid_builds):
         rng = random.Random(41)
