@@ -50,7 +50,6 @@ _LAZY = {
     "kst_bound": "matrices",
     "matrix_contains": "matrices",
     "matrix_to_blocked": "matrices",
-    "pair_block_cooccurrence": "matrices",
     "parse_matrix": "matrices",
     "render_matrix": "matrices",
     "backend_name": "backends",

@@ -194,12 +194,7 @@ def brute_formation_length(seq: Sequence, letters: Iterable[int], cap: int = 24)
     return best_from(0, frozenset())
 
 
-def max_formation_length(
-    seq: Sequence,
-    r: int,
-    subset_cap: int = MAX_SUBSETS,
-    record: list | None = None,
-) -> int:
+def max_formation_length(seq: Sequence, r: int) -> int:
     """Max of formation_length over all r-subsets of the alphabet (0 if alphabet < r).
 
     Letters are ordered by (-count, id), and the r-subsets are enumerated by
@@ -210,9 +205,8 @@ def max_formation_length(
     counts only fall with k; so the loop stops at the first k whose letter
     occurs no more often than the best value so far. Each scanned subset
     jumps from one completed permutation to the next through its letters'
-    positions. `record` collects the (letters, value) pairs actually
-    scanned, in that order: by rarest index, then lexicographically in the
-    letter order, each tuple listed in the letter order.
+    positions. More than MAX_SUBSETS r-subsets raise CapExceededError
+    before any scan.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -222,9 +216,9 @@ def max_formation_length(
     letters = sorted(positions, key=lambda tok: (-len(positions[tok]), tok))
     if len(letters) < r:
         return 0
-    if comb(len(letters), r) > subset_cap:
+    if comb(len(letters), r) > MAX_SUBSETS:
         raise CapExceededError(
-            f"C({len(letters)},{r}) subsets exceed cap {subset_cap}"
+            f"C({len(letters)},{r}) subsets exceed cap {MAX_SUBSETS}"
         )
     best = 0
     for k in range(r - 1, len(letters)):
@@ -233,8 +227,6 @@ def max_formation_length(
             break
         for head in combinations(letters[:k], r - 1):
             val = _greedy_formations([positions[tok] for tok in head] + [rare])
-            if record is not None:
-                record.append((head + (letters[k],), val))
             if val > best:
                 best = val
     return best

@@ -44,7 +44,7 @@ _READS = {
     "construct": {"formation": "r q x t", "ds-sparse": "n s j", "block": "n s"},
     "oracle": {"lambda": "n s j?", "formation": "n r s j", "pattern": "pattern j n",
                "lambda-blocks": "n s m", "lambda-prime": "n s m", "ex-matrix": "n m pattern"},
-    "bound": {"kst": "n m a b", "ds-ceiling": "n s j?", "formation-ceiling": "n r s j?"},
+    "bound": {"kst": "n m a b", "ds-ceiling": "n s", "formation-ceiling": "n r s"},
     "convert": {"blocks-to-matrix": "n?", "matrix-to-blocks": ""},
 }
 
@@ -323,39 +323,28 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_bound(args) -> int:
     kind = args.kind
+    if args.compare_oracle and kind != "kst":
+        fn = {"ds-ceiling": "lambda", "formation-ceiling": "formation"}[kind]
+        raise ValueError(f"bound {kind} takes no --compare-oracle: its oracle searches under "
+                         f"this very ceiling; `seqext oracle {fn}` reports it as `ceiling` "
+                         "beside the exact value")
     report = Report(f"bound {kind}", _options(args, "bound", kind))
     params = report.params
-    limits = dict(override_caps=args.override_caps, threads=args.threads)
     if kind == "kst":
         from . import matrices
 
         n, m, a, b = params.values()
-        bound = matrices.kst_bound(n, m, a, b)
-        oracle = lambda: oracles.oracle_ex_matrix(n, m, matrices.all_ones(a, b), **limits)
+        report.results["bound"] = bound = matrices.kst_bound(n, m, a, b)
+        if args.compare_oracle:
+            P = matrices.all_ones(a, b)
+            value = oracles.oracle_ex_matrix(n, m, P, override_caps=args.override_caps,
+                                             threads=args.threads).value
+            report.results["oracle_value"] = value
+            report.check("oracle<=bound", value <= bound, value, bound)
     elif kind == "ds-ceiling":
-        if params["j"] is None:
-            params["j"] = 2
-        n, s, j = params.values()
-        bound = oracles.lambda_ceiling(n, s)
-        if j < 1:
-            raise ValueError("need n, s, j >= 1")
-        oracle = lambda: oracles.oracle_lambda(n, s, j, **limits)
+        report.results["bound"] = oracles.lambda_ceiling(*params.values())
     else:  # formation-ceiling
-        if params["j"] is None:
-            params["j"] = params["r"]
-        n, r, s, j = params.values()
-        if j < r:  # below r-sparsity no ceiling exists
-            raise ValueError("formation ceiling needs j >= r")
-        bound = oracles.formation_ceiling(n, r, s)
-        oracle = lambda: oracles.oracle_formation(n, r, s, j, **limits)
-    report.results["bound"] = bound
-    # only kst meets an independent bound here: the ds-ceiling and
-    # formation-ceiling oracles search under this very ceiling, and n < j is
-    # answered with at most n <= it, so their check cannot fail
-    if args.compare_oracle:
-        value = oracle().value
-        report.results["oracle_value"] = value
-        report.check("oracle<=bound", value <= bound, value, bound)
+        report.results["bound"] = oracles.formation_ceiling(*params.values())
     return report.emit(args.json)
 
 
@@ -410,7 +399,7 @@ def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
         sp.add_argument("--out", help="file prefix for the witness (and trace)")
     elif command == "bound":
         sp.add_argument("--compare-oracle", action="store_true",
-                        help="also run the oracle and check value <= bound")
+                        help="kst only: also run oracle ex-matrix and check value <= bound")
     elif command == "convert":
         sp.add_argument("file")
         sp.add_argument("--out", help="output file")
@@ -432,11 +421,12 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     named = next((arg for arg in argv if not arg.startswith("-")), None)
     p = argparse.ArgumentParser(
         prog="seqext",
+        allow_abbrev=False,
         description="Extremal sequence/matrix constructions, checkers, bounds, and exact oracles.",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for command, (_handler, text) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text)
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)
         if command == named:
             _add_arguments(sp, command)
     return p

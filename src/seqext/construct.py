@@ -30,7 +30,6 @@ from .sequences import BlockedSequence, Frozen, Sequence
 
 __all__ = [
     "Troop",
-    "TroopRow",
     "ConstructionTrace",
     "build_base",
     "lift",
@@ -39,7 +38,6 @@ __all__ = [
     "level_supports",
     "level_hypergraph",
     "level_coloring",
-    "troop_rows",
     "pad_to_alphabet",
     "choose_params",
     "ds_sparse_params",
@@ -60,15 +58,6 @@ class Troop(Frozen):
         if repetitions < 1:
             raise ValueError("troop repetitions must be >= 1")
         self._init(support, repetitions)
-
-
-class TroopRow(Frozen):
-    """Maximal run of troops sharing their first r-1 base letters."""
-
-    _fields = ("prefix", "troops")
-
-    def __init__(self, prefix: tuple[int, ...], troops: tuple[Troop, ...]) -> None:
-        self._init(prefix, troops)
 
 
 class ConstructionTrace(Frozen):
@@ -198,23 +187,6 @@ def level_coloring(trace: ConstructionTrace, level: int) -> EdgeColoring:
     base = _letters_at_level(trace, level)
     colors = tuple(tr.support[level] - base for tr in trace.troops)
     return EdgeColoring(trace.r - 1, colors, len(set(colors)))
-
-
-def troop_rows(trace: ConstructionTrace) -> tuple[TroopRow, ...]:
-    """Group troops by their first r-1 base letters, in order."""
-    rows: list[TroopRow] = []
-    current: list[Troop] = []
-    prefix: tuple[int, ...] | None = None
-    for troop in trace.troops:
-        p = troop.support[: trace.r - 1]
-        if p != prefix:
-            if current:
-                rows.append(TroopRow(prefix, tuple(current)))
-            prefix, current = p, []
-        current.append(troop)
-    if current:
-        rows.append(TroopRow(prefix, tuple(current)))
-    return tuple(rows)
 
 
 def pad_to_alphabet(seq: Sequence, n: int) -> Sequence:

@@ -21,7 +21,6 @@ __all__ = [
     "kst_bound",
     "blocked_to_matrix",
     "matrix_to_blocked",
-    "pair_block_cooccurrence",
     "max_pair_cooccurrence",
     "parse_matrix",
     "render_matrix",
@@ -43,25 +42,6 @@ class ZeroOneMatrix(Frozen):
             if not isinstance(mask, int) or mask < 0 or mask >> m:
                 raise ValueError(f"row mask {mask!r} out of range for {m} columns")
         self._init(n, m, rows)
-
-    @classmethod
-    def from_lists(cls, entries: list[list[int]]) -> "ZeroOneMatrix":
-        n = len(entries)
-        m = len(entries[0]) if entries else 0
-        masks = []
-        for row in entries:
-            if len(row) != m:
-                raise ValueError("ragged rows")
-            mask = 0
-            for j, bit in enumerate(row):
-                if bit not in (0, 1):
-                    raise ValueError(f"entries must be 0/1, got {bit!r}")
-                mask |= bit << j
-            masks.append(mask)
-        return cls(n, m, tuple(masks))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     @property
     def ones_count(self) -> int:
@@ -170,13 +150,6 @@ def matrix_to_blocked(M: ZeroOneMatrix) -> BlockedSequence:
     for j in range(M.m):
         blocks.append(tuple(i + 1 for i in range(M.n) if (M.rows[i] >> j) & 1))
     return BlockedSequence(tuple(blocks))
-
-
-def pair_block_cooccurrence(bseq: BlockedSequence, a: int, b: int) -> int:
-    """Number of blocks containing both letters."""
-    if a == b:
-        raise ValueError("cooccurrence requires two distinct letters")
-    return sum(1 for block in bseq.blocks if a in block and b in block)
 
 
 def max_pair_cooccurrence(bseq: BlockedSequence) -> int:

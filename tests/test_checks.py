@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import random_sequence
 from seqext.construct import build_block_witness, build_formation_witness, pad_to_alphabet
+from seqext import checks
 from seqext.checks import (
     alternation_length,
     avoids_all_formations,
@@ -48,6 +50,23 @@ def reference_max_formation(s, r):
         (formation_length(s, combo) for combo in combinations(sorted(s.alphabet), r)),
         default=0,
     )
+
+
+def scanned_subsets(monkeypatch, s, r):
+    """max_formation_length(s, r) and the (letters, value) of every subset it
+    scanned, in scan order: `_greedy_formations` gets one position list per
+    letter of the subset, and each list's first position names its letter."""
+    scanned = []
+    greedy = checks._greedy_formations
+
+    def record(lists):
+        val = greedy(lists)
+        scanned.append((tuple(s.tokens[lst[0]] for lst in lists), val))
+        return val
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_greedy_formations", record)
+        return max_formation_length(s, r), scanned
 
 
 def reference_contains(s, u):
@@ -263,10 +282,17 @@ class TestMaxFormation:
         assert max_formation_length(seq("1 2 3"), 3) == 1
         assert max_formation_length(seq("1 2"), 3) == 0
 
-    def test_subset_cap(self):
+    def test_subset_cap(self, monkeypatch):
+        # the cap is read at call time, and refuses before any scan
         s = Sequence(tuple(range(1, 30)))
-        with pytest.raises(CapExceededError):
-            max_formation_length(s, 3, subset_cap=10)
+        monkeypatch.setattr(checks, "MAX_SUBSETS", 10)
+        monkeypatch.setattr(checks, "_greedy_formations", None)
+        with pytest.raises(CapExceededError, match="exceed cap 10$"):
+            max_formation_length(s, 3)
+
+    def test_signature(self):
+        # no hook for tests: they patch MAX_SUBSETS and _greedy_formations
+        assert list(inspect.signature(max_formation_length).parameters) == ["seq", "r"]
 
     def test_avoids_all_formations(self):
         assert avoids_all_formations(T232, 2, 7)
@@ -293,14 +319,13 @@ class TestMaxFormation:
         for s, r in differential_inputs(grid_builds, rng):
             assert max_formation_length(s, r) == reference_max_formation(s, r)
 
-    def test_scan_stops_at_the_first_letter_too_rare_to_win(self, grid_builds):
+    def test_scan_stops_at_the_first_letter_too_rare_to_win(self, monkeypatch, grid_builds):
         # the scanned subsets are all r-subsets of the m most frequent letters,
         # and the next letter occurs too rarely to beat the best value
         t2_4_40_3 = build_formation_witness(2, 4, 40, 3)[0]
         cases = [(s, r) for (r, *_), s, _trace in grid_builds] + [(t2_4_40_3, 2)]
         for s, r in cases:
-            scanned = []
-            best = max_formation_length(s, r, record=scanned)
+            best, scanned = scanned_subsets(monkeypatch, s, r)
             counts = Counter(s.tokens)
             order = sorted(counts, key=lambda tok: (-counts[tok], tok))
             m = 1 + max(order.index(tok) for combo, _val in scanned for tok in combo)
@@ -310,11 +335,10 @@ class TestMaxFormation:
             assert all(formation_length(s, combo) == val for combo, val in scanned)
         assert (len(scanned), best) == (780, 78)  # T_{2,4}(40, 3)
 
-    def test_recorded_values_match_whole_sequence_scans(self, grid_builds):
+    def test_recorded_values_match_whole_sequence_scans(self, monkeypatch, grid_builds):
         rng = random.Random(41)
         for s, r in differential_inputs(grid_builds, rng):
-            scanned = []
-            best = max_formation_length(s, r, record=scanned)
+            best, scanned = scanned_subsets(monkeypatch, s, r)
             assert all(formation_length(s, combo) == val for combo, val in scanned)
             assert best == max((val for _combo, val in scanned), default=0)
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit-status contract, file IO, JSON stability."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ import re
 import pytest
 
 from conftest import random_sequence
-from seqext import checks, oracles
+from seqext import checks, cli, oracles
 from seqext.cli import main
 from seqext.errors import CapExceededError
 from seqext.matrices import all_ones
@@ -439,22 +440,44 @@ class TestBound:
         )
         assert code == 0 and payload["results"]["bound"] == 10.0
 
-    def test_ds_ceiling_compare(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "bound", "ds-ceiling", "--n", "3", "--s", "2", "--compare-oracle"
-        )
-        assert code == 0
-        assert payload["results"]["bound"] == 7
-        assert payload["results"]["oracle_value"] == 5
+    def test_ds_ceiling(self, capsys):
+        code, payload, _ = run_json(capsys, "bound", "ds-ceiling", "--n", "4", "--s", "2")
+        assert code == 0 and payload["params"] == {"n": 4, "s": 2}
+        assert payload["results"] == {"bound": 13} and payload["checks"] == []
 
-    @pytest.mark.parametrize("j, value", [(2, 7), (3, 6)])
-    def test_ds_ceiling_reports_its_j(self, capsys, j, value):
-        code, payload, _ = run_json(
-            capsys, "bound", "ds-ceiling", "--n", "4", "--s", "2", "--j", str(j),
-            "--compare-oracle",
+    @pytest.mark.parametrize("argv, oracle", [
+        (("ds-ceiling", "--n", "3", "--s", "2"), "lambda"),
+        (("formation-ceiling", "--n", "3", "--r", "2", "--s", "2"), "formation"),
+        # refused before anything is computed, a bad parameter included
+        (("ds-ceiling", "--n", "3", "--s", "0"), "lambda"),
+        (("formation-ceiling", "--r", "2", "--s", "2"), "formation"),
+    ])
+    def test_ceiling_compare_oracle_exits_2(self, capsys, monkeypatch, argv, oracle):
+        # the oracle searches under this very ceiling, so the check could not
+        # fail; `oracle lambda|formation` reports the ceiling beside the value
+        monkeypatch.setattr(oracles, f"oracle_{oracle}", None)
+        code, out, err = run(capsys, "bound", *argv, "--compare-oracle")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bound {argv[0]} takes no --compare-oracle: its oracle searches under "
+            f"this very ceiling; `seqext oracle {oracle}` reports it as `ceiling` beside the "
+            "exact value\n"
         )
-        assert code == 0 and payload["params"] == {"n": 4, "s": 2, "j": j}
-        assert payload["results"]["oracle_value"] == value
+
+    @pytest.mark.parametrize("argv", [
+        ("ds-ceiling", "--n", "4", "--s", "2", "--j", "3"),
+        ("ds-ceiling", "--n", "3", "--s", "2", "--j", "0"),
+        ("formation-ceiling", "--n", "2", "--r", "2", "--s", "1", "--j", "1"),
+        ("formation-ceiling", "--n", "3", "--r", "2", "--s", "2", "--j"),
+    ])
+    @pytest.mark.parametrize("extra", [(), ("--compare-oracle",)])
+    def test_ceilings_take_no_j(self, capsys, argv, extra):
+        # neither formula reads j; the j < r rule lives in the oracles
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", *argv, *extra])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --j" in captured.err
 
     def test_formation_ceiling(self, capsys):
         code, payload, _ = run_json(
@@ -466,29 +489,9 @@ class TestBound:
         # a (1, s)-formation is one letter s times: (s-1) n
         code, payload, _ = run_json(
             capsys, "bound", "formation-ceiling", "--n", "4", "--r", "1", "--s", "3",
-            "--compare-oracle",
         )
-        assert code == 0 and payload["results"] == {"bound": 8, "oracle_value": 8}
-
-    def test_formation_ceiling_compare(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "bound", "formation-ceiling", "--n", "3", "--r", "2", "--s", "2",
-            "--compare-oracle",
-        )
-        assert code == 0 and payload["results"]["oracle_value"] == 5
-        assert payload["params"] == {"n": 3, "r": 2, "s": 2, "j": 2}
-        assert payload["checks"] == [
-            {"name": "oracle<=bound", "pass": True, "measured": 5, "bound": 18}
-        ]
-
-    @pytest.mark.parametrize("extra", [(), ("--compare-oracle",)])
-    def test_formation_ceiling_below_r_sparsity_exits_2(self, capsys, extra):
-        # s n^r bounds r-sparse sequences only; below that the oracle refuses too
-        code, out, err = run(
-            capsys, "bound", "formation-ceiling", "--n", "2", "--r", "2", "--s", "1",
-            "--j", "1", *extra,
-        )
-        assert (code, out, err) == (2, "", "error: formation ceiling needs j >= r\n")
+        assert code == 0 and payload["results"] == {"bound": 8}
+        assert payload["params"] == {"n": 4, "r": 1, "s": 3}
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -499,7 +502,6 @@ class TestBound:
             (("formation-ceiling", "--n", "-2", "--r", "2", "--s", "3"), "need n, r, s >= 1"),
             (("formation-ceiling", "--n", "3", "--r", "0", "--s", "2"), "need n, r, s >= 1"),
             (("formation-ceiling", "--n", "3", "--r", "2", "--s", "0"), "need n, r, s >= 1"),
-            (("ds-ceiling", "--n", "3", "--s", "2", "--j", "0"), "need n, s, j >= 1"),
         ],
     )
     def test_ceiling_parameters_below_one_exit_2(self, capsys, argv, message):
@@ -601,9 +603,9 @@ FULL_LINES = [
     ("bound", "kst", {"n": "3", "m": "3", "a": "2", "b": "2"},
      "bound kst  n=3 m=3 a=2 b=2"),
     ("bound", "ds-ceiling", {"n": "3", "s": "2"},
-     "bound ds-ceiling  n=3 s=2 j=2"),
+     "bound ds-ceiling  n=3 s=2"),
     ("bound", "formation-ceiling", {"n": "3", "r": "2", "s": "2"},
-     "bound formation-ceiling  n=3 r=2 s=2 j=2"),
+     "bound formation-ceiling  n=3 r=2 s=2"),
 ]
 
 
@@ -639,7 +641,7 @@ def test_report_header(capsys, command, kind, options, header):
      "construct block does not take --x"),
     (("construct", "formation", "--r", "2", "--q", "3", "--x", "3", "--t", "2", "--j", "2"),
      "construct formation does not take --j"),
-    (("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--s", "5", "--j", "9"),
+    (("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--s", "5", "--r", "9"),
      "bound kst does not take --s"),
     (("bound", "ds-ceiling", "--n", "3", "--s", "2", "--r", "2"),
      "bound ds-ceiling does not take --r"),
@@ -662,6 +664,39 @@ class TestJsonStability:
             assert code == 0
             outs.append(scrub(capsys.readouterr().out))
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "blocks-to-matrix", "{file}", "--j"),  # not --json
+    ("oracle", "lambda", "--n", "3", "--s", "2", "--thr", "1", "--over", "--js"),
+    ("bound", "ds-ceiling", "--n", "3", "--s", "2", "--j", "3"),
+    ("construct", "block", "--n", "2", "--s", "2", "--o", "w"),
+    ("verify", "{file}", "sparse:2", "--js"),
+])
+def test_option_prefixes_exit_2(capsys, tmp_path, argv):
+    # options are matched by their full spelling only, never by a prefix
+    f = tmp_path / "b.seq"
+    f.write_text("1 2 | 2 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(f) if arg == "{file}" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: " in captured.err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_full_option_spelling_parses(command):
+    parser = cli._build_parser([command])
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    head = {"verify": ["w.seq", "sparse:2"], "convert": ["blocks-to-matrix", "F"]}.get(
+        command) or [next(iter(cli._READS[command]))]
+    options = [(option, action) for action in commands.choices[command]._actions
+               for option in action.option_strings if option not in ("-h", "--help")]
+    assert options
+    for option, action in options:
+        value = [] if action.nargs == 0 else ["7"]
+        args = parser.parse_args([command, *head, option, *value])
+        assert getattr(args, action.dest) not in (None, False, action.default), option
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,6 @@ from seqext.construct import (
     lift,
     pad_to_alphabet,
     trace_report,
-    troop_rows,
 )
 from seqext.errors import InfeasibleError
 from seqext.sequences import flatten, parse_sequence, render
@@ -48,12 +47,6 @@ class TestBase:
         with pytest.raises(InfeasibleError):
             build_base(2, 3, 0)
 
-    def test_troop_rows(self):
-        _, trace = build_base(3, 5, 2)
-        rows = troop_rows(trace)
-        assert len(rows) == comb(5 - 1, 3 - 1)
-        assert all(len(row.troops) < 5 for row in rows)
-
     def test_position_monotonicity_in_adjacent_troops(self):
         # a letter shared by adjacent troops never moves to an earlier position
         for (r, x, t) in [(2, 5, 1), (3, 6, 2), (4, 6, 1)]:
@@ -71,9 +64,6 @@ class TestBase:
                     assert len(seq) == r * t * comb(x, r)
                     assert is_sparse(seq, r)
                     assert trace.letter_count == x
-                    rows = troop_rows(trace)
-                    assert len(rows) == comb(x - 1, r - 1)
-                    assert all(len(row.troops) < x for row in rows)
 
 
 class TestLift:

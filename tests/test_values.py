@@ -8,12 +8,10 @@ import pickle
 import pytest
 
 from seqext.coloring import EdgeColoring, Hypergraph
-from seqext.construct import ConstructionTrace, Troop, TroopRow
+from seqext.construct import ConstructionTrace, Troop
 from seqext.matrices import MatrixPattern, ZeroOneMatrix
 from seqext.oracles import ExtremalResult
-from seqext.sequences import BlockedSequence, PatternSequence, Sequence
-
-TROOP = Troop((1, 2), 3)
+from seqext.sequences import BlockedSequence, Frozen, PatternSequence, Sequence
 
 # class, positional arguments, the same as keywords, the dataclass repr
 VALUES = [
@@ -37,8 +35,6 @@ VALUES = [
      "EdgeColoring(y=1, colors=(1, 2), color_count=2)"),
     (Troop, ((1, 2), 3), {"support": (1, 2), "repetitions": 3},
      "Troop(support=(1, 2), repetitions=3)"),
-    (TroopRow, ((1,), (TROOP,)), {"prefix": (1,), "troops": (TROOP,)},
-     "TroopRow(prefix=(1,), troops=(Troop(support=(1, 2), repetitions=3),))"),
     (ConstructionTrace, (2, 3, 3, 2, (Troop((1, 2), 2),), 4, {3: (4,)}),
      {"r": 2, "q": 3, "x": 3, "t": 2, "troops": (Troop((1, 2), 2),), "letter_count": 4,
       "color_letters_per_level": {3: (4,)}},
@@ -102,7 +98,7 @@ class TestDefaults:
 
     @pytest.mark.parametrize("cls", [
         ZeroOneMatrix, MatrixPattern, ExtremalResult, Hypergraph, EdgeColoring, Troop,
-        TroopRow, ConstructionTrace,
+        ConstructionTrace,
     ])
     def test_no_default(self, cls):
         with pytest.raises(TypeError):
@@ -153,5 +149,11 @@ class TestCrossClassEquality:
         assert MatrixPattern(1, 1, (1,)) != ZeroOneMatrix(1, 1, (1,))
 
     def test_unrelated_classes_with_equal_fields_are_unequal(self):
-        assert Troop((1, 2), 3) != TroopRow((1, 2), 3)
+        class Pair(Frozen):
+            _fields = ("support", "repetitions")
+
+            def __init__(self, support, repetitions):
+                self._init(support, repetitions)
+
+        assert Troop((1, 2), 3) != Pair((1, 2), 3)
         assert EdgeColoring(1, 1, (1,)) != ZeroOneMatrix(1, 1, (1,))
