@@ -294,7 +294,15 @@ def _cmd_verify(args) -> int:
     return report.emit(args.json)
 
 
+def _threads(args) -> int:
+    """The --threads count (1 when not passed), checked before any work."""
+    threads = 1 if args.threads is None else args.threads
+    oracles._check_threads(threads)
+    return threads
+
+
 def _cmd_oracle(args) -> int:
+    threads = _threads(args)
     fn = args.function
     report = Report(f"oracle {fn}", _options(args, "oracle", fn))
     params = report.params
@@ -308,7 +316,7 @@ def _cmd_oracle(args) -> int:
         values["pattern"] = P = _resolve_matrix_pattern(params["pattern"])
         params["pattern"] = str(P).replace("\n", "/")
     oracle = getattr(oracles, "oracle_" + fn.replace("-", "_"))
-    res = oracle(*values.values(), override_caps=args.override_caps, threads=args.threads)
+    res = oracle(*values.values(), override_caps=args.override_caps, threads=threads)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
@@ -328,6 +336,13 @@ def _cmd_bound(args) -> int:
         raise ValueError(f"bound {kind} takes no --compare-oracle: its oracle searches under "
                          f"this very ceiling; `seqext oracle {fn}` reports it as `ceiling` "
                          "beside the exact value")
+    if not args.compare_oracle:  # then no oracle runs to read them
+        for flag, passed in (("override-caps", args.override_caps),
+                             ("threads", args.threads is not None)):
+            if passed:
+                runs = " without --compare-oracle" if kind == "kst" else ""
+                raise ValueError(f"bound {kind} does not take --{flag}{runs}")
+    threads = _threads(args)
     report = Report(f"bound {kind}", _options(args, "bound", kind))
     params = report.params
     if kind == "kst":
@@ -338,7 +353,7 @@ def _cmd_bound(args) -> int:
         if args.compare_oracle:
             P = matrices.all_ones(a, b)
             value = oracles.oracle_ex_matrix(n, m, P, override_caps=args.override_caps,
-                                             threads=args.threads).value
+                                             threads=threads).value
             report.results["oracle_value"] = value
             report.check("oracle<=bound", value <= bound, value, bound)
     elif kind == "ds-ceiling":
@@ -407,8 +422,8 @@ def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
     if command in ("oracle", "bound"):
         sp.add_argument("--override-caps", action="store_true",
                         help="lift the default search-size caps")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="processes for oracle search, this one included; a search "
+        sp.add_argument("--threads", type=int,
+                        help="processes for oracle search (default 1), this one included; a search "
                              "splits only when it outruns a serial probe (results are "
                              "the serial ones; threads_used reports the processes used)")
 
@@ -436,7 +451,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
     try:
-        oracles._check_threads(getattr(args, "threads", 1))
         return _COMMANDS[args.command][0](args)
     except CapExceededError as exc:
         print(f"error: {exc.text('--override-caps')}", file=sys.stderr)

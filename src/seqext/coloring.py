@@ -8,9 +8,19 @@ y-subsets, and C(k, y) (n-k)/(k-y) < k^y n / y! for all 1 <= y < k.
 Two edges that meet in y or more vertices share C(|e & f|, y) y-subsets,
 which is 1 exactly when they meet in y vertices. So one index that lists
 every edge under each of its y-subsets finds, for each edge, every earlier
-edge it could conflict with or over-intersect, and the greedy coloring and
-the pairwise-intersection maximum look only at those pairs (with y = 1 that
-is every pair that meets at all).
+edge it could conflict with or over-intersect, and the pairwise-intersection
+maximum looks only at those pairs (with y = 1 that is every pair that meets
+at all).
+
+The greedy coloring lists no pairs. Two edges meet in more than y vertices
+exactly when they share a (y+1)-subset, so an index of each (y+1)-subset's
+first edge names, for each edge, the earliest edge that over-intersects it.
+Once no pair over-intersects, two edges that share a y-subset meet in exactly
+y vertices, and every such pair shares one. So the colors of the earlier
+edges that meet edge e in y vertices are the union of the color masks kept
+under e's y-subsets, and the smallest free color is the lowest zero bit of
+that union. Each edge costs C(k, y) + C(k, y+1) dictionary steps, however
+many earlier edges it meets.
 
 The witness checkers ask less. `validate_coloring` keys its index by
 (color, y-subset), so it meets only the same-colored pairs that share a
@@ -117,20 +127,29 @@ def greedy_edge_coloring(H: Hypergraph, y: int) -> EdgeColoring:
     """
     if not 1 <= y < H.uniformity:
         raise ValueError("need 1 <= y < uniformity")
+    used: dict[tuple[int, ...], int] = {}  # bit c-1 set: color c meets this y-subset
+    owner: dict[tuple[int, ...], int] = {}  # each (y+1)-subset's first edge
     colors: list[int] = []
-    for i, shared in _earlier_neighbours(H.edges, y):
-        if shared and max(shared.values()) > 1:
-            edge = H.edges[i]
-            first = H.edges[min(k for k, count in shared.items() if count > 1)]
+    for i, edge in enumerate(H.edges):
+        vertices = sorted(edge)
+        wider = list(combinations(vertices, y + 1))
+        clash = [owner[key] for key in wider if key in owner]
+        if clash:
+            first = H.edges[min(clash)]
             raise ValueError(
-                f"edges {sorted(first)} and {sorted(edge)} intersect "
+                f"edges {sorted(first)} and {vertices} intersect "
                 f"in {len(edge & first)} > {y} vertices"
             )
-        forbidden = {colors[k] for k in shared}
-        c = 1
-        while c in forbidden:
-            c += 1
-        colors.append(c)
+        for key in wider:
+            owner[key] = i
+        keys = list(combinations(vertices, y))
+        taken = 0
+        for key in keys:
+            taken |= used.get(key, 0)
+        free = ~taken & (taken + 1)
+        for key in keys:
+            used[key] = used.get(key, 0) | free
+        colors.append(free.bit_length())
     count = len(set(colors)) if colors else 0
     coloring = EdgeColoring(y, tuple(colors), count)
     if not within_color_budget(count, H.uniformity, y, H.vertex_count):

@@ -160,19 +160,17 @@ def flatten(bseq: BlockedSequence) -> Sequence:
 
 
 def _map_tokens(raw: list[str]) -> dict[str, int]:
-    if all(tok.isdigit() for tok in raw):
+    """Each distinct token's letter, parsing each distinct token once."""
+    distinct = dict.fromkeys(raw)
+    if all(tok.isdigit() for tok in distinct):
         mapping = {}
-        for tok in raw:
+        for tok in distinct:
             val = int(tok)
             if val < 1:
                 raise ValueError(f"letter ids must be positive, got {tok!r}")
             mapping[tok] = val
         return mapping
-    mapping = {}
-    for tok in raw:
-        if tok not in mapping:
-            mapping[tok] = len(mapping) + 1
-    return mapping
+    return {tok: i for i, tok in enumerate(distinct, 1)}
 
 
 def parse_sequence(text: str) -> Sequence | BlockedSequence:
@@ -180,15 +178,11 @@ def parse_sequence(text: str) -> Sequence | BlockedSequence:
     if text.strip() == "":
         raise ValueError("empty input where a sequence is required")
     if "|" in text:
-        fields = text.split("|")
-        raw_blocks = [field.split() for field in fields]
-        mapping = _map_tokens([tok for block in raw_blocks for tok in block])
-        return BlockedSequence(
-            tuple(tuple(mapping[tok] for tok in block) for block in raw_blocks)
-        )
+        raw_blocks = [field.split() for field in text.split("|")]
+        letter = _map_tokens([tok for block in raw_blocks for tok in block]).__getitem__
+        return BlockedSequence(tuple(tuple(map(letter, block)) for block in raw_blocks))
     raw = text.split()
-    mapping = _map_tokens(raw)
-    return Sequence(tuple(mapping[tok] for tok in raw))
+    return Sequence(tuple(map(_map_tokens(raw).__getitem__, raw)))
 
 
 def parse_pattern(text: str) -> PatternSequence:

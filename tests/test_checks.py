@@ -37,11 +37,27 @@ def seq(text):
 
 
 def reference_max_alternation(s):
-    """alternation_length over every pair of letters: the pairwise reference."""
+    """alternation_length over every pair of letters: the pairwise reference.
+    A pair whose spans do not overlap restricts to a...a b...b, two runs, so
+    only overlapping pairs are scanned."""
+    first, last = {}, {}
+    for i, tok in enumerate(s.tokens):
+        first.setdefault(tok, i)
+        last[tok] = i
+    pairs = list(combinations(sorted(s.alphabet), 2))
     return max(
-        (alternation_length(s, a, b) for a, b in combinations(sorted(s.alphabet), 2)),
+        (alternation_length(s, a, b) if first[a] < last[b] and first[b] < last[a] else 2
+         for a, b in pairs),
         default=0,
     )
+
+
+def local_pairs(letters, repeats):
+    """1 2 1 2 ... 3 4 3 4 ...: each pair of letters alternates `repeats`
+    times, and no two pairs overlap."""
+    return Sequence(tuple(
+        tok for a in range(1, letters + 1, 2) for _ in range(repeats) for tok in (a, a + 1)
+    ))
 
 
 def reference_max_formation(s, r):
@@ -169,10 +185,19 @@ def one_way_switches(rng, count):
 
 
 def wide_inputs(rng):
-    """Inputs outside `differential_inputs`' small alphabets."""
-    for n in range(2, 31):
+    """Inputs outside `differential_inputs`' small alphabets, on both sides
+    of `max_alternation`'s choice of scan: block witnesses take the packed
+    scan, local pairs of 64 letters or more the recency scan."""
+    for n in range(2, 41):
         for s in sorted({1, 2, n}):
             yield flatten(build_block_witness(n, s))
+    for letters in (64, 130, 512, 1024):
+        for repeats in (1, 2, 3):
+            yield local_pairs(letters, repeats)
+        toks = list(local_pairs(letters, 2).tokens)
+        for i in sorted(rng.sample(range(len(toks)), 20), reverse=True):  # repeats add no run
+            toks.insert(i, toks[i])
+        yield Sequence(tuple(toks))
     for _ in range(12):
         ids = rng.sample(range(1, 10**9 + 1), rng.randint(20, 60))
         yield Sequence(tuple(rng.choice(ids) for _ in range(rng.randint(20, 200))))
@@ -202,6 +227,41 @@ class TestAlternationBeyondTheFuzz:
             assert max_alternation(s) == expect
             for order in {1, 2, 3, max(1, expect - 2), max(1, expect - 1)}:
                 assert is_ds(s, order) == reference_is_ds(s, order)
+
+
+class TestAlternationScanChoice:
+    def scans(self, monkeypatch, s):
+        """max_alternation(s) and the names of the scans it ran."""
+        ran = []
+        for name in ("_recency_alternation", "_packed_alternation"):
+            def record(*args, _name=name, _scan=getattr(checks, name)):
+                ran.append(_name)
+                return _scan(*args)
+            monkeypatch.setattr(checks, name, record)
+        return max_alternation(s), ran
+
+    def test_block_witness_takes_the_packed_scan(self, monkeypatch):
+        # S / (L m) is about 0.99 here
+        assert self.scans(monkeypatch, flatten(build_block_witness(100, 100))) == (
+            101, ["_packed_alternation"])
+
+    @pytest.mark.parametrize("letters", [64, 1024, 4096])
+    def test_local_pairs_take_the_recency_scan(self, monkeypatch, letters):
+        # S = L, so the packed scan would need m <= 16 letters
+        assert self.scans(monkeypatch, local_pairs(letters, 2)) == (4, ["_recency_alternation"])
+
+    def test_no_repeated_letter_takes_no_scan(self, monkeypatch):
+        assert self.scans(monkeypatch, Sequence(tuple(range(1, 20001)))) == (2, [])
+
+    def test_both_scans_agree(self):
+        rng = random.Random(31)
+        for s in wide_inputs(rng):
+            toks = s.tokens
+            last = {tok: i for i, tok in enumerate(toks)}
+            first = {tok: i for i, tok in reversed(list(enumerate(toks)))}
+            if len(last) >= 2:
+                assert checks._recency_alternation(toks) == checks._packed_alternation(
+                    toks, first, last)
 
 
 class TestDs:

@@ -363,7 +363,8 @@ class TestOracle:
         [
             ("oracle", "lambda", "--n", "3", "--s", "2", "--threads", "0"),
             ("oracle", "lambda-prime", "--n", "3", "--s", "1", "--m", "3", "--threads", "0"),
-            ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--threads", "-5"),
+            ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--threads", "-5",
+             "--compare-oracle"),
         ],
         ids=["oracle-lambda", "oracle-lambda-prime", "bound-kst"],
     )
@@ -478,6 +479,33 @@ class TestBound:
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert "unrecognized arguments: --j" in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "2"), "threads"),
+        (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "0"), "threads"),
+        (("ds-ceiling", "--n", "3", "--s", "2", "--override-caps"), "override-caps"),
+        (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "2", "--override-caps"),
+         "override-caps"),
+        (("formation-ceiling", "--n", "3", "--r", "2", "--s", "2", "--threads", "1"), "threads"),
+        (("formation-ceiling", "--n", "3", "--r", "2", "--s", "2", "--override-caps"),
+         "override-caps"),
+        (("kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--threads", "0"), "threads"),
+        (("kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--override-caps"),
+         "override-caps"),
+    ])
+    def test_search_flags_without_an_oracle_exit_2(self, capsys, monkeypatch, argv, flag):
+        # no oracle runs to read them, so they are refused before any work
+        monkeypatch.setattr(oracles, "oracle_ex_matrix", None)
+        code, out, err = run(capsys, "bound", *argv)
+        runs = " without --compare-oracle" if argv[0] == "kst" else ""
+        assert (code, out, err) == (2, "", f"error: bound {argv[0]} does not take --{flag}{runs}\n")
+
+    def test_kst_compare_oracle_reads_the_search_flags(self, capsys):
+        argv = ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--compare-oracle")
+        _, plain, _ = run_json(capsys, *argv)
+        code, flagged, _ = run_json(capsys, *argv, "--threads", "2", "--override-caps")
+        assert code == 0 and flagged["results"] == plain["results"]
+        assert flagged["results"]["oracle_value"] == 6
 
     def test_formation_ceiling(self, capsys):
         code, payload, _ = run_json(

@@ -113,6 +113,16 @@ class TestGreedyColoring:
         with pytest.raises(ValueError):
             greedy_edge_coloring(H(4, 3, {1, 2, 3}, {1, 2, 4}), 1)
 
+    def test_oversized_intersection_names_the_earliest_edge(self):
+        # the new edge meets the later edge {1,2,3,4,5} in 3 vertices, and
+        # through its first 2-subsets; the earlier edge in 2
+        g = H(10, 5, {6, 7, 8, 9, 10}, {1, 2, 3, 4, 5}, {1, 2, 3, 6, 7})
+        with pytest.raises(ValueError) as exc:
+            greedy_edge_coloring(g, 1)
+        assert str(exc.value) == (
+            "edges [6, 7, 8, 9, 10] and [1, 2, 3, 6, 7] intersect in 2 > 1 vertices")
+        assert_matches_references(g, 1)
+
     def test_y_range_validation(self):
         g = H(4, 2, {1, 2})
         with pytest.raises(ValueError):
