@@ -11,9 +11,13 @@ takes from it, is first looked up, or when a function that needs it first
 runs. So each CLI process compiles only the modules its command runs: a
 `construct` or `verify` run no kernel twin and no `matrices` (unless it
 checks lambda-prime), a sequence oracle run no `matrices`, a matrix oracle
-run no `checks`, and an oracle or verify run no construction code. Where
-`PYTHONDONTWRITEBYTECODE` is set, as in the benchmark, every process
-compiles each module it imports from source, which is why imports count.
+run no `checks`, and an oracle or verify run no construction code. The pure
+twin's search states, `_seq_state` and `_matrix_state`, load only where a
+search builds one: a sequence oracle compiles no matrix state, a matrix
+oracle no sequence state, and a search on the compiled twin neither until
+it splits. Where `PYTHONDONTWRITEBYTECODE` is set, as in the benchmark,
+every process compiles each module it imports from source, which is why
+imports count.
 """
 
 from importlib import import_module as _import_module

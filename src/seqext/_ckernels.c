@@ -1,5 +1,6 @@
 /*
- * Compiled search kernels: an exact mirror of `_kernels_py`.
+ * Compiled search kernels: an exact mirror of `_kernels_py` and of the pure
+ * twin's search states, `_seq_state` and `_matrix_state`.
  *
  * Same arguments, candidate order, pruning and node accounting, so both twins
  * return identical (best, witness, nodes, truncated) tuples; `_kernels_py`
@@ -12,14 +13,15 @@
  * on a failed allocation, and holds only the search states, their push and
  * pop, and the search loop. The shape is the pure twin's as well: each
  * kernel state (`SeqKernel`, `MatrixKernel`, the counterparts of
- * `SeqState` and `MatrixState`) embeds a `Search` and supplies its moves,
+ * `_seq_state.SeqState` and `_matrix_state.MatrixState`) embeds a `Search` and supplies its moves,
  * push, pop and keep; one loop, `dfs`, searches either of them on an
  * explicit stack, as `_kernels_py._dfs` does, so the depth (up to the 50,000
  * ceiling or cell limit) never touches the C stack; and one entry, `run`,
  * forces a prefix and starts `dfs` below it, as `_kernels_py._run` does. The
  * DS searches keep a table of relabeled states; the `SeqState` docstring in
- * `_kernels_py` holds its proof, and `seq_key` its 64-bit code. The module
- * exports the two kernels only. Build in place with
+ * `_seq_state` holds its proof, and `seq_key` its 64-bit code. The module
+ * imports `_kernels_py` for the checks, never a state module, and exports
+ * the two kernels only. Build in place with
  * `python setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN

@@ -3,12 +3,17 @@ oracles, evaluate bounds, and convert between sequence and matrix forms.
 
 Exit status contract: 0 = all checks pass, 1 = a mathematical check failed
 (including an oracle witness that fails its independent re-check), 2 =
-usage/parse/infeasible-parameter/cap errors or an interrupt. Reports are
-line-oriented text by default and stable JSON with --json (byte-identical for
-identical inputs modulo the wall_time_ms field). `_READS` is the one
-declaration of each command's kinds and of the options each kind reads.
-The handlers import `matrices`, `checks` and the constructions themselves,
-so a run compiles only what its command uses.
+usage/parse/infeasible-parameter/cap errors, a report that cannot be
+written, or an interrupt. Reports are line-oriented text by default and
+stable JSON with --json (byte-identical for identical inputs modulo the
+wall_time_ms field). `_READS` is the one declaration of each command's kinds
+and of the options each kind reads. The handlers import `matrices`, `checks`
+and the constructions themselves, so a run compiles only what its command
+uses.
+
+`main` is the in-process API and returns the exit status. `entry` is the
+process entry of both `seqext` and `python -m seqext`: it runs `main` and
+ends the process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ _FLAGS = {
     "pattern": (str, {"oracle": "pattern: Ra,b | (ab)^s | file | inline text"}),
 }
 
+# the streams a report failed to reach; `entry` does not flush them again
+_UNWRITABLE: list = []
+
 
 class Report:
     """Accumulates parameters, results, and named pass/fail checks."""
@@ -80,7 +88,10 @@ class Report:
         return any(not c["pass"] for c in self.checks)
 
     def emit(self, as_json: bool) -> int:
-        """Print the report whole, or nothing when some value cannot be printed."""
+        """Print the report whole, or nothing when some value cannot be
+        printed, and flush it, so that an error in writing it reaches
+        `main`'s OSError handler; `entry` leaves a stream that failed here
+        unflushed."""
         wall_ms = int((time.monotonic() - self.t0) * 1000)
         if as_json:
             payload = {
@@ -90,7 +101,7 @@ class Report:
                 "checks": self.checks,
                 "wall_time_ms": wall_ms,
             }
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            text = json.dumps(payload, sort_keys=True, indent=2)
         else:
             args = " ".join(f"{k}={v}" for k, v in self.params.items() if v is not None)
             lines = [f"{self.command}  {args}".rstrip()]
@@ -105,7 +116,14 @@ class Report:
                 detail = f" ({', '.join(parts)})" if parts else ""
                 lines.append(f"check {c['name']}: {verdict}{detail}")
             lines.append(f"wall_time_ms: {wall_ms}")
-            print("\n".join(lines))
+            text = "\n".join(lines)
+        out = sys.stdout
+        try:
+            print(text, file=out)
+            out.flush()
+        except OSError:
+            _UNWRITABLE.append(out)
+            raise
         return 1 if self.failed else 0
 
 
@@ -428,20 +446,43 @@ def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
                              "the serial ones; threads_used reports the processes used)")
 
 
+def _help_width() -> int:
+    """The width of help text, as `argparse` takes it from
+    `shutil.get_terminal_size`: COLUMNS, else the columns of the terminal
+    on the original stdout, else 80; less 2. Passing it keeps `argparse`
+    from importing `shutil`, which loads bz2, lzma, zlib and fnmatch."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
+            columns = 0
+    return (columns or 80) - 2
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser of `argv`. Only the command that argv names (its first
     argument that is no option) gets its arguments; the others keep their
     names and help texts, which is all `seqext --help` and a top-level usage
-    error print."""
+    error print. Every parser formats help at `_help_width()`."""
     named = next((arg for arg in argv if not arg.startswith("-")), None)
+    width = _help_width()
+
+    def formatter(prog: str) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(prog, width=width)
+
     p = argparse.ArgumentParser(
         prog="seqext",
         allow_abbrev=False,
+        formatter_class=formatter,
         description="Extremal sequence/matrix constructions, checkers, bounds, and exact oracles.",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for command, (_handler, text) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text, allow_abbrev=False)
+        sp = sub.add_parser(command, help=text, allow_abbrev=False, formatter_class=formatter)
         if command == named:
             _add_arguments(sp, command)
     return p
@@ -467,5 +508,31 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Run `main` on the command line and end the process with its status,
+    without the interpreter's teardown: every atexit handler runs once,
+    stdout and stderr are flushed, unless a report failed to reach that
+    stream, and `os._exit` ends the process, which then frees no module or
+    object one by one. Under `python -i` or PYTHONINSPECT, or while another
+    thread is alive, the process ends the normal way, by `sys.exit`, so that
+    the interactive prompt starts and the threads are joined. A usage error
+    or `--help` leaves `main` as SystemExit and ends the normal way too."""
+    code = main()
+    threading = sys.modules.get("threading")  # None: no thread was started through it
+    if (sys.flags.inspect or os.environ.get("PYTHONINSPECT")
+            or threading is not None and threading.active_count() > 1):
+        sys.exit(code)
+    import atexit
+
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None and stream not in _UNWRITABLE:
+            try:
+                stream.flush()
+            except (OSError, ValueError):  # the status stays main's
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -25,7 +25,7 @@ result carries the ceiling its search ran under as `ExtremalResult.ceiling`,
 which every CLI `oracle` report prints. Below the ceiling, the DS searches
 (lambda, lambda-blocks) cap the runs of every letter pair at s + 1, the
 alternation budget that the kernels track, and bound each state by a table
-of relabeled states that each kernel call keeps (`_kernels_py.SeqState`);
+of relabeled states that each kernel call keeps (`_seq_state.SeqState`);
 `oracle_pattern` runs an alternation as the DS search it is.
 
 Every kernel search runs through `_search`, which takes the kernel its
@@ -35,13 +35,14 @@ finishes is the answer, and no process is forked: each kernel call keeps
 its own table of relabeled states, so a split walks more nodes than the
 serial search and pays only on a long one. A search past the probe is
 split at a shallow frontier (`_kernels_py.frontier`, on the state of the
-very call it splits) into prefixes, searched on a fork pool (`_forkpool`)
-with the eldest first, in this process; value and witness are the serial
-ones whatever the schedule (the argument is in `_search`), and
-`ExtremalResult.threads_used` says how many processes searched. A node
-budget is a total: a budgeted search always runs in one process, with no
-probe. A node is one accepted move of the kernel: a letter or a matrix
-cell. Lambda-prime is ex(n, m, R_{2,s+1}) and runs as that matrix search.
+very call it splits, from `_seq_state` or `_matrix_state`) into prefixes,
+searched on a fork pool (`_forkpool`) with the eldest first, in this
+process; value and witness are the serial ones whatever the schedule (the
+argument is in `_search`), and `ExtremalResult.threads_used` says how many
+processes searched. A node budget is a total: a budgeted search always runs
+in one process, with no probe. A node is one accepted move of the kernel: a
+letter or a matrix cell. Lambda-prime is ex(n, m, R_{2,s+1}) and runs as
+that matrix search.
 
 `oracle_ex_matrix` solves ex(k, m, P) for k = 1..n in one loop, each
 search on the table of the answers before it, so the last answer is the
@@ -57,7 +58,10 @@ No cap bounds j: a sparser search is only smaller.
 `import seqext` loads this module, so it imports the kernels (`backends`,
 `_kernels_py`) and `matrices` only inside the functions that search or
 re-check with them: a construct or verify run compiles none of them, and a
-sequence oracle run no `matrices`.
+sequence oracle run no `matrices`. The pure twin's search states load only
+where one is built: `_seq_state` in a sequence search on the pure twin or
+in the split of one, `_matrix_state` likewise for a matrix search, so a
+search on the compiled twin compiles neither until it splits.
 """
 
 from __future__ import annotations
@@ -264,8 +268,9 @@ def _search(search, kw: dict, threads: int, frontier):
 def _seq_frontier(kw: dict, depth: int = _SEQ_SPLIT_DEPTH):
     """Admissible canonical prefixes of a `seq_search(**kw)` call, as letter tuples."""
     from . import _kernels_py
+    from ._seq_state import SeqState
 
-    return _kernels_py.frontier(_kernels_py.SeqState(**kw), depth)
+    return _kernels_py.frontier(SeqState(**kw), depth)
 
 
 def _seq_oracle(
@@ -423,8 +428,9 @@ def oracle_lambda_blocks(
 def _matrix_frontier(kw: dict, depth: int = _MATRIX_SPLIT_DEPTH):
     """Admissible fillings of the first cells of a `matrix_search(**kw)` call, as 0/1 tuples."""
     from . import _kernels_py
+    from ._matrix_state import MatrixState
 
-    return _kernels_py.frontier(_kernels_py.MatrixState(**kw), depth)
+    return _kernels_py.frontier(MatrixState(**kw), depth)
 
 
 def oracle_ex_matrix(

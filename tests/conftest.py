@@ -80,7 +80,7 @@ def brute_ex_matrix(n, m, P):
 def ds_longest(n, s, j):
     """The longest j-sparse DS sequence of order s >= 1 on n letters, by a
     DP over relabeled states with no bound: the search kernels' table key
-    (`_kernels_py.SeqState`), computed here on its own. A state is the used
+    (`_seq_state.SeqState`), computed here on its own. A state is the used
     count u and the runs of each pair of used letters by recency rank (0 the
     most recent), pairs in the order (0, 1), (0, 2), ..., (u-2, u-1). A used
     letter of rank r may come next iff r >= min(u, j - 1), with j at least 2;

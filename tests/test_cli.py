@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -760,3 +761,52 @@ def test_help_of_each_command(capsys, monkeypatch, command, shown):
     assert exc.value.code == 0 and out.startswith(f"usage: seqext {command} [-h]")
     assert all(text in out for text in shown + ["--json"]), out
     assert re.search(rf"^    {command} +\w", top, re.M) and "{construct,verify,oracle,bound,convert}" in top
+
+
+@pytest.mark.parametrize("columns", ["40", "100", None, "", "abc", "0", "-5"])
+def test_help_width_is_shutils(monkeypatch, columns):
+    """`_help_width` is the width `argparse` takes from
+    `shutil.get_terminal_size` when no width is given."""
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._help_width() == shutil.get_terminal_size().columns - 2
+
+
+@pytest.mark.parametrize("columns", ["40", "100", None])
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+def test_help_text_at_argparses_own_width(capsys, monkeypatch, columns, argv):
+    """The help printed at `_help_width()` is byte for byte the help at the
+    width `argparse` computes itself (through `shutil`) when given none."""
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    texts = []
+    for width in (cli._help_width, lambda: None):
+        monkeypatch.setattr(cli, "_help_width", width)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: seqext")
+
+
+def test_unwritable_report_reaches_the_error_handler(capsys, monkeypatch):
+    """`Report.emit` flushes, so a report that cannot be written exits 2
+    with one error line, and its stream is left for `entry` not to flush."""
+    import io
+
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    full = Full()
+    monkeypatch.setattr(sys, "stdout", full)
+    monkeypatch.setattr(cli, "_UNWRITABLE", [])
+    assert main(["oracle", "lambda", "--n", "3", "--s", "2", "--json"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert cli._UNWRITABLE == [full]

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import brute_ex_matrix, ds_longest, random_sequence
 from seqext import _kernels_py as pure
-from seqext import backends, checks, matrices, oracles
+from seqext import _seq_state, backends, checks, matrices, oracles
+from seqext._matrix_state import MatrixState
+from seqext._seq_state import SeqState
 from seqext.backends import backend_name
 from seqext.oracles import _greedy_blocks
 from seqext.sequences import PatternSequence, Sequence
@@ -588,7 +590,7 @@ class TestStateMatchesCheckers:
     def test_random_walks(self, kw):
         rng = random.Random(sum(kw.get("pattern", (kw.get("s", 0),))) + kw["n"] * 31)
         for _ in range(60):
-            st = pure.SeqState(
+            st = SeqState(
                 kw["mode"], kw["n"], kw["j"], s=kw.get("s", 0), r=kw.get("r", 0),
                 pattern=kw.get("pattern", ()), max_blocks=kw.get("max_blocks", 0),
             )
@@ -605,7 +607,7 @@ class TestStateMatchesCheckers:
                         tokens.pop()
 
 
-class _NoBudget(pure.SeqState):
+class _NoBudget(SeqState):
     """A sequence state whose alternation budget never prunes: its slack is
     MAX_CEILING. Run with the table off, it is the search without either."""
 
@@ -631,10 +633,10 @@ def test_alternation_budget_against_unbudgeted_search(monkeypatch):
     witness or truncation flag of a DS search, with or without a block
     budget, and never add a node."""
     # DS searches are at least 2-sparse, so j = 1 is the j = 2 search
-    assert pure.SeqState(pure.MODE_DS, 3, 1).jeff == pure.SeqState(pure.MODE_DS, 3, 2).jeff
+    assert SeqState(pure.MODE_DS, 3, 1).jeff == SeqState(pure.MODE_DS, 3, 2).jeff
     budgeted = [pure.seq_search(**_grid_kw(*case)) for case in BUDGET_GRID]
     monkeypatch.setattr(pure, "MAX_STATES", 0)
-    monkeypatch.setattr(pure, "SeqState", _NoBudget)
+    monkeypatch.setattr(_seq_state, "SeqState", _NoBudget)
     for case, res in zip(BUDGET_GRID, budgeted):
         if case == (5, 4, 2, 0):
             # lambda_4(5) without the budget or the table: 1,633,625 nodes,
@@ -768,7 +770,7 @@ def test_containment_through_the_new_cell_matches_public_checker():
         if not any(p_rows):
             continue
         P = matrices.MatrixPattern(pn, pm, p_rows)
-        st = pure.MatrixState(n, m, p_rows, pn, pm)
+        st = MatrixState(n, m, p_rows, pn, pm)
         rows = [0] * n
         for i, c in product(range(n), range(m)):
             if rng.random() < 0.6:

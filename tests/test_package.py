@@ -4,6 +4,7 @@ README's CLI examples."""
 
 import ast
 import doctest
+import json
 import os
 import re
 import shlex
@@ -19,11 +20,18 @@ from seqext import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 # modules that load on first use, each only in the runs whose command needs it
-ON_FIRST_USE = ("seqext.backends", "seqext._kernels_py", "seqext.matrices", "seqext.checks",
-                "seqext.construct", "seqext.coloring", "seqext._forkpool")
-# modules no seqext process needs
-NEVER = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "typing")
+ON_FIRST_USE = ("seqext.backends", "seqext._kernels_py", "seqext._seq_state",
+                "seqext._matrix_state", "seqext.matrices", "seqext.checks", "seqext.construct",
+                "seqext.coloring", "seqext._forkpool")
+# modules no seqext process needs; argparse imports shutil (and with it bz2
+# and lzma) unless each parser is given its help width
+NEVER = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "typing", "shutil",
+         "bz2", "lzma")
 KERNELS = ("seqext._kernels_py", "seqext.backends")
+# the pure twin's search states, which a run loads only when that twin searches
+PURE = seqext.backend_name() == "pure"
+SEQ_STATE = ("seqext._seq_state",) if PURE else ()
+MATRIX_STATE = ("seqext._matrix_state",) if PURE else ()
 CONSTRUCTIONS = ("seqext.checks", "seqext.coloring", "seqext.construct")
 
 # `from seqext import *` before the package had an __all__, less the names
@@ -86,15 +94,17 @@ class TestImports:
          ("seqext.checks",)),
         (["verify", "WITNESS", "lambda-prime:4"], ("seqext.checks", "seqext.matrices")),
         (["convert", "blocks-to-matrix", "WITNESS"], ("seqext.matrices",)),
-        (["oracle", "lambda", "--n", "4", "--s", "2"], KERNELS + ("seqext.checks",)),
+        (["oracle", "lambda", "--n", "4", "--s", "2"], KERNELS + SEQ_STATE + ("seqext.checks",)),
         (["oracle", "ex-matrix", "--n", "4", "--m", "4", "--pattern", "R2,2"],
-         KERNELS + ("seqext.matrices",)),
+         KERNELS + MATRIX_STATE + ("seqext.matrices",)),
     ])
     def test_cli_run(self, tmp_path, argv, loads):
         """A run loads, of the modules that load on first use, exactly those
-        its command needs: no construct or verify run a kernel twin, only
-        lambda-prime checks and conversions `matrices`, no sequence oracle
-        `matrices`, no matrix oracle `checks`; and no run any of NEVER."""
+        its command needs: no construct or verify run a kernel twin or a
+        search state, only lambda-prime checks and conversions `matrices`,
+        no sequence oracle `matrices` or the matrix state, no matrix oracle
+        `checks` or the sequence state (and a search on the compiled twin
+        neither state); and no run any of NEVER."""
         witness = tmp_path / "w.seq"
         witness.write_text("1 2 | 1 3 | 1\n")
         argv = [str(witness) if a == "WITNESS" else a for a in argv]
@@ -150,6 +160,132 @@ class TestImports:
         answers, probe_is_serial, before, after, pool_modules = fresh(code)
         assert answers[0] == answers[1] == answers[2] and answers[0][0] == 9
         assert (probe_is_serial, before, after, pool_modules) == (True, False, True, [])
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "lambda", "--n", "4", "--s", "2"],
+        ["oracle", "ex-matrix", "--n", "4", "--m", "4", "--pattern", "R2,2"],
+    ])
+    def test_compiled_run_loads_no_state(self, compiled, argv):
+        """A search on the compiled twin compiles neither of the pure twin's
+        search states: the C kernels read only `_kernels_py`'s checks."""
+        lib = str(Path(compiled.__file__).parent)
+        code = (f"import sys, seqext; seqext.__path__.append({lib!r}); "
+                "from seqext import backends, cli; "
+                f"code = cli.main({argv!r}); "
+                f"print((code, backends.backend_name(), {loaded(ON_FIRST_USE)}))")
+        extra = "seqext.checks" if argv[1] == "lambda" else "seqext.matrices"
+        assert fresh(code) == (0, "compiled", sorted(KERNELS + (extra,)))
+
+
+def seqext_process(argv, buffered=True, stdout=subprocess.PIPE):
+    """Run `python -m seqext argv` on this checkout's sources to its end,
+    with stdout block-buffered (no PYTHONUNBUFFERED) unless `buffered` is
+    False; stdout and stderr are captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "seqext", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, cwd=ROOT, text=True, timeout=120)
+
+
+def scrub(report: str) -> str:
+    return re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', report)
+
+
+class TestEntry:
+    """`python -m seqext` (and the installed `seqext`) ends the process by
+    `cli.entry`, without the interpreter's teardown."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "WITNESS", "sparse:4", "--json"], 0),
+        (["verify", "WITNESS", "sparse:5", "--json"], 1),
+        (["verify", "WITNESS", "sparse:4", "--bogus"], 2),  # argparse's SystemExit
+        (["oracle", "lambda", "--n", "0", "--s", "2"], 2),  # main's error handler
+    ])
+    def test_exit_codes(self, tmp_path, argv, code):
+        witness = tmp_path / "w.seq"
+        witness.write_text("1 2 3 4 1 2 3 4\n")  # 4-sparse, not 5-sparse
+        proc = seqext_process([str(witness) if a == "WITNESS" else a for a in argv])
+        assert proc.returncode == code, proc.stderr
+        if code < 2:
+            (check,) = json.loads(proc.stdout)["checks"]
+            assert check["pass"] == (code == 0) and proc.stderr == ""
+        else:
+            assert proc.stdout == "" and proc.stderr.count("error: ") == 1, proc.stderr
+
+    def test_report_equals_main(self, capsys):
+        """A 30 KB report reaches a pipe whole: what `cli.main` prints, apart
+        from its wall time."""
+        argv = ["construct", "block", "--n", "100", "--s", "100", "--json"]
+        proc = seqext_process(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        assert len(proc.stdout) > 25_000 and scrub(proc.stdout) == scrub(expected)
+
+    def test_atexit_handlers_run_once(self):
+        """Handlers registered before the package runs as `__main__` run
+        once, after the report, and what they print reaches both streams."""
+        code = ("import atexit, runpy, sys; "
+                "atexit.register(print, 'to stdout'); "
+                "atexit.register(print, 'to stderr', file=sys.stderr); "
+                "sys.argv = ['seqext', 'oracle', 'lambda', '--n', '3', '--s', '2']; "
+                "runpy.run_module('seqext', run_name='__main__')")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        lines = proc.stdout.splitlines()
+        assert (proc.returncode, proc.stderr) == (0, "to stderr\n")
+        assert lines[0] == "oracle lambda  n=3 s=2 j=2" and lines[-2].startswith("wall_time_ms: ")
+        assert lines[-1] == "to stdout" and lines.count("to stdout") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_unwritable_report_exits_2(self, buffered):
+        """A report that cannot be written is an error of main's, not of the
+        interpreter's teardown (which exited 120)."""
+        with open("/dev/full", "w") as full:
+            proc = seqext_process(["oracle", "lambda", "--n", "3", "--s", "2", "--json"],
+                                  buffered, stdout=full)
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+    def test_failed_stream_is_not_flushed_again(self):
+        """The stream a report failed to reach is not flushed again on the
+        way out; its flush says so on fd 2 each time it is called."""
+        code = ("import io, os, runpy, sys\n"
+                "class Full(io.StringIO):\n"
+                "    def flush(self):\n"
+                "        os.write(2, b'flush\\n')\n"
+                "        raise OSError(28, 'No space left on device')\n"
+                "sys.stdout = Full()\n"
+                "sys.argv = ['seqext', 'oracle', 'lambda', '--n', '3', '--s', '2']\n"
+                "runpy.run_module('seqext', run_name='__main__')\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            2, "flush\nerror: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_broken_pipe_exits_2(self, buffered):
+        """A reader that stops early, as `| head -c 10` does, leaves one error
+        line and status 2. The 140 KB report outgrows the pipe's buffer, so
+        the writer is still writing when the reader closes it."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "seqext", "construct", "block", "--n", "200", "--s", "200",
+                "--json"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              cwd=ROOT) as proc:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (head, code, err) == (b'{\n  "check', 2, b"error: [Errno 32] Broken pipe\n")
 
 
 def run_readme_doctest(pattern: str, adjust=lambda example: None) -> None:
