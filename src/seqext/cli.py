@@ -6,10 +6,15 @@ Exit status contract: 0 = all checks pass, 1 = a mathematical check failed
 usage/parse/infeasible-parameter/cap errors, a report that cannot be
 written, or an interrupt. Reports are line-oriented text by default and
 stable JSON with --json (byte-identical for identical inputs modulo the
-wall_time_ms field). `_READS` is the one declaration of each command's kinds
-and of the options each kind reads. The handlers import `matrices`, `checks`
-and the constructions themselves, so a run compiles only what its command
-uses.
+wall_time_ms field).
+
+The command line is parsed from three tables: `_READS` declares each
+command's kinds and the options each kind reads, `_FLAGS` the type and help
+of those options, and `_EXTRA_FLAGS` the options no kind reads. The `oracle`
+handler is here; the other commands' handlers, and the help, which is built
+from the same tables, are in `_commands`, which `main` imports on first
+use. The handlers import `matrices`, `checks` and the constructions
+themselves, so a run compiles only what its command uses.
 
 `main` is the in-process API and returns the exit status. `entry` is the
 process entry of both `seqext` and `python -m seqext`: it runs `main` and
@@ -18,33 +23,36 @@ ends the process without the interpreter's teardown.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 import time
-from math import comb, factorial
 
 from . import oracles
 from .errors import CapExceededError
-from .sequences import (
+from .sequences import (  # the handlers in `_commands` read `parse_sequence` from here
     BlockedSequence,
     PatternSequence,
     Sequence,
-    flatten,
     parse_pattern,
     parse_sequence,
     render,
 )
 
-_ALTERNATION_RE = re.compile(r"^\(ab\)\^(\d+)$")
-_ALLONES_RE = re.compile(r"^R(\d+),(\d+)$")
+# Each command's help text, in the order `seqext --help` lists them.
+_COMMANDS = {
+    "construct": "build a lower-bound witness and re-verify it",
+    "verify": "run predicates against a sequence file",
+    "oracle": "exact extremal value by exhaustive search",
+    "bound": "evaluate an upper-bound formula",
+    "convert": "blocked sequence <-> incidence matrix",
+}
 
 # Each command's kinds and the options each reads, in the order of its report
 # header and of the arguments of the function it calls; "?" marks an optional
-# one. The parser, the option checks, the report params and the oracle calls
-# all read this table.
+# one. The parser, the help, the option checks, the report params and the
+# oracle calls all read this table.
 _READS = {
     "construct": {"formation": "r q x t", "ds-sparse": "n s j", "block": "n s"},
     "oracle": {"lambda": "n s j?", "formation": "n r s j", "pattern": "pattern j n",
@@ -54,15 +62,44 @@ _READS = {
 }
 
 # Each option's type and its help text by the command that shows one; every
-# command adds the options its kinds read in this order.
+# command takes the options its kinds read, and help lists them in this order.
 _FLAGS = {
     "n": (int, {"convert": "row count override for blocks-to-matrix"}),
     **{name: (int, {}) for name in "m a b s r q x t j".split()},
     "pattern": (str, {"oracle": "pattern: Ra,b | (ab)^s | file | inline text"}),
 }
 
+# The options no kind reads: each one's type (bool for a switch) and its help
+# text by the commands that take it, in the order help lists them.
+_EXTRA_FLAGS = {
+    "out": (str, {"construct": "file prefix for the witness (and trace)",
+                  "convert": "output file"}),
+    "compare-oracle": (bool, {"bound": "kst only: also run oracle ex-matrix and check "
+                                       "value <= bound"}),
+    "json": (bool, dict.fromkeys(_COMMANDS, "emit a stable JSON report")),
+    "override-caps": (bool, dict.fromkeys(("oracle", "bound"),
+                                          "lift the default search-size caps")),
+    "threads": (int, dict.fromkeys(("oracle", "bound"), (
+        "processes for oracle search (default 1), this one included; a search splits only "
+        "when it outruns a serial probe (results are the serial ones; threads_used reports "
+        "the processes used)"))),
+}
+
 # the streams a report failed to reach; `entry` does not flush them again
 _UNWRITABLE: list = []
+
+
+def _print(text: str) -> None:
+    """Print `text` to stdout and flush it, so that an error in writing it
+    reaches `main`'s OSError handler; `entry` leaves a stream that failed
+    here unflushed."""
+    out = sys.stdout
+    try:
+        print(text, file=out)
+        out.flush()
+    except OSError:
+        _UNWRITABLE.append(out)
+        raise
 
 
 class Report:
@@ -88,10 +125,8 @@ class Report:
         return any(not c["pass"] for c in self.checks)
 
     def emit(self, as_json: bool) -> int:
-        """Print the report whole, or nothing when some value cannot be
-        printed, and flush it, so that an error in writing it reaches
-        `main`'s OSError handler; `entry` leaves a stream that failed here
-        unflushed."""
+        """Print the report through `_print`: whole, or nothing when some
+        value cannot be printed."""
         wall_ms = int((time.monotonic() - self.t0) * 1000)
         if as_json:
             payload = {
@@ -117,13 +152,7 @@ class Report:
                 lines.append(f"check {c['name']}: {verdict}{detail}")
             lines.append(f"wall_time_ms: {wall_ms}")
             text = "\n".join(lines)
-        out = sys.stdout
-        try:
-            print(text, file=out)
-            out.flush()
-        except OSError:
-            _UNWRITABLE.append(out)
-            raise
+        _print(text)
         return 1 if self.failed else 0
 
 
@@ -132,15 +161,16 @@ def _reads(command: str, kind: str) -> dict:
     return {spec.rstrip("?"): spec.endswith("?") for spec in _READS[command][kind].split()}
 
 
-def _options(args, command: str, kind: str) -> dict:
+def _options(args: dict, command: str, kind: str) -> dict:
     """The options `kind` reads mapped to their values, in order, None for an
-    optional one not passed. Raises for the first passed option that `kind`
-    does not read, then for the first required one missing (or empty)."""
+    optional one not passed. Raises for the first passed option, in
+    `_FLAGS`' order, that `kind` does not read, then for the first required
+    one missing (or empty)."""
     reads = _reads(command, kind)
-    for name, val in vars(args).items():  # in the parser's order
-        if val is not None and name in _FLAGS and name not in reads:
+    for name in _FLAGS:
+        if args.get(name) is not None and name not in reads:
             raise ValueError(f"{command} {kind} does not take --{name}")
-    values = {name: getattr(args, name) for name in reads}
+    values = {name: args[name] for name in reads}
     for name, optional in reads.items():
         if values[name] in (None, "") and not optional:
             raise ValueError(f"missing required option --{name}")
@@ -148,7 +178,7 @@ def _options(args, command: str, kind: str) -> dict:
 
 
 def _resolve_seq_pattern(spec: str) -> PatternSequence:
-    m = _ALTERNATION_RE.match(spec)
+    m = re.match(r"^\(ab\)\^(\d+)$", spec)  # compiled on first use, by `re`
     if m:
         s = int(m.group(1))
         if s < 1:
@@ -163,7 +193,7 @@ def _resolve_seq_pattern(spec: str) -> PatternSequence:
 def _resolve_matrix_pattern(spec: str) -> MatrixPattern:
     from .matrices import MatrixPattern, all_ones, parse_matrix
 
-    m = _ALLONES_RE.match(spec)
+    m = re.match(r"^R(\d+),(\d+)$", spec)
     if m:
         return all_ones(int(m.group(1)), int(m.group(2)))
     if os.path.exists(spec):
@@ -175,153 +205,16 @@ def _resolve_matrix_pattern(spec: str) -> MatrixPattern:
     return MatrixPattern(M.n, M.m, M.rows)
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _cmd_construct(args) -> int:
-    from . import checks, construct  # imported here, so that other commands never load them
-
-    kind = args.kind
-    report = Report(f"construct {kind}", _options(args, "construct", kind))
-    params = report.params
-    if kind == "formation":
-        seq, trace = construct.build_formation_witness(*params.values())
-        _verify_formation_witness(report, seq, trace)
-        report.results["witness"] = render(seq)
-        if args.out:
-            _write(args.out + ".seq", render(seq))
-            _write(args.out + ".trace", construct.trace_report(trace))
-            report.results["files"] = f"{args.out}.seq {args.out}.trace"
-    elif kind == "ds-sparse":
-        n, s, j = params.values()
-        seq = construct.build_ds_sparse_witness(n, s, j)
-        report.check("letters", len(seq.alphabet) == n, len(seq.alphabet), n)
-        report.check(f"sparse:{j}", checks.is_sparse(seq, j))
-        _check_ds(report, seq, s)
-        report.results["witness"] = render(seq)
-        if args.out:
-            _write(args.out + ".seq", render(seq))
-            report.results["files"] = f"{args.out}.seq"
-    else:  # block
-        n, s = params.values()
-        bseq = construct.build_block_witness(n, s)
-        flat = flatten(bseq)
-        full = min(s, n)
-        report.check("block-count", bseq.block_count == n, bseq.block_count, n)
-        report.check(
-            "deletions-per-block",
-            all(len(b) >= n - 1 for b in bseq.blocks[:full]),
-            min((len(b) for b in bseq.blocks[:full]), default=0),
-            n - 1,
-        )
-        if s <= n:
-            report.check("length", flat.length >= n * s - n, flat.length, n * s - n)
-        _check_ds(report, flat, s)
-        report.results["witness"] = render(bseq)
-        if args.out:
-            _write(args.out + ".blocks", render(bseq))
-            report.results["files"] = f"{args.out}.blocks"
-    return report.emit(args.json)
-
-
-def _check_ds(report: Report, seq: Sequence, s: int) -> None:
-    """The ds:S check, passing iff `checks.is_ds(seq, s)`, from one alternation scan."""
-    from . import checks
-
-    if s < 1:
-        raise ValueError("order must be >= 1")
-    alt = checks.max_alternation(seq)
-    report.check(f"ds:{s}", checks.is_sparse(seq, 2) and alt <= s + 1, alt, s + 1)
-
-
-def _verify_formation_witness(report: Report, seq: Sequence, trace) -> None:
-    """Re-verify every construction postcondition through the checkers."""
-    from . import checks, coloring, construct
-
-    r, q, x, t = trace.r, trace.q, trace.x, trace.t
-    report.check("length", len(seq) == q * t * comb(x, r), len(seq), q * t * comb(x, r))
-    report.check(f"sparse:{q}", checks.is_sparse(seq, q))
-    if t >= 2:
-        report.check(f"not-sparse:{q + 1}", not checks.is_sparse(seq, q + 1))
-    budget = factorial(q) ** (r - 1) * x
-    report.check("letter-budget", trace.letter_count <= budget, trace.letter_count, budget)
-    fbound = 2 * comb(x - 1, r - 1) + t + 1
-    fmax = checks.max_formation_length(seq, r)
-    report.check("formation-ceiling", fmax < fbound, fmax, fbound)
-    ok_inter = True
-    ok_color = True
-    for level in range(r, q + 1):
-        H = construct.level_hypergraph(trace, level)
-        if H.meets_in(r):
-            ok_inter = False
-        if level < q:
-            col = construct.level_coloring(trace, level)
-            if not coloring.validate_coloring(H, col) or not coloring.within_color_budget(
-                col.color_count, H.uniformity, r - 1, H.vertex_count
-            ):
-                ok_color = False
-    report.check("troop-intersections", ok_inter, bound=r - 1)
-    report.check("level-colorings", ok_color)
-
-
-def _cmd_verify(args) -> int:
-    from . import checks
-
-    with open(args.file) as fh:
-        obj = parse_sequence(fh.read())
-    if isinstance(obj, BlockedSequence):
-        blocked, flat = obj, flatten(obj)
-    else:
-        blocked, flat = None, obj
-    report = Report("verify", {"file": args.file})
-    for spec in args.checks:
-        name, _, rest = spec.partition(":")
-        if name == "sparse":
-            j = int(rest)
-            report.check(f"sparse:{j}", checks.is_sparse(flat, j))
-        elif name == "ds":
-            _check_ds(report, flat, int(rest))
-        elif name == "formation":
-            rtxt, _, stxt = rest.partition(":")
-            r, s = int(rtxt), int(stxt)
-            if s < 1:
-                raise ValueError("s must be >= 1")
-            fmax = checks.max_formation_length(flat, r)
-            report.check(f"formation:{r}:{s}", fmax < s, fmax, s)
-        elif name == "pattern":
-            u = _resolve_seq_pattern(rest)
-            report.check(f"pattern:{rest}", not checks.contains_pattern(flat, u))
-        elif name == "lambda-prime":
-            from . import matrices
-
-            s = int(rest)
-            if s < 1:
-                raise ValueError("s must be >= 1")
-            if blocked is None and len(flat.alphabet) < len(flat):
-                raise ValueError(
-                    f"{spec} needs a blocked file ('|' between blocks): "
-                    "this file has no blocks and repeats a letter"
-                )
-            target = blocked if blocked is not None else BlockedSequence((flat.tokens,))
-            cooc = matrices.max_pair_cooccurrence(target)
-            report.check(f"lambda-prime:{s}", cooc <= s, cooc, s)
-        else:
-            raise ValueError(f"unknown check {spec!r}")
-    return report.emit(args.json)
-
-
-def _threads(args) -> int:
+def _threads(args: dict) -> int:
     """The --threads count (1 when not passed), checked before any work."""
-    threads = 1 if args.threads is None else args.threads
+    threads = 1 if args["threads"] is None else args["threads"]
     oracles._check_threads(threads)
     return threads
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args: dict) -> int:
     threads = _threads(args)
-    fn = args.function
+    fn = args["kind"]
     report = Report(f"oracle {fn}", _options(args, "oracle", fn))
     params = report.params
     if fn == "lambda" and params["j"] is None:
@@ -334,7 +227,7 @@ def _cmd_oracle(args) -> int:
         values["pattern"] = P = _resolve_matrix_pattern(params["pattern"])
         params["pattern"] = str(P).replace("\n", "/")
     oracle = getattr(oracles, "oracle_" + fn.replace("-", "_"))
-    res = oracle(*values.values(), override_caps=args.override_caps, threads=threads)
+    res = oracle(*values.values(), override_caps=args["override-caps"], threads=threads)
     report.results["value"] = res.value
     if isinstance(res.witness, (Sequence, BlockedSequence)):
         report.results["witness"] = render(res.witness)
@@ -344,155 +237,106 @@ def _cmd_oracle(args) -> int:
     report.results["ceiling"] = res.ceiling
     report.results["exhausted"] = res.exhausted
     report.results["threads_used"] = res.threads_used
-    return report.emit(args.json)
+    return report.emit(args["json"])
 
 
-def _cmd_bound(args) -> int:
-    kind = args.kind
-    if args.compare_oracle and kind != "kst":
-        fn = {"ds-ceiling": "lambda", "formation-ceiling": "formation"}[kind]
-        raise ValueError(f"bound {kind} takes no --compare-oracle: its oracle searches under "
-                         f"this very ceiling; `seqext oracle {fn}` reports it as `ceiling` "
-                         "beside the exact value")
-    if not args.compare_oracle:  # then no oracle runs to read them
-        for flag, passed in (("override-caps", args.override_caps),
-                             ("threads", args.threads is not None)):
-            if passed:
-                runs = " without --compare-oracle" if kind == "kst" else ""
-                raise ValueError(f"bound {kind} does not take --{flag}{runs}")
-    threads = _threads(args)
-    report = Report(f"bound {kind}", _options(args, "bound", kind))
-    params = report.params
-    if kind == "kst":
-        from . import matrices
-
-        n, m, a, b = params.values()
-        report.results["bound"] = bound = matrices.kst_bound(n, m, a, b)
-        if args.compare_oracle:
-            P = matrices.all_ones(a, b)
-            value = oracles.oracle_ex_matrix(n, m, P, override_caps=args.override_caps,
-                                             threads=threads).value
-            report.results["oracle_value"] = value
-            report.check("oracle<=bound", value <= bound, value, bound)
-    elif kind == "ds-ceiling":
-        report.results["bound"] = oracles.lambda_ceiling(*params.values())
-    else:  # formation-ceiling
-        report.results["bound"] = oracles.formation_ceiling(*params.values())
-    return report.emit(args.json)
+def _takes(command: str) -> dict:
+    """Each option `command` takes mapped to its type and its help text (None
+    for none), in the order help lists them: those its kinds read, then the
+    rest."""
+    names = {name for kind in _READS.get(command, ()) for name in _reads(command, kind)}
+    takes = {name: (type_, helps.get(command))
+             for name, (type_, helps) in _FLAGS.items() if name in names}
+    takes.update((name, (type_, helps[command]))
+                 for name, (type_, helps) in _EXTRA_FLAGS.items() if command in helps)
+    return takes
 
 
-def _cmd_convert(args) -> int:
-    from . import matrices
-
-    _options(args, "convert", args.direction)
-    with open(args.file) as fh:
-        text = fh.read()
-    report = Report(f"convert {args.direction}", {"file": args.file})
-    if args.direction == "blocks-to-matrix":
-        obj = parse_sequence(text)
-        if isinstance(obj, Sequence):
-            obj = BlockedSequence((obj.tokens,))
-        M = matrices.blocked_to_matrix(obj, rows=args.n)
-        out = matrices.render_matrix(M)
-    else:
-        M = matrices.parse_matrix(text)
-        out = render(matrices.matrix_to_blocked(M))
-    report.results["output"] = out
-    if args.out:
-        _write(args.out, out)
-        report.results["files"] = args.out
-    return report.emit(args.json)
+def _is_option(word: str) -> bool:
+    """Whether `word` is an option: it starts with "-" and is neither "-"
+    nor a negative integer, which are values."""
+    return word.startswith("-") and word != "-" and not word[1:].isdigit()
 
 
-# Each command's handler and help text, in the order `seqext --help` lists them.
-_COMMANDS = {
-    "construct": (_cmd_construct, "build a lower-bound witness and re-verify it"),
-    "verify": (_cmd_verify, "run predicates against a sequence file"),
-    "oracle": (_cmd_oracle, "exact extremal value by exhaustive search"),
-    "bound": (_cmd_bound, "evaluate an upper-bound formula"),
-    "convert": (_cmd_convert, "blocked sequence <-> incidence matrix"),
-}
-
-
-def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
-    """The arguments of `command`'s parser: its kind and the options its
-    kinds read (its file and checks, for verify), then the rest."""
+def _parse(argv: list) -> dict:
+    """The command line `argv` as a dict: "command"; "kind", and "file" for
+    convert, or "file" and "checks" for verify; and every option the command
+    takes, by name, mapped to the value passed last, else to None (False for
+    a switch). The command comes first; its positionals and options may
+    follow in any order, up to a `--`, after which come positionals only.
+    An option is spelled in full, as `--name VALUE` or `--name=VALUE`. With `-h` or `--help` anywhere, it is the command
+    "help" and the "topic" whose help to print: the command that `argv`
+    names first, else None. Raises ValueError for a usage error."""
+    if "-h" in argv or "--help" in argv:
+        return {"command": "help", "topic": argv[0] if argv and argv[0] in _COMMANDS else None}
+    if not argv or argv[0] not in _COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "missing command"
+        raise ValueError(f"{what}; choose from {', '.join(_COMMANDS)}")
+    command, words = argv[0], iter(argv[1:])
+    takes = _takes(command)
+    args = {name: False if type_ is bool else None for name, (type_, _help) in takes.items()}
+    args["command"] = command
+    positionals = []
+    for word in words:
+        if word == "--":  # the rest are positionals, such as a file named "-w.seq"
+            positionals += words
+            break
+        if not _is_option(word):
+            positionals.append(word)
+            continue
+        name, eq, value = word[2:].partition("=")
+        if not word.startswith("--") or name not in takes:
+            raise ValueError(f"{command} takes no option {word.partition('=')[0]}")
+        type_ = takes[name][0]
+        if type_ is bool:
+            if eq:
+                raise ValueError(f"--{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(words, None)
+            if value is None or _is_option(value):
+                raise ValueError(f"--{name} needs a value")
+        if type_ is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"--{name} needs an integer, not {value!r}") from None
+        args[name] = value
     if command == "verify":
-        sp.add_argument("file")
-        sp.add_argument("checks", nargs="+", metavar="CHECK",
-                        help="sparse:J ds:S formation:R:S pattern:SPEC lambda-prime:S")
-    else:
-        sp.add_argument({"oracle": "function", "convert": "direction"}.get(command, "kind"),
-                        choices=list(_READS[command]))
-        names = {name for kind in _READS[command] for name in _reads(command, kind)}
-        for name, (type_, helps) in _FLAGS.items():
-            if name in names:
-                sp.add_argument(f"--{name}", type=type_, help=helps.get(command))
-    if command == "construct":
-        sp.add_argument("--out", help="file prefix for the witness (and trace)")
-    elif command == "bound":
-        sp.add_argument("--compare-oracle", action="store_true",
-                        help="kst only: also run oracle ex-matrix and check value <= bound")
-    elif command == "convert":
-        sp.add_argument("file")
-        sp.add_argument("--out", help="output file")
-    sp.add_argument("--json", action="store_true", help="emit a stable JSON report")
-    if command in ("oracle", "bound"):
-        sp.add_argument("--override-caps", action="store_true",
-                        help="lift the default search-size caps")
-        sp.add_argument("--threads", type=int,
-                        help="processes for oracle search (default 1), this one included; a search "
-                             "splits only when it outruns a serial probe (results are "
-                             "the serial ones; threads_used reports the processes used)")
-
-
-def _help_width() -> int:
-    """The width of help text, as `argparse` takes it from
-    `shutil.get_terminal_size`: COLUMNS, else the columns of the terminal
-    on the original stdout, else 80; less 2. Passing it keeps `argparse`
-    from importing `shutil`, which loads bz2, lzma, zlib and fnmatch."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
-            columns = 0
-    return (columns or 80) - 2
-
-
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of `argv`. Only the command that argv names (its first
-    argument that is no option) gets its arguments; the others keep their
-    names and help texts, which is all `seqext --help` and a top-level usage
-    error print. Every parser formats help at `_help_width()`."""
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
-    width = _help_width()
-
-    def formatter(prog: str) -> argparse.HelpFormatter:
-        return argparse.HelpFormatter(prog, width=width)
-
-    p = argparse.ArgumentParser(
-        prog="seqext",
-        allow_abbrev=False,
-        formatter_class=formatter,
-        description="Extremal sequence/matrix constructions, checkers, bounds, and exact oracles.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for command, (_handler, text) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text, allow_abbrev=False, formatter_class=formatter)
-        if command == named:
-            _add_arguments(sp, command)
-    return p
+        if len(positionals) < 2:
+            raise ValueError("verify needs a FILE and at least one CHECK")
+        args["file"], args["checks"] = positionals[0], positionals[1:]
+        return args
+    kinds = _READS[command]
+    if not positionals:
+        raise ValueError(f"{command} needs a kind: {', '.join(kinds)}")
+    if positionals[0] not in kinds:
+        raise ValueError(f"{command} has no kind {positionals[0]!r}; "
+                         f"choose from {', '.join(kinds)}")
+    names = ("kind", "file") if command == "convert" else ("kind",)
+    if len(positionals) > len(names):
+        raise ValueError(f"unexpected argument {positionals[len(names)]!r}")
+    if len(positionals) < len(names):
+        raise ValueError(f"{command} {positionals[0]} needs a FILE")
+    args.update(zip(names, positionals))
+    return args
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    """Run the command line `argv` (by default `sys.argv[1:]`) and return its
+    exit status. `-h` or `--help` anywhere prints help and returns 0; a usage
+    error prints one `error:` line, as every other error does, and returns
+    2. It never ends the process."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        args = _parse(argv)
+        if args["command"] == "oracle":
+            return _cmd_oracle(args)
+        # the other handlers and the help load on first use, so that an
+        # oracle run compiles none of them
+        from . import _commands
+
+        return getattr(_commands, "cmd_" + args["command"])(args)
     except CapExceededError as exc:
         print(f"error: {exc.text('--override-caps')}", file=sys.stderr)
         return 2
@@ -513,14 +357,26 @@ def entry() -> None:
     without the interpreter's teardown: every atexit handler runs once,
     stdout and stderr are flushed, unless a report failed to reach that
     stream, and `os._exit` ends the process, which then frees no module or
-    object one by one. Under `python -i` or PYTHONINSPECT, or while another
-    thread is alive, the process ends the normal way, by `sys.exit`, so that
-    the interactive prompt starts and the threads are joined. A usage error
-    or `--help` leaves `main` as SystemExit and ends the normal way too."""
+    object one by one. Where an interactive prompt is to start after `main`
+    (`python -i`, or PYTHONINSPECT with a terminal on stdin), or while
+    another thread is alive, the process ends the normal way, by
+    `sys.exit`, so that the prompt starts and the threads are joined. The
+    descriptor of each stream a report failed to reach then points at
+    `os.devnull`, so that the teardown's flush of it succeeds and the status
+    stays main's."""
     code = main()
     threading = sys.modules.get("threading")  # None: no thread was started through it
-    if (sys.flags.inspect or os.environ.get("PYTHONINSPECT")
-            or threading is not None and threading.active_count() > 1):
+    prompt = (sys.flags.inspect or os.environ.get("PYTHONINSPECT")) and (
+        sys.flags.interactive or os.isatty(0))
+    if prompt or threading is not None and threading.active_count() > 1:
+        for stream in _UNWRITABLE:
+            try:
+                fd = stream.fileno()
+            except (OSError, ValueError):  # no descriptor: nothing to point elsewhere
+                continue
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         sys.exit(code)
     import atexit
 

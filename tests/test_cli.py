@@ -1,6 +1,5 @@
 """CLI surface: subcommands, exit-status contract, file IO, JSON stability."""
 
-import argparse
 import hashlib
 import json
 import random
@@ -78,11 +77,8 @@ class TestConstruct:
         assert hashlib.sha256(witness.encode()).hexdigest()[:16] == digest
 
     def test_ds_sparse_takes_no_c(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2", "--c", "1.0"])
-        captured = capsys.readouterr()
-        assert (exc.value.code, captured.out) == (2, "")
-        assert "unrecognized arguments: --c 1.0" in captured.err
+        assert run(capsys, "construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2",
+                   "--c", "1.0") == (2, "", "error: construct takes no option --c\n")
 
     def test_missing_params_exit_2(self, capsys):
         code, _, err = run(capsys, "construct", "formation", "--r", "2")
@@ -475,11 +471,7 @@ class TestBound:
     @pytest.mark.parametrize("extra", [(), ("--compare-oracle",)])
     def test_ceilings_take_no_j(self, capsys, argv, extra):
         # neither formula reads j; the j < r rule lives in the oracles
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", *argv, *extra])
-        captured = capsys.readouterr()
-        assert (exc.value.code, captured.out) == (2, "")
-        assert "unrecognized arguments: --j" in captured.err
+        assert run(capsys, "bound", *argv, *extra) == (2, "", "error: bound takes no option --j\n")
 
     @pytest.mark.parametrize("argv, flag", [
         (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "2"), "threads"),
@@ -706,26 +698,42 @@ def test_option_prefixes_exit_2(capsys, tmp_path, argv):
     # options are matched by their full spelling only, never by a prefix
     f = tmp_path / "b.seq"
     f.write_text("1 2 | 2 1\n")
-    with pytest.raises(SystemExit) as exc:
-        main([str(f) if arg == "{file}" else arg for arg in argv])
-    captured = capsys.readouterr()
-    assert (exc.value.code, captured.out) == (2, "")
-    assert "unrecognized arguments: " in captured.err
+    code, out, err = run(capsys, *[str(f) if arg == "{file}" else arg for arg in argv])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith(f"error: {argv[0]} takes no option --"), err
+
+
+# the options no kind reads, by the commands that take them, and their types
+EXTRA_OPTIONS = {
+    "construct": {"out": str, "json": bool},
+    "verify": {"json": bool},
+    "oracle": {"json": bool, "override-caps": bool, "threads": int},
+    "bound": {"compare-oracle": bool, "json": bool, "override-caps": bool, "threads": int},
+    "convert": {"out": str, "json": bool},
+}
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_full_option_spelling_parses(command):
-    parser = cli._build_parser([command])
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    """A command takes the options its kinds read (`_READS`), of the types
+    `_FLAGS` gives, and those of EXTRA_OPTIONS; each parses as `--name
+    VALUE` and as `--name=VALUE`. Every other option of `_FLAGS` is refused."""
     head = {"verify": ["w.seq", "sparse:2"], "convert": ["blocks-to-matrix", "F"]}.get(
         command) or [next(iter(cli._READS[command]))]
-    options = [(option, action) for action in commands.choices[command]._actions
-               for option in action.option_strings if option not in ("-h", "--help")]
+    read = {spec.rstrip("?") for kind in cli._READS.get(command, {}).values()
+            for spec in kind.split()}
+    options = {name: cli._FLAGS[name][0] for name in read} | EXTRA_OPTIONS[command]
     assert options
-    for option, action in options:
-        value = [] if action.nargs == 0 else ["7"]
-        args = parser.parse_args([command, *head, option, *value])
-        assert getattr(args, action.dest) not in (None, False, action.default), option
+    for name, type_ in options.items():
+        if type_ is bool:
+            assert cli._parse([command, *head])[name] is False
+            assert cli._parse([command, *head, f"--{name}"])[name] is True, name
+            continue
+        for words in ([f"--{name}", "7"], [f"--{name}=7"]):
+            assert cli._parse([command, *head, *words])[name] == type_("7"), words
+    for name in set(cli._FLAGS) - read:
+        with pytest.raises(ValueError, match=f"^{command} takes no option --{name}$"):
+            cli._parse([command, *head, f"--{name}", "7"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -735,10 +743,67 @@ def test_every_full_option_spelling_parses(command):
 ])
 def test_search_options_only_on_searches(capsys, argv):
     for option in ("--override-caps", "--threads=2"):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, option])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        name = option.partition("=")[0]
+        assert run(capsys, *argv, option) == (2, "", f"error: {argv[0]} takes no option {name}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "ex-matrix", "--n=3", "--m=3", "--pattern=R2,2"),
+    ("oracle", "--n", "3", "--m=3", "ex-matrix", "--pattern", "R2,2"),
+    ("oracle", "--pattern", "R2,2", "--n", "3", "--m", "3", "ex-matrix"),
+], ids=["equals", "kind-between-options", "kind-last"])
+def test_option_spellings_and_order(capsys, argv):
+    """`--name=VALUE` is `--name VALUE`, and the kind may stand anywhere
+    after the command."""
+    code, expected, _ = run_json(
+        capsys, "oracle", "ex-matrix", "--n", "3", "--m", "3", "--pattern", "R2,2")
+    assert code == 0 and expected["results"]["value"] == 6
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert [payload[k] for k in ("command", "params", "results", "checks")] == [
+        expected[k] for k in ("command", "params", "results", "checks")]
+
+
+def test_double_dash_ends_the_options(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-w.seq").write_text("1 2 1 2\n")
+    code, out, _ = run(capsys, "verify", "--json", "--", "-w.seq", "sparse:2")
+    assert code == 0 and json.loads(out)["params"] == {"file": "-w.seq"}
+    assert run(capsys, "verify", "-w.seq", "sparse:2") == (
+        2, "", "error: verify takes no option -w.seq\n")
+    assert run(capsys, "verify", "--", "-w.seq", "--json") == (
+        2, "", "error: unknown check '--json'\n")
+
+
+@pytest.mark.parametrize("argv", [("--n", "-1"), ("--n=-1",)])
+def test_negative_numbers_are_values(capsys, argv):
+    # they reach the oracle's own check
+    assert run(capsys, "oracle", "lambda", *argv, "--s", "2") == (
+        2, "", "error: need n, s, j >= 1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "missing command; choose from construct, verify, oracle, bound, convert"),
+    (("orcale", "lambda"), "unknown command 'orcale'; choose from construct, verify, oracle, "
+                           "bound, convert"),
+    (("oracle", "--n", "3", "--s", "2"), "oracle needs a kind: lambda, formation, pattern, "
+                                         "lambda-blocks, lambda-prime, ex-matrix"),
+    (("bound", "ds", "--n", "3"), "bound has no kind 'ds'; choose from kst, ds-ceiling, "
+                                  "formation-ceiling"),
+    (("oracle", "lambda", "--s", "2", "--n"), "--n needs a value"),
+    (("oracle", "lambda", "--n", "--s", "2"), "--n needs a value"),
+    (("oracle", "lambda", "--n", "x", "--s", "2"), "--n needs an integer, not 'x'"),
+    (("oracle", "lambda", "--n=", "--s", "2"), "--n needs an integer, not ''"),
+    (("oracle", "lambda", "--n", "3", "--s", "2", "--json=yes"), "--json takes no value"),
+    (("oracle", "lambda", "--n", "3", "--s", "2", "-t", "2"), "oracle takes no option -t"),
+    (("oracle", "lambda", "extra", "--n", "3", "--s", "2"), "unexpected argument 'extra'"),
+    (("verify", "w.seq"), "verify needs a FILE and at least one CHECK"),
+    (("convert", "matrix-to-blocks"), "convert matrix-to-blocks needs a FILE"),
+], ids=["no-arguments", "unknown-command", "no-kind", "unknown-kind", "value-missing-at-end",
+        "value-missing-before-option", "not-an-int", "empty-int", "switch-with-value",
+        "short-option", "extra-positional", "verify-without-check", "convert-without-file"])
+def test_usage_error_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, shown", [
@@ -748,51 +813,35 @@ def test_search_options_only_on_searches(capsys, argv):
     ("bound", ["{kst,ds-ceiling,formation-ceiling}", "--compare-oracle", "--threads THREADS"]),
     ("convert", ["{blocks-to-matrix,matrix-to-blocks} file", "row count override"]),
 ])
-def test_help_of_each_command(capsys, monkeypatch, command, shown):
-    """Only the command argv names gets its arguments, and every command
-    keeps its help line in `seqext --help`."""
-    monkeypatch.setenv("COLUMNS", "200")
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
+def test_help_of_each_command(capsys, command, shown):
+    """Each command's help shows its kinds and options, and `seqext --help`
+    lists every command with its help line."""
+    assert main(["--help"]) == 0
     top = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--help"])
-    out = capsys.readouterr().out
-    assert exc.value.code == 0 and out.startswith(f"usage: seqext {command} [-h]")
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "") and out.startswith(f"usage: seqext {command} [-h]")
     assert all(text in out for text in shown + ["--json"]), out
-    assert re.search(rf"^    {command} +\w", top, re.M) and "{construct,verify,oracle,bound,convert}" in top
+    assert re.search(rf"^  {command} +\w", top, re.M)
+    assert "{construct,verify,oracle,bound,convert}" in top
+    for kind, reads in cli._READS.get(command, {}).items():  # each kind with what it reads
+        spelled = [f"[--{spec[:-1]} {spec[:-1].upper()}]" if spec.endswith("?")
+                   else f"--{spec} {spec.upper()}" for spec in reads.split()]
+        assert re.search(rf"^  {kind} *{re.escape(' '.join(spelled))}$", out, re.M), kind
 
 
-@pytest.mark.parametrize("columns", ["40", "100", None, "", "abc", "0", "-5"])
-def test_help_width_is_shutils(monkeypatch, columns):
-    """`_help_width` is the width `argparse` takes from
-    `shutil.get_terminal_size` when no width is given."""
-    import shutil
-
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    assert cli._help_width() == shutil.get_terminal_size().columns - 2
-
-
-@pytest.mark.parametrize("columns", ["40", "100", None])
-@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
-def test_help_text_at_argparses_own_width(capsys, monkeypatch, columns, argv):
-    """The help printed at `_help_width()` is byte for byte the help at the
-    width `argparse` computes itself (through `shutil`) when given none."""
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    texts = []
-    for width in (cli._help_width, lambda: None):
-        monkeypatch.setattr(cli, "_help_width", width)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
-        texts.append(capsys.readouterr().out)
-    assert texts[0] == texts[1] and texts[0].startswith("usage: seqext")
+@pytest.mark.parametrize("argv, command", [
+    (("-h",), None),
+    (("oracle", "lambda", "--n", "3", "-h"), "oracle"),
+    (("oracle", "lambda", "--n", "x", "--bogus", "--help"), "oracle"),
+    (("verify", "--help", "w.seq"), "verify"),
+    (("orcale", "--help"), None),
+], ids=["top", "after-options", "after-bad-options", "before-positionals", "unknown-command"])
+def test_help_anywhere(capsys, argv, command):
+    """-h or --help anywhere prints help, that of the command when the first
+    word names one, and returns 0, whatever else the line holds."""
+    code, out, err = run(capsys, *argv)
+    usage = f"usage: seqext {command} [-h]" if command else "usage: seqext [-h]"
+    assert (code, err) == (0, "") and out.startswith(usage), out
 
 
 def test_unwritable_report_reaches_the_error_handler(capsys, monkeypatch):

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from conftest import random_hypergraph
-from seqext.cli import Report, _verify_formation_witness
+from seqext._commands import _verify_formation_witness
+from seqext.cli import Report
 from seqext.coloring import (
     EdgeColoring,
     Hypergraph,

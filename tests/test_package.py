@@ -22,17 +22,18 @@ ROOT = Path(__file__).resolve().parents[1]
 # modules that load on first use, each only in the runs whose command needs it
 ON_FIRST_USE = ("seqext.backends", "seqext._kernels_py", "seqext._seq_state",
                 "seqext._matrix_state", "seqext.matrices", "seqext.checks", "seqext.construct",
-                "seqext.coloring", "seqext._forkpool")
-# modules no seqext process needs; argparse imports shutil (and with it bz2
-# and lzma) unless each parser is given its help width
+                "seqext.coloring", "seqext._forkpool", "seqext._commands")
+# modules no seqext process needs: `cli` parses its command line itself
 NEVER = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "typing", "shutil",
-         "bz2", "lzma")
+         "bz2", "lzma", "argparse", "gettext", "locale")
 KERNELS = ("seqext._kernels_py", "seqext.backends")
 # the pure twin's search states, which a run loads only when that twin searches
 PURE = seqext.backend_name() == "pure"
 SEQ_STATE = ("seqext._seq_state",) if PURE else ()
 MATRIX_STATE = ("seqext._matrix_state",) if PURE else ()
 CONSTRUCTIONS = ("seqext.checks", "seqext.coloring", "seqext.construct")
+# the handlers of every command but `oracle`
+HANDLERS = ("seqext._commands",)
 
 # `from seqext import *` before the package had an __all__, less the names
 # since deleted because nothing read them (see REMOVED)
@@ -87,24 +88,29 @@ class TestImports:
 
     @pytest.mark.parametrize("argv, loads", [
         (["construct", "formation", "--r", "2", "--q", "2", "--x", "3", "--t", "1"],
-         CONSTRUCTIONS),
-        (["construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2"], CONSTRUCTIONS),
-        (["construct", "block", "--n", "4", "--s", "3"], CONSTRUCTIONS),
+         HANDLERS + CONSTRUCTIONS),
+        (["construct", "ds-sparse", "--n", "48", "--s", "24", "--j", "2"],
+         HANDLERS + CONSTRUCTIONS),
+        (["construct", "block", "--n", "4", "--s", "3"], HANDLERS + CONSTRUCTIONS),
         (["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4", "pattern:(ab)^3"],
-         ("seqext.checks",)),
-        (["verify", "WITNESS", "lambda-prime:4"], ("seqext.checks", "seqext.matrices")),
-        (["convert", "blocks-to-matrix", "WITNESS"], ("seqext.matrices",)),
+         HANDLERS + ("seqext.checks",)),
+        (["verify", "WITNESS", "lambda-prime:4"], HANDLERS + ("seqext.checks", "seqext.matrices")),
+        (["convert", "blocks-to-matrix", "WITNESS"], HANDLERS + ("seqext.matrices",)),
+        (["bound", "ds-ceiling", "--n", "4", "--s", "2"], HANDLERS),
+        (["bound", "kst", "--n", "4", "--m", "4", "--a", "2", "--b", "2"],
+         HANDLERS + ("seqext.matrices",)),
         (["oracle", "lambda", "--n", "4", "--s", "2"], KERNELS + SEQ_STATE + ("seqext.checks",)),
         (["oracle", "ex-matrix", "--n", "4", "--m", "4", "--pattern", "R2,2"],
          KERNELS + MATRIX_STATE + ("seqext.matrices",)),
     ])
     def test_cli_run(self, tmp_path, argv, loads):
         """A run loads, of the modules that load on first use, exactly those
-        its command needs: no construct or verify run a kernel twin or a
-        search state, only lambda-prime checks and conversions `matrices`,
-        no sequence oracle `matrices` or the matrix state, no matrix oracle
-        `checks` or the sequence state (and a search on the compiled twin
-        neither state); and no run any of NEVER."""
+        its command needs: only a run of a command other than `oracle` the
+        handlers in `_commands`, no construct, verify or bound formula a
+        kernel twin or a search state, only lambda-prime checks, conversions
+        and `bound kst` `matrices`, no sequence oracle `matrices` or the
+        matrix state, no matrix oracle `checks` or the sequence state (and a
+        search on the compiled twin neither state); and no run any of NEVER."""
         witness = tmp_path / "w.seq"
         witness.write_text("1 2 | 1 3 | 1\n")
         argv = [str(witness) if a == "WITNESS" else a for a in argv]
@@ -113,8 +119,9 @@ class TestImports:
         assert fresh(code) == (0, sorted(loads))
 
     @pytest.mark.parametrize("argv, loads", [
-        (["construct", "block", "--n", "4", "--s", "3"], CONSTRUCTIONS),
-        (["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4"], ("seqext.checks",)),
+        (["construct", "block", "--n", "4", "--s", "3"], HANDLERS + CONSTRUCTIONS),
+        (["verify", "WITNESS", "ds:2", "sparse:2", "formation:2:4"],
+         HANDLERS + ("seqext.checks",)),
     ])
     def test_entry_point_run(self, tmp_path, argv, loads):
         """`python -S -m seqext`, as users and the benchmark run it, loads
@@ -200,7 +207,7 @@ class TestEntry:
     @pytest.mark.parametrize("argv, code", [
         (["verify", "WITNESS", "sparse:4", "--json"], 0),
         (["verify", "WITNESS", "sparse:5", "--json"], 1),
-        (["verify", "WITNESS", "sparse:4", "--bogus"], 2),  # argparse's SystemExit
+        (["verify", "WITNESS", "sparse:4", "--bogus"], 2),  # a usage error
         (["oracle", "lambda", "--n", "0", "--s", "2"], 2),  # main's error handler
     ])
     def test_exit_codes(self, tmp_path, argv, code):
@@ -267,6 +274,37 @@ class TestEntry:
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (
             2, "flush\nerror: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("way", ["PYTHONINSPECT", "live-thread"])
+    def test_unwritable_report_exits_2_on_the_normal_exit(self, way):
+        """Where `entry` ends by `sys.exit` (a thread still alive), the
+        teardown does not flush again the stream a report failed to reach:
+        its descriptor points at os.devnull by then. PYTHONINSPECT with no
+        terminal on stdin starts no prompt, so it ends by `os._exit`. Each
+        way exits 2 with one error line, where the teardown's flush printed
+        `Exception ignored` and exited 120."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ["oracle", "lambda", "--n", "3", "--s", "2", "--json"]
+        if way == "PYTHONINSPECT":
+            env["PYTHONINSPECT"] = "1"
+            command = [sys.executable, "-m", "seqext", *argv]
+        else:
+            command = [sys.executable, "-c", (
+                "import runpy, sys, threading\n"
+                "stop = threading.Event()\n"
+                "threading.Thread(target=stop.wait, args=(5,)).start()\n"
+                f"sys.argv = ['seqext', *{argv!r}]\n"
+                "try:\n"
+                "    runpy.run_module('seqext', run_name='__main__')\n"
+                "finally:\n"
+                "    stop.set()\n")]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(command, stdin=subprocess.DEVNULL, stdout=full,
+                                  stderr=subprocess.PIPE, env=env, cwd=ROOT, text=True,
+                                  timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("buffered", [True, False])
     def test_broken_pipe_exits_2(self, buffered):
