@@ -45,7 +45,7 @@ _COMMANDS = {
     "construct": "build a lower-bound witness and re-verify it",
     "verify": "run predicates against a sequence file",
     "oracle": "exact extremal value by exhaustive search",
-    "bound": "evaluate an upper-bound formula",
+    "bound": "evaluate an upper-bound formula, without a search",
     "convert": "blocked sequence <-> incidence matrix",
 }
 
@@ -70,19 +70,17 @@ _FLAGS = {
 }
 
 # The options no kind reads: each one's type (bool for a switch) and its help
-# text by the commands that take it, in the order help lists them.
+# text by the commands that take it, in the order help lists them. Only
+# `oracle` searches, so only it takes the search options.
 _EXTRA_FLAGS = {
     "out": (str, {"construct": "file prefix for the witness (and trace)",
                   "convert": "output file"}),
-    "compare-oracle": (bool, {"bound": "kst only: also run oracle ex-matrix and check "
-                                       "value <= bound"}),
     "json": (bool, dict.fromkeys(_COMMANDS, "emit a stable JSON report")),
-    "override-caps": (bool, dict.fromkeys(("oracle", "bound"),
-                                          "lift the default search-size caps")),
-    "threads": (int, dict.fromkeys(("oracle", "bound"), (
+    "override-caps": (bool, {"oracle": "lift the default search-size caps"}),
+    "threads": (int, {"oracle": (
         "processes for oracle search (default 1), this one included; a search splits only "
         "when it outruns a serial probe (results are the serial ones; threads_used reports "
-        "the processes used)"))),
+        "the processes used)")}),
 }
 
 # the streams a report failed to reach; `entry` does not flush them again
@@ -205,15 +203,9 @@ def _resolve_matrix_pattern(spec: str) -> MatrixPattern:
     return MatrixPattern(M.n, M.m, M.rows)
 
 
-def _threads(args: dict) -> int:
-    """The --threads count (1 when not passed), checked before any work."""
-    threads = 1 if args["threads"] is None else args["threads"]
-    oracles._check_threads(threads)
-    return threads
-
-
 def _cmd_oracle(args: dict) -> int:
-    threads = _threads(args)
+    threads = 1 if args["threads"] is None else args["threads"]
+    oracles._check_threads(threads)  # before any work
     fn = args["kind"]
     report = Report(f"oracle {fn}", _options(args, "oracle", fn))
     params = report.params

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 import sys
@@ -39,6 +40,26 @@ class TestConstruct:
         assert all(c["pass"] for c in payload["checks"])
         assert (tmp_path / "w.seq").read_text().strip() == payload["results"]["witness"]
         assert "troop 1: 1 2 4" in (tmp_path / "w.trace").read_text()
+
+    @pytest.mark.parametrize("size", [56, 64])
+    def test_letter_budget_shown_when_printable(self, capsys, size):
+        """(q!)^(r-1) x has 4,078 digits at r = q = x = 56 and 5,613 at 64, past
+        str()'s default limit of 4,300: the report then gives no bound, and
+        the check still compares exactly."""
+        argv = ["construct", "formation", "--t", "1"]
+        argv += [word for name in "rqx" for word in (f"--{name}", str(size))]
+        budget = math.factorial(size) ** (size - 1) * size
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        printable = not limit or budget < 10 ** limit
+        code, payload, _ = run_json(capsys, *argv)
+        expected = {"name": "letter-budget", "pass": True, "measured": size}
+        if printable:
+            expected["bound"] = budget
+        assert code == 0 and all(c["pass"] for c in payload["checks"])
+        assert [c for c in payload["checks"] if c["name"] == "letter-budget"] == [expected]
+        code, out, _ = run(capsys, *argv)
+        shown = f", bound {budget}" if printable else ""
+        assert code == 0 and f"\ncheck letter-budget: pass (measured {size}{shown})\n" in out
 
     def test_block(self, capsys):
         code, payload, _ = run_json(capsys, "construct", "block", "--n", "4", "--s", "3")
@@ -150,6 +171,26 @@ class TestVerify:
         f.write_text("1 2 1\n")
         code, _, err = run(capsys, "verify", str(f), spec)
         assert code == 2 and message in err
+
+    @pytest.mark.parametrize("spec, form", [
+        ("sparse", "sparse:J with an integer J"),
+        ("sparse:x", "sparse:J with an integer J"),
+        ("sparse:2:3", "sparse:J with an integer J"),
+        ("ds:", "ds:S with an integer S"),
+        ("ds:1.5", "ds:S with an integer S"),
+        ("formation:2", "formation:R:S with integers R and S"),
+        ("formation:2:3:4", "formation:R:S with integers R and S"),
+        ("formation:x:3", "formation:R:S with integers R and S"),
+        ("lambda-prime:y", "lambda-prime:S with an integer S"),
+        ("lambda-prime:2:2", "lambda-prime:S with an integer S"),
+    ])
+    def test_malformed_parameters_exit_2(self, capsys, tmp_path, spec, form):
+        # every spec is parsed before the file is read and before any check runs
+        f = tmp_path / "s.seq"
+        f.write_text("1 2 1\n")
+        error = f"error: check {spec!r} needs the form {form}\n"
+        assert run(capsys, "verify", str(f), "sparse:2", spec) == (2, "", error)
+        assert run(capsys, "verify", str(tmp_path / "missing.seq"), spec) == (2, "", error)
 
     def test_long_pattern_avoided(self, capsys, tmp_path):
         f = tmp_path / "alt.seq"
@@ -360,10 +401,8 @@ class TestOracle:
         [
             ("oracle", "lambda", "--n", "3", "--s", "2", "--threads", "0"),
             ("oracle", "lambda-prime", "--n", "3", "--s", "1", "--m", "3", "--threads", "0"),
-            ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--threads", "-5",
-             "--compare-oracle"),
         ],
-        ids=["oracle-lambda", "oracle-lambda-prime", "bound-kst"],
+        ids=["oracle-lambda", "oracle-lambda-prime"],
     )
     def test_threads_below_one_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -443,62 +482,15 @@ class TestBound:
         assert code == 0 and payload["params"] == {"n": 4, "s": 2}
         assert payload["results"] == {"bound": 13} and payload["checks"] == []
 
-    @pytest.mark.parametrize("argv, oracle", [
-        (("ds-ceiling", "--n", "3", "--s", "2"), "lambda"),
-        (("formation-ceiling", "--n", "3", "--r", "2", "--s", "2"), "formation"),
-        # refused before anything is computed, a bad parameter included
-        (("ds-ceiling", "--n", "3", "--s", "0"), "lambda"),
-        (("formation-ceiling", "--r", "2", "--s", "2"), "formation"),
-    ])
-    def test_ceiling_compare_oracle_exits_2(self, capsys, monkeypatch, argv, oracle):
-        # the oracle searches under this very ceiling, so the check could not
-        # fail; `oracle lambda|formation` reports the ceiling beside the value
-        monkeypatch.setattr(oracles, f"oracle_{oracle}", None)
-        code, out, err = run(capsys, "bound", *argv, "--compare-oracle")
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: bound {argv[0]} takes no --compare-oracle: its oracle searches under "
-            f"this very ceiling; `seqext oracle {oracle}` reports it as `ceiling` beside the "
-            "exact value\n"
-        )
-
     @pytest.mark.parametrize("argv", [
         ("ds-ceiling", "--n", "4", "--s", "2", "--j", "3"),
         ("ds-ceiling", "--n", "3", "--s", "2", "--j", "0"),
         ("formation-ceiling", "--n", "2", "--r", "2", "--s", "1", "--j", "1"),
         ("formation-ceiling", "--n", "3", "--r", "2", "--s", "2", "--j"),
     ])
-    @pytest.mark.parametrize("extra", [(), ("--compare-oracle",)])
-    def test_ceilings_take_no_j(self, capsys, argv, extra):
+    def test_ceilings_take_no_j(self, capsys, argv):
         # neither formula reads j; the j < r rule lives in the oracles
-        assert run(capsys, "bound", *argv, *extra) == (2, "", "error: bound takes no option --j\n")
-
-    @pytest.mark.parametrize("argv, flag", [
-        (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "2"), "threads"),
-        (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "0"), "threads"),
-        (("ds-ceiling", "--n", "3", "--s", "2", "--override-caps"), "override-caps"),
-        (("ds-ceiling", "--n", "3", "--s", "2", "--threads", "2", "--override-caps"),
-         "override-caps"),
-        (("formation-ceiling", "--n", "3", "--r", "2", "--s", "2", "--threads", "1"), "threads"),
-        (("formation-ceiling", "--n", "3", "--r", "2", "--s", "2", "--override-caps"),
-         "override-caps"),
-        (("kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--threads", "0"), "threads"),
-        (("kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--override-caps"),
-         "override-caps"),
-    ])
-    def test_search_flags_without_an_oracle_exit_2(self, capsys, monkeypatch, argv, flag):
-        # no oracle runs to read them, so they are refused before any work
-        monkeypatch.setattr(oracles, "oracle_ex_matrix", None)
-        code, out, err = run(capsys, "bound", *argv)
-        runs = " without --compare-oracle" if argv[0] == "kst" else ""
-        assert (code, out, err) == (2, "", f"error: bound {argv[0]} does not take --{flag}{runs}\n")
-
-    def test_kst_compare_oracle_reads_the_search_flags(self, capsys):
-        argv = ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2", "--compare-oracle")
-        _, plain, _ = run_json(capsys, *argv)
-        code, flagged, _ = run_json(capsys, *argv, "--threads", "2", "--override-caps")
-        assert code == 0 and flagged["results"] == plain["results"]
-        assert flagged["results"]["oracle_value"] == 6
+        assert run(capsys, "bound", *argv) == (2, "", "error: bound takes no option --j\n")
 
     def test_formation_ceiling(self, capsys):
         code, payload, _ = run_json(
@@ -548,15 +540,6 @@ class TestBound:
         code, out, err = run(
             capsys, "bound", "formation-ceiling", "--n", "2", "--r", str(bits), "--s", "1")
         assert (code, out, err) == (2, "", f"error: formation ceiling s n^r exceeds {bits} bits\n")
-
-    def test_kst_compare(self, capsys):
-        code, payload, _ = run_json(
-            capsys, "bound", "kst", "--n", "4", "--m", "4", "--a", "2", "--b", "2",
-            "--compare-oracle",
-        )
-        assert code == 0
-        assert payload["results"]["oracle_value"] == 9
-        assert all(c["pass"] for c in payload["checks"])
 
 
 class TestConvert:
@@ -708,7 +691,7 @@ EXTRA_OPTIONS = {
     "construct": {"out": str, "json": bool},
     "verify": {"json": bool},
     "oracle": {"json": bool, "override-caps": bool, "threads": int},
-    "bound": {"compare-oracle": bool, "json": bool, "override-caps": bool, "threads": int},
+    "bound": {"json": bool},
     "convert": {"out": str, "json": bool},
 }
 
@@ -717,7 +700,8 @@ EXTRA_OPTIONS = {
 def test_every_full_option_spelling_parses(command):
     """A command takes the options its kinds read (`_READS`), of the types
     `_FLAGS` gives, and those of EXTRA_OPTIONS; each parses as `--name
-    VALUE` and as `--name=VALUE`. Every other option of `_FLAGS` is refused."""
+    VALUE` and as `--name=VALUE`. Every other option of `_FLAGS` and of
+    `_EXTRA_FLAGS` is refused."""
     head = {"verify": ["w.seq", "sparse:2"], "convert": ["blocks-to-matrix", "F"]}.get(
         command) or [next(iter(cli._READS[command]))]
     read = {spec.rstrip("?") for kind in cli._READS.get(command, {}).values()
@@ -731,7 +715,8 @@ def test_every_full_option_spelling_parses(command):
             continue
         for words in ([f"--{name}", "7"], [f"--{name}=7"]):
             assert cli._parse([command, *head, *words])[name] == type_("7"), words
-    for name in set(cli._FLAGS) - read:
+    refused = (set(cli._FLAGS) - read) | (set(cli._EXTRA_FLAGS) - set(EXTRA_OPTIONS[command]))
+    for name in refused:
         with pytest.raises(ValueError, match=f"^{command} takes no option --{name}$"):
             cli._parse([command, *head, f"--{name}", "7"])
 
@@ -739,12 +724,19 @@ def test_every_full_option_spelling_parses(command):
 @pytest.mark.parametrize("argv", [
     ("construct", "block", "--n", "2", "--s", "2"),
     ("verify", "w.seq", "sparse:2"),
+    ("bound", "kst", "--n", "3", "--m", "3", "--a", "2", "--b", "2"),
+    ("bound", "ds-ceiling", "--n", "3", "--s", "2"),
+    ("bound", "formation-ceiling", "--n", "3", "--r", "2", "--s", "2"),
     ("convert", "matrix-to-blocks", "m.txt"),
-])
-def test_search_options_only_on_searches(capsys, argv):
-    for option in ("--override-caps", "--threads=2"):
-        name = option.partition("=")[0]
-        assert run(capsys, *argv, option) == (2, "", f"error: {argv[0]} takes no option {name}\n")
+], ids=["construct", "verify", "bound-kst", "bound-ds-ceiling", "bound-formation-ceiling",
+        "convert"])
+@pytest.mark.parametrize("option", [
+    ("--override-caps",), ("--threads=2",), ("--threads", "0"), ("--compare-oracle",),
+], ids=["override-caps", "threads", "threads-0", "compare-oracle"])
+def test_search_options_only_on_searches(capsys, argv, option):
+    # only `oracle` searches, so no other command takes a search option
+    name = option[0].partition("=")[0]
+    assert run(capsys, *argv, *option) == (2, "", f"error: {argv[0]} takes no option {name}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -810,7 +802,7 @@ def test_usage_error_exits_2(capsys, argv, message):
     ("construct", ["{formation,ds-sparse,block}", "--j J", "--out OUT"]),
     ("verify", ["file", "CHECK [CHECK ...]", "sparse:J ds:S"]),
     ("oracle", ["--pattern PATTERN", "--override-caps", "--threads THREADS"]),
-    ("bound", ["{kst,ds-ceiling,formation-ceiling}", "--compare-oracle", "--threads THREADS"]),
+    ("bound", ["{kst,ds-ceiling,formation-ceiling}", "without a search"]),
     ("convert", ["{blocks-to-matrix,matrix-to-blocks} file", "row count override"]),
 ])
 def test_help_of_each_command(capsys, command, shown):
